@@ -1,4 +1,4 @@
-.PHONY: all build test check chaos-smoke audit-smoke bench-smoke fuzz-smoke live-smoke live-chaos-smoke ingest-smoke scale-smoke fmt bench clean
+.PHONY: all build test check chaos-smoke audit-smoke bench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke fmt bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # The one-stop gate: everything compiles, the full test suite passes,
 # and a tiny seeded chaos scenario exercises the fault-injection paths.
 check:
-	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) ingest-smoke
+	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) live-schnorr-smoke && $(MAKE) ingest-smoke
 
 # Small deterministic fault-injection run (churn + partitions + loss
 # bursts + latency spikes + link degradation); exits non-zero if any
@@ -50,6 +50,15 @@ live-smoke:
 # invariants with zero honest exposures.
 live-chaos-smoke:
 	dune exec bin/lo.exe -- cluster -n 8 --tps 40 --duration 6 --seed 1 --base-port 7731 --chaos kills=2,down=1.2
+
+# The live cluster on real signatures: every node's identity is a
+# secp256k1 key, every transaction and commitment digest carries a real
+# Schnorr signature, and verification goes through the batched
+# GLV/Strauss kernel. One node is SIGKILLed and respawned mid-run; the
+# merged trace must pass all five audit invariants with zero honest
+# exposures.
+live-schnorr-smoke:
+	dune exec bin/lo.exe -- cluster -n 4 --tps 40 --duration 5 --seed 1 --base-port 7971 --signer schnorr --chaos kills=1
 
 # A short live ingest burst through the batched admission path: a
 # small cluster driven at an elevated offered load, so content-sync

@@ -310,7 +310,7 @@ let run_serve id n base_port seed tps duration epoch out =
     stats.Lo_live.Host.frames_in stats.Lo_live.Host.unknown
     stats.Lo_live.Host.trace_events
 
-let run_cluster n tps duration seed base_port out_dir chaos =
+let run_cluster n tps duration seed base_port out_dir chaos signer =
   let chaos =
     match chaos with
     | None -> None
@@ -322,7 +322,8 @@ let run_cluster n tps duration seed base_port out_dir chaos =
             exit 2)
   in
   let report =
-    Lo_live.Cluster.run ?out_dir ?chaos ~base_port ~n ~tps ~duration ~seed ()
+    Lo_live.Cluster.run ?out_dir ?chaos ~signer ~base_port ~n ~tps ~duration
+      ~seed ()
   in
   print_endline (Lo_live.Cluster.summary report);
   if not (Lo_live.Cluster.ok report) then exit 1
@@ -693,6 +694,17 @@ let () =
                   kills), down, drop, dup, delay, dmax, trunc, \
                   garble. The empty string takes every default.")
        in
+       let signer_arg =
+         Arg.(
+           value
+           & opt (enum [ ("simulation", `Simulation); ("schnorr", `Schnorr) ])
+               `Simulation
+           & info [ "signer" ] ~docv:"SCHEME"
+               ~doc:
+                 "Signature scheme every node signs and verifies under: \
+                  $(b,simulation) (HMAC stand-in, the default) or \
+                  $(b,schnorr) (real Schnorr over secp256k1).")
+       in
        Cmd.v
          (Cmd.info "cluster"
             ~doc:
@@ -702,7 +714,7 @@ let () =
                stream, and fail on any violation or honest exposure")
          Term.(
            const run_cluster $ n_arg $ tps_arg $ duration_arg $ seed_arg
-           $ port_arg $ out_dir_arg $ chaos_arg));
+           $ port_arg $ out_dir_arg $ chaos_arg $ signer_arg));
       cmd "selfcheck" "Verify the crypto and sketch substrates against known vectors" run_selfcheck;
       cmd "all" "Run the entire evaluation" run_all;
     ]

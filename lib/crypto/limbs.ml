@@ -1,7 +1,8 @@
 (* Little-endian arbitrary-length naturals over 16-bit limbs stored in
    native ints. 16-bit limbs keep every intermediate product and carry
    comfortably inside OCaml's 63-bit integers. Internal module: Uint256
-   and Secp256k1 build their fixed-width arithmetic on top of it. *)
+   builds its generic-modulus arithmetic on it, and Scalar its fixed-n
+   folds. *)
 
 let limb_bits = 16
 let limb_mask = 0xFFFF
@@ -94,11 +95,10 @@ let bit a i =
   if limb >= Array.length a then false
   else a.(limb) lsr (i mod limb_bits) land 1 = 1
 
-(* Binary long division: (quotient, remainder) with a = q*b + r, r < b. *)
-let divmod a b =
-  if is_zero b then invalid_arg "Limbs.divmod: division by zero";
+(* Binary long division's remainder: r = a mod b, r < b. *)
+let rem a b =
+  if is_zero b then invalid_arg "Limbs.rem: division by zero";
   let nb = Array.length b in
-  let q = Array.make (Array.length a) 0 in
   let r = Array.make (nb + 1) 0 in
   let r_ge_b () =
     if r.(nb) <> 0 then true
@@ -131,14 +131,9 @@ let divmod a b =
       r.(j) <- ((r.(j) lsl 1) lor (r.(j - 1) lsr (limb_bits - 1))) land limb_mask
     done;
     r.(0) <- ((r.(0) lsl 1) land limb_mask) lor (if bit a i then 1 else 0);
-    if r_ge_b () then begin
-      sub_b ();
-      q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-    end
+    if r_ge_b () then sub_b ()
   done;
-  (q, Array.sub r 0 nb)
-
-let rem a b = snd (divmod a b)
+  Array.sub r 0 nb
 
 (* Fit into exactly [n] limbs (value must fit). *)
 let resize a n =

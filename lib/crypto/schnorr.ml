@@ -1,48 +1,49 @@
-type secret_key = Uint256.t
-type public_key = Secp256k1.point
+(* A public key keeps its point next to the 33-byte encoding the
+   challenge hashes, so neither verifier re-normalises or re-encodes it;
+   a secret key keeps its public key, so signing does no fixed-base
+   multiplication for it. *)
+type public_key = { point : Secp256k1.point; bytes : string }
+type secret_key = { scalar : Uint256.t; public : public_key }
 
 let n = Secp256k1.n
 
 (* Hash arbitrary bytes onto the scalar field, rejecting 0. *)
 let hash_to_scalar parts =
   let rec go parts =
-    let h = Uint256.of_bytes_be (Sha256.digest_list parts) in
-    let s = Uint256.mod_reduce ~modulus:n h in
+    let s = Scalar.reduce (Uint256.of_bytes_be (Sha256.digest_list parts)) in
     if Uint256.is_zero s then go (parts @ [ "retry" ]) else s
   in
   go parts
 
 let keypair_of_seed seed =
-  let sk = hash_to_scalar [ "lo-keygen"; seed ] in
-  (sk, Secp256k1.mul_g sk)
+  let scalar = hash_to_scalar [ "lo-keygen"; seed ] in
+  let point = Secp256k1.mul_g scalar in
+  let public = { point; bytes = Secp256k1.encode_compressed point } in
+  ({ scalar; public }, public)
 
-let public_key sk = Secp256k1.mul_g sk
-let public_key_bytes = Secp256k1.encode_compressed
+let public_key sk = sk.public
+let public_key_bytes pk = pk.bytes
 
 let public_key_of_bytes s =
   match Secp256k1.decode_compressed s with
-  | Some pt when not (Secp256k1.is_infinity pt) -> Some pt
+  | Some point when not (Secp256k1.is_infinity point) ->
+      Some { point; bytes = s }
   | Some _ | None -> None
 
-let secret_key_bytes = Uint256.to_bytes_be
-
-let affine_x pt =
-  match Secp256k1.to_affine pt with
-  | Some (x, _) -> x
-  | None -> invalid_arg "Schnorr: unexpected point at infinity"
+let secret_key_bytes sk = Uint256.to_bytes_be sk.scalar
 
 let challenge ~rx ~pk_bytes msg =
   hash_to_scalar [ "lo-schnorr"; Uint256.to_bytes_be rx; pk_bytes; msg ]
 
 let sign sk msg =
-  let pk = public_key sk in
-  let k = hash_to_scalar [ "lo-nonce"; Uint256.to_bytes_be sk; msg ] in
-  let r = Secp256k1.mul_g k in
-  let rx = affine_x r in
-  let e = challenge ~rx ~pk_bytes:(public_key_bytes pk) msg in
-  let s =
-    Uint256.mod_add ~modulus:n k (Uint256.mod_mul ~modulus:n e sk)
+  let k = hash_to_scalar [ "lo-nonce"; Uint256.to_bytes_be sk.scalar; msg ] in
+  let rx =
+    match Secp256k1.to_affine (Secp256k1.mul_g k) with
+    | Some (x, _) -> x
+    | None -> invalid_arg "Schnorr: unexpected point at infinity"
   in
+  let e = challenge ~rx ~pk_bytes:sk.public.bytes msg in
+  let s = Scalar.add k (Scalar.mul e sk.scalar) in
   Uint256.to_bytes_be rx ^ Uint256.to_bytes_be s
 
 (* The reference verifier: the generic double-and-add ladder, one
@@ -55,88 +56,64 @@ let verify pk ~msg ~signature =
   let rx = Uint256.of_bytes_be (String.sub signature 0 32) in
   let s = Uint256.of_bytes_be (String.sub signature 32 32) in
   Uint256.compare s n < 0
-  && (not (Secp256k1.is_infinity pk))
   &&
-  let e = challenge ~rx ~pk_bytes:(public_key_bytes pk) msg in
+  let e = challenge ~rx ~pk_bytes:pk.bytes msg in
   (* R' = s*G - e*P should equal the R whose x-coordinate was signed. *)
   let r' =
     Secp256k1.add (Secp256k1.mul s Secp256k1.g)
-      (Secp256k1.neg (Secp256k1.mul e pk))
+      (Secp256k1.neg (Secp256k1.mul e pk.point))
   in
-  (not (Secp256k1.is_infinity r')) && Uint256.equal (affine_x r') rx
+  Secp256k1.has_x r' rx
 
 (* --- Batch verification.
 
    There is no sound random-linear-combination aggregate here: [verify]
    accepts either y-parity of R (only R.x is signed), so the R_i cannot
    be reconstituted as group elements to sum. The batch path instead
-   amortises the expensive parts per signature — fixed-base table for
-   s*G, one wNAF precomp per distinct public key (signers repeat within
-   a batch), and a single Montgomery inversion to normalise every R'
-   in a chunk — and reports only "chunk clean" / "chunk dirty". A dirty
-   chunk is bisected with the same kernel, and a signer is blamed only
-   after the reference [verify] confirms the leaf, so accountability
-   never rests on the fast path. --- *)
+   amortises the expensive parts per signature — one Strauss chain of
+   ~128 doublings for s*G - e*P (GLV split), one wNAF precomp per
+   distinct public key, and a projective x-check with no inversion —
+   and reports only "chunk clean" / "chunk dirty". A dirty chunk is
+   bisected with the same kernel, and a signer is blamed only after
+   the reference [verify] confirms the leaf, so accountability never
+   rests on the fast path. --- *)
 
-(* Per-chunk scratch: wNAF tables and encodings keyed by public key.
-   Chunks fan out across domains, and each chunk builds its own cache,
-   so nothing here is shared mutable state. *)
+(* Per-chunk scratch: wNAF tables keyed by public-key encoding. Chunks
+   fan out across domains, and each chunk builds its own cache, so
+   nothing here is shared mutable state. *)
 type pk_cache = (string, Secp256k1.precomp) Hashtbl.t
 
-let kernel_one ~(cache : pk_cache) ~pk_bytes pk msg signature =
-  (* Returns the candidate R' (Jacobian) when the signature is
-     well-formed, or None when it is malformed / trivially invalid.
-     The x-comparison happens after batch normalisation. *)
-  if String.length signature <> 64 || Secp256k1.is_infinity pk then None
-  else
-    let s = Uint256.of_bytes_be (String.sub signature 32 32) in
-    if Uint256.compare s n >= 0 then None
-    else begin
-      let rx = Uint256.of_bytes_be (String.sub signature 0 32) in
-      let e = challenge ~rx ~pk_bytes msg in
-      let tbl =
-        match Hashtbl.find_opt cache pk_bytes with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Secp256k1.precompute pk in
-            Hashtbl.add cache pk_bytes tbl;
-            tbl
-      in
-      (* s*G - e*P = s*G + (n - e)*P on the prime-order group. *)
-      let e' = Uint256.mod_sub ~modulus:n Uint256.zero e in
-      let r' = Secp256k1.mul_add_precomp ~g_scalar:s e' tbl in
-      if Secp256k1.is_infinity r' then None else Some (r', rx)
-    end
+let kernel_one ~(cache : pk_cache) pk msg signature =
+  String.length signature = 64
+  &&
+  let s = Uint256.of_bytes_be (String.sub signature 32 32) in
+  Uint256.compare s n < 0
+  &&
+  let rx = Uint256.of_bytes_be (String.sub signature 0 32) in
+  let e = challenge ~rx ~pk_bytes:pk.bytes msg in
+  let tbl =
+    match Hashtbl.find_opt cache pk.bytes with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Secp256k1.precompute pk.point in
+        Hashtbl.add cache pk.bytes tbl;
+        tbl
+  in
+  (* s*G - e*P = s*G + (n - e)*P on the prime-order group. *)
+  Secp256k1.has_x
+    (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) tbl)
+    rx
 
 (* True iff every signature in [lo, hi) passes the fast kernel. *)
-let kernel_range sigs pk_bytes lo hi =
-  let cache : pk_cache = Hashtbl.create 16 in
-  let len = hi - lo in
-  let points = Array.make len Secp256k1.infinity in
-  let expected = Array.make len Uint256.zero in
-  let ok = ref true in
-  for i = lo to hi - 1 do
+let kernel_range sigs lo hi =
+  let cache : pk_cache = Hashtbl.create 4 in
+  let rec go i =
+    i >= hi
+    ||
     let pk, msg, signature = sigs.(i) in
-    match pk_bytes.(i) with
-    | None -> ok := false
-    | Some pkb -> (
-        match kernel_one ~cache ~pk_bytes:pkb pk msg signature with
-        | None -> ok := false
-        | Some (r', rx) ->
-            points.(i - lo) <- r';
-            expected.(i - lo) <- rx)
-  done;
-  (* One shared inversion normalises the whole chunk's R' points. *)
-  if !ok then begin
-    let affine = Secp256k1.to_affine_batch points in
-    Array.iteri
-      (fun j xy ->
-        match xy with
-        | Some (x, _) -> if not (Uint256.equal x expected.(j)) then ok := false
-        | None -> ok := false)
-      affine
-  end;
-  !ok
+    kernel_one ~cache pk msg signature && go (i + 1)
+  in
+  go lo
 
 let reference_invalid sigs lo hi =
   let bad = ref [] in
@@ -150,16 +127,16 @@ let reference_invalid sigs lo hi =
    reference verifier. If the halves disagree with the parent (a fast
    path bug rather than a bad signature), fall back to scanning the
    range with [verify] so the outcome is still the reference one. *)
-let rec bisect sigs pk_bytes lo hi =
+let rec bisect sigs lo hi =
   if hi - lo <= 1 then reference_invalid sigs lo hi
   else begin
     let mid = (lo + hi) / 2 in
-    let left_ok = kernel_range sigs pk_bytes lo mid in
-    let right_ok = kernel_range sigs pk_bytes mid hi in
+    let left_ok = kernel_range sigs lo mid in
+    let right_ok = kernel_range sigs mid hi in
     if left_ok && right_ok then reference_invalid sigs lo hi
     else
-      (if left_ok then [] else bisect sigs pk_bytes lo mid)
-      @ if right_ok then [] else bisect sigs pk_bytes mid hi
+      (if left_ok then [] else bisect sigs lo mid)
+      @ if right_ok then [] else bisect sigs mid hi
   end
 
 let batch_chunk = 32
@@ -168,33 +145,13 @@ let batch_verify ?run_chunks sigs =
   let count = Array.length sigs in
   if count = 0 then `All_valid
   else begin
-    (* Normalise and encode every distinct public key once up front;
-       the encodings key the per-chunk wNAF caches and feed the
-       challenge hash. *)
-    let pk_affine =
-      Secp256k1.to_affine_batch (Array.map (fun (pk, _, _) -> pk) sigs)
-    in
-    let pk_bytes =
-      Array.map
-        (function
-          | None -> None
-          | Some (x, y) ->
-              let parity = if Uint256.bit y 0 then "\x03" else "\x02" in
-              Some (parity ^ Uint256.to_bytes_be x))
-        pk_affine
-    in
     let ranges =
-      let r = ref [] in
-      let lo = ref 0 in
-      while !lo < count do
-        let hi = min count (!lo + batch_chunk) in
-        r := (!lo, hi) :: !r;
-        lo := hi
-      done;
-      List.rev !r
+      List.init
+        ((count + batch_chunk - 1) / batch_chunk)
+        (fun c -> (c * batch_chunk, min count ((c + 1) * batch_chunk)))
     in
     let thunks =
-      List.map (fun (lo, hi) -> fun () -> kernel_range sigs pk_bytes lo hi) ranges
+      List.map (fun (lo, hi) -> fun () -> kernel_range sigs lo hi) ranges
     in
     let results =
       match run_chunks with
@@ -204,7 +161,7 @@ let batch_verify ?run_chunks sigs =
     let bad =
       List.concat
         (List.map2
-           (fun (lo, hi) ok -> if ok then [] else bisect sigs pk_bytes lo hi)
+           (fun (lo, hi) ok -> if ok then [] else bisect sigs lo hi)
            ranges results)
     in
     match List.sort_uniq compare bad with

@@ -13,10 +13,16 @@ val keypair_of_seed : string -> secret_key * public_key
     re-hashing). *)
 
 val public_key : secret_key -> public_key
+(** The key the secret key was derived with (kept, not recomputed). *)
+
 val public_key_bytes : public_key -> string
-(** 33-byte compressed encoding; doubles as the node identity. *)
+(** 33-byte compressed encoding; doubles as the node identity. Kept with
+    the key, so this costs nothing. *)
 
 val public_key_of_bytes : string -> public_key option
+(** Decode (one field square root); [None] for malformed encodings,
+    off-curve points and infinity. *)
+
 val secret_key_bytes : secret_key -> string
 
 val sign : secret_key -> string -> string
@@ -33,9 +39,11 @@ val batch_verify :
 (** [batch_verify sigs] checks an array of [(pk, msg, signature)]
     triples and either declares them all valid or names the invalid
     indices (sorted). Outcome-equivalent to calling {!verify} on each
-    triple, but amortised: a per-domain fixed-base table for [s*G], one
-    wNAF precomputation per distinct public key, and one Montgomery
-    inversion per chunk of {!batch_chunk} signatures.
+    triple, but amortised: [s*G - e*P] in one Strauss chain of ~128
+    doublings (GLV split of [e], per-domain tables for [G]), one wNAF
+    precomputation per distinct public key per chunk of {!batch_chunk}
+    signatures, and a projective x-check with no inversion. Keys carry
+    their encoding, so nothing is re-normalised or re-encoded.
 
     Accountability survives batching through bisection: the fast kernel
     only narrows dirty chunks, and an index is blamed only after the

@@ -2,9 +2,7 @@ let p =
   Uint256.of_hex
     "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
 
-let n =
-  Uint256.of_hex
-    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
+let n = Scalar.n
 
 let gx =
   Uint256.of_hex
@@ -14,192 +12,226 @@ let gy =
   Uint256.of_hex
     "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"
 
-(* --- Field arithmetic with fast reduction: p = 2^256 - c, c = 2^32+977.
-   For any t, t = hi*2^256 + lo = hi*c + lo (mod p); folding at most
-   three times brings t below 2^256 + small, then conditional subtracts
-   finish the job. --- *)
+let beta =
+  Uint256.of_hex
+    "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"
 
-let c_limbs = [| 0x03D1; 0x0000; 0x0001 |] (* 2^32 + 977 in 16-bit limbs *)
-let p_limbs = Uint256.to_limbs p
+let fe_of_u256 a = Fe.of_bytes_be (Uint256.to_bytes_be a)
+let u256_of_fe a = Uint256.of_bytes_be (Fe.to_bytes_be a)
+let beta_fe = fe_of_u256 beta
 
-let reduce_p limbs_in =
-  let t = ref limbs_in in
-  let split () =
-    let l = Array.length !t in
-    if l <= 16 then None
-    else
-      let hi = Array.sub !t 16 (l - 16) in
-      if Limbs.is_zero hi then None else Some (Array.sub !t 0 16, hi)
-  in
-  let continue = ref true in
-  while !continue do
-    match split () with
-    | None -> continue := false
-    | Some (lo, hi) -> t := Limbs.add (Limbs.mul hi c_limbs) lo
-  done;
-  let t = ref (Limbs.resize !t 16) in
-  while Limbs.compare !t p_limbs >= 0 do
-    t := Limbs.resize (Limbs.sub !t p_limbs) 16
-  done;
-  Uint256.of_limbs !t
-
-let field_mul a b = reduce_p (Limbs.mul (Uint256.to_limbs a) (Uint256.to_limbs b))
-let field_sq a = field_mul a a
-let field_add a b = Uint256.mod_add ~modulus:p a b
-let field_sub a b = Uint256.mod_sub ~modulus:p a b
-
-let field_pow b e =
-  let result = ref Uint256.one and acc = ref b in
-  for i = 0 to Uint256.num_bits e - 1 do
-    if Uint256.bit e i then result := field_mul !result !acc;
-    acc := field_sq !acc
-  done;
-  !result
-
-let field_inv a =
-  if Uint256.is_zero a then invalid_arg "Secp256k1.field_inv: zero";
-  field_pow a (Uint256.mod_sub ~modulus:p Uint256.zero (Uint256.of_int 2))
-
-(* p = 3 (mod 4): the candidate square root of [a] is a^((p+1)/4). The
-   exponent is derived from [p] rather than hardcoded. *)
-let sqrt_exp =
-  let p_plus_1 = Limbs.add p_limbs [| 1 |] in
-  let q, r = Limbs.divmod p_plus_1 [| 4 |] in
-  assert (Limbs.is_zero r);
-  Uint256.of_limbs q
+let field_mul a b =
+  let r = Fe.create () in
+  Fe.mul r (fe_of_u256 a) (fe_of_u256 b);
+  u256_of_fe r
 
 let field_sqrt a =
-  let r = field_pow a sqrt_exp in
-  if Uint256.equal (field_sq r) a then Some r else None
+  let r = Fe.create () in
+  if Fe.sqrt r (fe_of_u256 a) then Some (u256_of_fe r) else None
 
-let seven = Uint256.of_int 7
+(* x^3 + 7, magnitude 2. *)
+let curve_rhs x =
+  let r = Fe.create () in
+  Fe.sqr r x;
+  Fe.mul r r x;
+  Fe.add r r (Fe.of_int 7);
+  r
 
 let is_on_curve ~x ~y =
   Uint256.compare x p < 0
   && Uint256.compare y p < 0
-  && Uint256.equal (field_sq y) (field_add (field_mul (field_sq x) x) seven)
+  &&
+  let y2 = Fe.create () in
+  Fe.sqr y2 (fe_of_u256 y);
+  Fe.equal y2 (curve_rhs (fe_of_u256 x))
 
-(* --- Jacobian points: (X, Y, Z) represents (X/Z^2, Y/Z^3); Z = 0 is the
-   point at infinity. --- *)
+(* --- Jacobian points: (X, Y, Z) represents (X/Z^2, Y/Z^3).
 
-type point = { x : Uint256.t; y : Uint256.t; z : Uint256.t }
+   Coordinates have magnitude <= 2. The exported operations build fresh
+   points and never write to their arguments, so points (including
+   [infinity]) can be shared; the multiplication loops below work on a
+   private accumulator in place. --- *)
 
-let infinity = { x = Uint256.one; y = Uint256.one; z = Uint256.zero }
-let is_infinity pt = Uint256.is_zero pt.z
+type point = { x : Fe.t; y : Fe.t; z : Fe.t; mutable inf : bool }
+
+(* Affine table entries, magnitude 1. *)
+type affine = { ax : Fe.t; ay : Fe.t }
+
+let fresh () =
+  { x = Fe.create (); y = Fe.create (); z = Fe.create (); inf = true }
+let infinity = fresh ()
+let is_infinity pt = pt.inf
+
+let set_point r a =
+  Fe.set r.x a.x;
+  Fe.set r.y a.y;
+  Fe.set r.z a.z;
+  r.inf <- a.inf
+
+let of_affine_fe a =
+  { x = Fe.copy a.ax; y = Fe.copy a.ay; z = Fe.of_int 1; inf = false }
 
 let of_affine ~x ~y =
   if not (is_on_curve ~x ~y) then
     invalid_arg "Secp256k1.of_affine: point not on curve";
-  { x; y; z = Uint256.one }
-
-let to_affine pt =
-  if is_infinity pt then None
-  else if Uint256.equal pt.z Uint256.one then Some (pt.x, pt.y)
-  else
-    let zi = field_inv pt.z in
-    let zi2 = field_sq zi in
-    Some (field_mul pt.x zi2, field_mul pt.y (field_mul zi2 zi))
+  of_affine_fe { ax = fe_of_u256 x; ay = fe_of_u256 y }
 
 (* Montgomery's trick: normalise a whole array of points with a single
    field inversion. [prefix.(i)] holds the product of the non-infinity
    z's strictly before [i]; walking backwards with the inverse of the
    full product peels off one z^-1 per step at the cost of two
    multiplications. *)
-let to_affine_batch pts =
+let affine_batch pts =
   let len = Array.length pts in
-  let prefix = Array.make len Uint256.one in
-  let acc = ref Uint256.one in
+  let prefix = Array.init len (fun _ -> Fe.create ()) in
+  let acc = Fe.of_int 1 in
   Array.iteri
     (fun i pt ->
-      prefix.(i) <- !acc;
-      if not (is_infinity pt) then acc := field_mul !acc pt.z)
+      Fe.set prefix.(i) acc;
+      if not pt.inf then Fe.mul acc acc pt.z)
     pts;
-  let inv = ref (if Uint256.equal !acc Uint256.one then Uint256.one else field_inv !acc) in
+  let inv = Fe.create () in
+  Fe.inv inv acc;
   let out = Array.make len None in
+  let zi = Fe.create () and zi2 = Fe.create () in
   for i = len - 1 downto 0 do
     let pt = pts.(i) in
-    if not (is_infinity pt) then begin
-      let zi = field_mul !inv prefix.(i) in
-      inv := field_mul !inv pt.z;
-      let zi2 = field_sq zi in
-      out.(i) <- Some (field_mul pt.x zi2, field_mul pt.y (field_mul zi2 zi))
+    if not pt.inf then begin
+      Fe.mul zi inv prefix.(i);
+      Fe.mul inv inv pt.z;
+      Fe.sqr zi2 zi;
+      let x = Fe.create () and y = Fe.create () in
+      Fe.mul x pt.x zi2;
+      Fe.mul zi2 zi2 zi;
+      Fe.mul y pt.y zi2;
+      Fe.normalize x;
+      Fe.normalize y;
+      out.(i) <- Some { ax = x; ay = y }
     end
   done;
   out
 
-let neg pt = if is_infinity pt then pt else { pt with y = field_sub Uint256.zero pt.y }
+let affine_fe pt = (affine_batch [| pt |]).(0)
+let u256_pair a = (u256_of_fe a.ax, u256_of_fe a.ay)
+let to_affine pt = Option.map u256_pair (affine_fe pt)
+let to_affine_batch pts = Array.map (Option.map u256_pair) (affine_batch pts)
 
-let double pt =
-  if is_infinity pt || Uint256.is_zero pt.y then infinity
+(* Odd multiples and fixed-base windows of a point of prime order ~2^256
+   are never infinity. *)
+let affine_table pts =
+  Array.map (function Some a -> a | None -> assert false) (affine_batch pts)
+
+let neg pt =
+  if pt.inf then pt
   else begin
-    let y2 = field_sq pt.y in
-    let s = field_mul (Uint256.of_int 4) (field_mul pt.x y2) in
-    let m = field_mul (Uint256.of_int 3) (field_sq pt.x) in
-    let x3 = field_sub (field_sq m) (field_add s s) in
-    let y3 =
-      field_sub (field_mul m (field_sub s x3))
-        (field_mul (Uint256.of_int 8) (field_sq y2))
-    in
-    let z3 = field_mul (field_add pt.y pt.y) pt.z in
-    { x = x3; y = y3; z = z3 }
+    let y = Fe.create () in
+    Fe.sub y (Fe.create ()) pt.y;
+    { x = Fe.copy pt.x; y; z = Fe.copy pt.z; inf = false }
   end
 
-let add pt1 pt2 =
-  if is_infinity pt1 then pt2
-  else if is_infinity pt2 then pt1
+(* r = 2a (r may be a), dbl-2009-l for a = 0 in 2M + 5S: A = X^2,
+   C = Y^4, D = 2((X + Y^2)^2 - A - C) (magnitude 2), E = 3A (3),
+   X3 = E^2 - 2D, Y3 = E (D - X3) - 8C, Z3 = 2YZ (2). With n odd there
+   is no point of order 2, so Y never vanishes. *)
+let double_to r a =
+  if a.inf then r.inf <- true
   else begin
-    let z1z1 = field_sq pt1.z and z2z2 = field_sq pt2.z in
-    let u1 = field_mul pt1.x z2z2 and u2 = field_mul pt2.x z1z1 in
-    let s1 = field_mul pt1.y (field_mul z2z2 pt2.z) in
-    let s2 = field_mul pt2.y (field_mul z1z1 pt1.z) in
-    if Uint256.equal u1 u2 then
-      if Uint256.equal s1 s2 then double pt1 else infinity
-    else begin
-      let h = field_sub u2 u1 in
-      let r = field_sub s2 s1 in
-      let h2 = field_sq h in
-      let h3 = field_mul h2 h in
-      let u1h2 = field_mul u1 h2 in
-      let x3 = field_sub (field_sub (field_sq r) h3) (field_add u1h2 u1h2) in
-      let y3 = field_sub (field_mul r (field_sub u1h2 x3)) (field_mul s1 h3) in
-      let z3 = field_mul h (field_mul pt1.z pt2.z) in
-      { x = x3; y = y3; z = z3 }
-    end
+    let e = Fe.create () and c = Fe.create () and d = Fe.create () in
+    Fe.sqr e a.x;
+    Fe.sqr c a.y;
+    Fe.add d a.x c;
+    Fe.sqr d d;
+    Fe.sub d d e;
+    Fe.mul r.z a.y a.z;
+    Fe.add r.z r.z r.z;
+    Fe.sqr c c;
+    Fe.sub d d c;
+    Fe.add d d d;
+    Fe.mul_int e e 3;
+    Fe.sqr r.x e;
+    Fe.sub r.x r.x d;
+    Fe.sub r.x r.x d;
+    Fe.sub d d r.x;
+    Fe.mul r.y e d;
+    Fe.mul_int c c 8;
+    Fe.sub r.y r.y c;
+    r.inf <- false
   end
 
+(* The tail both additions share, from h = u2 - u1, i = s2 - s1 and
+   zs = Z1 Z2 (Z1 for an affine second operand): X3 = i^2 - h^3 - 2 u1
+   h^2, Y3 = i (u1 h^2 - X3) - s1 h^3, Z3 = zs h. [u1], [s1] and [zs]
+   may be coordinates of [a], and [r] may be [a]: each is read before
+   the coordinate of [r] that may hold it is written. *)
+let finish_add r a ~u1 ~s1 ~h ~i ~zs =
+  if Fe.is_zero h then if Fe.is_zero i then double_to r a else r.inf <- true
+  else begin
+    let h2 = Fe.create () and h3 = Fe.create () and t = Fe.create () in
+    Fe.sqr h2 h;
+    Fe.mul h3 h h2;
+    Fe.mul r.z zs h;
+    Fe.mul t u1 h2;
+    Fe.sqr r.x i;
+    Fe.sub r.x r.x h3;
+    Fe.mul_int h2 t 2;
+    Fe.sub r.x r.x h2;
+    Fe.mul h3 h3 s1;
+    Fe.sub t t r.x;
+    Fe.mul r.y t i;
+    Fe.sub r.y r.y h3;
+    r.inf <- false
+  end
+
+(* r = a + b for affine b whose y may carry magnitude 2 (r may be a):
+   mixed addition, 8M + 3S. *)
+let add_ge_to r a b =
+  if a.inf then set_point r (of_affine_fe b)
+  else begin
+    let z12 = Fe.create () and h = Fe.create () and i = Fe.create () in
+    Fe.sqr z12 a.z;
+    Fe.mul h b.ax z12;
+    Fe.sub h h a.x;
+    Fe.mul i b.ay z12;
+    Fe.mul i i a.z;
+    Fe.sub i i a.y;
+    finish_add r a ~u1:a.x ~s1:a.y ~h ~i ~zs:a.z
+  end
+
+(* r = a + b, both Jacobian (r may alias either). 12M + 4S. *)
+let add_to r a b =
+  if a.inf then set_point r b
+  else if b.inf then set_point r a
+  else begin
+    let z1z1 = Fe.create () and z2z2 = Fe.create () and zs = Fe.create () in
+    let u1 = Fe.create () and s1 = Fe.create () in
+    let h = Fe.create () and i = Fe.create () in
+    Fe.sqr z1z1 a.z;
+    Fe.sqr z2z2 b.z;
+    Fe.mul u1 a.x z2z2;
+    Fe.mul h b.x z1z1;
+    Fe.sub h h u1;
+    Fe.mul s1 a.y z2z2;
+    Fe.mul s1 s1 b.z;
+    Fe.mul i b.y z1z1;
+    Fe.mul i i a.z;
+    Fe.sub i i s1;
+    Fe.mul zs a.z b.z;
+    finish_add r a ~u1 ~s1 ~h ~i ~zs
+  end
+
+let double pt = let r = fresh () in double_to r pt; r
+let add a b = let r = fresh () in add_to r a b; r
+
+(* The reference ladder: plain double-and-add over the scalar's bits. *)
 let mul scalar pt =
-  let acc = ref infinity in
+  let acc = fresh () in
   for i = Uint256.num_bits scalar - 1 downto 0 do
-    acc := double !acc;
-    if Uint256.bit scalar i then acc := add !acc pt
+    double_to acc acc;
+    if Uint256.bit scalar i then add_to acc acc pt
   done;
-  !acc
+  acc
 
 let g = of_affine ~x:gx ~y:gy
-
-(* Mixed addition: the second operand is affine (z = 1), which saves a
-   square and three multiplications over the general Jacobian add. Table
-   entries are stored affine precisely so the hot loops land here. *)
-let add_affine pt (x2, y2) =
-  if is_infinity pt then { x = x2; y = y2; z = Uint256.one }
-  else begin
-    let z1z1 = field_sq pt.z in
-    let u2 = field_mul x2 z1z1 in
-    let s2 = field_mul y2 (field_mul z1z1 pt.z) in
-    if Uint256.equal pt.x u2 then
-      if Uint256.equal pt.y s2 then double pt else infinity
-    else begin
-      let h = field_sub u2 pt.x in
-      let r = field_sub s2 pt.y in
-      let h2 = field_sq h in
-      let h3 = field_mul h2 h in
-      let u1h2 = field_mul pt.x h2 in
-      let x3 = field_sub (field_sub (field_sq r) h3) (field_add u1h2 u1h2) in
-      let y3 = field_sub (field_mul r (field_sub u1h2 x3)) (field_mul pt.y h3) in
-      let z3 = field_mul h pt.z in
-      { x = x3; y = y3; z = z3 }
-    end
-  end
 
 (* --- Fixed-base multiplication by G.
 
@@ -207,182 +239,158 @@ let add_affine pt (x2, y2) =
    contributes d * 2^(window_w * w) * G, read from a table of affine
    points. A full mul_g is then ~43 mixed additions and no doublings,
    against 256 doublings + ~128 additions for the generic ladder. The
-   table (43 windows x 63 non-zero digits, ~2700 points) is built once
-   per domain on first use, normalised to affine with a single batched
-   inversion, and lives in domain-local storage so concurrent domains
-   never share mutable state. --- *)
+   table (43 windows x 63 non-zero digits, ~2700 points, ~0.5 MB) is
+   built once per domain on first use, normalised to affine with a
+   single batched inversion, and lives in domain-local storage so
+   concurrent domains never share mutable state. --- *)
 
 let window_w = 6
 let g_windows = (256 + window_w - 1) / window_w
 let g_digits = (1 lsl window_w) - 1
 
 let build_g_table () =
-  let jac = Array.make (g_windows * g_digits) infinity in
-  let base = ref g in
+  let jac = Array.init (g_windows * g_digits) (fun _ -> fresh ()) in
+  let base = fresh () in
+  set_point base g;
   for win = 0 to g_windows - 1 do
     let row = win * g_digits in
-    jac.(row) <- !base;
+    set_point jac.(row) base;
     for j = 1 to g_digits - 1 do
-      jac.(row + j) <- add jac.(row + j - 1) !base
+      add_to jac.(row + j) jac.(row + j - 1) base
     done;
     for _ = 1 to window_w do
-      base := double !base
+      double_to base base
     done
   done;
-  (* No j * 2^(6w) with 1 <= j <= 63 is a multiple of the (odd, ~2^256)
-     group order, so no table entry is the point at infinity. *)
-  Array.map
-    (function Some xy -> xy | None -> assert false)
-    (to_affine_batch jac)
+  affine_table jac
 
 let g_table_key = Domain.DLS.new_key build_g_table
 
-let window_digit scalar win =
-  let base = win * window_w in
-  let d = ref 0 in
-  for b = window_w - 1 downto 0 do
-    let i = base + b in
-    d := (!d lsl 1) lor (if i < 256 && Uint256.bit scalar i then 1 else 0)
-  done;
-  !d
-
 let mul_g scalar =
   let tbl = Domain.DLS.get g_table_key in
-  let acc = ref infinity in
-  for win = 0 to g_windows - 1 do
-    let d = window_digit scalar win in
-    if d <> 0 then acc := add_affine !acc tbl.((win * g_digits) + d - 1)
-  done;
-  !acc
+  let digits = Scalar.windows ~width:window_w scalar in
+  let acc = fresh () in
+  Array.iteri
+    (fun win d ->
+      if d <> 0 then add_ge_to acc acc tbl.((win * g_digits) + d - 1))
+    digits;
+  acc
 
-(* --- Width-5 wNAF for arbitrary points: signed digits in
-   {0, ±1, ±3, ..., ±15}, at most one non-zero per 5 consecutive
-   positions, so a 256-bit multiplication costs 256 doublings plus ~43
-   mixed additions against a table of 8 precomputed odd multiples. --- *)
+(* --- Variable-base multiplication: GLV + wNAF + Strauss.
+
+   [precompute] tabulates the odd multiples P, 3P, ..., 15P (width-5
+   wNAF) and, for free, those of lambda P = (beta x, y). A scalar k
+   splits as k1 + lambda k2 with both halves about 128 bits, so k P is two
+   128-bit wNAF ladders sharing one chain of ~128 doublings. The G half
+   of [mul_add_precomp] joins the same chain: s = s_lo + 2^128 s_hi
+   against width-8 tables of G and 2^128 G (64 odd multiples each,
+   built lazily per domain). --- *)
 
 let wnaf_w = 5
+let g_wnaf_w = 8
 
-let wnaf_digits scalar =
-  (* Mutable little-endian 16-bit limbs; one extra limb absorbs the
-     temporary overflow when a negative digit is added back. *)
-  let limbs = Array.append (Uint256.to_limbs scalar) [| 0 |] in
-  let nlimbs = Array.length limbs in
-  let is_zero () =
-    let z = ref true in
-    for i = 0 to nlimbs - 1 do
-      if limbs.(i) <> 0 then z := false
-    done;
-    !z
-  in
-  let shr1 () =
-    for i = 0 to nlimbs - 1 do
-      let next = if i + 1 < nlimbs then limbs.(i + 1) else 0 in
-      limbs.(i) <- (limbs.(i) lsr 1) lor ((next land 1) lsl 15)
-    done
-  in
-  let sub_small d =
-    let borrow = ref d and i = ref 0 in
-    while !borrow <> 0 do
-      let v = limbs.(!i) - !borrow in
-      if v >= 0 then begin
-        limbs.(!i) <- v;
-        borrow := 0
-      end
-      else begin
-        limbs.(!i) <- v + 0x10000;
-        borrow := 1
-      end;
-      incr i
-    done
-  in
-  let add_small d =
-    let carry = ref d and i = ref 0 in
-    while !carry <> 0 do
-      let v = limbs.(!i) + !carry in
-      limbs.(!i) <- v land 0xFFFF;
-      carry := v lsr 16;
-      incr i
-    done
-  in
-  let half = 1 lsl (wnaf_w - 1) and full = 1 lsl wnaf_w in
-  let digits = Array.make 258 0 in
-  let len = ref 0 in
-  while not (is_zero ()) do
-    if limbs.(0) land 1 = 1 then begin
-      let d = limbs.(0) land (full - 1) in
-      let d = if d >= half then d - full else d in
-      digits.(!len) <- d;
-      if d > 0 then sub_small d else add_small (-d)
-    end;
-    shr1 ();
-    incr len
+type precomp = { odd : affine array; odd_lambda : affine array }
+
+let odd_multiples base count =
+  let jac = Array.init count (fun _ -> fresh ()) in
+  let twice = double base in
+  set_point jac.(0) base;
+  for i = 1 to count - 1 do
+    add_to jac.(i) jac.(i - 1) twice
   done;
-  (digits, !len)
-
-type precomp = (Uint256.t * Uint256.t) array
+  affine_table jac
 
 let precompute pt =
-  if is_infinity pt then invalid_arg "Secp256k1.precompute: infinity";
-  let jac = Array.make 8 pt in
-  let twop = double pt in
-  for i = 1 to 7 do
-    jac.(i) <- add jac.(i - 1) twop
-  done;
-  (* Odd multiples of a point of prime order ~2^256 are never infinity. *)
-  Array.map
-    (function Some xy -> xy | None -> assert false)
-    (to_affine_batch jac)
+  if pt.inf then invalid_arg "Secp256k1.precompute: infinity";
+  let odd = odd_multiples pt (1 lsl (wnaf_w - 2)) in
+  let times_lambda a =
+    let x = Fe.create () in
+    Fe.mul x a.ax beta_fe;
+    Fe.normalize x;
+    { ax = x; ay = a.ay }
+  in
+  { odd; odd_lambda = Array.map times_lambda odd }
 
-let mul_precomp scalar tbl =
-  let digits, len = wnaf_digits scalar in
-  let acc = ref infinity in
+let g_odd_key =
+  Domain.DLS.new_key (fun () ->
+      let count = 1 lsl (g_wnaf_w - 2) in
+      let g128 = mul (Uint256.of_hex "100000000000000000000000000000000") g in
+      (odd_multiples g count, odd_multiples g128 count))
+
+(* Strauss: the sum of digits * table over every (digits, sign, table)
+   ladder, one shared doubling per digit position. A negative digit
+   (or a negated ladder) adds the table entry with y negated. *)
+let strauss ladders =
+  let len =
+    List.fold_left (fun m (d, _, _) -> max m (Array.length d)) 0 ladders
+  in
+  let acc = fresh () and neg_y = Fe.create () in
   for i = len - 1 downto 0 do
-    acc := double !acc;
-    let d = digits.(i) in
-    if d > 0 then acc := add_affine !acc tbl.((d - 1) / 2)
-    else if d < 0 then begin
-      let x, y = tbl.(((-d) - 1) / 2) in
-      acc := add_affine !acc (x, field_sub Uint256.zero y)
-    end
+    double_to acc acc;
+    List.iter
+      (fun (digits, negated, tbl) ->
+        let d = if i < Array.length digits then digits.(i) else 0 in
+        if d <> 0 then begin
+          let e = tbl.((abs d - 1) / 2) in
+          if (d < 0) <> negated then begin
+            Fe.neg neg_y e.ay 1;
+            add_ge_to acc acc { ax = e.ax; ay = neg_y }
+          end
+          else add_ge_to acc acc e
+        end)
+      ladders
   done;
-  !acc
+  acc
 
 let mul_add_precomp ~g_scalar scalar tbl =
-  if Uint256.is_zero scalar then mul_g g_scalar
-  else add (mul_g g_scalar) (mul_precomp scalar tbl)
+  let g_odd, g128_odd = Domain.DLS.get g_odd_key in
+  let s_lo, s_hi = Scalar.split_128 g_scalar in
+  let (neg1, k1), (neg2, k2) = Scalar.split_lambda (Scalar.reduce scalar) in
+  strauss
+    [
+      (Scalar.wnaf ~w:g_wnaf_w s_lo, false, g_odd);
+      (Scalar.wnaf ~w:g_wnaf_w s_hi, false, g128_odd);
+      (Scalar.wnaf ~w:wnaf_w k1, neg1, tbl.odd);
+      (Scalar.wnaf ~w:wnaf_w k2, neg2, tbl.odd_lambda);
+    ]
 
 let mul_add ~g_scalar scalar pt =
   if is_infinity pt || Uint256.is_zero scalar then mul_g g_scalar
   else mul_add_precomp ~g_scalar scalar (precompute pt)
 
+let has_x pt x =
+  (not pt.inf)
+  && Uint256.compare x p < 0
+  &&
+  let z2 = Fe.create () in
+  Fe.sqr z2 pt.z;
+  Fe.mul z2 z2 (fe_of_u256 x);
+  Fe.equal z2 pt.x
+
 let equal pt1 pt2 =
-  match (to_affine pt1, to_affine pt2) with
+  match (affine_fe pt1, affine_fe pt2) with
   | None, None -> true
-  | Some (x1, y1), Some (x2, y2) -> Uint256.equal x1 x2 && Uint256.equal y1 y2
+  | Some a, Some b -> Fe.equal a.ax b.ax && Fe.equal a.ay b.ay
   | _ -> false
 
 let encode_compressed pt =
-  match to_affine pt with
+  match affine_fe pt with
   | None -> String.make 33 '\000'
-  | Some (x, y) ->
-      let parity = if Uint256.bit y 0 then '\x03' else '\x02' in
-      String.make 1 parity ^ Uint256.to_bytes_be x
+  | Some a ->
+      (if Fe.is_odd a.ay then "\x03" else "\x02") ^ Fe.to_bytes_be a.ax
 
 let decode_compressed s =
-  if String.length s <> 33 then None
-  else if s = String.make 33 '\000' then Some infinity
+  if s = String.make 33 '\000' then Some infinity
+  else if
+    String.length s <> 33
+    || (s.[0] <> '\x02' && s.[0] <> '\x03')
+    || Uint256.compare (Uint256.of_bytes_be (String.sub s 1 32)) p >= 0
+  then None
   else
-    match s.[0] with
-    | '\x02' | '\x03' -> begin
-        let x = Uint256.of_bytes_be (String.sub s 1 32) in
-        if Uint256.compare x p >= 0 then None
-        else
-          let rhs = field_add (field_mul (field_sq x) x) seven in
-          match field_sqrt rhs with
-          | None -> None
-          | Some y ->
-              let want_odd = s.[0] = '\x03' in
-              let y = if Uint256.bit y 0 = want_odd then y else field_sub Uint256.zero y in
-              Some { x; y; z = Uint256.one }
-      end
-    | _ -> None
+    let x = Fe.of_bytes_be (String.sub s 1 32) and y = Fe.create () in
+    if not (Fe.sqrt y (curve_rhs x)) then None
+    else begin
+      Fe.normalize y;
+      if Fe.is_odd y <> (s.[0] = '\x03') then Fe.sub y (Fe.create ()) y;
+      Some (of_affine_fe { ax = x; ay = y })
+    end

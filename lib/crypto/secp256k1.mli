@@ -1,11 +1,13 @@
 (** The secp256k1 elliptic curve, y^2 = x^3 + 7 over F_p, implemented
-    from scratch on {!Uint256}.
+    from scratch on the ten-limb field element {!Fe}, with scalars mod
+    [n] in {!Scalar}.
 
     Points are carried in Jacobian coordinates internally; the affine
-    view is exposed for encoding and equality checks. This is a
-    correctness-oriented implementation for the reproduction — it is
-    deliberately not constant-time and must not be used to protect real
-    funds. *)
+    view ({!Uint256} coordinates) is exposed for encoding and equality
+    checks. Variable-base multiplication uses the GLV endomorphism and
+    Strauss interleaving; {!mul} stays the plain double-and-add
+    reference. This implementation is deliberately not constant-time
+    and must not be used to protect real funds. *)
 
 val p : Uint256.t
 (** Base field prime, 2^256 - 2^32 - 977. *)
@@ -50,9 +52,12 @@ val precompute : point -> precomp
 (** @raise Invalid_argument on the point at infinity. *)
 
 val mul_add : g_scalar:Uint256.t -> Uint256.t -> point -> point
-(** [mul_add ~g_scalar:a b p] is [a*G + b*p], combining the fixed-base
-    table for [G] with a wNAF ladder for [p] — the Schnorr verification
-    shape [s*G + (n-e)*P]. *)
+(** [mul_add ~g_scalar:a b p] is [a*G + b*p] — the Schnorr verification
+    shape [s*G + (n-e)*P] — in one Strauss-interleaved chain of ~128
+    doublings: [b] is split by the GLV endomorphism into two 128-bit
+    width-5 wNAF ladders over [p]'s table, and [a] into two 128-bit
+    width-8 ladders over lazily built per-domain tables of [G] and
+    [2^128 G]. *)
 
 val mul_add_precomp : g_scalar:Uint256.t -> Uint256.t -> precomp -> point
 (** [mul_add] against an existing {!precompute} table, for verifying
@@ -63,6 +68,11 @@ val to_affine_batch : point array -> (Uint256.t * Uint256.t) option array
     (Montgomery's trick); element-wise equal to {!to_affine}. *)
 
 val equal : point -> point -> bool
+
+val has_x : point -> Uint256.t -> bool
+(** [has_x pt x]: [pt] is not infinity, [x < p], and [x] is [pt]'s
+    affine x-coordinate. Checked projectively (X = x Z^2), without an
+    inversion. *)
 
 val encode_compressed : point -> string
 (** 33-byte SEC1 compressed encoding (02/03 prefix). Infinity encodes as
@@ -77,3 +87,7 @@ val decode_compressed : string -> point option
 val field_mul : Uint256.t -> Uint256.t -> Uint256.t
 val field_sqrt : Uint256.t -> Uint256.t option
 (** Square root mod p when it exists (p = 3 mod 4). Exposed for tests. *)
+
+val beta : Uint256.t
+(** The cube root of unity mod p with [Scalar.lambda * (x, y) =
+    (beta x, y)]. Exposed for tests. *)

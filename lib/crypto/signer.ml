@@ -23,13 +23,24 @@ let schnorr =
     | Some pk -> Schnorr.verify pk ~msg ~signature
   in
   let verify_many sigs =
-    (* Undecodable ids are invalid outright; the rest go through the
-       batch kernel, with indices mapped back to the caller's. *)
+    (* Each distinct id is decoded once per call (a decode is a field
+       square root); undecodable ids are invalid outright, the rest go
+       through the batch kernel with indices mapped back to the
+       caller's. *)
+    let keys = Hashtbl.create 8 in
+    let decode id =
+      match Hashtbl.find_opt keys id with
+      | Some pk -> pk
+      | None ->
+          let pk = Schnorr.public_key_of_bytes id in
+          Hashtbl.add keys id pk;
+          pk
+    in
     let bad_ids = ref [] in
     let decoded = ref [] in
     Array.iteri
       (fun i (id, msg, signature) ->
-        match Schnorr.public_key_of_bytes id with
+        match decode id with
         | None -> bad_ids := i :: !bad_ids
         | Some pk -> decoded := (i, (pk, msg, signature)) :: !decoded)
       sigs;

@@ -177,7 +177,7 @@ let watchdog_grace = 5.0
 let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
 let run ?out_dir ?(base_port = Host.default_base_port)
-    ?(drain = Host.default_drain) ?chaos ~n ~tps ~duration ~seed () =
+    ?(drain = Host.default_drain) ?chaos ?signer ~n ~tps ~duration ~seed () =
   if n <= 0 then invalid_arg "Cluster.run: n";
   let dir = match out_dir with Some d -> d | None -> default_out_dir () in
   mkdir_p dir;
@@ -213,7 +213,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
     paths.(node) <- tp :: paths.(node);
     let cfg =
       Host.config ~id:node ~n ~base_port ~seed ~tps ~duration ~drain
-        ~incarnation:inc ~resume_from ~faults ~epoch ()
+        ~incarnation:inc ~resume_from ~faults ?signer ~epoch ()
     in
     flush stdout;
     flush stderr;

@@ -83,6 +83,7 @@ val run :
   ?base_port:int ->
   ?drain:float ->
   ?chaos:chaos ->
+  ?signer:Host.signer ->
   n:int ->
   tps:float ->
   duration:float ->
@@ -93,7 +94,8 @@ val run :
     watchdog grace if a child hangs). [out_dir] defaults to a fresh
     directory under the system temp dir; existing files in it are
     overwritten. Without [chaos] no kills are induced and no drops are
-    synthesized. *)
+    synthesized. [signer] (default [`Simulation]) picks the scheme every
+    node signs and verifies under. *)
 
 val ok : report -> bool
 (** All children exited cleanly (induced kills excepted), the watchdog

@@ -2,6 +2,8 @@ module Rng = Lo_net.Rng
 module Signer = Lo_crypto.Signer
 open Lo_core
 
+type signer = [ `Simulation | `Schnorr ]
+
 type config = {
   id : int;
   n : int;
@@ -15,6 +17,7 @@ type config = {
   incarnation : int;
   resume_from : string list;
   faults : Faulty_link.spec;
+  signer : signer;
 }
 
 let default_drain = 3.0
@@ -24,7 +27,8 @@ let default_base_port = 7350
 let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
     ?(duration = 10.) ?(drain = default_drain)
     ?(trace_capacity = default_trace_capacity) ?(incarnation = 0)
-    ?(resume_from = []) ?(faults = Faulty_link.none) ~epoch () =
+    ?(resume_from = []) ?(faults = Faulty_link.none) ?(signer = `Simulation)
+    ~epoch () =
   if n <= 0 then invalid_arg "Host.config: n";
   if id < 0 || id >= n then invalid_arg "Host.config: id";
   if incarnation < 0 then invalid_arg "Host.config: incarnation";
@@ -44,6 +48,7 @@ let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
     incarnation;
     resume_from;
     faults;
+    signer;
   }
 
 type stats = {
@@ -79,8 +84,12 @@ let loopback = Unix.inet_addr_loopback
    overlay, so the cluster agrees on directory and topology without any
    coordination traffic — and a respawned incarnation re-derives the
    exact identity its predecessor held. *)
-let derive_deployment ~n ~seed =
-  let scheme = Signer.simulation () in
+let derive_deployment ~signer ~n ~seed =
+  let scheme =
+    match signer with
+    | `Simulation -> Signer.simulation ()
+    | `Schnorr -> Signer.schnorr
+  in
   let signers =
     Array.init n (fun i ->
         Signer.make scheme ~seed:(Printf.sprintf "lo-node-%d-%d" seed i))
@@ -144,11 +153,12 @@ let run ?trace_path cfg =
     incarnation;
     resume_from;
     faults;
+    signer;
   } =
     cfg
   in
   let scheme, signers, directory, topology, client =
-    derive_deployment ~n ~seed
+    derive_deployment ~signer ~n ~seed
   in
   let trace = Lo_obs.Trace.create ~capacity:trace_capacity () in
   let now_rel () = Clock.now_s () -. epoch in

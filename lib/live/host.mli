@@ -46,6 +46,11 @@
     conflicting digest history — closes its orphaned spans, and re-arms
     its standing suspicions for the reconciler to resolve. *)
 
+type signer = [ `Simulation | `Schnorr ]
+(** The signature scheme every node derives its identity under:
+    {!Lo_crypto.Signer.simulation} (the default) or real
+    {!Lo_crypto.Signer.schnorr}. *)
+
 type config = {
   id : int;
   n : int;
@@ -62,6 +67,7 @@ type config = {
       (** trace files of this node's prior incarnations, in order;
           required when [incarnation > 0] *)
   faults : Faulty_link.spec;  (** {!Faulty_link.none} for a clean wire *)
+  signer : signer;
 }
 
 val default_drain : float
@@ -79,6 +85,7 @@ val config :
   ?incarnation:int ->
   ?resume_from:string list ->
   ?faults:Faulty_link.spec ->
+  ?signer:signer ->
   epoch:float ->
   unit ->
   config

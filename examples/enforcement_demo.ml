@@ -15,6 +15,10 @@ let () =
   let scheme = Signer.simulation () in
   let miners = 12 in
   let net = Net.create ~num_nodes:(miners + 1) ~seed:99 () in
+  (* Exposures are read off the trace; one retained entry is enough for
+     an observer. Attach it before the nodes are created. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Net.set_trace net (Some trace);
   let mux = Lo_net.Mux.create net in
   let signers =
     Array.init miners (fun i -> Signer.make scheme ~seed:(Printf.sprintf "v%d" i))
@@ -42,15 +46,19 @@ let () =
     (fun s -> Enforcement.register ledger ~id:(Signer.id s) ~stake:1000)
     signers;
   (* Observer: node 1's verified exposures drive the slashing. *)
-  (Node.hooks nodes.(1)).Node.on_exposure <-
-    (fun ~accused ->
-      let now = Net.now net in
-      match Accountability.status (Node.accountability nodes.(1)) accused with
-      | Accountability.Exposed evidence ->
-          Printf.printf "[%.2fs] exposure verified (%s); slashing...\n" now
-            (Evidence.describe evidence);
-          Enforcement.punish ledger ~id:accused evidence ~now
-      | _ -> ());
+  Lo_obs.Trace.set_observer trace
+    (Some
+       (function
+       | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
+         -> (
+           let accused = Signer.id signers.(peer) in
+           match Accountability.status (Node.accountability nodes.(1)) accused with
+           | Accountability.Exposed evidence ->
+               Printf.printf "[%.2fs] exposure verified (%s); slashing...\n" now
+                 (Evidence.describe evidence);
+               Enforcement.punish ledger ~id:accused evidence ~now
+           | _ -> ())
+       | _ -> ()));
 
   (* Stage I: a client with acknowledgements. *)
   let client_signer = Signer.make scheme ~seed:"enforcement-client" in

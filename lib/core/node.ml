@@ -47,13 +47,7 @@ let default_config = Node_env.default_config
 type hooks = Node_env.hooks = {
   mutable on_tx_content : Tx.t -> unit;
   mutable on_block_accepted : Block.t -> unit;
-  mutable on_exposure : accused:string -> unit;
-  mutable on_suspicion : suspect:string -> unit;
-  mutable on_suspicion_cleared : suspect:string -> unit;
   mutable on_violation : Inspector.violation -> block:Block.t -> unit;
-  mutable on_sketch_decode : unit -> unit;
-  mutable on_reconcile : unit -> unit;
-  mutable on_reconcile_complete : unit -> unit;
 }
 
 type t = {
@@ -173,7 +167,6 @@ let commit_bundle t ~source ~ids =
 let expose t ~accused evidence =
   if not (String.equal accused t.my_id) then begin
     if Accountability.expose t.acc ~peer:accused evidence then begin
-      t.hooks.on_exposure ~accused;
       (match t.transport.Transport.trace with
       | Some tr ->
           Lo_obs.Trace.emit tr ~at:(now t)
@@ -372,11 +365,20 @@ let dispatch_message t ~from msg =
         Block_pipeline.accept_block t.pipeline (env t) block ~from
   end
 
+(* Undecodable bytes are discarded, but never silently: the drop is a
+   counted trace event naming the sender. *)
+let note_malformed t ~from ~tag =
+  match t.transport.Transport.trace with
+  | Some tr ->
+      Lo_obs.Trace.emit tr ~at:(now t)
+        (Lo_obs.Event.Malformed { node = t.index; src = from; tag })
+  | None -> ()
+
 let handle_message t ~from ~tag payload =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
   else
     match Messages.decode payload with
-    | exception Lo_codec.Reader.Malformed _ -> ()
+    | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | msg -> dispatch_message t ~from msg
 
 (* The zero-copy wire path: decode straight out of a frame view over
@@ -387,7 +389,7 @@ let handle_message_view t ~from ~tag r =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
   else
     match Messages.decode_reader r with
-    | exception Lo_codec.Reader.Malformed _ -> ()
+    | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | Messages.Tx_batch txs ->
         Content_sync.ingest_batch_bulk t.content (env t) ~from txs
     | msg -> dispatch_message t ~from msg

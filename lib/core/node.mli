@@ -77,21 +77,10 @@ type hooks = Node_env.hooks = {
   mutable on_tx_content : Tx.t -> unit;
       (** content entered the mempool (Fig. 7 latency) *)
   mutable on_block_accepted : Block.t -> unit;
-  mutable on_exposure : accused:string -> unit;
-  mutable on_suspicion : suspect:string -> unit;
-  mutable on_suspicion_cleared : suspect:string -> unit;
   mutable on_violation : Inspector.violation -> block:Block.t -> unit;
-  mutable on_sketch_decode : unit -> unit;
-      (** one sketch set-reconciliation attempt *)
-  mutable on_reconcile : unit -> unit;
-      (** one active reconciliation round opened with a neighbour
-          (Fig. 10) *)
-  mutable on_reconcile_complete : unit -> unit;
-      (** an outstanding commit request was answered (chaos metric).
-          Hooks no longer carry an explicit [now] — consumers needing
-          the event time read the deployment clock (see
-          {!Node_env.hooks}). *)
 }
+(** See {!Node_env.hooks}: suspicion, exposure and reconciliation are
+    observed through the trace events, not through hooks. *)
 
 type t
 
@@ -126,8 +115,9 @@ val handle_message_view : t -> from:int -> tag:string -> Lo_codec.Reader.t -> un
     except [Tx_batch] is admitted through the batched pipeline
     ({!Content_sync.ingest_batch_bulk}): one signature batch, one
     commitment bundle per frame. Used by the live TCP backend; the view
-    must not be retained past the call. Malformed input is contained
-    (the message is dropped). *)
+    must not be retained past the call. Malformed input is contained:
+    the message is dropped and counted as a {!Lo_obs.Event.Malformed}
+    trace event, as on the subscription path. *)
 
 val handle_restart : t -> unit
 (** The recovery path, run via the transport's restart handler (the DES

@@ -44,26 +44,14 @@ let default_config scheme =
 type hooks = {
   mutable on_tx_content : Tx.t -> unit;
   mutable on_block_accepted : Block.t -> unit;
-  mutable on_exposure : accused:string -> unit;
-  mutable on_suspicion : suspect:string -> unit;
-  mutable on_suspicion_cleared : suspect:string -> unit;
   mutable on_violation : Inspector.violation -> block:Block.t -> unit;
-  mutable on_sketch_decode : unit -> unit;
-  mutable on_reconcile : unit -> unit;
-  mutable on_reconcile_complete : unit -> unit;
 }
 
 let no_hooks () =
   {
     on_tx_content = (fun _ -> ());
     on_block_accepted = (fun _ -> ());
-    on_exposure = (fun ~accused:_ -> ());
-    on_suspicion = (fun ~suspect:_ -> ());
-    on_suspicion_cleared = (fun ~suspect:_ -> ());
     on_violation = (fun _ ~block:_ -> ());
-    on_sketch_decode = (fun () -> ());
-    on_reconcile = (fun () -> ());
-    on_reconcile_complete = (fun () -> ());
   }
 
 type t = {

@@ -51,29 +51,31 @@ type config = {
 
 val default_config : Lo_crypto.Signer.scheme -> config
 
-(** Instrumentation callbacks. Fired synchronously from the protocol
-    code path; a consumer that needs the event's time reads the
-    deployment clock itself (e.g. [Lo_net.Network.now], or
-    {!Lo_transport.t.now}) — the transport clock replaced the explicit
-    [now:float] threading these callbacks used to carry, and reading it
-    never consumes RNG state, so instrumentation cannot perturb a
-    seeded run. *)
+(** Instrumentation callbacks, for what the event stream cannot carry.
+
+    The trace ({!t.trace}, see {!Lo_obs.Event}) is the one measurement
+    channel: suspicion, withdrawal, exposure, reconciliation spans and
+    every charged byte are observed by folding its events (via
+    {!Lo_obs.Trace.count}, {!Lo_obs.Trace.tag_flows} or an observer),
+    never through a hook. Events carry plain data only, so a hook exists
+    solely to hand over a protocol object an event cannot: the
+    transaction itself, the whole accepted block (appendix included),
+    or the inspector's typed violation.
+
+    Hooks fire synchronously from the protocol code path; a consumer
+    that needs the time reads the deployment clock (e.g.
+    [Lo_net.Network.now], or {!Lo_transport.t.now}), which never
+    consumes RNG state, so instrumentation cannot perturb a seeded
+    run. *)
 type hooks = {
   mutable on_tx_content : Tx.t -> unit;
       (** content entered the mempool (Fig. 7 latency) *)
   mutable on_block_accepted : Block.t -> unit;
-  mutable on_exposure : accused:string -> unit;
-  mutable on_suspicion : suspect:string -> unit;
-  mutable on_suspicion_cleared : suspect:string -> unit;
+      (** a block passed acceptance (Fig. 8 block-inclusion latency;
+          [Block_accept] omits the appendix ids) *)
   mutable on_violation : Inspector.violation -> block:Block.t -> unit;
-  mutable on_sketch_decode : unit -> unit;
-      (** one sketch set-reconciliation attempt *)
-  mutable on_reconcile : unit -> unit;
-      (** one active reconciliation round opened with a neighbour
-          (Fig. 10) *)
-  mutable on_reconcile_complete : unit -> unit;
-      (** a previously outstanding commit request was answered
-          (reconciliation success-rate metric in the chaos runs) *)
+      (** the inspector flagged a block (the typed finding; the
+          [Violation] event carries only its label) *)
 }
 
 val no_hooks : unit -> hooks

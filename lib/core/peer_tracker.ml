@@ -73,7 +73,6 @@ let derive_bundles (env : Node_env.t) st digest =
   let open Commitment in
   (match Hashtbl.find_opt st.digests (digest.seq - 1) with
   | Some b when Commitment.is_full b && Commitment.is_full digest -> begin
-      env.hooks.on_sketch_decode ();
       match check_extension ~older:b ~newer:digest () with
       | Consistent ids -> Hashtbl.replace st.bundles digest.seq ids
       | Inconsistent ->
@@ -84,7 +83,6 @@ let derive_bundles (env : Node_env.t) st digest =
   | _ -> ());
   match Hashtbl.find_opt st.digests (digest.seq + 1) with
   | Some a when Commitment.is_full a && Commitment.is_full digest -> begin
-      env.hooks.on_sketch_decode ();
       match check_extension ~older:digest ~newer:a () with
       | Consistent ids -> Hashtbl.replace st.bundles a.seq ids
       | Inconsistent ->
@@ -141,8 +139,6 @@ let note_digest t (env : Node_env.t) digest =
             || not (Commitment.is_full newer)
           in
           let max_decode = if audit then 256 else 0 in
-          (if audit && Commitment.is_full older && Commitment.is_full newer
-           then env.hooks.on_sketch_decode ());
           match check_extension ~max_decode ~older ~newer () with
           | Inconsistent ->
               consistent := false;

@@ -118,7 +118,6 @@ let delta_for (env : Node_env.t) ~log peer_latest =
       try
       match (my_digest.Commitment.sketch, peer_digest.Commitment.sketch) with
       | Some mine_sketch, Some peer_sketch -> begin
-          env.hooks.on_sketch_decode ();
           let merged = Sketch.merge mine_sketch peer_sketch in
           let estimate =
             Lo_bloom.Bloom_clock.estimate_difference
@@ -174,7 +173,6 @@ let rec reconcile_with ?(force = false) t (env : Node_env.t) ~peer_index =
         if force || delta <> [] || want <> []
            || Peer_tracker.latest t.tracker ~peer:peer_id = None
         then begin
-          env.hooks.on_reconcile ();
           emit_span_begin env ~peer_index;
           p.waiting <- true;
           p.gen <- p.gen + 1;
@@ -204,7 +202,6 @@ and request_timeout t (env : Node_env.t) ~peer_index ~peer:peer_id ~gen =
       if not (Accountability.is_suspected env.acc peer_id) then begin
         Accountability.suspect env.acc ~peer:peer_id ~now:(env.now ())
           ~reason:"request timeout";
-        env.hooks.on_suspicion ~suspect:peer_id;
         emit_suspect env peer_id;
         let last_digest = Peer_tracker.latest t.tracker ~peer:peer_id in
         env.broadcast
@@ -226,14 +223,12 @@ let resolve_pending t (env : Node_env.t) ~peer:peer_id =
   p.retries <- 0;
   p.unresponsive <- 0;
   if was_waiting then begin
-    env.hooks.on_reconcile_complete ();
     match env.index_of peer_id with
     | Some peer_index -> emit_span_end env ~peer_index ~ok:true
     | None -> ()
   end;
   if Accountability.is_suspected env.acc peer_id then begin
     Accountability.clear_suspicion env.acc ~peer:peer_id;
-    env.hooks.on_suspicion_cleared ~suspect:peer_id;
     emit_clear env peer_id;
     (* The suspect answered us: retract our blame so the rest of the
        network does not keep an unresolvable suspicion on an honest
@@ -248,7 +243,6 @@ let handle_withdrawal t (env : Node_env.t) ~suspect ~reporter:_ =
     p.unresponsive <- 0;
     if Accountability.is_suspected env.acc suspect then begin
       Accountability.clear_suspicion env.acc ~peer:suspect;
-      env.hooks.on_suspicion_cleared ~suspect;
       emit_clear env suspect;
       (* [seen_suspicions] is deliberately NOT purged here: stale
          suspicion notes for this incident may still be in flight, and
@@ -342,7 +336,6 @@ let handle_suspicion t (env : Node_env.t) ~from note =
     if not (Accountability.is_suspected env.acc suspect) then begin
       Accountability.suspect env.acc ~peer:suspect ~now:(env.now ())
         ~reason:"gossiped suspicion";
-      env.hooks.on_suspicion ~suspect;
       emit_suspect env suspect
     end;
     env.broadcast (Messages.Suspicion_note note);

@@ -19,11 +19,6 @@ and t = {
   mutable partition : int array option;
   node_delay : float array;
   link_faults : (node * node, link_fault) Hashtbl.t;
-  bytes_sent : int array;
-  bytes_received : int array;
-  mutable messages : int;
-  mutable total_bytes : int;
-  tag_bytes : (string, int ref) Hashtbl.t;
   mutable obs : Lo_obs.Trace.t option;
 }
 
@@ -55,11 +50,6 @@ let create ?(latency = Latency.default) ?(jitter = 0.1) ?(loss_rate = 0.)
     partition = None;
     node_delay = Array.make num_nodes 0.;
     link_faults = Hashtbl.create 16;
-    bytes_sent = Array.make num_nodes 0;
-    bytes_received = Array.make num_nodes 0;
-    messages = 0;
-    total_bytes = 0;
-    tag_bytes = Hashtbl.create 16;
     obs = None;
   }
 
@@ -79,11 +69,6 @@ let set_handler t node handler =
   check_node t node "set_handler";
   t.handlers.(node) <- Some handler
 
-let account_tag t tag n =
-  match Hashtbl.find_opt t.tag_bytes tag with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t.tag_bytes tag (ref n)
-
 let partitioned t ~src ~dst =
   src <> dst
   && match t.partition with
@@ -101,7 +86,7 @@ let send t ~src ~dst ~tag payload =
       (allowed && (not t.down.(dst)) && (not t.down.(src))
       && not (partitioned t ~src ~dst))
   then begin
-    (* Refused before any accounting: traced as a blocked drop with no
+    (* Refused before any charge: traced as a blocked drop with no
        matching send, so it stays outside bandwidth conservation. *)
     match t.obs with
     | Some tr ->
@@ -118,10 +103,6 @@ let send t ~src ~dst ~tag payload =
   end
   else begin
     let size = String.length payload in
-    t.bytes_sent.(src) <- t.bytes_sent.(src) + size;
-    t.messages <- t.messages + 1;
-    t.total_bytes <- t.total_bytes + size;
-    account_tag t tag size;
     (match t.obs with
     | Some tr ->
         Lo_obs.Trace.emit tr ~at:t.clock
@@ -245,7 +226,6 @@ let dispatch t event =
   | Timer f -> f t
   | Deliver { src; dst; tag; payload } ->
       if not t.down.(dst) then begin
-        t.bytes_received.(dst) <- t.bytes_received.(dst) + String.length payload;
         (match t.obs with
         | Some tr ->
             Lo_obs.Trace.emit tr ~at:t.clock
@@ -317,25 +297,3 @@ let flush_in_flight t =
         | Some (_, Timer _) -> drain ()
       in
       drain ()
-
-let bytes_sent_by t node =
-  check_node t node "bytes_sent_by";
-  t.bytes_sent.(node)
-
-let bytes_received_by t node =
-  check_node t node "bytes_received_by";
-  t.bytes_received.(node)
-
-let messages_sent t = t.messages
-let total_bytes t = t.total_bytes
-
-let bytes_by_tag t =
-  Hashtbl.fold (fun tag r acc -> (tag, !r) :: acc) t.tag_bytes []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_accounting t =
-  Array.fill t.bytes_sent 0 t.num_nodes 0;
-  Array.fill t.bytes_received 0 t.num_nodes 0;
-  t.messages <- 0;
-  t.total_bytes <- 0;
-  Hashtbl.reset t.tag_bytes

@@ -3,9 +3,10 @@
     Nodes are dense integer ids. Protocol implementations register a
     message handler per node and exchange opaque byte strings; the
     engine delivers them after the city-to-city one-way latency (plus
-    optional jitter) and accounts every byte, broken down by a caller
-    supplied tag — which is what the bandwidth-overhead figures are
-    computed from. All scheduling is deterministic in the seed. *)
+    optional jitter) and emits every charged byte to the trace
+    ({!set_trace}) under a caller supplied tag; the bandwidth-overhead
+    figures are folded from that trace. The engine keeps no byte
+    counters of its own. All scheduling is deterministic in the seed. *)
 
 type t
 type node = int
@@ -57,7 +58,7 @@ val send_many : t -> src:node -> dsts:node list -> tag:string -> string -> unit
     string is shared across every enqueued delivery — callers serialize
     a broadcast message once and hand the same bytes to all recipients
     instead of re-encoding per neighbor. Per-recipient behaviour (delay
-    draw, loss draw, partition/filter checks, accounting) is identical
+    draw, loss draw, partition/filter checks, trace events) is identical
     to calling {!send} once per destination in [dsts] order, so
     deterministic replay is unaffected. *)
 
@@ -119,14 +120,3 @@ val flush_in_flight : t -> unit
     for every queued delivery — closing the bandwidth-conservation books
     when the horizon cuts a run. Queued timers are discarded too, so
     only call this once the run is over. No-op without a trace. *)
-
-(** {1 Accounting} *)
-
-val bytes_sent_by : t -> node -> int
-val bytes_received_by : t -> node -> int
-val messages_sent : t -> int
-val total_bytes : t -> int
-val bytes_by_tag : t -> (string * int) list
-(** Tag -> cumulative payload bytes, sorted by tag. *)
-
-val reset_accounting : t -> unit

@@ -168,8 +168,8 @@ let check ?(grace = 12.0) ?horizon entries =
           else
             add at node "span-balance"
               (Printf.sprintf "span %s ended without begin" key)
-      | Event.Violation _ | Event.Unknown_tag _ | Event.Conn_down _
-      | Event.Conn_up _ ->
+      | Event.Violation _ | Event.Unknown_tag _ | Event.Malformed _
+      | Event.Conn_down _ | Event.Conn_up _ ->
           ())
     entries;
   let h = match horizon with Some h -> h | None -> !last_at in

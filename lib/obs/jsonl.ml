@@ -88,7 +88,7 @@ let line { Trace.at; ev } =
       int "node" node;
       int "peer" peer;
       int "attempts" attempts
-  | Event.Unknown_tag { node; src; tag } ->
+  | Event.Unknown_tag { node; src; tag } | Event.Malformed { node; src; tag } ->
       int "node" node;
       int "src" src;
       str "tag" tag);
@@ -272,6 +272,8 @@ let parse_line s =
       | "unknown_tag" ->
           Event.Unknown_tag
             { node = int "node"; src = int "src"; tag = str "tag" }
+      | "malformed" ->
+          Event.Malformed { node = int "node"; src = int "src"; tag = str "tag" }
       | k -> fail "unknown event kind %s" k
     in
     Ok { Trace.at; ev }

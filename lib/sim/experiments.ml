@@ -4,8 +4,10 @@ module Signer = Lo_crypto.Signer
 open Lo_core
 
 (* Every experiment below is a thin parameterization of the shared
-   {!Runner} life cycle (build -> wire hooks -> inject -> drive ->
-   measure); only the knobs and measurement hooks differ per figure. *)
+   {!Runner} life cycle (build -> wire -> inject -> drive -> measure);
+   only the knobs and the measurement differ per figure. The measurement
+   folds the run's trace: counts and byte flows from its aggregates,
+   times from an observer on its events. *)
 
 type scale = Runner.scale = {
   nodes : int;
@@ -73,18 +75,13 @@ let fig6_run ~scale ~fraction ~rep =
     end
   in
   mark num_bad;
-  let bad_set_of (d : Scenario.lo_deployment) =
-    Array.to_list d.nodes
-    |> List.filter_map (fun node ->
-           if malicious.(Node.index node) then Some (Node.node_id node) else None)
-    |> List.fold_left
-         (fun s id ->
-           Hashtbl.replace s id ();
-           s)
-         (Hashtbl.create 16)
+  (* An honest observer's event about a malicious miner. *)
+  let honest_on_bad node peer =
+    (not malicious.(node)) && peer >= 0 && malicious.(peer)
   in
   (* --- Suspicion: silent censors --- *)
   let all_suspected_at = Array.make n infinity in
+  let suspected_bad = Array.make n 0 in
   ignore
     (Runner.run_lo ~scale ~seed ~n ~malicious
        ~behaviors:(fun i ->
@@ -92,28 +89,19 @@ let fig6_run ~scale ~fraction ~rep =
        (* The paper's overlay shuffles continuously (Sec. 5.1). *)
        ~rotate_period:5.0 ~drain:30.
        ~wire:(fun r ->
-         let d = r.Runner.deployment in
-         let bad_set = bad_set_of d in
-         Array.iter
-           (fun node ->
-             let i = Node.index node in
-             if not malicious.(i) then begin
-               let count = ref 0 in
-               (Node.hooks node).Node.on_suspicion <-
-                 (fun ~suspect ->
-                   if Hashtbl.mem bad_set suspect then begin
-                     incr count;
-                     if !count = num_bad then
-                       all_suspected_at.(i) <- Network.now d.Scenario.net
-                   end);
-               (Node.hooks node).Node.on_suspicion_cleared <-
-                 (fun ~suspect ->
-                   if Hashtbl.mem bad_set suspect then begin
-                     decr count;
-                     all_suspected_at.(i) <- infinity
-                   end)
-             end)
-           d.nodes)
+         Lo_obs.Trace.set_observer r.Runner.trace
+           (Some
+              (fun { Lo_obs.Trace.at; ev } ->
+                match ev with
+                | Lo_obs.Event.Suspect { node; peer } when honest_on_bad node peer
+                  ->
+                    suspected_bad.(node) <- suspected_bad.(node) + 1;
+                    if suspected_bad.(node) = num_bad then
+                      all_suspected_at.(node) <- at
+                | Lo_obs.Event.Clear { node; peer } when honest_on_bad node peer ->
+                    suspected_bad.(node) <- suspected_bad.(node) - 1;
+                    all_suspected_at.(node) <- infinity
+                | _ -> ())))
        ());
   let suspicion_times = ref [] and complete = ref 0 and correct_count = ref 0 in
   Array.iteri
@@ -143,25 +131,21 @@ let fig6_run ~scale ~fraction ~rep =
        ~workload_seed:(seed + 1) ~rotate_period:5.0 ~drain:90.
        ~wire:(fun r ->
          let d = r.Runner.deployment in
-         let bad_set = bad_set_of d in
-         Array.iter
-           (fun node ->
-             let i = Node.index node in
-             if not malicious.(i) then
-               (Node.hooks node).Node.on_exposure <-
-                 (fun ~accused ->
-                   if Hashtbl.mem bad_set accused then begin
-                     let now = Network.now d.Scenario.net in
-                     if not (Hashtbl.mem first_at accused) then
-                       Hashtbl.add first_at accused now;
-                     Hashtbl.replace last_at accused now;
-                     Hashtbl.replace pair_count accused
-                       (1
-                       + Option.value
-                           (Hashtbl.find_opt pair_count accused)
-                           ~default:0)
-                   end))
-           d.nodes)
+         Lo_obs.Trace.set_observer r.Runner.trace
+           (Some
+              (fun { Lo_obs.Trace.at; ev } ->
+                match ev with
+                | Lo_obs.Event.Expose { node; peer } when honest_on_bad node peer
+                  ->
+                    let accused = Node.node_id d.Scenario.nodes.(peer) in
+                    if not (Hashtbl.mem first_at accused) then
+                      Hashtbl.add first_at accused at;
+                    Hashtbl.replace last_at accused at;
+                    Hashtbl.replace pair_count accused
+                      (1
+                      + Option.value (Hashtbl.find_opt pair_count accused)
+                          ~default:0)
+                | _ -> ())))
        ~after_inject:(fun r ->
          (* Make sure every equivocator actually equivocates: submit one
             transaction directly to each so its forks diverge. *)
@@ -271,11 +255,15 @@ let fig7_rep ~scale ~rep =
   ignore
     (Runner.run_lo ~scale ~seed ~drain:20.
        ~wire:(fun r ->
+         Lo_obs.Trace.set_observer r.Runner.trace
+           (Some
+              (function
+              | { Lo_obs.Trace.ev = Lo_obs.Event.Span_begin { node; _ }; _ } ->
+                  rounds.(node) <- rounds.(node) + 1
+              | _ -> ()));
          Array.iter
            (fun node ->
              let i = Node.index node in
-             (Node.hooks node).Node.on_reconcile <-
-               (fun () -> rounds.(i) <- rounds.(i) + 1);
              (Node.hooks node).Node.on_tx_content <-
                (fun tx ->
                  let now = Network.now r.Runner.deployment.Scenario.net in
@@ -483,7 +471,7 @@ let fig9_lo ~scale ~seed =
   in
   ( Runner.protocol_overhead run,
     Metrics.Stats.mean !stats,
-    Network.bytes_by_tag run.Runner.deployment.Scenario.net )
+    Runner.sent_by_tag run.Runner.trace )
 
 let fig9 ?(scale = default_scale) () =
   let seed = scale.seed + 99 in
@@ -641,19 +629,14 @@ let fig10 ?(scale = default_scale) ?(rates = [ 2.; 5.; 10.; 20.; 40. ]) () =
   let points =
     Parallel.map
       (fun rate ->
-        let decodes = ref 0 in
-        ignore
-          (Runner.run_lo ~scale ~seed:(scale.seed + int_of_float rate) ~rate
-             ~workload_seed:(scale.seed + 7) ~drain:0.
-             ~wire:(fun r ->
-               Array.iter
-                 (fun node ->
-                   (Node.hooks node).Node.on_reconcile <-
-                     (fun () -> incr decodes))
-                 r.Runner.deployment.Scenario.nodes)
-             ());
+        let run =
+          Runner.run_lo ~scale ~seed:(scale.seed + int_of_float rate) ~rate
+            ~workload_seed:(scale.seed + 7) ~drain:0. ()
+        in
+        (* One span per reconciliation round opened with a neighbour. *)
+        let rounds = Lo_obs.Trace.count run.Runner.trace "span_begin" in
         let per_node_min =
-          float_of_int !decodes /. float_of_int scale.nodes
+          float_of_int rounds /. float_of_int scale.nodes
           /. (scale.duration /. 60.)
         in
         (rate, per_node_min))
@@ -781,29 +764,20 @@ let exposure_latency_one ~scale ~seed ~share_period =
        ~config:(fun c -> { c with Node.digest_share_period = share_period })
        ~behaviors:(fun i -> if i < num_bad then Node.Equivocator else Node.Honest)
        ~wire:(fun r ->
-         let d = r.Runner.deployment in
-         let bad_ids =
-           Array.init num_bad (fun i -> Node.node_id d.Scenario.nodes.(i))
-         in
-         let counts = Hashtbl.create 8 in
+         (* Honest nodes are [num_bad, n); count their exposures of each
+            equivocator. *)
+         let counts = Array.make num_bad 0 in
          let threshold = (9 * (n - num_bad)) / 10 in
-         Array.iteri
-           (fun i node ->
-             if i >= num_bad then
-               (Node.hooks node).Node.on_exposure <-
-                 (fun ~accused ->
-                   if Array.exists (String.equal accused) bad_ids then begin
-                     let c =
-                       1
-                       + Option.value (Hashtbl.find_opt counts accused)
-                           ~default:0
-                     in
-                     Hashtbl.replace counts accused c;
-                     if c = threshold then
-                       Hashtbl.replace exposed_90_at accused
-                         (Network.now d.Scenario.net)
-                   end))
-           d.Scenario.nodes)
+         Lo_obs.Trace.set_observer r.Runner.trace
+           (Some
+              (fun { Lo_obs.Trace.at; ev } ->
+                match ev with
+                | Lo_obs.Event.Expose { node; peer }
+                  when node >= num_bad && peer >= 0 && peer < num_bad ->
+                    counts.(peer) <- counts.(peer) + 1;
+                    if counts.(peer) = threshold then
+                      Hashtbl.replace exposed_90_at peer at
+                | _ -> ())))
        ~after_inject:(fun r ->
          let d = r.Runner.deployment in
          Array.iteri
@@ -1065,28 +1039,23 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
       ~burst_loss
   in
   let latency = ref (Metrics.Stats.create ()) in
-  let attempts = ref 0 in
   let completes = ref 0 in
-  let raised = ref 0 in
-  let cleared = ref 0 in
-  let exposures = ref 0 in
   let trace = if audit then Some (Lo_obs.Trace.create ()) else None in
   let run =
     Runner.run_lo ~scale ~seed ~n ~duration ~config:chaos_config ~faults:plan
       ~drain:30. ?trace
       ~wire:(fun r ->
         latency := Runner.content_latency_probe r;
-        Array.iter
-          (fun node ->
-            let h = Node.hooks node in
-            h.Node.on_reconcile <- (fun () -> incr attempts);
-            h.Node.on_reconcile_complete <- (fun () -> incr completes);
-            h.Node.on_suspicion <- (fun ~suspect:_ -> incr raised);
-            h.Node.on_suspicion_cleared <- (fun ~suspect:_ -> incr cleared);
-            h.Node.on_exposure <- (fun ~accused:_ -> incr exposures))
-          r.Runner.deployment.Scenario.nodes)
+        (* A reconciliation completes when its span ends answered. *)
+        Lo_obs.Trace.set_observer r.Runner.trace
+          (Some
+             (function
+             | { Lo_obs.Trace.ev = Lo_obs.Event.Span_end { ok = true; _ }; _ } ->
+                 incr completes
+             | _ -> ())))
       ()
   in
+  let count = Lo_obs.Trace.count run.Runner.trace in
   (* Resolution judged at the horizon: every suspicion raised anywhere
      that is no longer standing counts as resolved. *)
   let unresolved =
@@ -1113,8 +1082,8 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
           report.Lo_obs.Audit.violations
     | None -> []
   in
-  (stats, !latency, !attempts, !completes, !raised, !cleared, unresolved,
-   !exposures, violations)
+  (stats, !latency, count "span_begin", !completes, count "suspect",
+   count "clear", unresolved, count "expose", violations)
 
 let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
     ?(partition_durations = [ 1.5; 3.0 ]) ?(burst_losses = [ 0.15; 0.35 ])

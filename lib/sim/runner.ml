@@ -23,6 +23,7 @@ type run = {
   fees : (string, int) Hashtbl.t;
   horizon : float;
   mutable fault_stats : Lo_net.Fault_plan.stats option;
+  trace : Lo_obs.Trace.t;
 }
 
 let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
@@ -30,24 +31,29 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
     ?blocks ?(blocks_only_honest = true) ?(drain = 20.)
     ?(wire = fun _ -> ()) ?(after_inject = fun _ -> ()) ?trace ~scale ~seed
     () =
+  (* The trace is the run's only measurement ledger. Figures need its
+     aggregates and observer, not its events, so without a caller sink a
+     one-entry ring does. *)
+  let obs =
+    match trace with
+    | Some tr -> tr
+    | None -> Lo_obs.Trace.create ~capacity:1 ()
+  in
   (* Wall-clock self-profiling: phase timings live beside the trace but
      outside the deterministic event stream (excluded from JSONL), so
      they never threaten byte-identical replays. *)
   let phase_clock = ref (Lo_live.Clock.now_s ()) in
   let note_phase name =
-    match trace with
-    | Some tr ->
-        let now = Lo_live.Clock.now_s () in
-        Lo_obs.Trace.note_phase tr name (now -. !phase_clock);
-        phase_clock := now
-    | None -> ()
+    let now = Lo_live.Clock.now_s () in
+    Lo_obs.Trace.note_phase obs name (now -. !phase_clock);
+    phase_clock := now
   in
   let n = Option.value n ~default:scale.nodes in
   let rate = Option.value rate ~default:scale.rate in
   let workload_seed = Option.value workload_seed ~default:seed in
   let d =
-    Scenario.build_lo ~config ?behaviors ?malicious ?loss_rate ?trace ~n ~seed
-      ()
+    Scenario.build_lo ~config ?behaviors ?malicious ?loss_rate ~trace:obs ~n
+      ~seed ()
   in
   note_phase "build";
   let specs, wl_duration =
@@ -74,6 +80,7 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
       fees = Hashtbl.create 1024;
       horizon = wl_duration +. drain;
       fault_stats = None;
+      trace = obs;
     }
   in
   wire run;
@@ -101,7 +108,8 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
   Network.run_until d.net run.horizon;
   note_phase "run";
   (* Close the bandwidth-conservation books on whatever the horizon cut
-     off; only meaningful (and only a queue walk) when tracing. *)
+     off, for a caller that audits its trace; a queue walk otherwise
+     wasted. *)
   if trace <> None then Network.flush_in_flight d.net;
   run
 
@@ -121,15 +129,20 @@ let content_latency_probe run =
 
 let lo_content_tags = [ "lo:txs"; "lo:submit"; "lo:block" ]
 
-let overhead_of net ~content_tags =
+let sent_by_tag trace =
+  List.filter_map
+    (fun (tag, (f : Lo_obs.Trace.flow)) ->
+      if f.sent_msgs > 0 then Some (tag, f.sent_bytes) else None)
+    (Lo_obs.Trace.tag_flows trace)
+
+let overhead_of trace ~content_tags =
   List.fold_left
     (fun acc (tag, bytes) ->
       if List.mem tag content_tags then acc else acc + bytes)
-    0
-    (Network.bytes_by_tag net)
+    0 (sent_by_tag trace)
 
 let protocol_overhead ?(content_tags = lo_content_tags) run =
-  overhead_of run.deployment.Scenario.net ~content_tags
+  overhead_of run.trace ~content_tags
 
 type baseline_node = {
   submit : Tx.t -> unit;
@@ -140,12 +153,14 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
   let n = scale.nodes in
   let scheme = Signer.simulation () in
   let net = Network.create ~num_nodes:n ~seed () in
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Network.set_trace net (Some trace);
   let rng = Rng.create ((seed * 31) + 7) in
   let topo = Lo_net.Topology.build rng ~n ~out_degree:8 ~max_in:125 in
   let created = Hashtbl.create 1024 in
   let stats = Metrics.Stats.create () in
-  let instances = make net scheme topo in
-  List.iter
+  let instances = Array.of_list (make net scheme topo) in
+  Array.iter
     (fun inst ->
       inst.on_content (fun (tx : Tx.t) ~now ->
           match Hashtbl.find_opt created tx.Tx.id with
@@ -167,8 +182,8 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
       Hashtbl.replace created tx.Tx.id spec.created_at;
       let origin = spec.origin mod n in
       Network.schedule_at net ~at:spec.created_at (fun _ ->
-          (List.nth instances origin).submit tx))
+          instances.(origin).submit tx))
     specs;
   Network.run_until net (scale.duration +. drain);
-  let overhead = overhead_of net ~content_tags in
+  let overhead = overhead_of trace ~content_tags in
   (overhead, stats)

@@ -1,12 +1,16 @@
 (** The shared experiment harness.
 
     Every figure follows the same life cycle: build a deployment
-    ({!Scenario.build_lo}), wire measurement hooks, generate and inject
-    a workload, optionally rotate neighbours / schedule blocks, drive
-    the network to a horizon (workload duration + drain), and read the
+    ({!Scenario.build_lo}), wire the measurement, generate and inject a
+    workload, optionally rotate neighbours / schedule blocks, drive the
+    network to a horizon (workload duration + drain), and read the
     metrics back. {!run_lo} owns that cycle; experiments only supply the
-    knobs and hooks that differ. {!run_baseline} is the equivalent cycle
-    for the non-LØ protocols of Fig. 9. *)
+    knobs and folds that differ. Every run carries a trace, and the
+    figures are computed from it: byte counts from
+    {!Lo_obs.Trace.tag_flows}, event counts from {!Lo_obs.Trace.count},
+    and time-resolved quantities from a {!Lo_obs.Trace.set_observer}
+    fold. {!run_baseline} is the equivalent cycle for the non-LØ
+    protocols of Fig. 9. *)
 
 type scale = {
   nodes : int;
@@ -33,6 +37,10 @@ type run = {
   mutable fault_stats : Lo_net.Fault_plan.stats option;
       (** per-kind counts of faults that actually fired (set when a
           fault plan was given; final once the run returns) *)
+  trace : Lo_obs.Trace.t;
+      (** the run's measurement ledger: the caller's [trace], or a
+          one-entry ring whose aggregates and observer still see every
+          event *)
 }
 
 val run_lo :
@@ -71,12 +79,13 @@ val run_lo :
     actually get to deviate), then [Network.run_until (workload
     duration + drain)] (drain default 20 s).
 
-    [trace] attaches an observability sink for the whole life cycle:
-    protocol events stream into it during the run, in-flight messages
-    are flushed as [In_flight] drops at the horizon (closing the
-    bandwidth-conservation books for {!Lo_obs.Audit}), and per-stage
-    wall-clock timings are recorded via {!Lo_obs.Trace.note_phase}
-    (kept outside the deterministic event stream). *)
+    [trace] is the sink for the whole life cycle (default: a fresh
+    one-entry ring, exposed as [run.trace]): protocol events stream into
+    it during the run, and per-stage wall-clock timings are recorded via
+    {!Lo_obs.Trace.note_phase} (kept outside the deterministic event
+    stream). Only a caller-supplied [trace] gets in-flight messages
+    flushed as [In_flight] drops at the horizon, closing the
+    bandwidth-conservation books for {!Lo_obs.Audit}. *)
 
 val content_latency_probe : run -> Metrics.Stats.t
 (** Install the standard Fig. 7/9 measurement on every node: record
@@ -86,6 +95,11 @@ val content_latency_probe : run -> Metrics.Stats.t
 val lo_content_tags : string list
 (** Message tags carrying transaction payloads in the LØ protocol;
     everything else is accountable-mempool overhead (Fig. 9). *)
+
+val sent_by_tag : Lo_obs.Trace.t -> (string * int) list
+(** Charged payload bytes per message tag, sorted by tag, from the
+    trace's wire flows; tags whose every send was refused are left
+    out. *)
 
 val protocol_overhead : ?content_tags:string list -> run -> int
 (** Bytes on the wire minus content-bearing tags (default
@@ -113,4 +127,5 @@ val run_baseline :
 (** Fig. 9 baseline cycle: paper topology (8 out / 125 in), the same
     Poisson workload as {!run_lo}, content-latency stats on every
     instance, and the non-content overhead after [duration + drain]
-    (drain default 15 s). Returns (overhead bytes, latency stats). *)
+    (drain default 15 s), folded from a trace attached to the baselines'
+    network. Returns (overhead bytes, latency stats). *)

@@ -10,6 +10,12 @@ module Tx = Lo_core.Tx
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Charged bytes per tag, read from a trace attached to the network. *)
+let traced net =
+  let tr = Lo_obs.Trace.create () in
+  Net.set_trace net (Some tr);
+  fun () -> Lo_sim.Runner.sent_by_tag tr
+
 let mk_flood_net ?(n = 20) ~seed () =
   let scheme = Signer.simulation () in
   let net = Net.create ~num_nodes:n ~seed () in
@@ -56,9 +62,10 @@ let flood_tests =
     Alcotest.test_case "mempool messages generate overhead traffic" `Slow
       (fun () ->
         let net, floods, scheme = mk_flood_net ~n:10 ~seed:4 () in
+        let by_tag = traced net in
         Flood.submit_tx floods.(0) (mk_tx scheme ~fee:3 "traffic");
         Net.run_until net 10.0;
-        let tags = Net.bytes_by_tag net in
+        let tags = by_tag () in
         check_bool "mempool tag" true (List.mem_assoc "flood:mempool" tags));
   ]
 
@@ -129,9 +136,10 @@ let peer_review_tests =
         check_bool "audit failed" false (Peer_review.audits_ok prs.(0)));
     Alcotest.test_case "accountability traffic present" `Slow (fun () ->
         let net, prs, scheme = mk_pr_net ~n:8 ~seed:8 () in
+        let by_tag = traced net in
         Peer_review.submit_tx prs.(0) (mk_tx scheme ~fee:5 "traffic");
         Net.run_until net 15.0;
-        let tags = Net.bytes_by_tag net in
+        let tags = by_tag () in
         check_bool "auth" true (List.mem_assoc "pr:auth" tags);
         check_bool "log" true (List.mem_assoc "pr:log" tags));
   ]
@@ -179,8 +187,9 @@ let narwhal_tests =
           !latencies);
     Alcotest.test_case "round traffic even without txs" `Slow (fun () ->
         let net, _nws, _scheme = mk_nw_net ~n:6 ~seed:11 () in
+        let by_tag = traced net in
         Net.run_until net 5.0;
-        let tags = Net.bytes_by_tag net in
+        let tags = by_tag () in
         check_bool "batches" true (List.mem_assoc "nw:batch" tags);
         check_bool "acks" true (List.mem_assoc "nw:ack" tags);
         check_bool "headers" true (List.mem_assoc "nw:header" tags));

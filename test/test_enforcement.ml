@@ -255,6 +255,8 @@ let integration_tests =
         let scheme = Signer.simulation () in
         let n = 10 in
         let net = Net.create ~num_nodes:n ~seed:906 () in
+        let trace = Lo_obs.Trace.create ~capacity:1 () in
+        Net.set_trace net (Some trace);
         let mux = Lo_net.Mux.create net in
         let signers =
           Array.init n (fun i -> Signer.make scheme ~seed:(Printf.sprintf "sl%d" i))
@@ -278,12 +280,19 @@ let integration_tests =
         Array.iter
           (fun s -> Enforcement.register ledger ~id:(Signer.id s) ~stake:1000)
           signers;
-        (Node.hooks nodes.(1)).Node.on_exposure <-
-          (fun ~accused ->
-            let now = Net.now net in
-            match Accountability.status (Node.accountability nodes.(1)) accused with
-            | Accountability.Exposed ev -> Enforcement.punish ledger ~id:accused ev ~now
-            | _ -> ());
+        Lo_obs.Trace.set_observer trace
+          (Some
+             (function
+             | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
+               -> (
+                 let accused = Signer.id signers.(peer) in
+                 match
+                   Accountability.status (Node.accountability nodes.(1)) accused
+                 with
+                 | Accountability.Exposed ev ->
+                     Enforcement.punish ledger ~id:accused ev ~now
+                 | _ -> ())
+             | _ -> ()));
         let client = Signer.make scheme ~seed:"sl-client" in
         let tx = Tx.create ~signer:client ~fee:9 ~created_at:0.0 ~payload:"fork" in
         Node.submit_tx nodes.(0) tx;

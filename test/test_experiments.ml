@@ -82,12 +82,13 @@ let scenario_tests =
   [
     Alcotest.test_case "deployment is deterministic" `Slow (fun () ->
         let run () =
-          let d = Scenario.build_lo ~n:15 ~seed:9 () in
+          let trace = Lo_obs.Trace.create ~capacity:1 () in
+          let d = Scenario.build_lo ~trace ~n:15 ~seed:9 () in
           let specs = Scenario.standard_workload ~rate:5. ~duration:5. ~seed:9 ~n:15 in
           let txs = Scenario.inject_workload d specs in
           Lo_net.Network.run_until d.net 15.0;
           ( List.map (fun tx -> tx.Lo_core.Tx.id) txs,
-            Lo_net.Network.total_bytes d.net )
+            Lo_obs.Trace.tag_flows trace )
         in
         let a = run () and b = run () in
         check_bool "identical" true (a = b));

@@ -44,14 +44,19 @@ let make_harness () =
   let timers = Queue.create () in
   let clock = ref 0. in
   let cleared = ref [] in
-  let hooks = Node_env.no_hooks () in
-  hooks.Node_env.on_suspicion_cleared <-
-    (fun ~suspect -> cleared := suspect :: !cleared);
+  (* Withdrawals are observed on the trace. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Lo_obs.Trace.set_observer trace
+    (Some
+       (function
+       | { Lo_obs.Trace.ev = Lo_obs.Event.Clear { peer; _ }; _ } ->
+           cleared := ids.(peer) :: !cleared
+       | _ -> ()));
   let env =
     {
       Node_env.config;
-      hooks;
-      trace = None;
+      hooks = Node_env.no_hooks ();
+      trace = Some trace;
       my_id;
       my_index = 0;
       signer;
@@ -168,7 +173,7 @@ let reconciler_tests =
           ~reporter:"someone";
         check_bool "cleared" false
           (Accountability.is_suspected h.env.Node_env.acc h.peer_id);
-        check_int "cleared hook fired" 1 (List.length !(h.cleared));
+        check_int "clear event" 1 (List.length !(h.cleared));
         check_int "relayed once" 1 (List.length (withdrawals h));
         (* A duplicate withdrawal is a no-op: state did not change. *)
         Reconciler.handle_withdrawal h.reconciler h.env ~suspect:h.peer_id
@@ -191,6 +196,7 @@ let reconciler_tests =
 
 type deployment = {
   net : Net.t;
+  trace : Lo_obs.Trace.t;  (* one-entry ring: its counters are what we read *)
   nodes : Node.t array;
   client : Signer.t;
 }
@@ -200,6 +206,8 @@ type deployment = {
 let mk_network ~n ~seed () =
   let scheme = Signer.simulation () in
   let net = Net.create ~num_nodes:n ~seed () in
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Net.set_trace net (Some trace);
   let mux = Lo_net.Mux.create net in
   let signers =
     Array.init n (fun i ->
@@ -225,7 +233,7 @@ let mk_network ~n ~seed () =
           ~behavior:Node.Honest)
   in
   Array.iter Node.start nodes;
-  { net; nodes; client = Signer.make scheme ~seed:"fault-client" }
+  { net; trace; nodes; client = Signer.make scheme ~seed:"fault-client" }
 
 let submit d ~target ~fee payload =
   let tx =
@@ -242,12 +250,6 @@ let crash_heal_tests =
       "crashed-but-honest peer: suspected, withdrawn, never exposed" `Slow
       (fun () ->
         let d = mk_network ~n:12 ~seed:311 () in
-        let cleared_events = ref 0 in
-        Array.iter
-          (fun node ->
-            (Node.hooks node).Node.on_suspicion_cleared <-
-              (fun ~suspect:_ -> incr cleared_events))
-          d.nodes;
         for k = 0 to 5 do
           submit d ~target:k ~fee:(3 + k) (Printf.sprintf "pre%d" k)
         done;
@@ -275,7 +277,8 @@ let crash_heal_tests =
               Accountability.is_suspected (Node.accountability node) id4)
         in
         check_int "withdrawn everywhere" 0 still_suspecting;
-        check_bool "withdrawals actually flowed" true (!cleared_events > 0);
+        check_bool "withdrawals actually flowed" true
+          (Lo_obs.Trace.count d.trace "clear" > 0);
         let exposed =
           count_nodes d (fun node ->
               Accountability.is_exposed (Node.accountability node) id4)

@@ -10,6 +10,22 @@ let check_float = Alcotest.(check (float 1e-9))
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* The engine's byte ledger is its trace: attach one to read it. *)
+let traced net =
+  let tr = Lo_obs.Trace.create () in
+  Network.set_trace net (Some tr);
+  tr
+
+let sent_by tr node =
+  match List.assoc_opt node (Lo_obs.Trace.node_flows tr) with
+  | Some io -> io.Lo_obs.Trace.out_bytes
+  | None -> 0
+
+let received_by tr node =
+  match List.assoc_opt node (Lo_obs.Trace.node_flows tr) with
+  | Some io -> io.Lo_obs.Trace.in_bytes
+  | None -> 0
+
 (* ---------------- Rng ---------------- *)
 
 let rng_tests =
@@ -286,15 +302,19 @@ let network_tests =
         check_float "zero" 0.0 !at);
     Alcotest.test_case "byte accounting" `Quick (fun () ->
         let net = Network.create ~num_nodes:2 ~seed:1 () in
+        let tr = traced net in
         Network.set_handler net 1 (fun _ ~from:_ ~tag:_  _payload -> ());
         Network.send net ~src:0 ~dst:1 ~tag:"a" "12345";
         Network.send net ~src:0 ~dst:1 ~tag:"b" "123";
         Network.run_until net 1.0;
-        check_int "sent" 8 (Network.bytes_sent_by net 0);
-        check_int "received" 8 (Network.bytes_received_by net 1);
-        check_int "messages" 2 (Network.messages_sent net);
+        check_int "sent" 8 (sent_by tr 0);
+        check_int "received" 8 (received_by tr 1);
+        check_int "messages" 2 (Lo_obs.Trace.count tr "send");
         check_bool "tags" true
-          (Network.bytes_by_tag net = [ ("a", 5); ("b", 3) ]));
+          (List.map
+             (fun (tag, f) -> (tag, f.Lo_obs.Trace.sent_bytes))
+             (Lo_obs.Trace.tag_flows tr)
+          = [ ("a", 5); ("b", 3) ]));
     Alcotest.test_case "send_many = iterated send" `Quick (fun () ->
         (* The broadcast path encodes once and fans out; deliveries,
            timing and byte accounting must be indistinguishable from
@@ -308,10 +328,12 @@ let network_tests =
           log
         in
         let a = Network.create ~num_nodes:4 ~seed:42 () in
+        let tr_a = traced a in
         let log_a = deliveries a in
         Network.send_many a ~src:0 ~dsts:[ 1; 2; 3 ] ~tag:"t" "payload";
         Network.run_until a 5.0;
         let b = Network.create ~num_nodes:4 ~seed:42 () in
+        let tr_b = traced b in
         let log_b = deliveries b in
         List.iter
           (fun dst -> Network.send b ~src:0 ~dst ~tag:"t" "payload")
@@ -319,8 +341,13 @@ let network_tests =
         Network.run_until b 5.0;
         check_int "delivered" 3 (List.length !log_a);
         check_bool "identical deliveries" true (!log_a = !log_b);
-        check_int "bytes" (Network.bytes_sent_by b 0) (Network.bytes_sent_by a 0);
-        check_int "messages" (Network.messages_sent b) (Network.messages_sent a));
+        check_int "bytes" (sent_by tr_b 0) (sent_by tr_a 0);
+        check_int "messages"
+          (Lo_obs.Trace.count tr_b "send")
+          (Lo_obs.Trace.count tr_a "send");
+        check_bool "same flows" true
+          (Lo_obs.Trace.tag_flows tr_b = Lo_obs.Trace.tag_flows tr_a
+          && Lo_obs.Trace.node_flows tr_b = Lo_obs.Trace.node_flows tr_a));
     Alcotest.test_case "down node loses messages" `Quick (fun () ->
         let net = Network.create ~num_nodes:2 ~seed:1 () in
         let got = ref 0 in
@@ -375,11 +402,16 @@ let network_tests =
         in
         check_bool "same" true (run () = run ()));
     Alcotest.test_case "reset accounting" `Quick (fun () ->
+        (* Accounting restarts by attaching a fresh trace; the old one
+           keeps what it saw. *)
         let net = Network.create ~num_nodes:2 ~seed:1 () in
+        let old = traced net in
         Network.send net ~src:0 ~dst:1 ~tag:"t" "xyz";
         Network.run_until net 1.0;
-        Network.reset_accounting net;
-        check_int "zero" 0 (Network.total_bytes net));
+        let fresh = traced net in
+        check_int "zero" 0 (sent_by fresh 0);
+        check_bool "no flows" true (Lo_obs.Trace.tag_flows fresh = []);
+        check_int "kept" 3 (sent_by old 0));
   ]
 
 (* ---------------- Fault injection ---------------- *)
@@ -408,13 +440,14 @@ let fault_tests =
           !arrivals);
     Alcotest.test_case "down source cannot send" `Quick (fun () ->
         let net = Network.create ~num_nodes:2 ~seed:1 () in
+        let tr = traced net in
         let got = ref 0 in
         Network.set_handler net 1 (fun _ ~from:_ ~tag:_ _payload -> incr got);
         Network.crash net 0;
         Network.send net ~src:0 ~dst:1 ~tag:"t" "x";
         Network.run_until net 1.0;
         check_int "nothing" 0 !got;
-        check_int "not even counted" 0 (Network.messages_sent net));
+        check_int "not even counted" 0 (Lo_obs.Trace.count tr "send"));
     Alcotest.test_case "partition splits and heals" `Quick (fun () ->
         let net = Network.create ~num_nodes:4 ~seed:2 () in
         let got = Array.make 4 0 in

@@ -12,6 +12,7 @@ let check_int = Alcotest.(check int)
 
 type deployment = {
   net : Net.t;
+  trace : Lo_obs.Trace.t;  (* one-entry ring: read through an observer *)
   nodes : Node.t array;
   scheme : Signer.scheme;
   client : Signer.t;
@@ -20,6 +21,8 @@ type deployment = {
 let mk_network ?(behaviors = fun _ -> Node.Honest) ?(n = 25) ~seed () =
   let scheme = Signer.simulation () in
   let net = Net.create ~num_nodes:n ~seed () in
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Net.set_trace net (Some trace);
   let mux = Lo_net.Mux.create net in
   let signers =
     Array.init n (fun i -> Signer.make scheme ~seed:(Printf.sprintf "n%d-%d" seed i))
@@ -38,7 +41,7 @@ let mk_network ?(behaviors = fun _ -> Node.Honest) ?(n = 25) ~seed () =
           ~behavior:(behaviors i))
   in
   Array.iter Node.start nodes;
-  { net; nodes; scheme; client = Signer.make scheme ~seed:"client" }
+  { net; trace; nodes; scheme; client = Signer.make scheme ~seed:"client" }
 
 let submit d ~target ~fee payload =
   let tx = Tx.create ~signer:d.client ~fee ~created_at:(Net.now d.net) ~payload in
@@ -286,6 +289,37 @@ let chain_tests =
         check_bool "none" true (Node.build_block d.nodes.(0) ~policy:Policy.Lo_fifo = None));
   ]
 
+let malformed_tests =
+  [
+    Alcotest.test_case "undecodable payloads are counted, never raised"
+      `Quick (fun () ->
+        let d = mk_network ~n:3 ~seed:115 () in
+        let seen = ref [] in
+        Lo_obs.Trace.set_observer d.trace
+          (Some
+             (function
+             | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
+               ->
+                 seen := (node, src, tag) :: !seen
+             | _ -> ()));
+        let whole =
+          Messages.encode
+            (Messages.Digest_share
+               (Commitment.Log.current_digest (Node.commitment_log d.nodes.(1))))
+        in
+        let truncated = String.sub whole 0 (String.length whole / 2) in
+        (* The subscription path: bytes arriving over the network. *)
+        Net.send d.net ~src:1 ~dst:0 ~tag:"lo:digest" truncated;
+        Net.run_until d.net 0.5;
+        check_bool "network path" true (!seen = [ (0, 1, "lo:digest") ]);
+        (* The view path of the live backend. *)
+        Node.handle_message_view d.nodes.(2) ~from:1 ~tag:"lo:digest"
+          (Lo_codec.Reader.of_string truncated);
+        check_bool "view path" true
+          (!seen = [ (2, 1, "lo:digest"); (0, 1, "lo:digest") ]);
+        check_int "counted" 2 (Lo_obs.Trace.count d.trace "malformed"));
+  ]
+
 let storage_tests =
   [
     Alcotest.test_case "commitment storage grows with traffic" `Slow (fun () ->
@@ -521,17 +555,15 @@ let slow_node_tests =
         let d = mk_network ~n:12 ~seed:960 () in
         let id6 = Node.node_id d.nodes.(6) in
         let transient = ref 0 and cleared = ref 0 in
-        Array.iteri
-          (fun i node ->
-            if i <> 6 then begin
-              (Node.hooks node).Node.on_suspicion <-
-                (fun ~suspect ->
-                  if String.equal suspect id6 then incr transient);
-              (Node.hooks node).Node.on_suspicion_cleared <-
-                (fun ~suspect ->
-                  if String.equal suspect id6 then incr cleared)
-            end)
-          d.nodes;
+        Lo_obs.Trace.set_observer d.trace
+          (Some
+             (fun { Lo_obs.Trace.ev; _ } ->
+               match ev with
+               | Lo_obs.Event.Suspect { node; peer = 6 } when node <> 6 ->
+                   incr transient
+               | Lo_obs.Event.Clear { node; peer = 6 } when node <> 6 ->
+                   incr cleared
+               | _ -> ()));
         for k = 0 to 4 do
           ignore (submit d ~target:k ~fee:3 (Printf.sprintf "slow%d" k))
         done;
@@ -722,6 +754,7 @@ let () =
       ("completeness", completeness_tests);
       ("detection", detection_tests);
       ("chain", chain_tests);
+      ("malformed", malformed_tests);
       ("storage", storage_tests);
       ("rotation", rotation_tests);
       ("fuzz", fuzz_tests);

@@ -133,6 +133,8 @@ let all_constructors =
     e 4.75 (Event.Restart { node = 6 });
     e 4.8 (Event.Conn_down { node = 2; peer = 6; reason = "reset" });
     e 4.9 (Event.Conn_up { node = 2; peer = 6; attempts = 3 });
+    e 5.0 (Event.Unknown_tag { node = 2; src = 6; tag = "zz:ping" });
+    e 5.25 (Event.Malformed { node = 2; src = 6; tag = "lo:commit-req" });
   ]
 
 let jsonl_tests =
@@ -333,6 +335,16 @@ let audit_tests =
     Alcotest.test_case "blocked drops are excluded" `Quick (fun () ->
         let entries = [ e 1.0 (drop Event.Blocked) ] in
         check_bool "ok" true (Audit.ok (Audit.check entries)));
+    Alcotest.test_case "malformed payloads are counted, not judged" `Quick
+      (fun () ->
+        let entries =
+          [
+            e 1.0 (send ~tag:"lo:txs" ());
+            e 1.2 (deliver ~tag:"lo:txs" ());
+            e 1.2 (Event.Malformed { node = 1; src = 0; tag = "lo:txs" });
+          ]
+        in
+        check_bool "ok" true (Audit.ok (Audit.check entries)));
     Alcotest.test_case "byte mismatch caught even with matching counts"
       `Quick (fun () ->
         let entries =
@@ -412,19 +424,50 @@ let e2e_tests =
         | Error msg -> Alcotest.fail msg);
     Alcotest.test_case "tracing does not perturb the simulation" `Slow
       (fun () ->
-        let _, traced = traced_run ~seed:777 () in
-        let scale = small_scale 777 in
-        let untraced =
-          Runner.run_lo ~scale ~seed:777 ~drain:20.
-            ~blocks:(Lo_core.Policy.Lo_fifo, 4.0) ()
+        (* [Runner.run_lo] always traces, so the untraced world is built
+           and driven by hand: a world with no sink at all against the
+           same world with one. Neither side may read the trace, so the
+           fingerprint is per-node protocol state, the messages the
+           engine accepted for each node, and each node's content
+           deliveries. *)
+        let world ?trace () =
+          let scale = small_scale 777 in
+          let n = scale.Runner.nodes in
+          let d = Scenario.build_lo ?trace ~n ~seed:777 () in
+          let addressed = Array.make n 0 and content = Array.make n 0 in
+          Lo_net.Network.set_delivery_filter d.Scenario.net
+            (Some
+               (fun ~src:_ ~dst ~tag:_ ->
+                 addressed.(dst) <- addressed.(dst) + 1;
+                 true));
+          Array.iteri
+            (fun i node ->
+              (Lo_core.Node.hooks node).Lo_core.Node.on_tx_content <-
+                (fun _ -> content.(i) <- content.(i) + 1))
+            d.Scenario.nodes;
+          let horizon = scale.Runner.duration +. 20. in
+          ignore
+            (Scenario.inject_workload d
+               (Scenario.standard_workload ~rate:scale.Runner.rate
+                  ~duration:scale.Runner.duration ~seed:777 ~n));
+          Scenario.schedule_blocks d ~policy:Lo_core.Policy.Lo_fifo
+            ~interval:4.0 ~until:horizon ();
+          Lo_net.Network.run_until d.Scenario.net horizon;
+          let per_node f = Array.map f d.Scenario.nodes in
+          ( per_node (fun node ->
+                Lo_core.Commitment.Log.counter (Lo_core.Node.commitment_log node)),
+            per_node (fun node -> Lo_core.Mempool.size (Lo_core.Node.mempool node)),
+            addressed,
+            content )
         in
-        let bytes r =
-          Lo_net.Network.total_bytes r.Runner.deployment.Scenario.net
-        in
-        check_int "same wire bytes" (bytes untraced) (bytes traced);
-        check_int "same messages"
-          (Lo_net.Network.messages_sent untraced.Runner.deployment.Scenario.net)
-          (Lo_net.Network.messages_sent traced.Runner.deployment.Scenario.net));
+        let trace = Trace.create () in
+        let c1, m1, a1, d1 = world () in
+        let c2, m2, a2, d2 = world ~trace () in
+        check_bool "traced" true (Trace.count trace "send" > 1000);
+        check_bool "same commitment counters" true (c1 = c2);
+        check_bool "same mempool sizes" true (m1 = m2);
+        check_bool "same messages per node" true (a1 = a2);
+        check_bool "same content deliveries" true (d1 = d2));
     Alcotest.test_case "silent censor fails the audit and is named" `Slow
       (fun () ->
         (* Node 0 never answers: suspicions of it can never resolve, so

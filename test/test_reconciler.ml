@@ -46,16 +46,21 @@ let make_harness () =
   let clock = ref 0. in
   let suspicions = ref [] in
   let cleared = ref [] in
-  let hooks = Node_env.no_hooks () in
-  hooks.Node_env.on_suspicion <-
-    (fun ~suspect -> suspicions := suspect :: !suspicions);
-  hooks.Node_env.on_suspicion_cleared <-
-    (fun ~suspect -> cleared := suspect :: !cleared);
+  (* Suspicion and withdrawal are observed on the trace. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  Lo_obs.Trace.set_observer trace
+    (Some
+       (fun { Lo_obs.Trace.ev; _ } ->
+         match ev with
+         | Lo_obs.Event.Suspect { peer; _ } ->
+             suspicions := ids.(peer) :: !suspicions
+         | Lo_obs.Event.Clear { peer; _ } -> cleared := ids.(peer) :: !cleared
+         | _ -> ()));
   let env =
     {
       Node_env.config;
-      hooks;
-      trace = None;
+      hooks = Node_env.no_hooks ();
+      trace = Some trace;
       my_id;
       my_index = 0;
       signer;
@@ -132,7 +137,7 @@ let tests =
         check_int "no extra request" (1 + retries) (count_requests h);
         check_bool "suspected" true
           (Accountability.is_suspected h.env.Node_env.acc h.peer_id);
-        check_int "hook fired once" 1 (List.length !(h.suspicions));
+        check_int "one suspect event" 1 (List.length !(h.suspicions));
         (match !(h.broadcasts) with
         | [ Messages.Suspicion_note note ] ->
             Alcotest.(check string) "suspect" h.peer_id note.Messages.suspect;
@@ -166,7 +171,7 @@ let tests =
           ~want:[] ~delta:[] ~appended:[];
         check_bool "suspicion cleared" false
           (Accountability.is_suspected h.env.Node_env.acc h.peer_id);
-        check_int "cleared hook fired once" 1 (List.length !(h.cleared));
+        check_int "one clear event" 1 (List.length !(h.cleared));
         (* A new exchange starts from a clean slate: full retry budget. *)
         let before = count_requests h in
         Reconciler.reconcile_with ~force:true h.reconciler h.env ~peer_index:1;
@@ -184,7 +189,7 @@ let tests =
         check_int "no retry from stale timer" before (count_requests h);
         check_bool "no suspicion" false
           (Accountability.is_suspected h.env.Node_env.acc h.peer_id);
-        check_int "no suspicion hook" 0 (List.length !(h.suspicions)));
+        check_int "no suspect event" 0 (List.length !(h.suspicions)));
   ]
 
 let () = Alcotest.run "lo_reconciler" [ ("failure-path", tests) ]

@@ -51,11 +51,11 @@ let digest_pair =
   ignore (Commitment.Log.append log ~source:None ~ids:(mk_ids 20 2));
   (older, Commitment.Log.current_digest log)
 
-let sketch_pair diff =
+let sketch_pair ?(slack = 16) diff =
   let shared = mk_ids 500 3 in
   let extra = mk_ids diff 4 in
-  let a = Lo_sketch.Sketch.of_list ~capacity:(diff + 16) shared in
-  let b = Lo_sketch.Sketch.of_list ~capacity:(diff + 16) (shared @ extra) in
+  let a = Lo_sketch.Sketch.of_list ~capacity:(diff + slack) shared in
+  let b = Lo_sketch.Sketch.of_list ~capacity:(diff + slack) (shared @ extra) in
   Lo_sketch.Sketch.merge a b
 
 let staged = Staged.stage
@@ -334,6 +334,12 @@ let fig10_group =
       ])
     [ 4; 16; 64 ]
   @ [
+      (* The reconciler's largest decode: a Bloom-clock estimate of at
+         most 128, plus 8 syndromes of slack. *)
+      Test.make ~name:"sketch-decode-diff128"
+        (staged
+           (let merged = sketch_pair ~slack:8 128 in
+            fun () -> Lo_sketch.Sketch.decode merged));
       Test.make ~name:"sketch-add"
         (staged
            (let s = Lo_sketch.Sketch.create ~capacity:Commitment.default_sketch_capacity () in

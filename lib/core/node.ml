@@ -321,6 +321,36 @@ let canon_digest t (d : Commitment.digest) =
   let owner = Directory.canonical t.directory d.Commitment.owner in
   if owner == d.Commitment.owner then d else { d with Commitment.owner = owner }
 
+(* A digest is compared with ours and with the owner's other digests:
+   its sketch is merged with theirs and its Bloom clock diffed against
+   theirs, and both raise on a shape mismatch. A signature does not
+   vouch for the shape, so a digest whose sketch capacity or clock size
+   differs from the deployment's is dropped at entry, like any other
+   undecodable input. *)
+let digest_fits t (d : Commitment.digest) =
+  Lo_bloom.Bloom_clock.cells d.Commitment.clock = t.config.clock_cells
+  &&
+  match d.Commitment.sketch with
+  | None -> true
+  | Some s -> Lo_sketch.Sketch.capacity s = t.config.sketch_capacity
+
+let message_fits t = function
+  | Messages.Commit_request { digest; _ }
+  | Messages.Commit_response { digest; _ }
+  | Messages.Digest_share digest ->
+      digest_fits t digest
+  | Messages.Digest_reply digests -> List.for_all (digest_fits t) digests
+  | Messages.Suspicion_note { last_digest; _ } ->
+      Option.fold ~none:true ~some:(digest_fits t) last_digest
+  | Messages.Exposure_note
+      ( Evidence.Conflicting_digests { older; newer }
+      | Evidence.Block_bundle_violation { older; newer; _ } ) ->
+      digest_fits t older && digest_fits t newer
+  | Messages.Submit _ | Messages.Submit_ack _ | Messages.Tx_batch _
+  | Messages.Digest_request _ | Messages.Suspicion_withdraw _
+  | Messages.Block_announce _ ->
+      true
+
 (* Drops everything: the Fig. 6 faulty miner. Ground truth only counts
    ignored commit requests — those are the drops the requester's retry
    escalation is guaranteed to notice. *)
@@ -365,8 +395,9 @@ let dispatch_message t ~from msg =
         Block_pipeline.accept_block t.pipeline (env t) block ~from
   end
 
-(* Undecodable bytes are discarded, but never silently: the drop is a
-   counted trace event naming the sender. *)
+(* Undecodable bytes, and digests of the wrong shape, are discarded,
+   but never silently: the drop is a counted trace event naming the
+   sender. *)
 let note_malformed t ~from ~tag =
   match t.transport.Transport.trace with
   | Some tr ->
@@ -379,6 +410,7 @@ let handle_message t ~from ~tag payload =
   else
     match Messages.decode payload with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
+    | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
     | msg -> dispatch_message t ~from msg
 
 (* The zero-copy wire path: decode straight out of a frame view over
@@ -390,6 +422,7 @@ let handle_message_view t ~from ~tag r =
   else
     match Messages.decode_reader r with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
+    | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
     | Messages.Tx_batch txs ->
         Content_sync.ingest_batch_bulk t.content (env t) ~from txs
     | msg -> dispatch_message t ~from msg

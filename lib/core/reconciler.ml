@@ -52,8 +52,6 @@ let retry_delay (env : Node_env.t) ~retries =
   in
   Float.max 0.05 (base +. jitter)
 
-let cap n xs = List.filteri (fun i _ -> i < n) xs
-
 (* --- trace emission (no-ops without a sink) --- *)
 
 let span_key peer_index = "recon:" ^ string_of_int peer_index
@@ -106,49 +104,34 @@ let clock_delta (env : Node_env.t) ~log my_digest peer_digest =
            Lo_bloom.Bloom_clock.get my_digest.Commitment.clock cell
            > Lo_bloom.Bloom_clock.get peer_digest.Commitment.clock cell)
   in
-  let candidates = Commitment.Log.ids_in_cells log surplus in
   (* Most recent first: those are the likeliest gaps. *)
-  (cap env.config.max_delta (List.rev candidates), [])
+  (Commitment.Log.newest_in_cells log surplus env.config.max_delta, [])
 
 let delta_for (env : Node_env.t) ~log peer_latest =
   let my_digest = Commitment.Log.current_digest log in
   match peer_latest with
-  | None -> (cap env.config.max_delta (Commitment.Log.all_ids log), [])
+  | None -> (Commitment.Log.oldest log env.config.max_delta, [])
   | Some peer_digest -> begin
-      try
       match (my_digest.Commitment.sketch, peer_digest.Commitment.sketch) with
       | Some mine_sketch, Some peer_sketch -> begin
-          let merged = Sketch.merge mine_sketch peer_sketch in
           let estimate =
             Lo_bloom.Bloom_clock.estimate_difference
               my_digest.Commitment.clock peer_digest.Commitment.clock
           in
-          if estimate > 128 then raise Exit;
-          let small = min (Sketch.capacity merged) (estimate + 8) in
-          let decoded =
-            match Sketch.decode (Sketch.truncate merged ~capacity:small) with
-            | Ok diff -> Ok diff
-            | Error `Decode_failure when small < Sketch.capacity merged ->
-                Sketch.decode merged
-            | Error `Decode_failure -> Error `Decode_failure
-          in
-          match decoded with
-          | Ok diff ->
-              let mine, theirs =
-                List.partition (Commitment.Log.contains log) diff
-              in
-              (cap env.config.max_delta mine, theirs)
-          | Error `Decode_failure ->
-              (* Degrade to offering the most recent ids; later rounds
-                 converge (the paper splits the sketch instead). *)
-              let recent =
-                List.rev (Commitment.Log.all_ids log)
-                |> cap env.config.max_delta
-              in
-              (recent, [])
+          if estimate > 128 then clock_delta env ~log my_digest peer_digest
+          else
+            match Commitment.sketch_difference ~estimate mine_sketch peer_sketch with
+            | Ok diff ->
+                let mine, theirs =
+                  List.partition (Commitment.Log.contains log) diff
+                in
+                (List.filteri (fun i _ -> i < env.config.max_delta) mine, theirs)
+            | Error `Decode_failure ->
+                (* Degrade to offering the most recent ids; later rounds
+                   converge (the paper splits the sketch instead). *)
+                (Commitment.Log.newest log env.config.max_delta, [])
         end
       | _ -> clock_delta env ~log my_digest peer_digest
-      with Exit -> clock_delta env ~log my_digest peer_digest
     end
 
 let rec reconcile_with ?(force = false) t (env : Node_env.t) ~peer_index =

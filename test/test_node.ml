@@ -320,6 +320,49 @@ let malformed_tests =
         check_int "counted" 2 (Lo_obs.Trace.count d.trace "malformed"));
   ]
 
+(* A validly signed digest whose sketch capacity or Bloom-clock size is
+   not the deployment's: once merged with or compared against a
+   same-owner digest of the right shape it would raise, so the node must
+   drop it at entry and count it. *)
+let mis_shaped_case ~name ~seed make_odd =
+  Alcotest.test_case name `Quick (fun () ->
+      let d = mk_network ~n:3 ~seed () in
+      let seen = ref [] in
+      Lo_obs.Trace.set_observer d.trace
+        (Some
+           (function
+           | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
+             ->
+               seen := (node, src, tag) :: !seen
+           | _ -> ()));
+      let signer = Signer.make d.scheme ~seed:"odd-shape" in
+      let right = Commitment.Log.create ~signer () in
+      ignore (Commitment.Log.append right ~source:None ~ids:[ 11 ]);
+      let odd = make_odd signer in
+      ignore (Commitment.Log.append odd ~source:None ~ids:[ 11 ]);
+      ignore (Commitment.Log.append odd ~source:None ~ids:[ 12 ]);
+      (* Over the network, so the bytes take the node's
+         [handle_message] entry. *)
+      let share log =
+        Net.send d.net ~src:1 ~dst:0 ~tag:"lo:digest"
+          (Messages.encode
+             (Messages.Digest_share (Commitment.Log.current_digest log)));
+        Net.run_until d.net (Net.now d.net +. 0.5)
+      in
+      share right;
+      share odd;
+      check_bool "one drop, counted" true (!seen = [ (0, 1, "lo:digest") ]);
+      check_int "counted" 1 (Lo_obs.Trace.count d.trace "malformed"))
+
+let mis_shaped_tests =
+  [
+    mis_shaped_case ~name:"sketch capacity mismatch is counted, never raised"
+      ~seed:116 (fun signer ->
+        Commitment.Log.create ~sketch_capacity:10 ~signer ());
+    mis_shaped_case ~name:"clock size mismatch is counted, never raised"
+      ~seed:117 (fun signer -> Commitment.Log.create ~clock_cells:16 ~signer ());
+  ]
+
 let storage_tests =
   [
     Alcotest.test_case "commitment storage grows with traffic" `Slow (fun () ->
@@ -754,7 +797,7 @@ let () =
       ("completeness", completeness_tests);
       ("detection", detection_tests);
       ("chain", chain_tests);
-      ("malformed", malformed_tests);
+      ("malformed", malformed_tests @ mis_shaped_tests);
       ("storage", storage_tests);
       ("rotation", rotation_tests);
       ("fuzz", fuzz_tests);

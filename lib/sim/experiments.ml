@@ -866,6 +866,14 @@ let time_ms f =
   let r = f () in
   (r, 1000. *. (Lo_live.Clock.now_s () -. t0))
 
+(* The fastest of three runs. A decode here takes tens of milliseconds,
+   the same order as a major GC slice or a stall of the host, so one run
+   can land on either and misorder the two algorithms. *)
+let best_of_3_ms f =
+  let r, t = time_ms f in
+  let t2 = snd (time_ms f) and t3 = snd (time_ms f) in
+  (r, Float.min t (Float.min t2 t3))
+
 let decode_cost_for diff ~seed =
   let rng = Rng.create seed in
   let field = Lo_sketch.Gf2m.gf32 in
@@ -880,13 +888,13 @@ let decode_cost_for diff ~seed =
      decode cheap and erase the effect being measured; it is benchmarked
      separately in the sec6.5 rows of BENCH_results.json. *)
   let (_, mono), mono_ms =
-    time_ms (fun () ->
+    best_of_3_ms (fun () ->
         Lo_sketch.Partitioned.reconcile_monolithic ~field ~fast:false
           ~capacity:diff ~local ~remote ())
   in
   assert (mono <> None);
   let (stats, recovered), part_ms =
-    time_ms (fun () ->
+    best_of_3_ms (fun () ->
         Lo_sketch.Partitioned.reconcile ~field ~fast:false ~capacity:64 ~local
           ~remote ())
   in

@@ -32,10 +32,12 @@ let reconcile ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local ~remote () =
   let scratch = if fast then Some (Sketch.Scratch.create ()) else None in
   (* Partition (depth, value): ids whose low [depth] bits equal [value]. *)
   let queue = Queue.create () in
-  Queue.add (0, 0, local, remote) queue;
+  let sketch = Sketch.of_list ~field ~capacity in
+  Queue.add (0, 0, local, remote, sketch local, sketch remote) queue;
   while not (Queue.is_empty queue) do
-    let depth, value, l, r = Queue.pop queue in
-    let merged, bytes = sketch_pair field capacity l r in
+    let depth, value, l, r, sl, sr = Queue.pop queue in
+    let merged = Sketch.merge sl sr in
+    let bytes = 2 * Sketch.serialized_size sl in
     stats :=
       {
         !stats with
@@ -62,8 +64,20 @@ let reconcile ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local ~remote () =
         else begin
           let bit = 1 lsl depth in
           let part p xs = List.filter (fun e -> e land bit = if p then bit else 0) xs in
-          Queue.add (depth + 1, value, part false l, part false r) queue;
-          Queue.add (depth + 1, value lor bit, part true l, part true r) queue
+          let l0 = part false l and r0 = part false r in
+          let sl0 = sketch l0 and sr0 = sketch r0 in
+          Queue.add (depth + 1, value, l0, r0, sl0, sr0) queue;
+          (* Sketches are linear, so each side gets its second half's
+             sketch as its whole sketch xor its first half's, without a
+             pass over the second half's ids. *)
+          Queue.add
+            ( depth + 1,
+              value lor bit,
+              part true l,
+              part true r,
+              Sketch.merge sl sl0,
+              Sketch.merge sr sr0 )
+            queue
         end
   done;
   (!stats, !diff)

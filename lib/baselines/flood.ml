@@ -42,7 +42,6 @@ let mempool_size t = Hashtbl.length t.txs
 let has_tx t id = Hashtbl.mem t.txs id
 let on_tx_content t f = t.on_content <- f
 let set_observer t f = t.observer <- f
-let overhead_tags = [ "flood:mempool"; "flood:getdata" ]
 
 let tag t suffix = t.config.tag_prefix ^ ":" ^ suffix
 

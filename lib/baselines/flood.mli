@@ -44,5 +44,3 @@ val set_observer :
 val handle : t -> Lo_net.Network.handler
 (** The message handler, exposed so a wrapping protocol can delegate. *)
 
-val overhead_tags : string list
-(** Tags counted as protocol overhead (excludes content). *)

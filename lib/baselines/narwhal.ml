@@ -36,8 +36,6 @@ type t = {
   mutable on_committed : string -> now:float -> unit;
 }
 
-let overhead_tags = [ "nw:ack"; "nw:header"; "nw:batch-req" ]
-
 let create config ~net ~index ~num_nodes ~signer =
   {
     config;

@@ -41,6 +41,3 @@ val on_tx_committed : t -> (string -> now:float -> unit) -> unit
 val mempool_size : t -> int
 val headers_seen : t -> int
 
-val overhead_tags : string list
-(** Acks, headers and batch re-requests; batch content is excluded like
-    all protocols' tx content. *)

@@ -49,9 +49,6 @@ type t = {
   rng : Rng.t;
 }
 
-let overhead_tags =
-  [ "pr:mempool"; "pr:getdata"; "pr:auth"; "pr:ack"; "pr:audit-req"; "pr:log" ]
-
 let chain_hash prev ~seq ~kind ~peer ~msg_hash =
   let w = Writer.create ~initial_size:64 () in
   Writer.fixed w prev;

@@ -42,5 +42,3 @@ val on_tx_content : t -> (Lo_core.Tx.t -> now:float -> unit) -> unit
 val audits_ok : t -> bool
 (** Whether every audit this node performed verified (honest runs must
     stay true). *)
-
-val overhead_tags : string list

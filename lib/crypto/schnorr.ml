@@ -30,8 +30,6 @@ let public_key_of_bytes s =
       Some { point; bytes = s }
   | Some _ | None -> None
 
-let secret_key_bytes sk = Uint256.to_bytes_be sk.scalar
-
 let challenge ~rx ~pk_bytes msg =
   hash_to_scalar [ "lo-schnorr"; Uint256.to_bytes_be rx; pk_bytes; msg ]
 

@@ -23,8 +23,6 @@ val public_key_of_bytes : string -> public_key option
 (** Decode (one field square root); [None] for malformed encodings,
     off-curve points and infinity. *)
 
-val secret_key_bytes : secret_key -> string
-
 val sign : secret_key -> string -> string
 (** [sign sk msg] is a 64-byte signature over [msg]. *)
 

@@ -114,7 +114,6 @@ let affine_batch pts =
 let affine_fe pt = (affine_batch [| pt |]).(0)
 let u256_pair a = (u256_of_fe a.ax, u256_of_fe a.ay)
 let to_affine pt = Option.map u256_pair (affine_fe pt)
-let to_affine_batch pts = Array.map (Option.map u256_pair) (affine_batch pts)
 
 (* Odd multiples and fixed-base windows of a point of prime order ~2^256
    are never infinity. *)

@@ -63,10 +63,6 @@ val mul_add_precomp : g_scalar:Uint256.t -> Uint256.t -> precomp -> point
 (** [mul_add] against an existing {!precompute} table, for verifying
     many signatures under the same public key. *)
 
-val to_affine_batch : point array -> (Uint256.t * Uint256.t) option array
-(** Normalise a whole array of points with a single field inversion
-    (Montgomery's trick); element-wise equal to {!to_affine}. *)
-
 val equal : point -> point -> bool
 
 val has_x : point -> Uint256.t -> bool

@@ -1,7 +1,6 @@
 type t = { id : string; sign : string -> string }
 
 type scheme = {
-  name : string;
   make : seed:string -> t;
   verify : id:string -> msg:string -> signature:string -> bool;
   verify_many : (string * string * string) array -> int list;
@@ -12,7 +11,6 @@ let sign t msg = t.sign msg
 let make scheme ~seed = scheme.make ~seed
 let verify scheme ~id ~msg ~signature = scheme.verify ~id ~msg ~signature
 let verify_many scheme sigs = scheme.verify_many sigs
-let scheme_name scheme = scheme.name
 let id_size = 33
 let signature_size = 64
 
@@ -53,7 +51,6 @@ let schnorr =
     List.sort_uniq compare (List.rev_append !bad_ids bad)
   in
   {
-    name = "schnorr";
     make =
       (fun ~seed ->
         let sk, pk = Schnorr.keypair_of_seed seed in
@@ -108,4 +105,4 @@ let simulation () =
     done;
     !bad
   in
-  { name = "simulation"; make; verify; verify_many }
+  { make; verify; verify_many }

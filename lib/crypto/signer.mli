@@ -31,8 +31,6 @@ val verify_many : scheme -> (string * string * string) array -> int list
     point arithmetic, bisection accountability), the simulation scheme
     through its per-signer HMAC midstate cache. *)
 
-val scheme_name : scheme -> string
-
 val schnorr : scheme
 (** Real Schnorr over secp256k1; anyone can verify from the id alone. *)
 

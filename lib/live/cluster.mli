@@ -58,7 +58,6 @@ type report = {
   duration : float;
   out_dir : string;
   submitted : int;  (** transactions injected across the cluster *)
-  achieved_tps : float;  (** [submitted / duration] *)
   frames : int;  (** TCP frames received across the cluster *)
   unknown : int;  (** deliveries with no subscribed protocol *)
   events : int;  (** merged trace entries audited *)

@@ -78,29 +78,6 @@ let connect_timeout = 1.0
 
 let loopback = Unix.inet_addr_loopback
 
-(* The same deployment derivation as [Lo_sim.Scenario.build_lo]: every
-   process reconstructs all n identities (which also populates the
-   simulation scheme's verification registry) and the seed-determined
-   overlay, so the cluster agrees on directory and topology without any
-   coordination traffic — and a respawned incarnation re-derives the
-   exact identity its predecessor held. *)
-let derive_deployment ~signer ~n ~seed =
-  let scheme =
-    match signer with
-    | `Simulation -> Signer.simulation ()
-    | `Schnorr -> Signer.schnorr
-  in
-  let signers =
-    Array.init n (fun i ->
-        Signer.make scheme ~seed:(Printf.sprintf "lo-node-%d-%d" seed i))
-  in
-  let directory = Directory.create ~ids:(Array.map Signer.id signers) in
-  let topo_rng = Rng.create ((seed * 31) + 7) in
-  let out_degree = min 8 (max 1 (n - 1)) in
-  let topology = Lo_net.Topology.build topo_rng ~n ~out_degree ~max_in:125 in
-  let client = Signer.make scheme ~seed:(Printf.sprintf "client-%d" seed) in
-  (scheme, signers, directory, topology, client)
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* --- per-peer outgoing link -------------------------------------- *)
@@ -157,8 +134,19 @@ let run ?trace_path cfg =
   } =
     cfg
   in
-  let scheme, signers, directory, topology, client =
-    derive_deployment ~signer ~n ~seed
+  (* The simulator's world derivation: every process reconstructs all n
+     identities (which also populates the simulation scheme's
+     verification registry) and the seed-determined overlay, so the
+     cluster agrees on directory and topology without any coordination
+     traffic — and a respawned incarnation re-derives the exact identity
+     its predecessor held. *)
+  let scheme =
+    match signer with
+    | `Simulation -> Signer.simulation ()
+    | `Schnorr -> Signer.schnorr
+  in
+  let { Deployment.signers; directory; topology; client } =
+    Deployment.derive ~scheme ~n ~seed ()
   in
   let trace = Lo_obs.Trace.create ~capacity:trace_capacity () in
   let now_rel () = Clock.now_s () -. epoch in
@@ -528,11 +516,6 @@ let run ?trace_path cfg =
      A respawned incarnation re-derives the same spec list and skips
      everything scheduled before its rebirth: those submissions are
      simply lost with the crash, as they should be. *)
-  let wl_rng = Rng.create ((seed * 97) + 13) in
-  let wl_config =
-    { Lo_workload.Tx_gen.default_config with rate = tps; duration }
-  in
-  let specs = Lo_workload.Tx_gen.generate wl_rng wl_config ~num_nodes:n in
   let workload_from = if incarnation = 0 then Float.neg_infinity else now_rel () in
   List.iter
     (fun spec ->
@@ -550,7 +533,7 @@ let run ?trace_path cfg =
             incr submitted;
             Node.submit_tx node tx)
       end)
-    specs;
+    (Deployment.workload ~rate:tps ~duration ~seed ~n);
 
   (* --- event loop ---
      One unified loop from process birth: connections are attempted

@@ -2,275 +2,145 @@ type 'a entry = { time : float; seq : int; payload : 'a }
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-(* Both backends pop in exactly ascending (time, seq) order — a total
-   order, since [seq] is unique — so which one is active is invisible to
-   callers: same adds, same pops, byte for byte. *)
-
-module Heap = struct
-  type 'a t = { mutable heap : 'a entry array; mutable size : int }
-
-  let create () = { heap = [||]; size = 0 }
-
-  let grow t =
-    let cap = Array.length t.heap in
-    let new_cap = max 16 (2 * cap) in
-    let dummy = t.heap.(0) in
-    let h = Array.make new_cap dummy in
-    Array.blit t.heap 0 h 0 t.size;
-    t.heap <- h
-
-  let add t entry =
-    if t.size = 0 && Array.length t.heap = 0 then t.heap <- Array.make 16 entry;
-    if t.size = Array.length t.heap then grow t;
-    t.heap.(t.size) <- entry;
-    t.size <- t.size + 1;
-    (* Sift up. *)
-    let i = ref (t.size - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      before t.heap.(!i) t.heap.(parent)
-    do
-      let parent = (!i - 1) / 2 in
-      let tmp = t.heap.(!i) in
-      t.heap.(!i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      i := parent
-    done
-
-  let peek t = if t.size = 0 then None else Some t.heap.(0)
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = t.heap.(0) in
-      t.size <- t.size - 1;
-      if t.size > 0 then begin
-        t.heap.(0) <- t.heap.(t.size);
-        (* Sift down. *)
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < t.size && before t.heap.(l) t.heap.(!smallest) then
-            smallest := l;
-          if r < t.size && before t.heap.(r) t.heap.(!smallest) then
-            smallest := r;
-          if !smallest = !i then continue := false
-          else begin
-            let tmp = t.heap.(!i) in
-            t.heap.(!i) <- t.heap.(!smallest);
-            t.heap.(!smallest) <- tmp;
-            i := !smallest
-          end
-        done
-      end;
-      Some top
-    end
-
-  (* Unordered view, for migrating into the calendar. *)
-  let iter_unordered t f =
-    for i = 0 to t.size - 1 do
-      f t.heap.(i)
-    done
-end
-
-module Calendar = struct
-  (* Brown's calendar queue: buckets of width [width] seconds, years of
-     [n] buckets. Each bucket is a list sorted ascending by (time, seq),
-     so its head is the bucket minimum. An entry's virtual bucket is
-     [vb time] — a monotone function of time — and equal times always
-     share a virtual bucket, which is what makes the scan below return
-     the global (time, seq) minimum: scanning virtual buckets in
-     increasing order, the first head that belongs to the current
-     virtual bucket precedes every entry of every later virtual bucket
-     (monotonicity), and precedes the rest of its own bucket (sorted).
-     FIFO ties are thus decided only by the in-bucket sort, i.e. by
-     [seq] — identical to the heap. *)
-  type 'a t = {
-    mutable buckets : 'a entry list array;
-    mutable size : int;
-    mutable width : float;
-    mutable vi : int;  (* current virtual bucket; no live entry is below it *)
-  }
-
-  let min_buckets = 16
-  let min_width = 1e-9
-
-  let vb t time =
-    let q = time /. t.width in
-    if q <= 0. then 0 else int_of_float q
-
-  let rec insert_sorted e = function
-    | [] -> [ e ]
-    | x :: _ as l when before e x -> e :: l
-    | x :: rest -> x :: insert_sorted e rest
-
-  let add_entry t e =
-    let v = vb t e.time in
-    let b = v mod Array.length t.buckets in
-    t.buckets.(b) <- insert_sorted e t.buckets.(b);
-    t.size <- t.size + 1;
-    if t.size = 1 || v < t.vi then t.vi <- v
-
-  (* Rebuild with [n] buckets; width targets ~2 entries per bucket over
-     the current time span (performance only — never order). *)
-  let rebuild t n =
-    let old = t.buckets in
-    let lo = ref infinity and hi = ref neg_infinity in
-    Array.iter
-      (List.iter (fun e ->
-           if e.time < !lo then lo := e.time;
-           if e.time > !hi then hi := e.time))
-      old;
-    let span = if t.size = 0 then 0. else !hi -. !lo in
-    let width =
-      if span <= 0. then Float.max min_width t.width
-      else Float.max min_width (span /. float_of_int (max 1 (t.size / 2)))
-    in
-    t.buckets <- Array.make (max min_buckets n) [];
-    t.width <- width;
-    t.size <- 0;
-    t.vi <- 0;
-    Array.iter (List.iter (add_entry t)) old
-
-  let create_of_size size =
-    let t =
-      { buckets = Array.make min_buckets []; size = 0; width = 1.0; vi = 0 }
-    in
-    if size > 0 then begin
-      let n = ref min_buckets in
-      while !n < size do
-        n := !n * 2
-      done;
-      t.buckets <- Array.make !n []
-    end;
-    t
-
-  let add t e =
-    add_entry t e;
-    if t.size > 2 * Array.length t.buckets then
-      rebuild t (2 * Array.length t.buckets)
-
-  (* Locate the bucket holding the global minimum and point [t.vi] at
-     its virtual bucket. After a fruitless year-long scan (a sparse
-     queue spread over a huge span), fall back to a direct minimum over
-     the bucket heads and re-anchor. *)
-  let find_min_bucket t =
-    if t.size = 0 then None
-    else begin
-      let n = Array.length t.buckets in
-      let direct () =
-        let best = ref None in
-        Array.iteri
-          (fun b l ->
-            match l with
-            | [] -> ()
-            | e :: _ -> (
-                match !best with
-                | Some (_, be) when before be e -> ()
-                | _ -> best := Some (b, e)))
-          t.buckets;
-        match !best with
-        | None -> None
-        | Some (b, e) ->
-            t.vi <- vb t e.time;
-            Some b
-      in
-      let rec scan i vi =
-        if i = n then direct ()
-        else
-          let b = vi mod n in
-          match t.buckets.(b) with
-          | e :: _ when vb t e.time = vi ->
-              t.vi <- vi;
-              Some b
-          | _ -> scan (i + 1) (vi + 1)
-      in
-      scan 0 t.vi
-    end
-
-  let peek t =
-    match find_min_bucket t with
-    | None -> None
-    | Some b -> ( match t.buckets.(b) with e :: _ -> Some e | [] -> None)
-
-  let pop t =
-    match find_min_bucket t with
-    | None -> None
-    | Some b -> (
-        match t.buckets.(b) with
-        | [] -> None
-        | e :: rest ->
-            t.buckets.(b) <- rest;
-            t.size <- t.size - 1;
-            if
-              t.size < Array.length t.buckets / 4
-              && Array.length t.buckets > min_buckets
-            then rebuild t (Array.length t.buckets / 2);
-            Some e)
-end
-
-type 'a impl = H of 'a Heap.t | C of 'a Calendar.t
-
+(* Brown's calendar queue: buckets of width [width] seconds, years of
+   [n] buckets. Each bucket is a list sorted ascending by (time, seq),
+   so its head is the bucket minimum. An entry's virtual bucket is
+   [vb time] — a monotone function of time — and equal times always
+   share a virtual bucket, which is what makes the scan below return
+   the global (time, seq) minimum: scanning virtual buckets in
+   increasing order, the first head that belongs to the current
+   virtual bucket precedes every entry of every later virtual bucket
+   (monotonicity), and precedes the rest of its own bucket (sorted).
+   FIFO ties are thus decided only by the in-bucket sort, i.e. by
+   [seq]. *)
 type 'a t = {
-  mutable impl : 'a impl;
+  mutable buckets : 'a entry list array;
+  mutable size : int;
+  mutable width : float;
+  mutable vi : int;  (* current virtual bucket; no live entry is below it *)
   mutable next_seq : int;
-  threshold : int;
 }
 
-let default_calendar_threshold = 4096
+let min_buckets = 16
+let min_width = 1e-9
 
-let fresh_impl threshold =
-  if threshold <= 0 then C (Calendar.create_of_size 0) else H (Heap.create ())
+let create () =
+  {
+    buckets = Array.make min_buckets [];
+    size = 0;
+    width = 1.0;
+    vi = 0;
+    next_seq = 0;
+  }
 
-let create ?(calendar_threshold = default_calendar_threshold) () =
-  { impl = fresh_impl calendar_threshold; next_seq = 0; threshold = calendar_threshold }
+let size t = t.size
 
-let size t = match t.impl with H h -> h.Heap.size | C c -> c.Calendar.size
-let is_empty t = size t = 0
-let backend t = match t.impl with H _ -> `Heap | C _ -> `Calendar
+let vb t time =
+  let q = time /. t.width in
+  if q <= 0. then 0 else int_of_float q
 
-let promote t h =
-  let c = Calendar.create_of_size h.Heap.size in
-  (* Seed the width from the heap's own span before the bulk insert. *)
-  let lo = ref infinity and hi = ref neg_infinity in
-  Heap.iter_unordered h (fun e ->
-      if e.time < !lo then lo := e.time;
-      if e.time > !hi then hi := e.time);
-  let span = !hi -. !lo in
-  if h.Heap.size > 0 && span > 0. then
-    c.Calendar.width <-
-      Float.max Calendar.min_width
-        (span /. float_of_int (max 1 (h.Heap.size / 2)));
-  Heap.iter_unordered h (Calendar.add_entry c);
-  t.impl <- C c;
-  c
+let rec insert_sorted e = function
+  | [] -> [ e ]
+  | x :: _ as l when before e x -> e :: l
+  | x :: rest -> x :: insert_sorted e rest
+
+let add_entry t e =
+  let v = vb t e.time in
+  let b = v mod Array.length t.buckets in
+  t.buckets.(b) <- insert_sorted e t.buckets.(b);
+  t.size <- t.size + 1;
+  if t.size = 1 || v < t.vi then t.vi <- v
+
+(* Rebuild with [n] buckets. Width follows Brown: three times the mean
+   gap between the earliest (up to 25) entries, leaving out gaps over
+   twice the mean, so the dense near-term traffic spreads over many
+   buckets however far ahead the last timer sits (performance only —
+   never order). *)
+let rebuild t n =
+  let old = t.buckets in
+  let times = Array.make t.size 0. and k = ref 0 in
+  Array.iter
+    (List.iter (fun e ->
+         times.(!k) <- e.time;
+         incr k))
+    old;
+  Array.sort Float.compare times;
+  let gaps =
+    List.init (max 0 (min t.size 25 - 1)) (fun i -> times.(i + 1) -. times.(i))
+  in
+  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+  let width =
+    match gaps with
+    | [] -> t.width
+    | _ ->
+        let avg = mean gaps in
+        let w = 3. *. mean (List.filter (fun g -> g <= 2. *. avg) gaps) in
+        if w > 0. then Float.max min_width w else t.width
+  in
+  t.buckets <- Array.make (max min_buckets n) [];
+  t.width <- width;
+  t.size <- 0;
+  t.vi <- 0;
+  Array.iter (List.iter (add_entry t)) old
 
 let add t ~time payload =
-  let entry = { time; seq = t.next_seq; payload } in
+  add_entry t { time; seq = t.next_seq; payload };
   t.next_seq <- t.next_seq + 1;
-  match t.impl with
-  | H h when h.Heap.size >= t.threshold ->
-      let c = promote t h in
-      Calendar.add c entry
-  | H h -> Heap.add h entry
-  | C c -> Calendar.add c entry
+  if t.size > 2 * Array.length t.buckets then
+    rebuild t (2 * Array.length t.buckets)
+
+(* Locate the bucket holding the global minimum and point [t.vi] at
+   its virtual bucket. After a fruitless year-long scan (a sparse
+   queue spread over a huge span), fall back to a direct minimum over
+   the bucket heads and re-anchor. *)
+let find_min_bucket t =
+  if t.size = 0 then None
+  else begin
+    let n = Array.length t.buckets in
+    let direct () =
+      let best = ref None in
+      Array.iteri
+        (fun b l ->
+          match l with
+          | [] -> ()
+          | e :: _ -> (
+              match !best with
+              | Some (_, be) when before be e -> ()
+              | _ -> best := Some (b, e)))
+        t.buckets;
+      match !best with
+      | None -> None
+      | Some (b, e) ->
+          t.vi <- vb t e.time;
+          Some b
+    in
+    let rec scan i vi =
+      if i = n then direct ()
+      else
+        let b = vi mod n in
+        match t.buckets.(b) with
+        | e :: _ when vb t e.time = vi ->
+            t.vi <- vi;
+            Some b
+        | _ -> scan (i + 1) (vi + 1)
+    in
+    scan 0 t.vi
+  end
 
 let peek_time t =
-  match
-    (match t.impl with H h -> Heap.peek h | C c -> Calendar.peek c)
-  with
+  match find_min_bucket t with
   | None -> None
-  | Some e -> Some e.time
+  | Some b -> ( match t.buckets.(b) with e :: _ -> Some e.time | [] -> None)
 
 let pop t =
-  match (match t.impl with H h -> Heap.pop h | C c -> Calendar.pop c) with
+  match find_min_bucket t with
   | None -> None
-  | Some e -> Some (e.time, e.payload)
-
-let clear t =
-  t.impl <- fresh_impl t.threshold;
-  t.next_seq <- 0
+  | Some b -> (
+      match t.buckets.(b) with
+      | [] -> None
+      | e :: rest ->
+          t.buckets.(b) <- rest;
+          t.size <- t.size - 1;
+          let n = Array.length t.buckets in
+          if t.size < n / 4 && n > min_buckets then rebuild t (n / 2);
+          Some (e.time, e.payload))

@@ -4,33 +4,16 @@
     deterministic: pops come out in strictly ascending (time, seq)
     where [seq] is the global insertion counter — a total order.
 
-    Two interchangeable backends sit behind this interface: a binary
-    heap (the original, best for small queues) and a Brown-style
-    calendar queue (bucketed time, O(1) amortized add/pop under the
-    dense schedules a 10,000-node simulation produces). A queue starts
-    on the heap and promotes itself to the calendar once its size
-    crosses [calendar_threshold]; because both backends realise the
-    same total order, promotion is unobservable — traces are
-    byte-identical whichever backend served a pop. *)
+    The backend is a Brown-style calendar queue: bucketed time, O(1)
+    amortized add/pop under the dense schedules a 10,000-node
+    simulation produces. It starts at 16 buckets and resizes itself as
+    the queue grows and shrinks; resizing only moves entries between
+    buckets, never changes the pop order. *)
 
 type 'a t
 
-val default_calendar_threshold : int
-(** 4096 — comfortably above any queue a ≤160-node run builds, so
-    current-scale golden traces never even promote, while thousand-node
-    runs promote within the first reconciliation round. *)
-
-val create : ?calendar_threshold:int -> unit -> 'a t
-(** [calendar_threshold] of [0] starts directly on the calendar;
-    [max_int] pins the heap forever (both used by the equivalence
-    tests). Defaults to {!default_calendar_threshold}. *)
-
-val is_empty : 'a t -> bool
+val create : unit -> 'a t
 val size : 'a t -> int
 val add : 'a t -> time:float -> 'a -> unit
 val peek_time : 'a t -> float option
 val pop : 'a t -> (float * 'a) option
-val clear : 'a t -> unit
-
-val backend : 'a t -> [ `Heap | `Calendar ]
-(** Which backend is live right now (observable for tests only). *)

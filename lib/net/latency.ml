@@ -1,7 +1,6 @@
 type t = { names : string array; matrix : float array array }
 
 let num_cities t = Array.length t.names
-let city_name t i = t.names.(i)
 let one_way t a b = t.matrix.(a).(b)
 let city_of_node t node = node mod num_cities t
 

@@ -16,7 +16,6 @@ val uniform : one_way:float -> t
     one-way latency; same-city pairs too. *)
 
 val num_cities : t -> int
-val city_name : t -> int -> string
 
 val one_way : t -> int -> int -> float
 (** One-way latency in seconds between two city indices. *)

@@ -60,7 +60,6 @@ let num_nodes t = t.num_nodes
 let now t = t.clock
 let rng t = t.rng
 let city_of t node = Latency.city_of_node t.latency node
-let latency_model t = t.latency
 
 let check_node t n what =
   if n < 0 || n >= t.num_nodes then invalid_arg ("Network: bad node in " ^ what)
@@ -265,16 +264,6 @@ let run_until t until =
     | Some _ | None -> continue := false
   done;
   t.clock <- Float.max t.clock until
-
-let run_until_idle ?(max_time = infinity) t =
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop t.queue with
-    | Some (time, event) when time <= max_time ->
-        t.clock <- Float.max t.clock time;
-        dispatch t event
-    | Some _ | None -> continue := false
-  done
 
 let flush_in_flight t =
   match t.obs with

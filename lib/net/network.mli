@@ -32,7 +32,6 @@ val rng : t -> Rng.t
 (** The engine's root generator; protocols should [Rng.split] it. *)
 
 val city_of : t -> node -> int
-val latency_model : t -> Latency.t
 val set_handler : t -> node -> handler -> unit
 
 val set_trace : t -> Lo_obs.Trace.t option -> unit
@@ -111,8 +110,6 @@ val set_delivery_filter : t -> (src:node -> dst:node -> tag:string -> bool) opti
 val run_until : t -> float -> unit
 (** Process events with timestamp [<=] the given time; afterwards
     [now t] equals that time. *)
-
-val run_until_idle : ?max_time:float -> t -> unit
 
 val flush_in_flight : t -> unit
 (** Destructively drain the event queue, emitting a {!Lo_obs.Event.Drop}

@@ -5,7 +5,6 @@ let neighbors t i = t.adjacency.(i)
 let degree t i = List.length t.adjacency.(i)
 
 let edge_key a b = if a < b then (a, b) else (b, a)
-let are_connected t a b = Hashtbl.mem t.edge_set (edge_key a b)
 
 let add_edge adjacency edge_set a b =
   if a <> b && not (Hashtbl.mem edge_set (edge_key a b)) then begin

@@ -23,7 +23,6 @@ val build_with_correct_core :
 val n : t -> int
 val neighbors : t -> int -> int list
 val degree : t -> int -> int
-val are_connected : t -> int -> int -> bool
 
 val is_connected_subgraph : t -> keep:(int -> bool) -> bool
 (** Whether the subgraph induced by [keep] is connected (true for the

@@ -19,16 +19,6 @@ let first_detection entries ~peer =
       | _ -> None)
     entries
 
-let first_send_to entries ~dst ~tag =
-  List.find_map
-    (fun { Trace.at; ev } ->
-      match ev with
-      | Event.Send { dst = d; tag = t; _ } when d = dst && String.equal t tag
-        ->
-          Some at
-      | _ -> None)
-    entries
-
 let accepts_of_creator entries ~creator =
   List.filter_map
     (fun { Trace.at; ev } ->
@@ -36,13 +26,5 @@ let accepts_of_creator entries ~creator =
       | Event.Block_accept { node; creator = c; height; _ }
         when c = creator && node <> creator ->
           Some (at, node, height)
-      | _ -> None)
-    entries
-
-let suspects_of entries ~peer =
-  List.filter_map
-    (fun { Trace.at; ev } ->
-      match ev with
-      | Event.Suspect { node; peer = p } when p = peer -> Some (at, node)
       | _ -> None)
     entries

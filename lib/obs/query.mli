@@ -18,18 +18,9 @@ val first_detection : Trace.entry list -> peer:int -> (float * string) option
     a [Suspect], [Expose] or [Violation] naming it. Returns the time and
     the detecting event's kind label. *)
 
-val first_send_to :
-  Trace.entry list -> dst:int -> tag:string -> float option
-(** Time of the first charged [Send] of a [tag]-tagged message to
-    [dst] — e.g. the first commit request a silent censor was shown
-    (the moment its unresponsiveness became observable). *)
-
 val accepts_of_creator :
   Trace.entry list -> creator:int -> (float * int * int) list
 (** Every [Block_accept] of a block by [creator], as
     [(at, accepting node, height)] in stream order — acceptance by a
     node other than the creator is what makes a block-stage deviation
     observable. *)
-
-val suspects_of : Trace.entry list -> peer:int -> (float * int) list
-(** Every [Suspect] naming [peer], as [(at, observer)]. *)

@@ -60,21 +60,8 @@ type fig6_point = {
 
 let fig6_run ~scale ~fraction ~rep =
   let n = scale.nodes in
-  let num_bad = max 1 (int_of_float (fraction *. float_of_int n)) in
   let seed = scale.seed + (rep * 1000) + int_of_float (fraction *. 100.) in
-  let pick_rng = Rng.create (seed + 5) in
-  let malicious = Array.make n false in
-  let rec mark remaining =
-    if remaining > 0 then begin
-      let i = Rng.int pick_rng n in
-      if malicious.(i) then mark remaining
-      else begin
-        malicious.(i) <- true;
-        mark (remaining - 1)
-      end
-    end
-  in
-  mark num_bad;
+  let malicious, num_bad = Deployment.pick_malicious ~seed ~n ~fraction in
   (* An honest observer's event about a malicious miner. *)
   let honest_on_bad node peer =
     (not malicious.(node)) && peer >= 0 && malicious.(peer)

@@ -8,22 +8,13 @@
    network, RNG and protocol state from its seed, which is what keeps
    parallel output byte-identical to the sequential path. *)
 
-let default_jobs = ref None
-
 let jobs () =
   match Sys.getenv_opt "LO_JOBS" with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
       | Some _ | None -> invalid_arg "LO_JOBS must be a positive integer")
-  | None -> (
-      match !default_jobs with
-      | Some n -> n
-      | None -> Domain.recommended_domain_count ())
-
-let set_default_jobs n =
-  if n < 1 then invalid_arg "Parallel.set_default_jobs";
-  default_jobs := Some n
+  | None -> Domain.recommended_domain_count ()
 
 type 'b slot = Pending | Done of 'b | Failed of exn
 

@@ -11,13 +11,8 @@
 
 val jobs : unit -> int
 (** Pool size: the [LO_JOBS] environment variable when set ([1] forces
-    the plain sequential path), otherwise the session default from
-    {!set_default_jobs}, otherwise [Domain.recommended_domain_count].
+    the plain sequential path), otherwise [Domain.recommended_domain_count].
     @raise Invalid_argument if [LO_JOBS] is not a positive integer. *)
-
-val set_default_jobs : int -> unit
-(** Process-wide default used when [LO_JOBS] is unset (e.g. a CLI
-    [--jobs] flag). @raise Invalid_argument on [n < 1]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f items] applies [f] to every item on a pool of [jobs] domains

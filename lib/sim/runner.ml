@@ -60,8 +60,7 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
     match workload with
     | `Poisson ->
         let dur = Option.value duration ~default:scale.duration in
-        (Scenario.standard_workload ~rate ~duration:dur ~seed:workload_seed ~n,
-         dur)
+        (Deployment.workload ~rate ~duration:dur ~seed:workload_seed ~n, dur)
     | `Trace trace ->
         let rng = Rng.create (workload_seed + 3) in
         let dur =
@@ -155,8 +154,7 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
   let net = Network.create ~num_nodes:n ~seed () in
   let trace = Lo_obs.Trace.create ~capacity:1 () in
   Network.set_trace net (Some trace);
-  let rng = Rng.create ((seed * 31) + 7) in
-  let topo = Lo_net.Topology.build rng ~n ~out_degree:8 ~max_in:125 in
+  let topo = Deployment.topology ~n ~seed () in
   let created = Hashtbl.create 1024 in
   let stats = Metrics.Stats.create () in
   let instances = Array.of_list (make net scheme topo) in
@@ -168,10 +166,6 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
           | _ -> ()))
     instances;
   let client = Signer.make scheme ~seed:"baseline-client" in
-  let specs =
-    Scenario.standard_workload ~rate:scale.rate ~duration:scale.duration ~seed
-      ~n
-  in
   List.iter
     (fun spec ->
       let tx =
@@ -183,7 +177,7 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
       let origin = spec.origin mod n in
       Network.schedule_at net ~at:spec.created_at (fun _ ->
           instances.(origin).submit tx))
-    specs;
+    (Deployment.workload ~rate:scale.rate ~duration:scale.duration ~seed ~n);
   Network.run_until net (scale.duration +. drain);
   let overhead = overhead_of trace ~content_tags in
   (overhead, stats)

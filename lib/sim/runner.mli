@@ -23,7 +23,7 @@ type scale = {
 val default_scale : scale
 
 type workload =
-  [ `Poisson  (** {!Scenario.standard_workload} at [rate] for [duration] *)
+  [ `Poisson  (** {!Lo_core.Deployment.workload} at [rate] for [duration] *)
   | `Trace of Lo_workload.Trace.record list
       (** replay an external trace; duration comes from the trace *)
   | `None ]

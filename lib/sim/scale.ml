@@ -1,4 +1,3 @@
-module Rng = Lo_net.Rng
 open Lo_core
 
 (* Paper-scale sweeps: a 10,000-node fig6-style run decomposed into
@@ -62,32 +61,12 @@ let peak_rss_mb () =
 
 let default_shard_nodes = 625
 
-(* Same marking scheme as the fig6 sweep: a seeded rng picks
-   [fraction * nodes] distinct silent censors. *)
-let mark_malicious ~rng ~n ~fraction =
-  let malicious = Array.make n false in
-  let num_bad =
-    if fraction <= 0. then 0
-    else Stdlib.max 1 (int_of_float (fraction *. float_of_int n))
-  in
-  let rec mark remaining =
-    if remaining > 0 then begin
-      let i = Rng.int rng n in
-      if malicious.(i) then mark remaining
-      else begin
-        malicious.(i) <- true;
-        mark (remaining - 1)
-      end
-    end
-  in
-  mark num_bad;
-  (malicious, num_bad)
-
 let run_shard ~shard ~seed ~nodes ~fraction ~rate ~duration ~drain
     ~digest_history ~trace_capacity ~export () =
   let shard_seed = seed + (shard * 1000) in
-  let pick_rng = Rng.create (shard_seed + 5) in
-  let malicious, num_bad = mark_malicious ~rng:pick_rng ~n:nodes ~fraction in
+  let malicious, num_bad =
+    Deployment.pick_malicious ~seed:shard_seed ~n:nodes ~fraction
+  in
   let trace = Lo_obs.Trace.create ~capacity:trace_capacity () in
   let delivered = ref 0 in
   let scale =

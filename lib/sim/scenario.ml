@@ -21,18 +21,8 @@ let build_lo ?(config = Fun.id) ?(behaviors = fun _ -> Node.Honest) ?malicious
   (* Before Mux/node creation: node environments snapshot the sink. *)
   Network.set_trace net trace;
   let mux = Lo_net.Mux.create net in
-  let signers =
-    Array.init n (fun i ->
-        Signer.make scheme ~seed:(Printf.sprintf "lo-node-%d-%d" seed i))
-  in
-  let directory = Directory.create ~ids:(Array.map Signer.id signers) in
-  let topo_rng = Rng.create (seed * 31 + 7) in
-  let topology =
-    match malicious with
-    | None -> Topology.build topo_rng ~n ~out_degree:8 ~max_in:125
-    | Some malicious ->
-        Topology.build_with_correct_core topo_rng ~malicious ~out_degree:8
-          ~max_in:125
+  let { Deployment.signers; directory; topology; client } =
+    Deployment.derive ?malicious ~scheme ~n ~seed ()
   in
   let node_config = config (Node.default_config scheme) in
   (* One canonical decoded instance per tx for the whole world: every
@@ -48,7 +38,6 @@ let build_lo ?(config = Fun.id) ?(behaviors = fun _ -> Node.Honest) ?malicious
           ~behavior:(behaviors i))
   in
   Array.iter Node.start nodes;
-  let client = Signer.make scheme ~seed:(Printf.sprintf "client-%d" seed) in
   { net; mux; nodes; directory; scheme; topology; client }
 
 let inject_workload d specs =
@@ -141,15 +130,8 @@ let attach_gossip_sampler d ?(period = 5.0) ~until () =
   refresh period;
   sampler
 
-let standard_workload ~rate ~duration ~seed ~n =
-  let rng = Rng.create (seed * 97 + 13) in
-  let config =
-    { Lo_workload.Tx_gen.default_config with rate; duration }
-  in
-  Lo_workload.Tx_gen.generate rng config ~num_nodes:n
+let standard_workload = Deployment.workload
 
 (* --- fault injection (chaos experiments, scripted churn) --- *)
 
 let apply_fault_plan d plan = Lo_net.Fault_plan.install d.net plan
-let crash_node d i = Network.crash d.net i
-let restart_node d i = Network.restart d.net i

@@ -1,10 +1,11 @@
 (** Assembly of simulated deployments.
 
-    Builds the network, identities, topology and protocol instances for
-    an experiment, mirroring the paper's setup (Sec. 6.1): 8 outbound /
-    125 inbound connections, reconciliation with 3 random neighbours per
-    second, 1 s request timeout with 3 retries, 32-city latencies with
-    round-robin assignment, and a Poisson transaction workload. *)
+    Builds the network and protocol instances for an experiment over the
+    world {!Lo_core.Deployment} derives from the seed (identities,
+    8 outbound / 125 inbound overlay, client key, Poisson workload),
+    mirroring the paper's setup (Sec. 6.1): reconciliation with 3
+    random neighbours per second, 1 s request timeout with 3 retries,
+    and 32-city latencies with round-robin assignment. *)
 
 type lo_deployment = {
   net : Lo_net.Network.t;
@@ -27,8 +28,8 @@ val build_lo :
   unit ->
   lo_deployment
 (** [malicious] (when given) marks nodes whose edges are laid so the
-    correct subgraph stays connected and malicious nodes are mutually
-    interconnected, as in the Sec. 6.2 experiments. [config] tweaks the
+    correct subgraph stays connected (see {!Lo_core.Deployment.topology}),
+    as in the Sec. 6.2 experiments. [config] tweaks the
     default node configuration. [trace] attaches an observability sink
     before any protocol instance is created; tracing never perturbs the
     run (see {!Lo_net.Network.set_trace}). *)
@@ -68,16 +69,10 @@ val attach_gossip_sampler :
 
 val standard_workload :
   rate:float -> duration:float -> seed:int -> n:int -> Lo_workload.Tx_gen.spec list
+(** {!Lo_core.Deployment.workload}. *)
 
 val apply_fault_plan :
   lo_deployment -> Lo_net.Fault_plan.t -> Lo_net.Fault_plan.stats
 (** Compile a declarative fault schedule onto the deployment's event
     queue (see {!Lo_net.Fault_plan}); the returned stats fill in as
     faults fire during the run. *)
-
-val crash_node : lo_deployment -> int -> unit
-(** Script a crash without reaching into [lo_net] internals. *)
-
-val restart_node : lo_deployment -> int -> unit
-(** Bring a crashed node back; its recovery path (re-announce,
-    re-request peer heads, resume reconciliation) runs automatically. *)

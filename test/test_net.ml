@@ -115,6 +115,47 @@ let rng_tests =
 
 (* ---------------- Event queue ---------------- *)
 
+(* Run [ops] — [(0, _)] pops, [(_, time)] adds the next index at
+   [time] — then drain; the pops, in order. *)
+let transcript ~add ~pop ops =
+  let popped =
+    List.filter_map
+      (fun (op, time) ->
+        if op = 0 then pop ()
+        else begin
+          add time;
+          None
+        end)
+      ops
+  in
+  let rec drain acc =
+    match pop () with Some e -> drain (e :: acc) | None -> List.rev acc
+  in
+  popped @ drain []
+
+let queue_transcript ops =
+  let q = Event_queue.create () in
+  let next = ref 0 in
+  transcript ops
+    ~add:(fun time ->
+      Event_queue.add q ~time !next;
+      incr next)
+    ~pop:(fun () -> Event_queue.pop q)
+
+(* The model: a list sorted by (time, insertion index); pop the head. *)
+let model_transcript ops =
+  let live = ref [] and next = ref 0 in
+  transcript ops
+    ~add:(fun time ->
+      live := List.merge compare !live [ (time, !next) ];
+      incr next)
+    ~pop:(fun () ->
+      match !live with
+      | e :: rest ->
+          live := rest;
+          Some e
+      | [] -> None)
+
 let event_queue_tests =
   [
     Alcotest.test_case "orders by time" `Quick (fun () ->
@@ -139,11 +180,6 @@ let event_queue_tests =
         Event_queue.add q ~time:5.0 ();
         check_bool "peek" true (Event_queue.peek_time q = Some 5.0);
         check_int "size" 1 (Event_queue.size q));
-    Alcotest.test_case "clear" `Quick (fun () ->
-        let q = Event_queue.create () in
-        Event_queue.add q ~time:1.0 ();
-        Event_queue.clear q;
-        check_bool "empty" true (Event_queue.is_empty q));
     qtest "pops in sorted order" ~count:100
       QCheck2.Gen.(list_size (int_bound 100) (float_bound_inclusive 1000.))
       (fun times ->
@@ -181,63 +217,23 @@ let event_queue_tests =
           | _ -> true
         in
         List.length out = List.length time_codes && ok out);
-    (* The calendar backend must realize the exact same total order as
-       the binary heap — the scale sweeps lean on that for trace-byte
-       identity. Interleave adds and pops over a clumpy time
-       distribution (many exact collisions) and compare transcripts. *)
-    qtest "calendar backend matches heap" ~count:200
+    (* The calendar queue must realise the exact (time, seq) total
+       order — the golden traces lean on it byte for byte. Interleave
+       adds and pops and compare the transcript with a sorted-list
+       model. *)
+    qtest "calendar matches sorted-list model" ~count:200
       QCheck2.Gen.(
         list_size (int_bound 300)
           (pair (int_bound 4) (int_bound 9 >|= float_of_int)))
-      (fun ops ->
-        let heap = Event_queue.create ~calendar_threshold:max_int () in
-        let cal = Event_queue.create ~calendar_threshold:0 () in
-        let transcript q =
-          List.concat_map
-            (fun (op, time) ->
-              if op = 0 then (
-                match Event_queue.pop q with
-                | Some (t, i) -> [ (t, i) ]
-                | None -> [])
-              else begin
-                Event_queue.add q ~time (Event_queue.size q);
-                []
-              end)
-            ops
-          @
-          let rec drain acc =
-            match Event_queue.pop q with
-            | Some (t, i) -> drain ((t, i) :: acc)
-            | None -> List.rev acc
-          in
-          drain []
-        in
-        Event_queue.backend heap = `Heap
-        && Event_queue.backend cal = `Calendar
-        && transcript heap = transcript cal);
-    Alcotest.test_case "auto-promotes above threshold" `Quick (fun () ->
-        let q = Event_queue.create ~calendar_threshold:8 () in
-        for i = 0 to 7 do
-          Event_queue.add q ~time:(float_of_int (i mod 3)) i
-        done;
-        (* An add promotes only once it finds the heap at threshold. *)
-        check_bool "still heap" true (Event_queue.backend q = `Heap);
-        Event_queue.add q ~time:0.5 8;
-        check_bool "promoted" true (Event_queue.backend q = `Calendar);
-        (* Promotion preserves the (time, insertion seq) order. *)
-        let rec drain acc =
-          match Event_queue.pop q with
-          | Some (t, i) -> drain ((t, i) :: acc)
-          | None -> List.rev acc
-        in
-        let expect =
-          List.sort compare
-            (List.init 9 (fun i ->
-                 ((if i = 8 then 0.5 else float_of_int (i mod 3)), i)))
-        in
-        check_bool "order" true (drain [] = expect);
-        Event_queue.clear q;
-        check_bool "clear resets backend" true (Event_queue.backend q = `Heap));
+      (fun ops -> queue_transcript ops = model_transcript ops);
+    (* Wide, sparse spans: few live entries spread over 1e6 s, so a
+       year-long bucket scan comes up empty and falls back to the direct
+       minimum, and the final drain shrinks the bucket array. *)
+    qtest "calendar matches model on sparse wide spans" ~count:200
+      QCheck2.Gen.(
+        list_size (int_bound 300)
+          (pair (int_bound 2) (float_bound_inclusive 1e6)))
+      (fun ops -> queue_transcript ops = model_transcript ops);
   ]
 
 (* ---------------- Latency ---------------- *)
@@ -638,6 +634,19 @@ let topology_tests =
         for i = 0 to 39 do
           (* degree = in + out; out <= 8+2(ring), in <= 10+2 *)
           check_bool "cap-ish" true (Topology.degree t i <= 22)
+        done);
+    (* Live clusters of n <= 9 run the simulator's overlay rule (8 out),
+       which must still terminate and wire every pair. *)
+    Alcotest.test_case "small overlays are complete" `Quick (fun () ->
+        for n = 1 to 9 do
+          for seed = 1 to 20 do
+            let t = Topology.build (Rng.create seed) ~n ~out_degree:8 ~max_in:125 in
+            for i = 0 to n - 1 do
+              let expect = List.filter (( <> ) i) (List.init n Fun.id) in
+              check_bool "complete, no self-loops" true
+                (List.sort compare (Topology.neighbors t i) = expect)
+            done
+          done
         done);
   ]
 

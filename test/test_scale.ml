@@ -3,7 +3,7 @@
    set against Hashtbl, Welford absorb against sequential adds, and a
    2,000-node audited sweep smoke with a live-heap budget.
 
-   The calendar-vs-heap event queue property lives with the other queue
+   The calendar event queue's model check lives with the other queue
    tests in test_net.ml. *)
 
 open Lo_core

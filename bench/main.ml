@@ -69,6 +69,12 @@ let crypto_group =
   [
     Test.make ~name:"sha256-256B" (staged (fun () -> Lo_crypto.Sha256.digest sample_tx_bytes));
     Test.make ~name:"hmac-sha256" (staged (fun () -> Lo_crypto.Hmac.sha256 ~key:"k" sample_tx_bytes));
+    (* The simulation signer's path (every sign and verify): the pad
+       compressions are derived once per key, as [Hmac.Keyed] does. *)
+    Test.make ~name:"hmac-keyed-sha256"
+      (staged
+         (let keyed = Lo_crypto.Hmac.Keyed.create ~key:"k" in
+          fun () -> Lo_crypto.Hmac.Keyed.sha256 keyed sample_tx_bytes));
     Test.make ~name:"sim-sign" (staged (fun () -> Signer.sign signer "message"));
     Test.make ~name:"schnorr-sign" (staged (fun () -> Signer.sign schnorr_signer "message"));
     Test.make ~name:"gf32-mul"

@@ -7,9 +7,11 @@ type t = {
   mempool : Mempool.t;
   blocks_by_height : (int, Block.t) Hashtbl.t;
   mutable head : Block.t option;
+  mutable head_hash : string;
   seen_blocks : (string, unit) Hashtbl.t;
   settled : (int, int) Hashtbl.t; (* short id -> block height *)
-  pending_inspections : (string, Block.t list ref) Hashtbl.t; (* by creator *)
+  pending_inspections : (string, (string * Block.t) list ref) Hashtbl.t;
+      (* by creator: (block hash, block) *)
   inspection_retries : (string, int) Hashtbl.t; (* by block hash *)
   requested_digests : (string * int, unit) Hashtbl.t; (* (owner, seq) *)
 }
@@ -22,6 +24,7 @@ let create ~adversary ~tracker ~content ~mempool =
     mempool;
     blocks_by_height = Hashtbl.create 16;
     head = None;
+    head_hash = Block.genesis_hash;
     seen_blocks = Hashtbl.create 16;
     settled = Hashtbl.create 256;
     pending_inspections = Hashtbl.create 4;
@@ -29,19 +32,22 @@ let create ~adversary ~tracker ~content ~mempool =
     requested_digests = Hashtbl.create 32;
   }
 
-let head_hash t =
-  match t.head with None -> Block.genesis_hash | Some b -> Block.hash b
+let head_hash t = t.head_hash
 
 let chain_height t = match t.head with None -> 0 | Some b -> b.Block.height
 let find_block t ~height = Hashtbl.find_opt t.blocks_by_height height
 
-(* Adopt a block into the local chain view and settle its ids. *)
-let admit t (env : Node_env.t) (block : Block.t) =
+(* Adopt a block into the local chain view and settle its ids. A block
+   is hashed once, where it enters the node ([accept_block],
+   [build_block]); [hash] travels with it from there. *)
+let admit t (env : Node_env.t) (block : Block.t) ~hash =
   if not (Hashtbl.mem t.blocks_by_height block.height) then begin
     Hashtbl.add t.blocks_by_height block.height block;
     (match t.head with
     | Some head when head.Block.height >= block.height -> ()
-    | _ -> t.head <- Some block);
+    | _ ->
+        t.head <- Some block;
+        t.head_hash <- hash);
     List.iter
       (fun txid ->
         let id = Short_id.of_txid txid in
@@ -101,7 +107,7 @@ let evidence_for t (block : Block.t) violation =
   | Inspector.Injection { bundle_seq = None; _ } | Inspector.Bad_structure _ ->
       None
 
-let rec inspect_block t (env : Node_env.t) (block : Block.t) ~from =
+let rec inspect_block t (env : Node_env.t) (block : Block.t) ~hash ~from =
   if String.equal block.creator env.my_id then ()
   else begin
     let report = Inspector.inspect block (knowledge_for t block.creator) in
@@ -166,8 +172,8 @@ let rec inspect_block t (env : Node_env.t) (block : Block.t) ~from =
               Hashtbl.add t.pending_inspections block.creator cell;
               cell
         in
-        if not (List.exists (fun b -> Block.hash b = Block.hash block) !cell)
-        then cell := block :: !cell;
+        if not (List.exists (fun (h, _) -> String.equal h hash) !cell) then
+          cell := (hash, block) :: !cell;
         let targets =
           from
           :: (match env.index_of block.creator with Some i -> [ i ] | None -> [])
@@ -197,23 +203,22 @@ and retry_inspections t (env : Node_env.t) ~owner =
       cell := [];
       Hashtbl.remove t.pending_inspections owner;
       List.iter
-        (fun b ->
-          let h = Block.hash b in
+        (fun (hash, b) ->
           let tries =
-            Option.value (Hashtbl.find_opt t.inspection_retries h) ~default:0
+            Option.value (Hashtbl.find_opt t.inspection_retries hash) ~default:0
           in
           if tries < 5 then begin
-            Hashtbl.replace t.inspection_retries h (tries + 1);
-            inspect_block t env b ~from:env.my_index
+            Hashtbl.replace t.inspection_retries hash (tries + 1);
+            inspect_block t env b ~hash ~from:env.my_index
           end)
         blocks
 
 (* --- acceptance --- *)
 
 let accept_block t (env : Node_env.t) (block : Block.t) ~from =
-  let h = Block.hash block in
-  if not (Hashtbl.mem t.seen_blocks h) then begin
-    Hashtbl.add t.seen_blocks h ();
+  let hash = Block.hash block in
+  if not (Hashtbl.mem t.seen_blocks hash) then begin
+    Hashtbl.add t.seen_blocks hash ();
     if
       Block.verify_signature env.config.scheme block
       && Block.structure_ok block
@@ -221,9 +226,9 @@ let accept_block t (env : Node_env.t) (block : Block.t) ~from =
            (env.config.reject_exposed_blocks
            && Accountability.is_exposed env.acc block.creator)
     then begin
-      admit t env block;
+      admit t env block ~hash;
       env.broadcast (Messages.Block_announce block);
-      inspect_block t env block ~from
+      inspect_block t env block ~hash ~from
     end
   end
 
@@ -304,9 +309,9 @@ let build_block t (env : Node_env.t) ~policy =
         ~omissions:out.Policy.omissions ~timestamp:(env.now ())
     in
     (* Accept locally, then announce. *)
-    let h = Block.hash block in
-    Hashtbl.add t.seen_blocks h ();
-    admit t env block;
+    let hash = Block.hash block in
+    Hashtbl.add t.seen_blocks hash ();
+    admit t env block ~hash;
     env.broadcast (Messages.Block_announce block);
     Some block
   end

@@ -27,13 +27,12 @@ val build_block : t -> Node_env.t -> policy:Policy.t -> Block.t option
 
 val accept_block : t -> Node_env.t -> Block.t -> from:int -> unit
 (** Handle a {!Messages.Block_announce}: verify, adopt, re-announce and
-    inspect. *)
-
-val inspect_block : t -> Node_env.t -> Block.t -> from:int -> unit
-(** Replay the building rules against our view of the creator's
-    commitments; expose on provable violations, otherwise fetch the
-    digest pairs needed (sampled audit for unverified bundles). *)
+    inspect — replay the building rules against our view of the
+    creator's commitments, expose on provable violations, otherwise
+    fetch the digest pairs needed (sampled audit for unverified
+    bundles). The block is hashed once here; the hash is what dedups
+    repeat announcements and keys a parked inspection. *)
 
 val retry_inspections : t -> Node_env.t -> owner:string -> unit
-(** Re-run inspections parked on missing digests of [owner] (bounded
-    retries per block). *)
+(** Re-run inspections parked on missing digests of [owner], at most 5
+    per block. *)

@@ -1,8 +1,12 @@
-let bundle_key ~seed ~bundle_seq id =
+(* The key of [id] is HMAC-SHA256 under the order seed of
+   varint(bundle_seq) ‖ u32(id). [sort_bundle] derives one keyed
+   context per call: the pad compressions depend only on the seed, so
+   sharing them halves the per-id cost (4 to 2 compressions). *)
+let bundle_key hmac ~bundle_seq id =
   let w = Lo_codec.Writer.create ~initial_size:16 () in
   Lo_codec.Writer.varint w bundle_seq;
   Lo_codec.Writer.u32 w id;
-  Lo_crypto.Hmac.sha256 ~key:seed (Lo_codec.Writer.contents w)
+  Lo_crypto.Hmac.Keyed.sha256 hmac (Lo_codec.Writer.contents w)
 
 (* First 7 key bytes packed big-endian into an int: comparing the
    prefixes as plain ints agrees with [String.compare] on those bytes,
@@ -20,11 +24,12 @@ let sort_bundle ~seed ~bundle_seq ids =
   match ids with
   | [] | [ _ ] -> ids
   | _ ->
+      let hmac = Lo_crypto.Hmac.Keyed.create ~key:seed in
       let keyed =
         Array.of_list
           (List.map
              (fun id ->
-               let k = bundle_key ~seed ~bundle_seq id in
+               let k = bundle_key hmac ~bundle_seq id in
                (key_prefix k, k, id))
              ids)
       in

@@ -7,11 +7,10 @@
     bundle sets reproduces the exact same order, which is what makes
     re-ordering detectable. *)
 
-val bundle_key : seed:string -> bundle_seq:int -> int -> string
-(** The sort key of one short id within one bundle. *)
-
 val sort_bundle : seed:string -> bundle_seq:int -> int list -> int list
-(** Deterministic shuffle of a bundle's short ids. *)
+(** Deterministic shuffle of a bundle's short ids: ascending by the key
+    [Hmac.sha256 ~key:seed (varint bundle_seq ‖ u32 id)], ties (equal
+    ids) broken by id. *)
 
 val canonical : seed:string -> bundles:(int * int list) list -> int list
 (** Full canonical sequence: bundles ordered by their sequence number,

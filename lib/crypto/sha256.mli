@@ -2,7 +2,14 @@
 
     Digests are returned as raw 32-byte strings; use {!Hex.encode} for a
     printable form. The incremental interface hashes arbitrarily long
-    inputs fed in chunks. *)
+    inputs fed in chunks.
+
+    The compressor takes every rotation from a doubled word: for a
+    32-bit [x] held in a 63-bit int, bits [n..n+31] of
+    [x lor (x lsl 32)] are [rotr x n] whenever [1 <= n <= 31]. SHA-256
+    never rotates by more than 25, so each Σ/σ is one doubling and
+    three shifts. [test/sha256_ref.ml] keeps the textbook kernel as the
+    test oracle. *)
 
 type ctx
 (** Mutable hashing context. *)
@@ -32,5 +39,7 @@ val digest_list : string list -> string
     the whole message are made). *)
 
 val hash_to_int : string -> int
-(** First 62 bits of [digest s] as a non-negative OCaml [int]; a cheap,
-    stable content fingerprint used for hash-partitioning. *)
+(** The first 8 bytes of [digest s] read as a big-endian integer,
+    reduced to its low 62 bits: a non-negative OCaml [int], and a
+    cheap, stable content fingerprint used for hash-partitioning
+    ([Lo_net.Latency] derives link latencies from it). *)

@@ -303,6 +303,24 @@ let order_tests =
             bundles
         in
         direct = manual);
+    qtest "sort_bundle = sort by per-id Hmac.sha256 key" ~count:200
+      QCheck2.Gen.(
+        triple (string_size (int_bound 80)) (int_bound 100_000)
+          (list_size (int_bound 40) (int_bound 0xFFFF_FFFF)))
+      (fun (seed, bundle_seq, ids) ->
+        (* The spec, one fresh HMAC per id: the order must not depend on
+           how the keyed contexts are shared. *)
+        let key id =
+          let w = Lo_codec.Writer.create () in
+          Lo_codec.Writer.varint w bundle_seq;
+          Lo_codec.Writer.u32 w id;
+          Lo_crypto.Hmac.sha256 ~key:seed (Lo_codec.Writer.contents w)
+        in
+        let reference =
+          List.map (fun id -> (key id, id)) ids
+          |> List.sort compare |> List.map snd
+        in
+        Order.sort_bundle ~seed ~bundle_seq ids = reference);
     Alcotest.test_case "canonical respects bundle order" `Quick (fun () ->
         let bundles = [ (2, [ 30; 31 ]); (1, [ 10; 11 ]) ] in
         let out = Order.canonical ~seed:"s" ~bundles in

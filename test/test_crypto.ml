@@ -70,6 +70,57 @@ let sha256_tests =
         let v = Sha256.hash_to_int "stable" in
         check_bool "non-negative" true (v >= 0);
         check_int "stable" v (Sha256.hash_to_int "stable"));
+    Alcotest.test_case "hash_to_int is the low 62 bits of the prefix" `Quick
+      (fun () ->
+        (* digest "stable" starts f379ccb92b911644; the top two bits of
+           that big-endian word are dropped, not the bottom two.
+           [Lo_net.Latency]'s matrix is derived from this value. *)
+        check_int "pinned" 0x3379ccb92b911644 (Sha256.hash_to_int "stable"));
+  ]
+
+(* ---------------- SHA-256 against the reference kernel ---------------- *)
+
+(* Feed [msg] through one context in the pieces the sorted [cuts] make,
+   alternating [feed] and [feed_bytes]; the latter reads its piece out
+   of a larger buffer at a non-zero offset. *)
+let feed_in_pieces msg cuts =
+  let ctx = Sha256.init () in
+  let n = String.length msg in
+  let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let rec go i pos = function
+    | [] -> go i pos [ n ]
+    | cut :: rest ->
+        let len = cut - pos in
+        (if i land 1 = 0 then Sha256.feed ctx (String.sub msg pos len)
+         else
+           let b = Bytes.make (len + 7) '\xff' in
+           Bytes.blit_string msg pos b 3 len;
+           Sha256.feed_bytes ctx b 3 len);
+        if cut < n then go (i + 1) cut rest
+  in
+  go 0 0 cuts;
+  Sha256.finalize ctx
+
+let sha256_ref_tests =
+  [
+    qtest ~count:500 "digest = reference digest"
+      QCheck2.Gen.(string_size (int_bound 2048))
+      (fun msg -> Sha256.digest msg = Sha256_ref.digest msg);
+    qtest ~count:500 "feed/feed_bytes at any split = reference digest"
+      QCheck2.Gen.(
+        pair (string_size (int_bound 2048)) (list_size (int_bound 6) nat))
+      (fun (msg, cuts) -> feed_in_pieces msg cuts = Sha256_ref.digest msg);
+    Alcotest.test_case "fips 180-4 896-bit two-block message" `Quick
+      (sha256_vector
+         "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+         "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    Alcotest.test_case "fips 180-4 million a, fed in uneven chunks" `Slow
+      (fun () ->
+        let msg = String.make 1_000_000 'a' in
+        let cuts = List.init 40 (fun i -> (i * i * 617) + i) in
+        check "digest"
+          "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+          (Hex.encode (feed_in_pieces msg cuts)));
   ]
 
 (* ---------------- HMAC (RFC 4231) ---------------- *)
@@ -624,6 +675,7 @@ let () =
     [
       ("hex", hex_tests);
       ("sha256", sha256_tests);
+      ("sha256-ref", sha256_ref_tests);
       ("hmac", hmac_tests);
       ("hmac-drbg", drbg_tests);
       ("uint256", uint256_tests);

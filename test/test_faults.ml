@@ -1,5 +1,6 @@
 (* Fault-injection coverage: the reconciler's exponential backoff and
-   suspicion-withdrawal machinery driven directly, a full-deployment
+   suspicion-withdrawal machinery driven directly, block inspections
+   parked on a missing digest pair, a full-deployment
    crash/heal cycle (a crashed-but-honest node must be suspected, then
    withdrawn, and never exposed), and the chaos experiment's acceptance
    properties at the seeds the issue pins. *)
@@ -192,6 +193,89 @@ let reconciler_tests =
           (Reconciler.unresponsive_score h.reconciler h.peer_id));
   ]
 
+(* ---------------- Parked block inspections ---------------- *)
+
+(* A peer's block reorders a bundle it declared, and we hold none of
+   the peer's signed digests: the inspector flags the reordering but
+   has no evidence pair, so the block is parked until the peer's
+   digests arrive. Each arriving digest of the creator re-inspects it,
+   at most 5 times. *)
+let parked_inspection_tests =
+  [
+    Alcotest.test_case "parked once, retried per creator digest, 5 retries"
+      `Quick (fun () ->
+        let h = make_harness () in
+        let scheme = h.env.Node_env.config.Node_env.scheme in
+        let mempool = Mempool.create () in
+        let content =
+          Content_sync.create ~mempool ~adversary:Adversary.Honest ()
+        in
+        let tracker = Peer_tracker.create () in
+        let pipeline =
+          Block_pipeline.create ~adversary:Adversary.Honest ~tracker ~content
+            ~mempool
+        in
+        let inspections = ref 0 in
+        let hooks = Node_env.no_hooks () in
+        hooks.on_violation <- (fun _ ~block:_ -> incr inspections);
+        let env = ref h.env in
+        env :=
+          {
+            h.env with
+            hooks;
+            retry_inspections =
+              (fun ~owner -> Block_pipeline.retry_inspections pipeline !env ~owner);
+          };
+        let txs =
+          List.init 3 (fun i ->
+              Tx.create ~signer:h.peer_signer ~fee:5 ~created_at:0.
+                ~payload:(Printf.sprintf "parked-%d" i))
+        in
+        let ids = List.map Tx.short_id txs in
+        Peer_tracker.note_appended tracker ~owner:h.peer_id ~seq:1 ids;
+        let canonical =
+          Order.sort_bundle ~seed:Block.genesis_hash ~bundle_seq:1 ids
+        in
+        let txid id = (List.find (fun tx -> Tx.short_id tx = id) txs).Tx.id in
+        let block =
+          Block.create ~signer:h.peer_signer ~height:1
+            ~prev_hash:Block.genesis_hash ~start_seq:0 ~commit_seq:1
+            ~fee_threshold:0
+            ~txids:(List.rev_map txid canonical)
+            ~bundle_sizes:[ 3 ] ~appendix:0 ~omissions:[] ~timestamp:1.0
+        in
+        (* The creator's digests at seqs 3.. never form the (0, 1) pair. *)
+        let peer_log = Commitment.Log.create ~signer:h.peer_signer () in
+        for i = 1 to 10 do
+          ignore (Commitment.Log.append peer_log ~source:None ~ids:[ 1000 + i ])
+        done;
+        let deliver_peer seq =
+          Peer_tracker.note_digest tracker !env
+            (Option.get (Commitment.Log.digest_at peer_log ~seq))
+        in
+        Block_pipeline.accept_block pipeline !env block ~from:1;
+        check_int "inspected on receipt" 1 !inspections;
+        Block_pipeline.accept_block pipeline !env block ~from:1;
+        check_int "a repeat announcement is not re-inspected" 1 !inspections;
+        (* Another owner's digest leaves the parked block alone. *)
+        let third = Signer.make scheme ~seed:"fault-test-third" in
+        let third_log = Commitment.Log.create ~signer:third () in
+        ignore (Commitment.Log.append third_log ~source:None ~ids:[ 7 ]);
+        Peer_tracker.note_digest tracker !env
+          (Commitment.Log.current_digest third_log);
+        check_int "other owners do not retry" 1 !inspections;
+        deliver_peer 3;
+        check_int "creator digest re-inspects" 2 !inspections;
+        (* Inspected twice by now, yet parked once: the next digest
+           re-inspects it exactly once more. *)
+        deliver_peer 4;
+        check_int "parked once" 3 !inspections;
+        for seq = 5 to 10 do
+          deliver_peer seq
+        done;
+        check_int "retries stop after 5" (1 + 5) !inspections);
+  ]
+
 (* ---------------- Crash / heal on a full deployment ----------------- *)
 
 type deployment = {
@@ -333,6 +417,7 @@ let () =
   Alcotest.run "lo_faults"
     [
       ("reconciler-hardening", reconciler_tests);
+      ("parked-inspection", parked_inspection_tests);
       ("crash-heal", crash_heal_tests);
       ("chaos", chaos_tests);
     ]

@@ -125,8 +125,7 @@ let describe t =
 (* {2 JSON repro format}
 
    Flat object, fixed key order, floats as %.3f — deterministic output
-   and an exact round-trip. Hand-rolled like {!Lo_obs.Jsonl}: the repo
-   carries no JSON dependency. *)
+   and an exact round-trip. The repo carries no JSON dependency. *)
 
 let to_json_string t =
   let b = Buffer.create 256 in
@@ -162,181 +161,62 @@ let to_json_string t =
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* Minimal parser for the flat format above: top-level "key":value
-   pairs where a value is a number, a bool, a quoted string (no escapes
-   beyond what %S emits for our charset) or an array of quoted
-   strings. *)
-let parse_fields s =
-  let n = String.length s in
-  let fail msg = raise (Failure msg) in
-  let pos = ref 0 in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || s.[!pos] <> c then
-      fail (Printf.sprintf "expected '%c' at %d" c !pos);
-    incr pos
-  in
-  let quoted () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' when !pos + 1 < n ->
-            Buffer.add_char b s.[!pos + 1];
-            pos := !pos + 2;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let scalar () =
-    skip_ws ();
-    if !pos < n && s.[!pos] = '"' then `Str (quoted ())
-    else if !pos < n && s.[!pos] = '[' then begin
-      incr pos;
-      skip_ws ();
-      if !pos < n && s.[!pos] = ']' then begin
-        incr pos;
-        `Arr []
-      end
-      else begin
-        let items = ref [ quoted () ] in
-        skip_ws ();
-        while !pos < n && s.[!pos] = ',' do
-          incr pos;
-          items := quoted () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        `Arr (List.rev !items)
-      end
-    end
-    else begin
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 't' | 'r' | 'u' | 'f'
-        | 'a' | 'l' | 's' ->
-            true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail (Printf.sprintf "empty value at %d" start);
-      match String.sub s start (!pos - start) with
-      | "true" -> `Bool true
-      | "false" -> `Bool false
-      | lit -> `Num lit
-    end
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < n && s.[!pos] = '}' then incr pos
-  else begin
-    let rec pair () =
-      let key = quoted () in
-      expect ':';
-      fields := (key, scalar ()) :: !fields;
-      skip_ws ();
-      if !pos < n && s.[!pos] = ',' then begin
-        incr pos;
-        skip_ws ();
-        pair ()
-      end
-      else expect '}'
-    in
-    pair ()
-  end;
-  List.rev !fields
-
+(* Read back with {!Lo_obs.Jsonl}'s flat-object reader: every value
+   here is a number, a bool, a plain quoted string or an array of plain
+   quoted strings, none holding a comma or a quote. *)
 let of_json_string s =
-  match parse_fields s with
-  | exception Failure msg -> Error ("bad repro JSON: " ^ msg)
-  | fields -> (
-      let find name = List.assoc_opt name fields in
-      let int name =
-        match find name with
-        | Some (`Num lit) -> int_of_string lit
-        | _ -> raise (Failure (name ^ ": expected int"))
+  let module J = Lo_obs.Jsonl in
+  match
+    let fields = J.split_fields (String.trim s) in
+    let get name = J.field fields name in
+    let int name = J.as_int (get name) in
+    let flt name = J.as_float (get name) in
+    let boolean name = J.as_bool (get name) in
+    if int "v" <> 1 then Error "unsupported repro version"
+    else
+      let adversaries =
+        match String.trim (J.strip_brackets (get "adversaries")) with
+        | "" -> []
+        | items ->
+            List.map
+              (fun item ->
+                let item = J.as_string (String.trim item) in
+                match String.index_opt item ':' with
+                | Some i ->
+                    {
+                      node = J.as_int (String.sub item 0 i);
+                      kind = String.sub item (i + 1) (String.length item - i - 1);
+                    }
+                | None -> raise (J.Fail "adversary: expected idx:kind"))
+              (String.split_on_char ',' items)
       in
-      let flt name =
-        match find name with
-        | Some (`Num lit) -> float_of_string lit
-        | _ -> raise (Failure (name ^ ": expected float"))
-      in
-      let boolean name =
-        match find name with
-        | Some (`Bool v) -> v
-        | _ -> raise (Failure (name ^ ": expected bool"))
-      in
-      let str name =
-        match find name with
-        | Some (`Str v) -> v
-        | _ -> raise (Failure (name ^ ": expected string"))
-      in
-      try
-        if int "v" <> 1 then Error "unsupported repro version"
-        else begin
-          let adversaries =
-            match find "adversaries" with
-            | Some (`Arr items) ->
-                List.map
-                  (fun item ->
-                    match String.index_opt item ':' with
-                    | Some i ->
-                        {
-                          node = int_of_string (String.sub item 0 i);
-                          kind =
-                            String.sub item (i + 1)
-                              (String.length item - i - 1);
-                        }
-                    | None -> raise (Failure "adversary: expected idx:kind"))
-                  items
-            | _ -> raise (Failure "adversaries: expected array")
-          in
-          Ok
-            {
-              seed = int "seed";
-              nodes = int "nodes";
-              rate = flt "rate";
-              duration = flt "duration";
-              drain = flt "drain";
-              loss = flt "loss";
-              block_interval = flt "block_interval";
-              rotate_period = flt "rotate_period";
-              timeout = flt "timeout";
-              retries = int "retries";
-              backoff = flt "backoff";
-              jitter = flt "jitter";
-              reconcile_period = flt "reconcile_period";
-              digest_period = flt "digest_period";
-              adversaries;
-              churn = flt "churn";
-              partition = flt "partition";
-              burst = flt "burst";
-              spikes = boolean "spikes";
-              degrades = boolean "degrades";
-              mutation = str "mutation";
-            }
-        end
-      with
-      | Failure msg -> Error ("bad repro JSON: " ^ msg)
-      | _ -> Error "bad repro JSON")
+      Ok
+        {
+          seed = int "seed";
+          nodes = int "nodes";
+          rate = flt "rate";
+          duration = flt "duration";
+          drain = flt "drain";
+          loss = flt "loss";
+          block_interval = flt "block_interval";
+          rotate_period = flt "rotate_period";
+          timeout = flt "timeout";
+          retries = int "retries";
+          backoff = flt "backoff";
+          jitter = flt "jitter";
+          reconcile_period = flt "reconcile_period";
+          digest_period = flt "digest_period";
+          adversaries;
+          churn = flt "churn";
+          partition = flt "partition";
+          burst = flt "burst";
+          spikes = boolean "spikes";
+          degrades = boolean "degrades";
+          mutation = J.as_string (get "mutation");
+        }
+  with
+  | result -> result
+  | exception J.Fail msg -> Error ("bad repro JSON: " ^ msg)
 
 (* Shrinking: strictly simpler scenarios in the order we want the
    greedy search to try them (ISSUE order — faults, adversaries, size,

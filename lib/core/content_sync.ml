@@ -14,12 +14,12 @@ let create ?(canonical = fun tx -> tx) ~mempool ~adversary () =
 
 let missing_count t = Hashtbl.length t.missing
 
-let want_list t (env : Node_env.t) =
+let want_list t =
   let acc = ref [] and count = ref 0 in
   (try
      Hashtbl.iter
        (fun id _ ->
-         if !count >= env.config.max_delta then raise Exit;
+         if !count >= Node_env.max_delta then raise Exit;
          acc := id :: !acc;
          incr count)
        t.missing

@@ -22,8 +22,8 @@ val create :
 val missing_count : t -> int
 (** Committed ids whose content has not arrived yet. *)
 
-val want_list : t -> Node_env.t -> int list
-(** Up to [max_delta] missing ids to request from a peer. *)
+val want_list : t -> int list
+(** Up to {!Node_env.max_delta} missing ids to request from a peer. *)
 
 val mark_missing : t -> Node_env.t -> int list -> unit
 (** Note that the given committed ids lack content (no-op for ids

@@ -24,21 +24,17 @@ type behavior = Adversary.t =
 type config = Node_env.config = {
   scheme : Signer.scheme;
   reconcile_period : float;
-  reconcile_fanout : int;
   request_timeout : float;
   max_retries : int;
   retry_backoff : float;
   retry_jitter : float;
-  demote_after : int;
   sketch_capacity : int;
   clock_cells : int;
   fee_threshold : int;
   max_block_txs : int;
-  max_delta : int;
   digest_share_period : float;
   always_full_digests : bool;
   reject_exposed_blocks : bool;
-  max_digests_per_peer : int;
   digest_history : int;
 }
 

@@ -33,7 +33,6 @@ type behavior = Adversary.t =
 type config = Node_env.config = {
   scheme : Lo_crypto.Signer.scheme;
   reconcile_period : float;  (** seconds between NeighborsSync rounds *)
-  reconcile_fanout : int;  (** neighbours contacted per round (paper: 3) *)
   request_timeout : float;  (** seconds before the first retry (paper: 1 s) *)
   max_retries : int;  (** retries before suspicion (paper: 3) *)
   retry_backoff : float;
@@ -41,14 +40,10 @@ type config = Node_env.config = {
           restores the paper's fixed interval) *)
   retry_jitter : float;
       (** seeded uniform perturbation of each retry delay (fraction) *)
-  demote_after : int;
-      (** unresponsiveness score at which a flapping peer is demoted out
-          of routine round sampling (not blamed) *)
   sketch_capacity : int;
   clock_cells : int;
   fee_threshold : int;
   max_block_txs : int;
-  max_delta : int;  (** cap on explicit ids per commit request *)
   digest_share_period : float;  (** latest-commitment gossip period *)
   always_full_digests : bool;
       (** ablation knob: ship the full sketch in every reconciliation
@@ -57,11 +52,6 @@ type config = Node_env.config = {
       (** enforcement (Sec. 5.4): refuse blocks whose creator this node
           has exposed. Off by default — the paper keeps inspection
           separate from block validation (Sec. 4.3). *)
-  max_digests_per_peer : int;
-      (** retention bound on stored peer commitment snapshots; the
-          paper retains everything, which is fine for its runs but not
-          for unbounded deployments. Oldest snapshots (except seq 0) are
-          evicted beyond the cap (default 1024 ≈ 0.25–1.2 MB/peer). *)
   digest_history : int;
       (** how many of our own newest commitment snapshots keep their
           full sketch (the capacity-sized copy each costs); older ones

@@ -1,21 +1,22 @@
+let reconcile_fanout = 3
+let demote_after = 2
+let max_delta = 100
+let max_digests_per_peer = 1024
+
 type config = {
   scheme : Lo_crypto.Signer.scheme;
   reconcile_period : float;
-  reconcile_fanout : int;
   request_timeout : float;
   max_retries : int;
   retry_backoff : float;
   retry_jitter : float;
-  demote_after : int;
   sketch_capacity : int;
   clock_cells : int;
   fee_threshold : int;
   max_block_txs : int;
-  max_delta : int;
   digest_share_period : float;
   always_full_digests : bool;
   reject_exposed_blocks : bool;
-  max_digests_per_peer : int;
   digest_history : int;
 }
 
@@ -23,21 +24,17 @@ let default_config scheme =
   {
     scheme;
     reconcile_period = 1.0;
-    reconcile_fanout = 3;
     request_timeout = 1.0;
     max_retries = 3;
     retry_backoff = 2.0;
     retry_jitter = 0.2;
-    demote_after = 2;
     sketch_capacity = Commitment.default_sketch_capacity;
     clock_cells = Commitment.default_clock_cells;
     fee_threshold = 0;
     max_block_txs = 2000;
-    max_delta = 100;
     digest_share_period = 2.0;
     always_full_digests = false;
     reject_exposed_blocks = false;
-    max_digests_per_peer = 1024;
     digest_history = max_int;
   }
 

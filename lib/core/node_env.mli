@@ -5,10 +5,26 @@
     record. [Node] constructs one {!t} per node and threads it through
     every submodule call. *)
 
+val reconcile_fanout : int
+(** Neighbours contacted per NeighborsSync round (paper: 3). *)
+
+val demote_after : int
+(** Unresponsiveness score (2) at which a flapping peer stops being
+    picked by routine round sampling (it is still probed occasionally
+    and can redeem itself — demotion, not blame). *)
+
+val max_delta : int
+(** Cap (100) on explicit ids per commit request. *)
+
+val max_digests_per_peer : int
+(** Retention bound (1024, about 0.25–1.2 MB/peer) on stored peer
+    commitment snapshots; the paper retains everything, which is fine
+    for its runs but not for unbounded deployments. Oldest snapshots
+    (except seq 0) are evicted beyond the cap. *)
+
 type config = {
   scheme : Lo_crypto.Signer.scheme;
   reconcile_period : float;  (** seconds between NeighborsSync rounds *)
-  reconcile_fanout : int;  (** neighbours contacted per round (paper: 3) *)
   request_timeout : float;  (** seconds before the first retry (paper: 1 s) *)
   max_retries : int;  (** retries before suspicion (paper: 3) *)
   retry_backoff : float;
@@ -18,15 +34,10 @@ type config = {
       (** seeded uniform perturbation of each retry delay, as a
           fraction of the backed-off delay (desynchronises probes after
           a partition heals) *)
-  demote_after : int;
-      (** unresponsiveness score at which a flapping peer stops being
-          picked by routine round sampling (it is still probed
-          occasionally and can redeem itself — demotion, not blame) *)
   sketch_capacity : int;
   clock_cells : int;
   fee_threshold : int;
   max_block_txs : int;
-  max_delta : int;  (** cap on explicit ids per commit request *)
   digest_share_period : float;  (** latest-commitment gossip period *)
   always_full_digests : bool;
       (** ablation knob: ship the full sketch in every reconciliation
@@ -35,11 +46,6 @@ type config = {
       (** enforcement (Sec. 5.4): refuse blocks whose creator this node
           has exposed. Off by default — the paper keeps inspection
           separate from block validation (Sec. 4.3). *)
-  max_digests_per_peer : int;
-      (** retention bound on stored peer commitment snapshots; the
-          paper retains everything, which is fine for its runs but not
-          for unbounded deployments. Oldest snapshots (except seq 0) are
-          evicted beyond the cap (default 1024 ≈ 0.25–1.2 MB/peer). *)
   digest_history : int;
       (** how many of our own newest commitment snapshots keep their
           full sketch (the capacity-sized copy each costs); older ones

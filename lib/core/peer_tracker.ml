@@ -162,7 +162,7 @@ let note_digest t (env : Node_env.t) digest =
           Hashtbl.replace st.digests digest.seq digest;
           (* Retention bound: evict the oldest snapshot (seq 0 is kept —
              it anchors first-bundle evidence). *)
-          if Hashtbl.length st.digests > env.config.max_digests_per_peer
+          if Hashtbl.length st.digests > Node_env.max_digests_per_peer
           then begin
             let oldest =
               Hashtbl.fold

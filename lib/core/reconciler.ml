@@ -96,7 +96,7 @@ let emit_clear (env : Node_env.t) peer_id =
    duplicates. A full stored sketch enables the exact set difference
    (skipped for very large gaps, where explicit clock-guided offers
    converge faster than an expensive decode). *)
-let clock_delta (env : Node_env.t) ~log my_digest peer_digest =
+let clock_delta ~log my_digest peer_digest =
   let surplus =
     Lo_bloom.Bloom_clock.diff_cells my_digest.Commitment.clock
       peer_digest.Commitment.clock
@@ -105,12 +105,12 @@ let clock_delta (env : Node_env.t) ~log my_digest peer_digest =
            > Lo_bloom.Bloom_clock.get peer_digest.Commitment.clock cell)
   in
   (* Most recent first: those are the likeliest gaps. *)
-  (Commitment.Log.newest_in_cells log surplus env.config.max_delta, [])
+  (Commitment.Log.newest_in_cells log surplus Node_env.max_delta, [])
 
-let delta_for (env : Node_env.t) ~log peer_latest =
+let delta_for ~log peer_latest =
   let my_digest = Commitment.Log.current_digest log in
   match peer_latest with
-  | None -> (Commitment.Log.oldest log env.config.max_delta, [])
+  | None -> (Commitment.Log.oldest log Node_env.max_delta, [])
   | Some peer_digest -> begin
       match (my_digest.Commitment.sketch, peer_digest.Commitment.sketch) with
       | Some mine_sketch, Some peer_sketch -> begin
@@ -118,20 +118,20 @@ let delta_for (env : Node_env.t) ~log peer_latest =
             Lo_bloom.Bloom_clock.estimate_difference
               my_digest.Commitment.clock peer_digest.Commitment.clock
           in
-          if estimate > 128 then clock_delta env ~log my_digest peer_digest
+          if estimate > 128 then clock_delta ~log my_digest peer_digest
           else
             match Commitment.sketch_difference ~estimate mine_sketch peer_sketch with
             | Ok diff ->
                 let mine, theirs =
                   List.partition (Commitment.Log.contains log) diff
                 in
-                (List.filteri (fun i _ -> i < env.config.max_delta) mine, theirs)
+                (List.filteri (fun i _ -> i < Node_env.max_delta) mine, theirs)
             | Error `Decode_failure ->
                 (* Degrade to offering the most recent ids; later rounds
                    converge (the paper splits the sketch instead). *)
-                (Commitment.Log.newest log env.config.max_delta, [])
+                (Commitment.Log.newest log Node_env.max_delta, [])
         end
-      | _ -> clock_delta env ~log my_digest peer_digest
+      | _ -> clock_delta ~log my_digest peer_digest
     end
 
 let rec reconcile_with ?(force = false) t (env : Node_env.t) ~peer_index =
@@ -142,7 +142,7 @@ let rec reconcile_with ?(force = false) t (env : Node_env.t) ~peer_index =
       if not p.waiting then begin
         let log = env.log_for ~peer_index in
         let delta, learned =
-          delta_for env ~log (Peer_tracker.latest t.tracker ~peer:peer_id)
+          delta_for ~log (Peer_tracker.latest t.tracker ~peer:peer_id)
         in
         (* Commit to the ids the peer committed to and we lack
            (processing them after everything we know, Alg. 1 line 22). *)
@@ -152,7 +152,7 @@ let rec reconcile_with ?(force = false) t (env : Node_env.t) ~peer_index =
             ~source:peer_id learned
         in
         let my_digest = env.wire_digest ~peer_index in
-        let want = Content_sync.want_list t.content env in
+        let want = Content_sync.want_list t.content in
         if force || delta <> [] || want <> []
            || Peer_tracker.latest t.tracker ~peer:peer_id = None
         then begin
@@ -254,10 +254,10 @@ let handle_commit_request t (env : Node_env.t) ~from ~digest ~delta ~want
   in
   let log = env.log_for ~peer_index:from in
   let my_digest = env.wire_digest ~peer_index:from in
-  let my_want = Content_sync.want_list t.content env in
+  let my_want = Content_sync.want_list t.content in
   (* The reverse direction: what the requester is missing from us,
      judged against the digest it just sent. *)
-  let reverse_delta, _ = delta_for env ~log (Some digest) in
+  let reverse_delta, _ = delta_for ~log (Some digest) in
   env.send ~dst:from
     (Messages.Commit_response
        {
@@ -339,12 +339,12 @@ let rec round t (env : Node_env.t) =
      still probed occasionally so they can redeem themselves. *)
   let responsive, flapping =
     List.partition
-      (fun i -> unresponsive_score t (env.id_of i) < env.config.demote_after)
+      (fun i -> unresponsive_score t (env.id_of i) < Node_env.demote_after)
       candidates
   in
   let pool = if responsive = [] then flapping else responsive in
   let chosen =
-    Rng.sample_without_replacement env.rng env.config.reconcile_fanout pool
+    Rng.sample_without_replacement env.rng Node_env.reconcile_fanout pool
   in
   List.iter (fun i -> reconcile_with t env ~peer_index:i) chosen;
   (match flapping with

@@ -71,6 +71,6 @@ val handle_suspicion :
     cleared. *)
 
 val round : t -> Node_env.t -> unit
-(** One NeighborsSync round: reconcile with [reconcile_fanout] random
-    non-exposed neighbours, probe one suspected peer, and re-arm the
-    periodic timer. *)
+(** One NeighborsSync round: reconcile with
+    {!Node_env.reconcile_fanout} random non-exposed neighbours, probe one
+    suspected peer, and re-arm the periodic timer. *)

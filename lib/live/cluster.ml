@@ -176,7 +176,7 @@ let watchdog_grace = 5.0
 let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
 let run ?out_dir ?(base_port = Host.default_base_port)
-    ?(drain = Host.default_drain) ?chaos ?signer ~n ~tps ~duration ~seed () =
+    ?chaos ?signer ~n ~tps ~duration ~seed () =
   if n <= 0 then invalid_arg "Cluster.run: n";
   let dir = match out_dir with Some d -> d | None -> default_out_dir () in
   mkdir_p dir;
@@ -211,7 +211,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
     let resume_from = List.rev paths.(node) in
     paths.(node) <- tp :: paths.(node);
     let cfg =
-      Host.config ~id:node ~n ~base_port ~seed ~tps ~duration ~drain
+      Host.config ~id:node ~n ~base_port ~seed ~tps ~duration
         ~incarnation:inc ~resume_from ~faults ?signer ~epoch ()
     in
     flush stdout;
@@ -240,7 +240,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
          plan)
   in
   let respawns = ref [] in
-  let deadline = epoch +. duration +. drain +. watchdog_grace in
+  let deadline = epoch +. duration +. Host.drain +. watchdog_grace in
   let rec reap () =
     match Retry.waitpid [ Unix.WNOHANG ] (-1) with
     | 0, _ -> ()

@@ -80,7 +80,6 @@ type report = {
 val run :
   ?out_dir:string ->
   ?base_port:int ->
-  ?drain:float ->
   ?chaos:chaos ->
   ?signer:Host.signer ->
   n:int ->
@@ -89,7 +88,7 @@ val run :
   seed:int ->
   unit ->
   report
-(** Blocks for roughly [duration + drain] plus startup (plus the
+(** Blocks for roughly [duration] plus {!Host.drain} plus startup (plus the
     watchdog grace if a child hangs). [out_dir] defaults to a fresh
     directory under the system temp dir; existing files in it are
     overwritten. Without [chaos] no kills are induced and no drops are

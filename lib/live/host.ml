@@ -11,22 +11,22 @@ type config = {
   seed : int;
   tps : float;
   duration : float;
-  drain : float;
   epoch : float;
-  trace_capacity : int;
   incarnation : int;
   resume_from : string list;
   faults : Faulty_link.spec;
   signer : signer;
 }
 
-let default_drain = 3.0
-let default_trace_capacity = 1 lsl 20
+let drain = 3.0
+
+(* Events the in-memory trace ring retains. *)
+let trace_capacity = 1 lsl 20
+
 let default_base_port = 7350
 
 let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
-    ?(duration = 10.) ?(drain = default_drain)
-    ?(trace_capacity = default_trace_capacity) ?(incarnation = 0)
+    ?(duration = 10.) ?(incarnation = 0)
     ?(resume_from = []) ?(faults = Faulty_link.none) ?(signer = `Simulation)
     ~epoch () =
   if n <= 0 then invalid_arg "Host.config: n";
@@ -42,9 +42,7 @@ let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
     seed;
     tps;
     duration;
-    drain;
     epoch;
-    trace_capacity;
     incarnation;
     resume_from;
     faults;
@@ -124,9 +122,7 @@ let run ?trace_path cfg =
     seed;
     tps;
     duration;
-    drain;
     epoch;
-    trace_capacity;
     incarnation;
     resume_from;
     faults;
@@ -553,6 +549,31 @@ let run ?trace_path cfg =
      frame — the difference between ~3 and ~300 syscalls per pipelined
      reconciliation burst. *)
   let write_scratch = Bytes.create 65536 in
+  (* Advance [l]'s queue past [k] written bytes: each frame written in
+     full is popped and counted, a partly written one keeps its offset.
+     [k] never reaches past a Cut: a write takes its bytes from the Data
+     run before it. *)
+  let advance l k =
+    l.queued_bytes <- l.queued_bytes - k;
+    l.last_progress <- now_rel ();
+    let rem = ref k in
+    while !rem > 0 do
+      match Queue.peek l.queue with
+      | Data d ->
+          let len = String.length d.bytes - d.off in
+          if !rem >= len then begin
+            ignore (Queue.pop l.queue);
+            rem := !rem - len;
+            if not d.accounted then incr frames_out;
+            last_activity := now_rel ()
+          end
+          else begin
+            d.off <- d.off + !rem;
+            rem := 0
+          end
+      | Cut -> assert false
+    done
+  in
   let decoders : (Unix.file_descr, Frame.Decoder.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -659,84 +680,44 @@ let run ?trace_path cfg =
                          discards the partial tail. *)
                       link_down l ~reason:"cut";
                       continue := false
-                  | Data e
-                    when Queue.length l.queue > 1
-                         && String.length e.bytes - e.off
-                            < Bytes.length write_scratch -> (
-                      (* Gather the run of Data entries at the head of
-                         the queue (stopping at a Cut or a full scratch)
-                         and hand the kernel one write. Partial-write
-                         bookkeeping then replays the frame boundaries
-                         over the accepted byte count. *)
-                      let total = ref 0 in
-                      (try
-                         Queue.iter
-                           (function
-                             | Cut -> raise Exit
-                             | Data d ->
-                                 let len = String.length d.bytes - d.off in
-                                 if !total + len > Bytes.length write_scratch
-                                 then raise Exit;
-                                 Bytes.blit_string d.bytes d.off write_scratch
-                                   !total len;
-                                 total := !total + len)
-                           l.queue
-                       with Exit -> ());
-                      match Retry.write fd write_scratch 0 !total with
-                      | 0 ->
-                          link_down l ~reason:"eof";
-                          continue := false
-                      | k ->
-                          l.queued_bytes <- l.queued_bytes - k;
-                          l.last_progress <- now_rel ();
-                          let rem = ref k in
-                          while !rem > 0 do
-                            match Queue.peek l.queue with
-                            | Data d ->
-                                let len = String.length d.bytes - d.off in
-                                if !rem >= len then begin
-                                  ignore (Queue.pop l.queue);
-                                  rem := !rem - len;
-                                  if not d.accounted then incr frames_out;
-                                  last_activity := now_rel ()
-                                end
-                                else begin
-                                  d.off <- d.off + !rem;
-                                  rem := 0
-                                end
-                            | Cut ->
-                                (* unreachable: [total] counted only the
-                                   Data run before any Cut, and k <= total *)
-                                assert false
-                          done;
-                          if k < !total then continue := false
-                      | exception
-                          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                        ->
-                          continue := false
-                      | exception Unix.Unix_error _ ->
-                          link_down l ~reason:"reset";
-                          continue := false)
                   | Data e -> (
-                      let len = String.length e.bytes in
-                      match
-                        Retry.write fd
-                          (Bytes.unsafe_of_string e.bytes)
-                          e.off (len - e.off)
-                      with
+                      (* Pick the bytes for one write: the head frame in
+                         place when it is alone in the queue or fills the
+                         scratch buffer on its own, else the run of Data
+                         entries at the head of the queue (stopping at a
+                         Cut or a full scratch) gathered into it. *)
+                      let head = String.length e.bytes - e.off in
+                      let buf, off, total =
+                        if
+                          head >= Bytes.length write_scratch
+                          || Queue.length l.queue = 1
+                        then
+                          (Bytes.unsafe_of_string e.bytes, e.off, head)
+                        else begin
+                          let total = ref 0 in
+                          (try
+                             Queue.iter
+                               (function
+                                 | Cut -> raise Exit
+                                 | Data d ->
+                                     let len = String.length d.bytes - d.off in
+                                     if !total + len > Bytes.length write_scratch
+                                     then raise Exit;
+                                     Bytes.blit_string d.bytes d.off
+                                       write_scratch !total len;
+                                     total := !total + len)
+                               l.queue
+                           with Exit -> ());
+                          (write_scratch, 0, !total)
+                        end
+                      in
+                      match Retry.write fd buf off total with
                       | 0 ->
                           link_down l ~reason:"eof";
                           continue := false
                       | k ->
-                          e.off <- e.off + k;
-                          l.queued_bytes <- l.queued_bytes - k;
-                          l.last_progress <- now_rel ();
-                          if e.off = len then begin
-                            ignore (Queue.pop l.queue);
-                            if not e.accounted then incr frames_out;
-                            last_activity := now_rel ()
-                          end
-                          else continue := false
+                          advance l k;
+                          if k < total then continue := false
                       | exception
                           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
                         ->

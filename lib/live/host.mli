@@ -58,9 +58,7 @@ type config = {
   seed : int;
   tps : float;  (** cluster-wide submission rate, txs per second *)
   duration : float;  (** seconds of workload after the epoch *)
-  drain : float;  (** hard cap on the settle period after quiesce *)
   epoch : float;  (** absolute wall-clock zero shared by the cluster *)
-  trace_capacity : int;
   incarnation : int;
       (** 0 for a first life; > 0 for a respawn after a crash *)
   resume_from : string list;
@@ -70,8 +68,8 @@ type config = {
   signer : signer;
 }
 
-val default_drain : float
-val default_trace_capacity : int
+val drain : float
+(** Hard cap, in seconds, on the settle period after quiesce. *)
 
 val config :
   id:int ->
@@ -80,8 +78,6 @@ val config :
   ?seed:int ->
   ?tps:float ->
   ?duration:float ->
-  ?drain:float ->
-  ?trace_capacity:int ->
   ?incarnation:int ->
   ?resume_from:string list ->
   ?faults:Faulty_link.spec ->

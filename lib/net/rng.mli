@@ -3,7 +3,7 @@
     Every simulation component draws randomness through an explicit
     [Rng.t] so entire experiment runs are reproducible from a single
     seed. Not cryptographic — protocol-visible randomness (the canonical
-    shuffle) uses {!Lo_crypto.Hmac_drbg} instead. *)
+    shuffle) is a keyed hash instead (see {!Lo_core.Order}). *)
 
 type t
 

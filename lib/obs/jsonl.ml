@@ -149,9 +149,13 @@ let split_fields s =
             | None -> fail "unterminated key: %s" part
           in
           let key = String.sub part 1 (close - 1) in
-          if close + 1 >= String.length part || part.[close + 1] <> ':' then
+          let rest =
+            String.trim
+              (String.sub part (close + 1) (String.length part - close - 1))
+          in
+          if rest = "" || rest.[0] <> ':' then
             fail "missing colon after key %s" key;
-          (key, String.sub part (close + 2) (String.length part - close - 2)))
+          (key, String.trim (String.sub rest 1 (String.length rest - 1))))
     !parts
   |> List.rev
 

@@ -5,9 +5,13 @@ open Lo_core
 
 (* Every experiment below is a thin parameterization of the shared
    {!Runner} life cycle (build -> wire -> inject -> drive -> measure);
-   only the knobs and the measurement differ per figure. The measurement
-   folds the run's trace: counts and byte flows from its aggregates,
-   times from an observer on its events. *)
+   only the knobs and the measurement differ per figure. A figure's
+   (cell x rep) grid runs as one {!Parallel.sweep}, and each measured
+   quantity has one definition: content latency is
+   {!Runner.content_latency_probe}, byte overhead is {!Runner.overhead}
+   over the run's trace, and equivocation is driven by {!inject_forks}
+   and measured by {!record_exposures}. Counts come from the trace's
+   aggregates, times from an observer on its events. *)
 
 type scale = Runner.scale = {
   nodes : int;
@@ -27,24 +31,43 @@ let avg xs =
   | [] -> 0.
   | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-(* Split a flat parallel-sweep result list back into the per-point
-   groups it was submitted as ([Parallel.map] preserves submission
-   order, so consecutive [n]-element slices are one sweep point's
-   repetitions). *)
-let rec chunks n = function
-  | [] -> []
-  | l ->
-      let rec take k l =
-        if k = 0 then ([], l)
-        else
-          match l with
-          | [] -> ([], [])
-          | x :: tl ->
-              let h, rest = take (k - 1) tl in
-              (x :: h, rest)
-      in
-      let h, rest = take n l in
-      h :: chunks n rest
+(* An honest observer's event about a malicious node. *)
+let honest_on_bad malicious node peer =
+  (not malicious.(node)) && peer >= 0 && malicious.(peer)
+
+(* Make every equivocator actually equivocate: submit one transaction
+   directly to each at 0.5 s so its forks diverge. [fee] and [label]
+   fix the transactions' ids. *)
+let inject_forks ~malicious ~fee ~label r =
+  let d = r.Runner.deployment in
+  Array.iteri
+    (fun i node ->
+      if malicious.(i) then begin
+        let tx =
+          Tx.create ~signer:d.Scenario.client ~fee ~created_at:0.5
+            ~payload:(Printf.sprintf "%s-%d" label i)
+        in
+        Network.schedule_at d.Scenario.net ~at:0.5 (fun _ ->
+            Node.submit_tx node tx)
+      end)
+    d.Scenario.nodes
+
+(* Fill [exposures] with, per accused malicious node (by id, added at
+   its first exposure), the times honest nodes exposed it, newest
+   first. *)
+let record_exposures ~malicious exposures r =
+  let d = r.Runner.deployment in
+  Lo_obs.Trace.set_observer r.Runner.trace
+    (Some
+       (fun { Lo_obs.Trace.at; ev } ->
+         match ev with
+         | Lo_obs.Event.Expose { node; peer }
+           when honest_on_bad malicious node peer -> (
+             let accused = Node.node_id d.Scenario.nodes.(peer) in
+             match Hashtbl.find_opt exposures accused with
+             | Some times -> times := at :: !times
+             | None -> Hashtbl.add exposures accused (ref [ at ]))
+         | _ -> ()))
 
 (* ----------------------------------------------------------------- *)
 (* Fig. 6                                                             *)
@@ -62,10 +85,6 @@ let fig6_run ~scale ~fraction ~rep =
   let n = scale.nodes in
   let seed = scale.seed + (rep * 1000) + int_of_float (fraction *. 100.) in
   let malicious, num_bad = Deployment.pick_malicious ~seed ~n ~fraction in
-  (* An honest observer's event about a malicious miner. *)
-  let honest_on_bad node peer =
-    (not malicious.(node)) && peer >= 0 && malicious.(peer)
-  in
   (* --- Suspicion: silent censors --- *)
   let all_suspected_at = Array.make n infinity in
   let suspected_bad = Array.make n 0 in
@@ -80,12 +99,13 @@ let fig6_run ~scale ~fraction ~rep =
            (Some
               (fun { Lo_obs.Trace.at; ev } ->
                 match ev with
-                | Lo_obs.Event.Suspect { node; peer } when honest_on_bad node peer
-                  ->
+                | Lo_obs.Event.Suspect { node; peer }
+                  when honest_on_bad malicious node peer ->
                     suspected_bad.(node) <- suspected_bad.(node) + 1;
                     if suspected_bad.(node) = num_bad then
                       all_suspected_at.(node) <- at
-                | Lo_obs.Event.Clear { node; peer } when honest_on_bad node peer ->
+                | Lo_obs.Event.Clear { node; peer }
+                  when honest_on_bad malicious node peer ->
                     suspected_bad.(node) <- suspected_bad.(node) - 1;
                     all_suspected_at.(node) <- infinity
                 | _ -> ())))
@@ -108,59 +128,25 @@ let fig6_run ~scale ~fraction ~rep =
   (* --- Exposure: equivocators --- *)
   (* Paper metric: once the first correct node detects a miner, how
      long until every correct node has learned that exposure. *)
-  let first_at : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let last_at : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let pair_count : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let exposures = Hashtbl.create 16 in
   ignore
     (Runner.run_lo ~scale ~seed ~n ~malicious
        ~behaviors:(fun i ->
          if malicious.(i) then Node.Equivocator else Node.Honest)
        ~workload_seed:(seed + 1) ~rotate_period:5.0 ~drain:90.
-       ~wire:(fun r ->
-         let d = r.Runner.deployment in
-         Lo_obs.Trace.set_observer r.Runner.trace
-           (Some
-              (fun { Lo_obs.Trace.at; ev } ->
-                match ev with
-                | Lo_obs.Event.Expose { node; peer } when honest_on_bad node peer
-                  ->
-                    let accused = Node.node_id d.Scenario.nodes.(peer) in
-                    if not (Hashtbl.mem first_at accused) then
-                      Hashtbl.add first_at accused at;
-                    Hashtbl.replace last_at accused at;
-                    Hashtbl.replace pair_count accused
-                      (1
-                      + Option.value (Hashtbl.find_opt pair_count accused)
-                          ~default:0)
-                | _ -> ())))
-       ~after_inject:(fun r ->
-         (* Make sure every equivocator actually equivocates: submit one
-            transaction directly to each so its forks diverge. *)
-         let d = r.Runner.deployment in
-         Array.iteri
-           (fun i node ->
-             if malicious.(i) then begin
-               let tx =
-                 Tx.create ~signer:d.Scenario.client ~fee:10 ~created_at:0.5
-                   ~payload:(Printf.sprintf "fork-%d" i)
-               in
-               Network.schedule_at d.Scenario.net ~at:0.5 (fun _ ->
-                   Node.submit_tx node tx)
-             end)
-           d.Scenario.nodes)
+       ~wire:(record_exposures ~malicious exposures)
+       ~after_inject:(inject_forks ~malicious ~fee:10 ~label:"fork")
        ());
   (* Spread of each fully propagated exposure; completeness over all
      (correct node, malicious node) pairs. *)
   let spreads = ref [] and covered_pairs = ref 0 in
   Hashtbl.iter
-    (fun accused t_first ->
-      let count = Option.value (Hashtbl.find_opt pair_count accused) ~default:0 in
+    (fun _ times ->
+      let count = List.length !times in
       covered_pairs := !covered_pairs + count;
       if count = !correct_count then
-        match Hashtbl.find_opt last_at accused with
-        | Some t_last -> spreads := (t_last -. t_first) :: !spreads
-        | None -> ())
-    first_at;
+        spreads := (List.hd !times -. List.nth !times (count - 1)) :: !spreads)
+    exposures;
   {
     fraction;
     suspicion_time;
@@ -172,29 +158,21 @@ let fig6_run ~scale ~fraction ~rep =
   }
 
 let fig6 ?(scale = default_scale) ?(fractions = [ 0.1; 0.2; 0.3 ]) () =
-  (* Every (fraction, rep) cell is a closed world keyed by its seed, so
-     the whole grid fans out across the domain pool at once. *)
-  let grid =
-    List.concat_map
-      (fun fraction -> List.init scale.reps (fun rep -> (fraction, rep)))
-      fractions
-  in
-  let runs =
-    Parallel.map (fun (fraction, rep) -> fig6_run ~scale ~fraction ~rep) grid
-  in
+  (* Every (fraction, rep) cell is a closed world keyed by its seed. *)
   let points =
-    List.map2
-      (fun fraction runs ->
+    List.map
+      (fun (fraction, runs) ->
+        let mean f = avg (List.map f runs) in
         {
           fraction;
-          suspicion_time = avg (List.map (fun p -> p.suspicion_time) runs);
-          suspicion_complete =
-            avg (List.map (fun p -> p.suspicion_complete) runs);
-          exposure_spread = avg (List.map (fun p -> p.exposure_spread) runs);
-          exposure_complete =
-            avg (List.map (fun p -> p.exposure_complete) runs);
+          suspicion_time = mean (fun p -> p.suspicion_time);
+          suspicion_complete = mean (fun p -> p.suspicion_complete);
+          exposure_spread = mean (fun p -> p.exposure_spread);
+          exposure_complete = mean (fun p -> p.exposure_complete);
         })
-      fractions (chunks scale.reps runs)
+      (Parallel.sweep ~reps:scale.reps
+         (fun fraction rep -> fig6_run ~scale ~fraction ~rep)
+         fractions)
   in
   Report.table ~title:"Fig. 6 — time to suspect/expose malicious miners"
     ~header:
@@ -248,24 +226,13 @@ let fig7_rep ~scale ~rep =
               | { Lo_obs.Trace.ev = Lo_obs.Event.Span_begin { node; _ }; _ } ->
                   rounds.(node) <- rounds.(node) + 1
               | _ -> ()));
-         Array.iter
-           (fun node ->
-             let i = Node.index node in
-             (Node.hooks node).Node.on_tx_content <-
-               (fun tx ->
-                 let now = Network.now r.Runner.deployment.Scenario.net in
-                 match Hashtbl.find_opt r.Runner.created tx.Tx.id with
-                 | Some t0 when now > t0 ->
-                     let dt = now -. t0 in
-                     Metrics.Stats.add stats dt;
-                     Metrics.Histogram.add hist dt;
-                     (match Hashtbl.find_opt snapshot_at_creation tx.Tx.id with
-                     | Some snap ->
-                         Metrics.Stats.add interactions
-                           (float_of_int (rounds.(i) - snap.(i)))
-                     | None -> ())
-                 | _ -> ()))
-           r.Runner.deployment.Scenario.nodes)
+         Runner.content_latency_probe stats r ~on_sample:(fun ~node tx dt ->
+             Metrics.Histogram.add hist dt;
+             match Hashtbl.find_opt snapshot_at_creation tx.Tx.id with
+             | Some snap ->
+                 Metrics.Stats.add interactions
+                   (float_of_int (rounds.(node) - snap.(node)))
+             | None -> ()))
        ~after_inject:(fun r ->
          List.iter
            (fun tx ->
@@ -282,18 +249,19 @@ let fig7 ?(scale = default_scale) () =
   let interactions = Metrics.Stats.create () in
   let hist = Metrics.Histogram.create ~lo:0. ~hi:5. ~bins:25 in
   (* Reps collect into their own collectors in parallel; absorbing them
-     back in rep order replays the exact sample sequence the old
-     sequential loop fed the shared collectors. *)
-  let per_rep =
-    Parallel.map (fun rep -> fig7_rep ~scale ~rep)
-      (List.init scale.reps Fun.id)
-  in
+     back in rep order replays the exact sample sequence a sequential
+     loop feeds the shared collectors. *)
   List.iter
-    (fun (s, i, h) ->
-      Metrics.Stats.absorb stats s;
-      Metrics.Stats.absorb interactions i;
-      Metrics.Histogram.absorb hist h)
-    per_rep;
+    (fun (_, reps) ->
+      List.iter
+        (fun (s, i, h) ->
+          Metrics.Stats.absorb stats s;
+          Metrics.Stats.absorb interactions i;
+          Metrics.Histogram.absorb hist h)
+        reps)
+    (Parallel.sweep ~reps:scale.reps
+       (fun () rep -> fig7_rep ~scale ~rep)
+       [ () ]);
   let result =
     {
       mean_latency = Metrics.Stats.mean stats;
@@ -449,132 +417,106 @@ type fig9_row = {
   content_latency : float;
 }
 
-let fig9_lo ~scale ~seed =
-  let stats = ref (Metrics.Stats.create ()) in
+(* One LØ run measured as Fig. 9 measures it: its trace (for the byte
+   flows) and its content-latency stats. *)
+let lo_content_run ~scale ~seed ~always_full =
+  let stats = Metrics.Stats.create () in
   let run =
-    Runner.run_lo ~scale ~seed ~drain:15.
-      ~wire:(fun r -> stats := Runner.content_latency_probe r)
+    Runner.run_lo ~scale ~seed ~drain:Runner.baseline_drain
+      ~config:(fun c -> { c with Node.always_full_digests = always_full })
+      ~wire:(Runner.content_latency_probe stats)
       ()
   in
-  ( Runner.protocol_overhead run,
-    Metrics.Stats.mean !stats,
-    Runner.sent_by_tag run.Runner.trace )
+  (run.Runner.trace, stats)
 
 let fig9 ?(scale = default_scale) () =
   let seed = scale.seed + 99 in
-  let duration = scale.duration in
-  (* The four protocols share nothing (each builds its own network from
-     the seed), so they run as one parallel batch. *)
-  let run_flood () =
-    Runner.run_baseline ~scale ~seed ~content_tags:[ "flood:tx" ]
-      ~make:(fun net scheme topo ->
-        let config = Lo_baselines.Flood.default_config scheme in
-        List.init scale.nodes (fun i ->
-            let f =
-              Lo_baselines.Flood.create config ~net ~index:i
-                ~neighbors:(Lo_net.Topology.neighbors topo i)
-            in
-            Lo_baselines.Flood.start f;
-            {
-              Runner.submit = (fun tx -> Lo_baselines.Flood.submit_tx f tx);
-              on_content = (fun cb -> Lo_baselines.Flood.on_tx_content f cb);
-            }))
-      ()
-  in
-  (* PeerReview *)
-  let run_pr () =
-    Runner.run_baseline ~scale ~seed ~content_tags:[ "pr:tx" ]
-      ~make:(fun net scheme topo ->
-        let config = Lo_baselines.Peer_review.default_config scheme in
-        let n = scale.nodes in
-        let wrng = Rng.create (seed + 3) in
-        (* audited(w) = nodes w witnesses for *)
-        let audited = Array.make n [] in
-        for node = 0 to n - 1 do
-          let ws =
-            Rng.sample_without_replacement wrng config.num_witnesses
-              (List.filter (fun i -> i <> node) (List.init n Fun.id))
-          in
-          List.iter (fun w -> audited.(w) <- node :: audited.(w)) ws
-        done;
-        List.init n (fun i ->
-            let signer =
-              Signer.make scheme ~seed:(Printf.sprintf "pr-%d-%d" seed i)
-            in
-            let p =
-              Lo_baselines.Peer_review.create config ~net ~index:i
-                ~neighbors:(Lo_net.Topology.neighbors topo i)
-                ~witnesses:audited.(i) ~signer
-            in
-            Lo_baselines.Peer_review.start p;
-            {
-              Runner.submit = (fun tx -> Lo_baselines.Peer_review.submit_tx p tx);
-              on_content = (fun cb -> Lo_baselines.Peer_review.on_tx_content p cb);
-            }))
-      ()
-  in
-  (* Narwhal *)
-  let run_nw () =
-    Runner.run_baseline ~scale ~seed ~content_tags:[ "nw:batch" ]
-      ~make:(fun net scheme _topo ->
-        let config = Lo_baselines.Narwhal.default_config scheme in
-        let n = scale.nodes in
-        List.init n (fun i ->
-            let signer =
-              Signer.make scheme ~seed:(Printf.sprintf "nw-%d-%d" seed i)
-            in
-            let nw =
-              Lo_baselines.Narwhal.create config ~net ~index:i ~num_nodes:n
-                ~signer
-            in
-            Lo_baselines.Narwhal.start nw;
-            {
-              Runner.submit = (fun tx -> Lo_baselines.Narwhal.submit_tx nw tx);
-              on_content = (fun cb -> Lo_baselines.Narwhal.on_tx_content nw cb);
-            }))
-      ()
-  in
-  let results =
-    Parallel.map
-      (fun f -> f ())
-      [
-        (fun () -> `Lo (fig9_lo ~scale ~seed));
-        (fun () -> `Base (run_flood ()));
-        (fun () -> `Base (run_pr ()));
-        (fun () -> `Base (run_nw ()));
-      ]
-  in
-  let lo_overhead, lo_latency, lo_by_tag =
-    match List.nth results 0 with `Lo r -> r | _ -> assert false
-  in
-  let flood_overhead, flood_stats =
-    match List.nth results 1 with `Base r -> r | _ -> assert false
-  in
-  let pr_overhead, pr_stats =
-    match List.nth results 2 with `Base r -> r | _ -> assert false
-  in
-  let nw_overhead, nw_stats =
-    match List.nth results 3 with `Base r -> r | _ -> assert false
-  in
-  let per_node_s bytes =
-    float_of_int bytes /. float_of_int scale.nodes /. (duration +. 15.)
-  in
-  let rows =
+  let n = scale.nodes in
+  let baseline make () = Runner.run_baseline ~scale ~seed ~make () in
+  (* (protocol, content-bearing tags, run). The four protocols share
+     nothing (each builds its own network from the seed), so they run as
+     one parallel batch. *)
+  let protocols =
     [
-      { protocol = "LO"; overhead_bytes = lo_overhead;
-        overhead_per_node_s = per_node_s lo_overhead;
-        content_latency = lo_latency };
-      { protocol = "Flood"; overhead_bytes = flood_overhead;
-        overhead_per_node_s = per_node_s flood_overhead;
-        content_latency = Metrics.Stats.mean flood_stats };
-      { protocol = "PeerReview"; overhead_bytes = pr_overhead;
-        overhead_per_node_s = per_node_s pr_overhead;
-        content_latency = Metrics.Stats.mean pr_stats };
-      { protocol = "Narwhal"; overhead_bytes = nw_overhead;
-        overhead_per_node_s = per_node_s nw_overhead;
-        content_latency = Metrics.Stats.mean nw_stats };
+      ( "LO", Runner.lo_content_tags,
+        fun () -> lo_content_run ~scale ~seed ~always_full:false );
+      ( "Flood", [ "flood:tx" ],
+        baseline (fun net scheme topo ->
+            let config = Lo_baselines.Flood.default_config scheme in
+            List.init n (fun i ->
+                let f =
+                  Lo_baselines.Flood.create config ~net ~index:i
+                    ~neighbors:(Lo_net.Topology.neighbors topo i)
+                in
+                Lo_baselines.Flood.start f;
+                {
+                  Runner.submit = Lo_baselines.Flood.submit_tx f;
+                  on_content = Lo_baselines.Flood.on_tx_content f;
+                })) );
+      ( "PeerReview", [ "pr:tx" ],
+        baseline (fun net scheme topo ->
+            let config = Lo_baselines.Peer_review.default_config scheme in
+            let wrng = Rng.create (seed + 3) in
+            (* audited(w) = nodes w witnesses for *)
+            let audited = Array.make n [] in
+            for node = 0 to n - 1 do
+              let ws =
+                Rng.sample_without_replacement wrng config.num_witnesses
+                  (List.filter (fun i -> i <> node) (List.init n Fun.id))
+              in
+              List.iter (fun w -> audited.(w) <- node :: audited.(w)) ws
+            done;
+            List.init n (fun i ->
+                let signer =
+                  Signer.make scheme ~seed:(Printf.sprintf "pr-%d-%d" seed i)
+                in
+                let p =
+                  Lo_baselines.Peer_review.create config ~net ~index:i
+                    ~neighbors:(Lo_net.Topology.neighbors topo i)
+                    ~witnesses:audited.(i) ~signer
+                in
+                Lo_baselines.Peer_review.start p;
+                {
+                  Runner.submit = Lo_baselines.Peer_review.submit_tx p;
+                  on_content = Lo_baselines.Peer_review.on_tx_content p;
+                })) );
+      ( "Narwhal", [ "nw:batch" ],
+        baseline (fun net scheme _topo ->
+            let config = Lo_baselines.Narwhal.default_config scheme in
+            List.init n (fun i ->
+                let signer =
+                  Signer.make scheme ~seed:(Printf.sprintf "nw-%d-%d" seed i)
+                in
+                let nw =
+                  Lo_baselines.Narwhal.create config ~net ~index:i
+                    ~num_nodes:n ~signer
+                in
+                Lo_baselines.Narwhal.start nw;
+                {
+                  Runner.submit = Lo_baselines.Narwhal.submit_tx nw;
+                  on_content = Lo_baselines.Narwhal.on_tx_content nw;
+                })) );
     ]
   in
+  let measured =
+    Parallel.map
+      (fun (protocol, content_tags, run) ->
+        let trace, stats = run () in
+        let overhead_bytes = Runner.overhead ~content_tags trace in
+        ( {
+            protocol;
+            overhead_bytes;
+            overhead_per_node_s =
+              float_of_int overhead_bytes /. float_of_int n
+              /. (scale.duration +. Runner.baseline_drain);
+            content_latency = Metrics.Stats.mean stats;
+          },
+          trace ))
+      protocols
+  in
+  let rows = List.map fst measured in
+  let lo, lo_trace = List.hd measured in
+  let lo_by_tag = Runner.sent_by_tag lo_trace in
   Report.table ~title:"Fig. 9 — bandwidth overhead by protocol"
     ~header:
       [ "protocol"; "overhead"; "bytes/node/s"; "vs LO"; "latency (s)" ]
@@ -585,7 +527,8 @@ let fig9 ?(scale = default_scale) () =
            Report.bytes r.overhead_bytes;
            Printf.sprintf "%.0f" r.overhead_per_node_s;
            Printf.sprintf "%.1fx"
-             (float_of_int r.overhead_bytes /. float_of_int (max 1 lo_overhead));
+             (float_of_int r.overhead_bytes
+             /. float_of_int (max 1 lo.overhead_bytes));
            Printf.sprintf "%.2f" r.content_latency;
          ])
        rows);
@@ -655,6 +598,14 @@ type memcpu_result = {
 (* Trace replay                                                        *)
 (* ----------------------------------------------------------------- *)
 
+(* The audit's violations over a run's caller-sunk trace, one line
+   each; none when the run was not audited. *)
+let audit_lines run = function
+  | Some tr ->
+      let report = Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon tr in
+      List.map Lo_obs.Audit.violation_to_string report.Lo_obs.Audit.violations
+  | None -> []
+
 type replay_result = {
   trace_txs : int;
   trace_duration : float;
@@ -665,38 +616,27 @@ type replay_result = {
 }
 
 let replay ?(scale = default_scale) ?(audit = false) ~trace () =
-  let stats = ref (Metrics.Stats.create ()) in
+  let stats = Metrics.Stats.create () in
   let obs = if audit then Some (Lo_obs.Trace.create ()) else None in
   let run =
     Runner.run_lo ~scale ~seed:scale.seed ~workload:(`Trace trace) ~drain:20.
       ?trace:obs
-      ~wire:(fun r -> stats := Runner.content_latency_probe r)
+      ~wire:(Runner.content_latency_probe stats)
       ()
   in
   let duration =
     match Lo_workload.Trace.stats trace with Some (_, dur, _, _) -> dur | None -> 0.
   in
-  let audit_violations =
-    match obs with
-    | Some tr ->
-        let report =
-          Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon tr
-        in
-        List.iter
-          (fun v ->
-            Printf.printf "  audit: %s\n" (Lo_obs.Audit.violation_to_string v))
-          report.Lo_obs.Audit.violations;
-        List.length report.Lo_obs.Audit.violations
-    | None -> 0
-  in
+  let violations = audit_lines run obs in
+  List.iter (Printf.printf "  audit: %s\n") violations;
   let result =
     {
       trace_txs = List.length trace;
       trace_duration = duration;
-      replay_mean_latency = Metrics.Stats.mean !stats;
-      replay_p95 = Metrics.Stats.percentile !stats 0.95;
-      delivered = Metrics.Stats.count !stats;
-      audit_violations;
+      replay_mean_latency = Metrics.Stats.mean stats;
+      replay_p95 = Metrics.Stats.percentile stats 0.95;
+      delivered = Metrics.Stats.count stats;
+      audit_violations = List.length violations;
     }
   in
   Report.table ~title:"Trace replay — mempool inclusion latency"
@@ -729,59 +669,31 @@ type ablation_result = {
   share_period_exposure : (float * float) list;
 }
 
-let lo_overhead_run ~scale ~seed ~always_full =
-  let stats = ref (Metrics.Stats.create ()) in
-  let run =
-    Runner.run_lo ~scale ~seed ~drain:15.
-      ~config:(fun c -> { c with Node.always_full_digests = always_full })
-      ~wire:(fun r -> stats := Runner.content_latency_probe r)
-      ()
-  in
-  (Runner.protocol_overhead run, Metrics.Stats.mean !stats)
-
 let exposure_latency_one ~scale ~seed ~share_period =
   (* One repetition: per-equivocator times until 90% of correct nodes
      hold the exposure ([infinity] for a fork that evades the finite
      window). *)
   let n = scale.nodes in
   let num_bad = max 1 (n / 10) in
-  let exposed_90_at = Hashtbl.create 8 in
+  let malicious = Array.init n (fun i -> i < num_bad) in
+  let threshold = (9 * (n - num_bad)) / 10 in
+  let exposures = Hashtbl.create 8 in
   ignore
     (Runner.run_lo ~scale ~seed ~drain:60.
        ~config:(fun c -> { c with Node.digest_share_period = share_period })
-       ~behaviors:(fun i -> if i < num_bad then Node.Equivocator else Node.Honest)
-       ~wire:(fun r ->
-         (* Honest nodes are [num_bad, n); count their exposures of each
-            equivocator. *)
-         let counts = Array.make num_bad 0 in
-         let threshold = (9 * (n - num_bad)) / 10 in
-         Lo_obs.Trace.set_observer r.Runner.trace
-           (Some
-              (fun { Lo_obs.Trace.at; ev } ->
-                match ev with
-                | Lo_obs.Event.Expose { node; peer }
-                  when node >= num_bad && peer >= 0 && peer < num_bad ->
-                    counts.(peer) <- counts.(peer) + 1;
-                    if counts.(peer) = threshold then
-                      Hashtbl.replace exposed_90_at peer at
-                | _ -> ())))
-       ~after_inject:(fun r ->
-         let d = r.Runner.deployment in
-         Array.iteri
-           (fun i node ->
-             if i < num_bad then begin
-               let fork_tx =
-                 Tx.create ~signer:d.Scenario.client ~fee:7 ~created_at:0.5
-                   ~payload:(Printf.sprintf "ablate-fork-%d" i)
-               in
-               Network.schedule_at d.Scenario.net ~at:0.5 (fun _ ->
-                   Node.submit_tx node fork_tx)
-             end)
-           d.Scenario.nodes)
+       ~behaviors:(fun i ->
+         if malicious.(i) then Node.Equivocator else Node.Honest)
+       ~wire:(record_exposures ~malicious exposures)
+       ~after_inject:(inject_forks ~malicious ~fee:7 ~label:"ablate-fork")
        ());
-  let found = Hashtbl.fold (fun _ at acc -> at :: acc) exposed_90_at [] in
-  let missing = num_bad - List.length found in
-  found @ List.init (max 0 missing) (fun _ -> infinity)
+  (* [times] is newest first, so the [threshold]-th exposure sits
+     [count - threshold] from its head. *)
+  let exposed_90_at times =
+    let k = List.length !times - threshold in
+    if threshold > 0 && k >= 0 then List.nth !times k else infinity
+  in
+  Hashtbl.fold (fun _ times acc -> exposed_90_at times :: acc) exposures []
+  @ List.init (num_bad - Hashtbl.length exposures) (fun _ -> infinity)
 
 (* A single repetition's median is over only [n/10] equivocators and is
    very noisy at test scales; pool the per-equivocator times across
@@ -796,29 +708,22 @@ let ablation ?(scale = default_scale) () =
   let seed = scale.seed + 4242 in
   let overheads =
     Parallel.map
-      (fun always_full -> lo_overhead_run ~scale ~seed ~always_full)
+      (fun always_full ->
+        let trace, stats = lo_content_run ~scale ~seed ~always_full in
+        ( Runner.overhead ~content_tags:Runner.lo_content_tags trace,
+          Metrics.Stats.mean stats ))
       [ false; true ]
   in
   let light_overhead, light_latency = List.nth overheads 0 in
   let full_overhead, full_latency = List.nth overheads 1 in
-  let periods = [ 1.0; 2.0; 4.0; 8.0 ] in
-  let reps = max 1 scale.reps in
-  let grid =
-    List.concat_map
-      (fun period -> List.init reps (fun rep -> (period, rep)))
-      periods
-  in
-  let per_cell =
-    Parallel.map
-      (fun (period, rep) ->
-        exposure_latency_one ~scale ~seed:(seed + (rep * 7717))
-          ~share_period:period)
-      grid
-  in
   let share_period_exposure =
-    List.map2
-      (fun period pooled -> (period, pooled_median pooled))
-      periods (chunks reps per_cell)
+    List.map
+      (fun (period, pooled) -> (period, pooled_median pooled))
+      (Parallel.sweep ~reps:(max 1 scale.reps)
+         (fun period rep ->
+           exposure_latency_one ~scale ~seed:(seed + (rep * 7717))
+             ~share_period:period)
+         [ 1.0; 2.0; 4.0; 8.0 ])
   in
   let result =
     {
@@ -995,7 +900,9 @@ let chaos_config c =
     retry_jitter = 0.2;
   }
 
-let chaos_plan ~rng ~n ~duration ~churn_rate ~partition_duration ~burst_loss =
+(* The fault plan of one chaos world, drawn from its seed. *)
+let chaos_plan ~seed ~n ~duration ~churn_rate ~partition_duration ~burst_loss =
+  let rng = Rng.create ((seed * 7919) + 11) in
   let until = duration in
   Lo_net.Fault_plan.merge
     [
@@ -1018,6 +925,19 @@ let chaos_plan ~rng ~n ~duration ~churn_rate ~partition_duration ~burst_loss =
         ~period:3.0 ~duration:2.0 ~until;
     ]
 
+(* One chaos repetition's measurements, summed per cell by {!chaos}. *)
+type chaos_rep = {
+  faults : Lo_net.Fault_plan.stats;
+  latency : Metrics.Stats.t;
+  attempts : int;  (** reconciliation spans opened *)
+  completes : int;  (** spans that ended answered *)
+  raised : int;
+  cleared : int;
+  unresolved : int;  (** suspicions still standing at the horizon *)
+  exposures : int;
+  violations : string list;
+}
+
 let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
     ~audit =
   let n = scale.nodes in
@@ -1028,19 +948,17 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
     + (int_of_float (partition_duration *. 10.) * 13)
     + (int_of_float (burst_loss *. 100.) * 29)
   in
-  let plan_rng = Rng.create ((seed * 7919) + 11) in
   let plan =
-    chaos_plan ~rng:plan_rng ~n ~duration ~churn_rate ~partition_duration
-      ~burst_loss
+    chaos_plan ~seed ~n ~duration ~churn_rate ~partition_duration ~burst_loss
   in
-  let latency = ref (Metrics.Stats.create ()) in
+  let latency = Metrics.Stats.create () in
   let completes = ref 0 in
   let trace = if audit then Some (Lo_obs.Trace.create ()) else None in
   let run =
     Runner.run_lo ~scale ~seed ~n ~duration ~config:chaos_config ~faults:plan
       ~drain:30. ?trace
       ~wire:(fun r ->
-        latency := Runner.content_latency_probe r;
+        Runner.content_latency_probe latency r;
         (* A reconciliation completes when its span ends answered. *)
         Lo_obs.Trace.set_observer r.Runner.trace
           (Some
@@ -1060,33 +978,26 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
         + List.length (Accountability.suspected_peers (Node.accountability node)))
       0 run.Runner.deployment.Scenario.nodes
   in
-  let stats =
-    match run.Runner.fault_stats with
-    | Some s -> s
-    | None -> assert false
-  in
-  (* Violations are returned, not printed: cells run on the domain pool
-     and printing belongs to the ordered aggregation in {!chaos}. *)
-  let violations =
-    match trace with
-    | Some tr ->
-        let report =
-          Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon tr
-        in
-        List.map Lo_obs.Audit.violation_to_string
-          report.Lo_obs.Audit.violations
-    | None -> []
-  in
-  (stats, !latency, count "span_begin", !completes, count "suspect",
-   count "clear", unresolved, count "expose", violations)
+  {
+    faults = Option.get run.Runner.fault_stats;
+    latency;
+    attempts = count "span_begin";
+    completes = !completes;
+    raised = count "suspect";
+    cleared = count "clear";
+    unresolved;
+    exposures = count "expose";
+    (* Returned, not printed: cells run on the domain pool and printing
+       belongs to the ordered aggregation in {!chaos}. *)
+    violations = audit_lines run trace;
+  }
 
 let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
     ?(partition_durations = [ 1.5; 3.0 ]) ?(burst_losses = [ 0.15; 0.35 ])
     ?(audit = false) () =
-  (* Full (cell x rep) grid on the domain pool; aggregation — including
-     printing any audit violations — happens afterwards in submission
-     order, so stdout and every cell statistic match the sequential
-     nesting exactly. *)
+  (* Aggregation — including printing any audit violations — happens
+     after the sweep, in submission order, so stdout and every cell
+     statistic match the sequential nesting exactly. *)
   let cell_params =
     List.concat_map
       (fun churn_rate ->
@@ -1098,73 +1009,53 @@ let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
           partition_durations)
       churn_rates
   in
-  let grid =
-    List.concat_map
-      (fun params -> List.init scale.reps (fun rep -> (params, rep)))
-      cell_params
-  in
-  let results =
-    Parallel.map
-      (fun ((churn_rate, partition_duration, burst_loss), rep) ->
-        chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
-          ~audit)
-      grid
-  in
   let cells =
-    List.map2
-      (fun (churn_rate, partition_duration, burst_loss) reps ->
-        let crashes = ref 0 in
-        let restarts = ref 0 in
-        let kinds = ref 0 in
-        let means = ref [] in
-        let p95s = ref [] in
-        let attempts = ref 0 in
-        let completes = ref 0 in
-        let raised = ref 0 in
-        let cleared = ref 0 in
-        let unresolved = ref 0 in
-        let exposures = ref 0 in
-        let audit_bad = ref 0 in
+    List.map
+      (fun ((churn_rate, partition_duration, burst_loss), reps) ->
         List.iter
-          (fun (s, lat, att, comp, rai, clr, unres, exp_, violations) ->
-            List.iter (Printf.printf "  audit: %s\n") violations;
-            audit_bad := !audit_bad + List.length violations;
-            crashes := !crashes + s.Lo_net.Fault_plan.crashes;
-            restarts := !restarts + s.Lo_net.Fault_plan.restarts;
-            kinds := max !kinds (Lo_net.Fault_plan.kinds_injected s);
-            means := Metrics.Stats.mean lat :: !means;
-            p95s := Metrics.Stats.percentile lat 0.95 :: !p95s;
-            attempts := !attempts + att;
-            completes := !completes + comp;
-            raised := !raised + rai;
-            cleared := !cleared + clr;
-            unresolved := !unresolved + unres;
-            exposures := !exposures + exp_)
+          (fun r -> List.iter (Printf.printf "  audit: %s\n") r.violations)
           reps;
+        let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
+        let attempts = sum (fun r -> r.attempts)
+        and completes = sum (fun r -> r.completes)
+        and raised = sum (fun r -> r.raised) in
         {
           churn_rate;
           partition_duration;
           burst_loss;
-          crashes = !crashes;
-          restarts = !restarts;
-          fault_kinds = !kinds;
-          mean_tx_latency = avg !means;
-          p95_tx_latency = avg !p95s;
-          reconcile_attempts = !attempts;
-          reconcile_completes = !completes;
+          crashes = sum (fun r -> r.faults.Lo_net.Fault_plan.crashes);
+          restarts = sum (fun r -> r.faults.Lo_net.Fault_plan.restarts);
+          fault_kinds =
+            List.fold_left
+              (fun acc r -> max acc (Lo_net.Fault_plan.kinds_injected r.faults))
+              0 reps;
+          (* Newest rep first: the summation order of the float means. *)
+          mean_tx_latency =
+            avg (List.rev_map (fun r -> Metrics.Stats.mean r.latency) reps);
+          p95_tx_latency =
+            avg
+              (List.rev_map
+                 (fun r -> Metrics.Stats.percentile r.latency 0.95)
+                 reps);
+          reconcile_attempts = attempts;
+          reconcile_completes = completes;
           reconcile_success =
-            float_of_int !completes /. float_of_int (max 1 !attempts);
-          suspicions = !raised;
-          withdrawn = !cleared;
+            float_of_int completes /. float_of_int (max 1 attempts);
+          suspicions = raised;
+          withdrawn = sum (fun r -> r.cleared);
           resolution_rate =
-            (if !raised = 0 then 1.0
+            (if raised = 0 then 1.0
              else
-               float_of_int (!raised - !unresolved) /. float_of_int !raised);
-          honest_exposures = !exposures;
-          audit_violations = !audit_bad;
+               float_of_int (raised - sum (fun r -> r.unresolved))
+               /. float_of_int raised);
+          honest_exposures = sum (fun r -> r.exposures);
+          audit_violations = sum (fun r -> List.length r.violations);
         })
-      cell_params
-      (chunks scale.reps results)
+      (Parallel.sweep ~reps:scale.reps
+         (fun (churn_rate, partition_duration, burst_loss) rep ->
+           chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss
+             ~rep ~audit)
+         cell_params)
   in
   Report.table
     ~title:
@@ -1221,11 +1112,9 @@ let trace_run ?(scale = default_scale) ?capacity ~kind () =
            cell): crashes, partitions and loss bursts, all nodes honest.
            The audit must still come back clean — benign faults are
            excused, never blamed. *)
-        let n = scale.nodes in
-        let plan_rng = Rng.create ((scale.seed * 7919) + 11) in
         let plan =
-          chaos_plan ~rng:plan_rng ~n ~duration:scale.duration ~churn_rate:0.1
-            ~partition_duration:1.5 ~burst_loss:0.15
+          chaos_plan ~seed:scale.seed ~n:scale.nodes ~duration:scale.duration
+            ~churn_rate:0.1 ~partition_duration:1.5 ~burst_loss:0.15
         in
         Runner.run_lo ~scale ~seed:scale.seed ~config:chaos_config
           ~faults:plan ~drain:30. ~trace ()

@@ -53,3 +53,14 @@ let map ?jobs:j f items =
            | Pending -> assert false)
          results)
   end
+
+let sweep ~reps f cells =
+  let runs =
+    Array.of_list
+      (map
+         (fun (cell, rep) -> f cell rep)
+         (List.concat_map (fun c -> List.init reps (fun r -> (c, r))) cells))
+  in
+  List.mapi
+    (fun i cell -> (cell, List.init reps (fun r -> runs.((i * reps) + r))))
+    cells

@@ -21,3 +21,10 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     this is exactly [List.map f items]. If any task raises, the
     remaining tasks still run and the exception of the lowest-index
     failed task is re-raised after the pool drains. *)
+
+val sweep : reps:int -> ('a -> int -> 'b) -> 'a list -> ('a * 'b list) list
+(** [sweep ~reps f cells] runs [f cell rep] for every cell and every
+    [rep] in [0, reps) as one {!map} over the whole (cell x rep) grid,
+    and returns each cell with its reps' results in rep order: the
+    grouping of the sequential nested loop
+    [List.map (fun c -> (c, List.init reps (f c))) cells]. *)

@@ -112,19 +112,28 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
   if trace <> None then Network.flush_in_flight d.net;
   run
 
-let content_latency_probe run =
-  let stats = Metrics.Stats.create () in
+(* The one content-latency rule: the first content arrival of a
+   workload transaction at node [i] records [now - created], if
+   positive. *)
+let sample_content created stats ~on_sample i (tx : Tx.t) ~now =
+  match Hashtbl.find_opt created tx.Tx.id with
+  | Some t0 when now > t0 ->
+      let dt = now -. t0 in
+      Metrics.Stats.add stats dt;
+      on_sample ~node:i tx dt
+  | _ -> ()
+
+let no_sample ~node:_ _ _ = ()
+
+let content_latency_probe ?(on_sample = no_sample) stats run =
   let net = run.deployment.Scenario.net in
   Array.iter
     (fun node ->
       (Node.hooks node).Node.on_tx_content <-
         (fun tx ->
-          let now = Network.now net in
-          match Hashtbl.find_opt run.created tx.Tx.id with
-          | Some t0 when now > t0 -> Metrics.Stats.add stats (now -. t0)
-          | _ -> ()))
-    run.deployment.Scenario.nodes;
-  stats
+          sample_content run.created stats ~on_sample (Node.index node) tx
+            ~now:(Network.now net)))
+    run.deployment.Scenario.nodes
 
 let lo_content_tags = [ "lo:txs"; "lo:submit"; "lo:block" ]
 
@@ -134,21 +143,20 @@ let sent_by_tag trace =
       if f.sent_msgs > 0 then Some (tag, f.sent_bytes) else None)
     (Lo_obs.Trace.tag_flows trace)
 
-let overhead_of trace ~content_tags =
+let overhead ~content_tags trace =
   List.fold_left
     (fun acc (tag, bytes) ->
       if List.mem tag content_tags then acc else acc + bytes)
     0 (sent_by_tag trace)
-
-let protocol_overhead ?(content_tags = lo_content_tags) run =
-  overhead_of run.trace ~content_tags
 
 type baseline_node = {
   submit : Tx.t -> unit;
   on_content : (Tx.t -> now:float -> unit) -> unit;
 }
 
-let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
+let baseline_drain = 15.
+
+let run_baseline ~make ~scale ~seed () =
   let n = scale.nodes in
   let scheme = Signer.simulation () in
   let net = Network.create ~num_nodes:n ~seed () in
@@ -158,12 +166,9 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
   let created = Hashtbl.create 1024 in
   let stats = Metrics.Stats.create () in
   let instances = Array.of_list (make net scheme topo) in
-  Array.iter
-    (fun inst ->
-      inst.on_content (fun (tx : Tx.t) ~now ->
-          match Hashtbl.find_opt created tx.Tx.id with
-          | Some t0 when now > t0 -> Metrics.Stats.add stats (now -. t0)
-          | _ -> ()))
+  Array.iteri
+    (fun i inst ->
+      inst.on_content (sample_content created stats ~on_sample:no_sample i))
     instances;
   let client = Signer.make scheme ~seed:"baseline-client" in
   List.iter
@@ -178,6 +183,5 @@ let run_baseline ~make ~content_tags ?(drain = 15.) ~scale ~seed () =
       Network.schedule_at net ~at:spec.created_at (fun _ ->
           instances.(origin).submit tx))
     (Deployment.workload ~rate:scale.rate ~duration:scale.duration ~seed ~n);
-  Network.run_until net (scale.duration +. drain);
-  let overhead = overhead_of trace ~content_tags in
-  (overhead, stats)
+  Network.run_until net (scale.duration +. baseline_drain);
+  (trace, stats)

@@ -87,10 +87,16 @@ val run_lo :
     flushed as [In_flight] drops at the horizon, closing the
     bandwidth-conservation books for {!Lo_obs.Audit}. *)
 
-val content_latency_probe : run -> Metrics.Stats.t
-(** Install the standard Fig. 7/9 measurement on every node: record
-    [now - created] for each first content arrival of a workload
-    transaction (overwrites [on_tx_content]). Call from [wire]. *)
+val content_latency_probe :
+  ?on_sample:(node:int -> Lo_core.Tx.t -> float -> unit) ->
+  Metrics.Stats.t ->
+  run ->
+  unit
+(** Install the standard Fig. 7/9 measurement on every node: add
+    [now - created] to the stats for each first content arrival of a
+    workload transaction (overwrites [on_tx_content]), and hand each
+    recorded sample to [on_sample] with the receiving node's index. Call
+    from [wire]. {!run_baseline} records by the same rule. *)
 
 val lo_content_tags : string list
 (** Message tags carrying transaction payloads in the LØ protocol;
@@ -101,9 +107,9 @@ val sent_by_tag : Lo_obs.Trace.t -> (string * int) list
     trace's wire flows; tags whose every send was refused are left
     out. *)
 
-val protocol_overhead : ?content_tags:string list -> run -> int
-(** Bytes on the wire minus content-bearing tags (default
-    {!lo_content_tags}). *)
+val overhead : content_tags:string list -> Lo_obs.Trace.t -> int
+(** Bytes on the wire minus content-bearing tags ({!lo_content_tags}
+    for LØ). *)
 
 (** A protocol instance in a baseline run: how to hand it a client
     transaction, and how to subscribe to first content arrival. *)
@@ -112,20 +118,21 @@ type baseline_node = {
   on_content : (Lo_core.Tx.t -> now:float -> unit) -> unit;
 }
 
+val baseline_drain : float
+(** Seconds (15) a Fig. 9 run is driven past its workload. *)
+
 val run_baseline :
   make:
     (Lo_net.Network.t ->
     Lo_crypto.Signer.scheme ->
     Lo_net.Topology.t ->
     baseline_node list) ->
-  content_tags:string list ->
-  ?drain:float ->
   scale:scale ->
   seed:int ->
   unit ->
-  int * Metrics.Stats.t
+  Lo_obs.Trace.t * Metrics.Stats.t
 (** Fig. 9 baseline cycle: paper topology (8 out / 125 in), the same
     Poisson workload as {!run_lo}, content-latency stats on every
-    instance, and the non-content overhead after [duration + drain]
-    (drain default 15 s), folded from a trace attached to the baselines'
-    network. Returns (overhead bytes, latency stats). *)
+    instance, driven {!baseline_drain} past the workload. Returns the
+    trace attached to the baselines' network (its aggregates only) and
+    the latency stats. *)

@@ -88,7 +88,66 @@ let scenario_tests =
             "{\"v\":2}";
             "not json at all";
             "{\"v\":1,\"seed\":\"oops\"}";
+          ];
+        (* A valid repro, corrupted one way at a time. *)
+        let good =
+          Scenario.to_json_string
+            {
+              base with
+              adversaries = [ { Scenario.node = 1; kind = "equivocator" } ];
+            }
+        in
+        let edit from into =
+          let rec find i =
+            if String.sub good i (String.length from) = from then i
+            else find (i + 1)
+          in
+          let i = find 0 in
+          String.sub good 0 i ^ into
+          ^ String.sub good (i + String.length from)
+              (String.length good - i - String.length from)
+        in
+        check_bool "base parses" true (Result.is_ok (Scenario.of_json_string good));
+        List.iter
+          (fun (what, bad) ->
+            match Scenario.of_json_string bad with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s accepted: %s" what bad)
+          [
+            ("unterminated string", edit "\"mutation\":\"\"" "\"mutation\":\"");
+            ("missing key", edit ",\"churn\":" ",\"chum\":");
+            ( "adversaries not an array",
+              edit "[\"1:equivocator\"]" "\"1:equivocator\"" );
+            ("trailing comma", edit "}" ",}");
           ]);
+    Alcotest.test_case "whitespace in a repro is skipped" `Quick (fun () ->
+        let s =
+          {
+            base with
+            adversaries =
+              [
+                { Scenario.node = 1; kind = "equivocator" };
+                { Scenario.node = 3; kind = "silent-censor" };
+              ];
+          }
+        in
+        (* Space out every separator; a colon inside a quoted
+           adversary ("1:equivocator") is part of its value. *)
+        let json = Scenario.to_json_string s in
+        let b = Buffer.create 512 in
+        String.iteri
+          (fun i c ->
+            Buffer.add_string b
+              (match c with
+              | ',' -> " ,\n  "
+              | ':' when json.[i - 1] = '"' -> " : "
+              | '[' -> "[ "
+              | ']' -> " ]"
+              | c -> String.make 1 c))
+          json;
+        let spaced = Buffer.contents b in
+        check_bool "pretty-printed repro parses" true
+          (Scenario.of_json_string ("\n" ^ spaced ^ "\n") = Ok s));
     Alcotest.test_case "shrink candidates are strictly simpler" `Quick
       (fun () ->
         let s =

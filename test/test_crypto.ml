@@ -153,59 +153,6 @@ let hmac_tests =
         Hmac.sha256_list ~key parts = Hmac.sha256 ~key (String.concat "" parts));
   ]
 
-(* ---------------- HMAC-DRBG ---------------- *)
-
-let drbg_tests =
-  [
-    Alcotest.test_case "deterministic in seed" `Quick (fun () ->
-        let a = Hmac_drbg.create ~seed:"s" and b = Hmac_drbg.create ~seed:"s" in
-        check "equal streams"
-          (Hex.encode (Hmac_drbg.generate a 48))
-          (Hex.encode (Hmac_drbg.generate b 48)));
-    Alcotest.test_case "different seeds differ" `Quick (fun () ->
-        let a = Hmac_drbg.create ~seed:"s1" and b = Hmac_drbg.create ~seed:"s2" in
-        check_bool "differ" false
-          (Hmac_drbg.generate a 32 = Hmac_drbg.generate b 32));
-    Alcotest.test_case "stream advances" `Quick (fun () ->
-        let a = Hmac_drbg.create ~seed:"s" in
-        check_bool "differ" false
-          (Hmac_drbg.generate a 32 = Hmac_drbg.generate a 32));
-    Alcotest.test_case "uniform_int in range" `Quick (fun () ->
-        let d = Hmac_drbg.create ~seed:"r" in
-        for _ = 1 to 1000 do
-          let v = Hmac_drbg.uniform_int d 7 in
-          check_bool "range" true (v >= 0 && v < 7)
-        done);
-    Alcotest.test_case "uniform_int bound 1" `Quick (fun () ->
-        let d = Hmac_drbg.create ~seed:"r" in
-        check_int "zero" 0 (Hmac_drbg.uniform_int d 1));
-    Alcotest.test_case "uniform_int roughly uniform" `Quick (fun () ->
-        let d = Hmac_drbg.create ~seed:"u" in
-        let counts = Array.make 4 0 in
-        for _ = 1 to 4000 do
-          let v = Hmac_drbg.uniform_int d 4 in
-          counts.(v) <- counts.(v) + 1
-        done;
-        Array.iter
-          (fun c -> check_bool "within 20%" true (c > 800 && c < 1200))
-          counts);
-    Alcotest.test_case "shuffle is a permutation" `Quick (fun () ->
-        let d = Hmac_drbg.create ~seed:"p" in
-        let a = Array.init 50 Fun.id in
-        Hmac_drbg.shuffle d a;
-        let sorted = Array.copy a in
-        Array.sort compare sorted;
-        check_bool "permutation" true (sorted = Array.init 50 Fun.id));
-    Alcotest.test_case "shuffle deterministic" `Quick (fun () ->
-        let mk () =
-          let d = Hmac_drbg.create ~seed:"det" in
-          let a = Array.init 20 Fun.id in
-          Hmac_drbg.shuffle d a;
-          a
-        in
-        check_bool "same" true (mk () = mk ()));
-  ]
-
 (* ---------------- Uint256 ---------------- *)
 
 let u256 = Alcotest.testable Uint256.pp Uint256.equal
@@ -677,7 +624,6 @@ let () =
       ("sha256", sha256_tests);
       ("sha256-ref", sha256_ref_tests);
       ("hmac", hmac_tests);
-      ("hmac-drbg", drbg_tests);
       ("uint256", uint256_tests);
       ("uint256-edge", uint256_edge_tests);
       ("secp256k1", secp_tests);

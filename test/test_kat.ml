@@ -5,9 +5,6 @@
    - SHA-256 against the remaining FIPS 180-4 / NIST CAVP short vectors
    - HMAC-SHA256 against the full RFC 4231 set (cases 4-7, including
      the truncated case and the >block-size key and data cases)
-   - HMAC_DRBG against the NIST CAVP no-reseed SHA-256 vector
-     (drbgvectors_no_reseed, COUNT=0): two generate calls, the first
-     discarded, exactly the CAVP test discipline
    - secp256k1 scalar multiplication against the published SEC1
      coordinates of G, 2G and 3G
    - Schnorr sign/verify regression vectors: deterministic nonces make
@@ -51,39 +48,6 @@ let hmac_tests =
           than block-size data. The key needs to be hashed before being \
           used by the HMAC algorithm."
          "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
-  ]
-
-let drbg_tests =
-  [
-    Alcotest.test_case "nist cavp sha-256 no-reseed count 0" `Quick
-      (fun () ->
-        let entropy =
-          Hex.decode
-            "ca851911349384bffe89de1cbdc46e6831e44d34a4fb935ee285dd14b71a7488"
-        in
-        let nonce = Hex.decode "659ba96c601dc69fc902940805ec0ca8" in
-        let d = Hmac_drbg.create ~seed:(entropy ^ nonce) in
-        (* CAVP discipline: generate twice, compare the second block. *)
-        ignore (Hmac_drbg.generate d 128);
-        check "returned bits"
-          "e528e9abf2dece54d47c7e75e5fe302149f817ea9fb4bee6f4199697d04d5b89\
-           d54fbb978a15b5c443c9ec21036d2460b6f73ebad0dc2aba6e624abf07745bc1\
-           07694bb7547bb0995f70de25d6b29e2d3011bb19d27676c07162c8b5ccde0668\
-           961df86803482cb37ed6d5c0bb8d50cf1f50d476aa0458bdaba806f48be9dcb8"
-          (Hex.encode (Hmac_drbg.generate d 128)));
-    Alcotest.test_case "update-per-generate discipline" `Quick (fun () ->
-        (* Per SP 800-90A the internal state updates after every
-           generate call, so 2x64 bytes != 1x128 bytes. A lazy
-           implementation that only iterates V would get this wrong. *)
-        let a = Hmac_drbg.create ~seed:"discipline" in
-        let b = Hmac_drbg.create ~seed:"discipline" in
-        let first = Hmac_drbg.generate a 64 in
-        let two = first ^ Hmac_drbg.generate a 64 in
-        let one = Hmac_drbg.generate b 128 in
-        check_bool "differ" false (String.equal two one);
-        check "first block shared"
-          (Hex.encode (String.sub one 0 64))
-          (Hex.encode (String.sub two 0 64)));
   ]
 
 let affine_hex p =
@@ -156,7 +120,6 @@ let () =
   Alcotest.run "lo_kat"
     [
       ("hmac_rfc4231", hmac_tests);
-      ("hmac_drbg_cavp", drbg_tests);
       ("secp256k1_points", secp_tests);
       ("schnorr_vectors", schnorr_tests);
     ]

@@ -556,7 +556,7 @@ let wire_invariant_tests =
            message addressed to it and asserts the protocol caps. Its
            silence costs nothing — senders' caps are what we check. *)
         let d = mk_network ~n:15 ~seed:970 () in
-        let max_delta = (Node.default_config d.scheme).Node.max_delta in
+        let max_delta = Node_env.max_delta in
         let violations = ref 0 and observed = ref 0 in
         Net.set_handler d.net 14 (fun _ ~from:_ ~tag:_ payload ->
             match Messages.decode payload with

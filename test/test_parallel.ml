@@ -57,6 +57,16 @@ let pool_tests =
                 (List.init 8 Fun.id))
          with Failure _ -> ());
         check_int "all tasks ran" 8 (Atomic.get ran));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"sweep groups as the sequential nested loop"
+         QCheck2.Gen.(
+           triple (list_size (int_bound 6) small_nat) (int_range 1 4)
+             (int_range 1 4))
+         (fun (cells, reps, jobs) ->
+           let f cell rep = (cell * 10) + rep in
+           with_jobs jobs (fun () -> Parallel.sweep ~reps f cells)
+           = List.map (fun c -> (c, List.init reps (f c))) cells));
     Alcotest.test_case "invalid LO_JOBS rejected" `Quick (fun () ->
         Unix.putenv "LO_JOBS" "zero";
         Fun.protect

@@ -54,7 +54,8 @@ live-chaos-smoke:
 # The live cluster on real signatures: every node's identity is a
 # secp256k1 key, every transaction and commitment digest carries a real
 # Schnorr signature, and verification goes through the batched
-# GLV/Strauss kernel. One node is SIGKILLed and respawned mid-run; the
+# kernel (a comb table for a key that signs at least 8 signatures of a
+# chunk, GLV/wNAF ladders for the others). One node is SIGKILLed and respawned mid-run; the
 # merged trace must pass all five audit invariants with zero honest
 # exposures.
 live-schnorr-smoke:

@@ -110,6 +110,21 @@ let crypto_group =
                 (Signer.id schnorr_signer, msg, Signer.sign schnorr_signer msg))
           in
           fun () -> Signer.verify_many Signer.schnorr sigs));
+    (* Sixteen signers, one signature each: every key stays below
+       Schnorr.comb_min_uses, so this is the wNAF side of the comb
+       threshold that the one-key rows above sit on the other side of. *)
+    Test.make ~name:"schnorr-batch-verify-16-distinct"
+      (staged
+         (let sigs =
+            Array.init 16 (fun i ->
+                let signer =
+                  Signer.make Signer.schnorr
+                    ~seed:(Printf.sprintf "bench-distinct-%d" i)
+                in
+                let msg = Printf.sprintf "batch-msg-%d" i in
+                (Signer.id signer, msg, Signer.sign signer msg))
+          in
+          fun () -> Signer.verify_many Signer.schnorr sigs));
     Test.make ~name:"schnorr-batch-verify-64"
       (staged
          (let sigs =

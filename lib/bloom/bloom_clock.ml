@@ -91,5 +91,8 @@ let decode r =
   let n = Reader.u16 r in
   if n = 0 then raise (Reader.Malformed "bloom clock: zero cells");
   let count = Reader.u32 r in
+  (* As in [Sketch.decode_wire]: no allocation the bytes cannot back. *)
+  if Reader.remaining r < 2 * n then
+    raise (Reader.Malformed "truncated bloom clock");
   let counters = Array.init n (fun _ -> Reader.u16 r) in
   { counters; count }

@@ -58,3 +58,6 @@ val merge : t -> t -> t
 val encoded_size : t -> int
 val encode : Lo_codec.Writer.t -> t -> unit
 val decode : Lo_codec.Reader.t -> t
+(** The declared cell count is checked against the bytes left before
+    anything is allocated for it.
+    @raise Lo_codec.Reader.Malformed on bad or truncated input. *)

@@ -69,6 +69,8 @@ let varint t =
     need t 1 "varint";
     let b = Char.code t.data.[t.pos] in
     t.pos <- t.pos + 1;
+    (* Bits from 2^62 up would wrap to a negative int. *)
+    if shift = 56 && b land 0x40 <> 0 then raise (Malformed "varint too long");
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in

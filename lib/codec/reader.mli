@@ -44,6 +44,9 @@ val u16 : t -> int
 val u32 : t -> int
 val u64 : t -> int
 val varint : t -> int
+(** LEB128, at most nine bytes; @raise Malformed on a value that does
+    not fit a non-negative OCaml [int] (2^62 and up). *)
+
 val bool : t -> bool
 val fixed : t -> int -> string
 val bytes : t -> string

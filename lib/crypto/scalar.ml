@@ -79,10 +79,15 @@ let split_lambda k =
   let k1 = add k (neg (mul k2 lambda)) in
   (signed k1, signed k2)
 
-let split_128 k =
-  let l = limbs k in
-  ( Uint256.of_limbs (Array.sub l 0 8),
-    Uint256.of_limbs (Array.sub l 8 8) )
+let comb_columns ~teeth k =
+  let l = limbs k and spacing = 256 / teeth in
+  Array.init spacing (fun j ->
+      let c = ref 0 in
+      for t = teeth - 1 downto 0 do
+        let pos = j + (t * spacing) in
+        c := (!c lsl 1) lor ((l.(pos lsr 4) lsr (pos land 15)) land 1)
+      done;
+      !c)
 
 (* [cnt] <= 16 bits of 16-limb [l] from bit [pos]; zero past bit 255. *)
 let get_bits l pos cnt =

@@ -23,8 +23,10 @@ val split_lambda : Uint256.t -> (bool * Uint256.t) * (bool * Uint256.t)
     [k = ±a1 + lambda (±a2) (mod n)] (minus where the flag is set) and
     [a1], [a2] about 128 bits long (below 2^129). *)
 
-val split_128 : Uint256.t -> Uint256.t * Uint256.t
-(** [(lo, hi)] with [k = lo + 2^128 hi]. *)
+val comb_columns : teeth:int -> Uint256.t -> int array
+(** The columns of a Lim-Lee comb with [teeth] teeth (dividing 256) at
+    spacing [s = 256 / teeth]: [s] values, column [j] holding bit
+    [j + t s] of the scalar as its bit [t]. *)
 
 val windows : width:int -> Uint256.t -> int array
 (** Unsigned [width]-bit digits, least significant first, covering 256

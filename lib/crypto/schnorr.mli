@@ -37,11 +37,14 @@ val batch_verify :
 (** [batch_verify sigs] checks an array of [(pk, msg, signature)]
     triples and either declares them all valid or names the invalid
     indices (sorted). Outcome-equivalent to calling {!verify} on each
-    triple, but amortised: [s*G - e*P] in one Strauss chain of ~128
-    doublings (GLV split of [e], per-domain tables for [G]), one wNAF
-    precomputation per distinct public key per chunk of {!batch_chunk}
-    signatures, and a projective x-check with no inversion. Keys carry
-    their encoding, so nothing is re-normalised or re-encoded.
+    triple, but amortised: [s*G - e*P] in one chain of doublings
+    against a per-domain comb of [G], one table per distinct public key
+    per chunk of {!batch_chunk} signatures, and a projective x-check
+    with no inversion. A key that signs at least {!comb_min_uses} of a
+    chunk's signatures gets a Lim-Lee comb (32 doublings per check);
+    the others get width-5 wNAF tables on a GLV chain of ~128
+    doublings. Keys carry their encoding, so nothing is re-normalised
+    or re-encoded.
 
     Accountability survives batching through bisection: the fast kernel
     only narrows dirty chunks, and an index is blamed only after the
@@ -55,3 +58,8 @@ val batch_verify :
 
 val batch_chunk : int
 (** Signatures per kernel chunk (the bisection granularity). *)
+
+val comb_min_uses : int
+(** Signatures a key must sign within one chunk to get a comb table
+    (8, the break-even between the comb's build cost and its saving
+    per check). *)

@@ -115,8 +115,8 @@ let affine_fe pt = (affine_batch [| pt |]).(0)
 let u256_pair a = (u256_of_fe a.ax, u256_of_fe a.ay)
 let to_affine pt = Option.map u256_pair (affine_fe pt)
 
-(* Odd multiples and fixed-base windows of a point of prime order ~2^256
-   are never infinity. *)
+(* Odd multiples, fixed-base windows and comb entries of a point of
+   prime order ~2^256 are never infinity. *)
 let affine_table pts =
   Array.map (function Some a -> a | None -> assert false) (affine_batch pts)
 
@@ -275,20 +275,35 @@ let mul_g scalar =
     digits;
   acc
 
-(* --- Variable-base multiplication: GLV + wNAF + Strauss.
+(* --- Variable-base multiplication: a Lim-Lee comb, or GLV + wNAF.
 
-   [precompute] tabulates the odd multiples P, 3P, ..., 15P (width-5
-   wNAF) and, for free, those of lambda P = (beta x, y). A scalar k
-   splits as k1 + lambda k2 with both halves about 128 bits, so k P is two
-   128-bit wNAF ladders sharing one chain of ~128 doublings. The G half
-   of [mul_add_precomp] joins the same chain: s = s_lo + 2^128 s_hi
-   against width-8 tables of G and 2^128 G (64 odd multiples each,
-   built lazily per domain). --- *)
+   Both shapes of [mul_add_precomp] evaluate a*G + b*P in one chain of
+   doublings, and both read G off a comb (below). What differs is P's
+   table:
+   - A comb of P ([comb]) makes the chain 32 doublings long, with at
+     most one mixed addition per column per base: about 32 * 7 + 64 *
+     11 = 930 field multiplications and squarings, against about 1,680
+     for the GLV chain. Building the table costs about 6.1k, so it pays
+     only for a key that is used many times (see [Schnorr]).
+   - The odd multiples P, 3P, ..., 15P ([precompute], width-5 wNAF)
+     and, for free, those of lambda P = (beta x, y). A scalar k splits
+     as k1 + lambda k2 with both halves about 128 bits, so k P is two
+     128-bit wNAF ladders sharing one chain of ~128 doublings; G's comb
+     columns join that chain at positions 31..0.
+
+   The comb has [comb_teeth] = 8 teeth at spacing [comb_spacing] = 32:
+   column j of a scalar holds bit j + 32 t as its bit t, and table
+   entry c - 1 is the sum of 2^(32 t) P over the bits t set in c, so
+   k P = sum_j 2^j T[column j]. No entry is infinity: each is m P with
+   0 < m < 2^225 < n. --- *)
 
 let wnaf_w = 5
-let g_wnaf_w = 8
+let comb_teeth = 8
+let comb_spacing = 256 / comb_teeth
 
-type precomp = { odd : affine array; odd_lambda : affine array }
+type precomp =
+  | Wnaf of { odd : affine array; odd_lambda : affine array }
+  | Comb of affine array
 
 let odd_multiples base count =
   let jac = Array.init count (fun _ -> fresh ()) in
@@ -308,20 +323,46 @@ let precompute pt =
     Fe.normalize x;
     { ax = x; ay = a.ay }
   in
-  { odd; odd_lambda = Array.map times_lambda odd }
+  Wnaf { odd; odd_lambda = Array.map times_lambda odd }
 
-let g_odd_key =
-  Domain.DLS.new_key (fun () ->
-      let count = 1 lsl (g_wnaf_w - 2) in
-      let g128 = mul (Uint256.of_hex "100000000000000000000000000000000") g in
-      (odd_multiples g count, odd_multiples g128 count))
+(* The teeth 2^(32 t) P are normalised first, so each of the 247 sums
+   of two or more teeth is one mixed addition onto a smaller sum. *)
+let comb_table pt =
+  let teeth = Array.init comb_teeth (fun _ -> fresh ()) in
+  set_point teeth.(0) pt;
+  for t = 1 to comb_teeth - 1 do
+    double_to teeth.(t) teeth.(t - 1);
+    for _ = 2 to comb_spacing do
+      double_to teeth.(t) teeth.(t)
+    done
+  done;
+  let teeth = affine_table teeth in
+  let size = (1 lsl comb_teeth) - 1 in
+  let jac = Array.init size (fun _ -> fresh ()) in
+  let top = ref 0 in
+  for c = 1 to size do
+    if c = 2 lsl !top then incr top;
+    let rest = c - (1 lsl !top) in
+    add_ge_to jac.(c - 1)
+      (if rest = 0 then infinity else jac.(rest - 1))
+      teeth.(!top)
+  done;
+  affine_table jac
 
-(* Strauss: the sum of digits * table over every (digits, sign, table)
-   ladder, one shared doubling per digit position. A negative digit
-   (or a negated ladder) adds the table entry with y negated. *)
-let strauss ladders =
+let comb pt =
+  if pt.inf then invalid_arg "Secp256k1.comb: infinity";
+  Comb (comb_table pt)
+
+let g_comb_key = Domain.DLS.new_key (fun () -> comb_table g)
+
+(* One shared chain of doublings from position [len - 1] down to 0. At
+   position i each (digits, negated, table) wNAF ladder adds its digit
+   i's table entry, y negated for a negative digit or a negated ladder,
+   and each (columns, table) comb adds the entry of its column i. *)
+let chain ladders combs =
   let len =
-    List.fold_left (fun m (d, _, _) -> max m (Array.length d)) 0 ladders
+    List.fold_left (fun m (d, _, _) -> max m (Array.length d)) comb_spacing
+      ladders
   in
   let acc = fresh () and neg_y = Fe.create () in
   for i = len - 1 downto 0 do
@@ -337,21 +378,33 @@ let strauss ladders =
           end
           else add_ge_to acc acc e
         end)
-      ladders
+      ladders;
+    if i < comb_spacing then
+      List.iter
+        (fun (columns, tbl) ->
+          let c = columns.(i) in
+          if c <> 0 then add_ge_to acc acc tbl.(c - 1))
+        combs
   done;
   acc
 
 let mul_add_precomp ~g_scalar scalar tbl =
-  let g_odd, g128_odd = Domain.DLS.get g_odd_key in
-  let s_lo, s_hi = Scalar.split_128 g_scalar in
-  let (neg1, k1), (neg2, k2) = Scalar.split_lambda (Scalar.reduce scalar) in
-  strauss
-    [
-      (Scalar.wnaf ~w:g_wnaf_w s_lo, false, g_odd);
-      (Scalar.wnaf ~w:g_wnaf_w s_hi, false, g128_odd);
-      (Scalar.wnaf ~w:wnaf_w k1, neg1, tbl.odd);
-      (Scalar.wnaf ~w:wnaf_w k2, neg2, tbl.odd_lambda);
-    ]
+  let g_comb =
+    (Scalar.comb_columns ~teeth:comb_teeth g_scalar, Domain.DLS.get g_comb_key)
+  in
+  match tbl with
+  | Comb entries ->
+      chain [] [ g_comb; (Scalar.comb_columns ~teeth:comb_teeth scalar, entries) ]
+  | Wnaf { odd; odd_lambda } ->
+      let (neg1, k1), (neg2, k2) =
+        Scalar.split_lambda (Scalar.reduce scalar)
+      in
+      chain
+        [
+          (Scalar.wnaf ~w:wnaf_w k1, neg1, odd);
+          (Scalar.wnaf ~w:wnaf_w k2, neg2, odd_lambda);
+        ]
+        [ g_comb ]
 
 let mul_add ~g_scalar scalar pt =
   if is_infinity pt || Uint256.is_zero scalar then mul_g g_scalar

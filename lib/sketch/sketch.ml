@@ -186,6 +186,10 @@ let decode_wire ?(field = Gf2m.gf32) r =
   let capacity = Reader.u16 r in
   if capacity = 0 then raise (Reader.Malformed "sketch capacity");
   let nb = syndrome_bytes field in
+  (* Size the array only once the input can back it: a hostile count
+     must not buy a 65,535-entry allocation from a few bytes. *)
+  if Reader.remaining r < capacity * nb then
+    raise (Reader.Malformed "truncated sketch");
   let syndromes =
     Array.init capacity (fun _ ->
         let v = ref 0 in

@@ -91,5 +91,6 @@ val encode_into : t -> bytes -> pos:int -> unit
 
 val decode_wire : ?field:Gf2m.t -> Lo_codec.Reader.t -> t
 (** Read a sketch; the field must match the expected deployment field
-    ([Gf2m.gf32] by default). @raise Lo_codec.Reader.Malformed on bad
-    input. *)
+    ([Gf2m.gf32] by default). The declared capacity is checked against
+    the bytes left before anything is allocated for it.
+    @raise Lo_codec.Reader.Malformed on bad or truncated input. *)

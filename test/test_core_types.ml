@@ -852,6 +852,132 @@ let messages_tests =
         check_bool "bigger" true (Messages.size full_req > Messages.size light_req));
   ]
 
+(* Hostile bytes: mutated encodings of every constructor. A decode
+   either returns or raises [Malformed], and what it allocates is
+   bounded by the input's length (a declared count must not buy an
+   allocation the bytes cannot back). *)
+let decode_fuzz_tests =
+  let log = mk_log () in
+  let _ = Commitment.Log.append log ~source:None ~ids:[ 1; 2 ] in
+  let older = Commitment.Log.current_digest log in
+  let _ = Commitment.Log.append log ~source:None ~ids:[ 3 ] in
+  let digest = Commitment.Log.current_digest log in
+  let light = Commitment.Log.current_digest_light log in
+  let tx = mk_tx "fuzz" in
+  let block = mk_block ~txids:[ tx.Tx.id ] () in
+  let valid =
+    Array.map Messages.encode
+      [|
+        Messages.Submit tx;
+        Messages.Submit_ack
+          { txid = tx.Tx.id; ack_signature = String.make Signer.signature_size 's' };
+        Messages.Commit_request
+          { digest; delta = [ 1; 2 ]; want = [ 3 ]; appended = [ 3 ] };
+        Messages.Commit_response
+          { digest = light; want = [ 7 ]; delta = [ 9 ]; appended = [] };
+        Messages.Tx_batch [ tx; mk_tx "fuzz-2" ];
+        Messages.Digest_share digest;
+        Messages.Digest_request { owner = Signer.id alice; seq = 4 };
+        Messages.Digest_reply [ older; light ];
+        Messages.Suspicion_note
+          { suspect = Signer.id bob; reporter = Signer.id alice;
+            last_digest = Some digest; reason = "timeout" };
+        Messages.Suspicion_withdraw
+          { suspect = Signer.id bob; reporter = Signer.id alice };
+        Messages.Exposure_note
+          (Evidence.Block_bundle_violation
+             { block; older; newer = digest; omitted_tx = Some tx });
+        Messages.Block_announce block;
+      |]
+  in
+  let overwrite s i c =
+    let b = Bytes.of_string s in
+    Bytes.set b i c;
+    Bytes.to_string b
+  in
+  (* Bytes allocated so far. [Gc.allocated_bytes] is not used: on
+     OCaml 5.1 it counts minor allocations in words, and jumps by the
+     minor heap's size at a minor collection. *)
+  let allocated () =
+    let s = Gc.quick_stat () in
+    (Gc.minor_words () +. s.major_words -. s.promoted_words)
+    *. float_of_int (Sys.word_size / 8)
+  in
+  (* The valid encodings above cost 2.5-10 bytes per input byte, the
+     high end on the shortest, where a few hundred fixed bytes
+     dominate. *)
+  let budget input = (16 * String.length input) + 4096 in
+  let decode_cost input =
+    let before = allocated () in
+    let outcome =
+      match Messages.decode input with
+      | _ -> Ok ()
+      | exception Lo_codec.Reader.Malformed _ -> Ok ()
+      | exception e -> Error (Printexc.to_string e)
+    in
+    (outcome, allocated () -. before)
+  in
+  let decodes_bounded input =
+    match decode_cost input with
+    | Error e, _ -> QCheck2.Test.fail_reportf "escaped: %s" e
+    | Ok (), used ->
+        (* The lesser of two runs, in case a collection skews one. *)
+        let used = Float.min used (snd (decode_cost input)) in
+        used <= float_of_int (budget input)
+        || QCheck2.Test.fail_reportf "allocated %.0f bytes on %d input bytes"
+             used (String.length input)
+  in
+  let mutation =
+    QCheck2.Gen.(
+      let* m = int_bound (Array.length valid - 1) in
+      let s = valid.(m) in
+      let len = String.length s in
+      frequency
+        [
+          (1, map (fun k -> String.sub s 0 k) (int_bound (len - 1)));
+          ( 2,
+            map2
+              (fun i c -> overwrite s i c)
+              (int_bound (len - 1))
+              (frequency [ (1, char); (1, oneofl [ '\x00'; '\x7f'; '\xff' ]) ]) );
+          ( 1,
+            let* o = int_bound (Array.length valid - 1) in
+            let t = valid.(o) in
+            map2
+              (fun i j -> String.sub s 0 i ^ String.sub t j (String.length t - j))
+              (int_bound len)
+              (int_bound (String.length t)) );
+        ])
+  in
+  [
+    Alcotest.test_case "valid encodings decode within the budget" `Quick
+      (fun () ->
+        Array.iter
+          (fun s ->
+            check_bool "roundtrip" true
+              (Messages.encode (Messages.decode s) = s);
+            check_bool "bounded" true (decodes_bounded s))
+          valid);
+    Alcotest.test_case "every truncation and 0xff byte is Malformed-or-ok, bounded"
+      `Quick (fun () ->
+        Array.iteri
+          (fun m s ->
+            for i = 0 to String.length s - 1 do
+              check_bool
+                (Printf.sprintf "message %d cut at %d" m i)
+                true
+                (decodes_bounded (String.sub s 0 i));
+              check_bool
+                (Printf.sprintf "message %d, 0xff at %d" m i)
+                true
+                (decodes_bounded (overwrite s i '\xff'))
+            done)
+          valid);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~print:Lo_crypto.Hex.encode
+         ~name:"truncations, byte flips and splices" mutation decodes_bounded);
+  ]
+
 let directory_tests =
   [
     Alcotest.test_case "bidirectional lookup" `Quick (fun () ->
@@ -1149,4 +1275,5 @@ let () =
       ("evidence-soundness", evidence_soundness_tests);
       ("accountability", accountability_tests);
       ("messages", messages_tests);
+      ("decode-fuzz", decode_fuzz_tests);
     ]

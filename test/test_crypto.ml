@@ -532,6 +532,52 @@ let batch_tests =
                spec)
         in
         Schnorr.batch_verify sigs = reference sigs);
+    (* Key 0 signs [comb_min_uses] + 2 of the chunk's signatures, so it
+       runs on a comb while keys 1-4 stay on wNAF tables; bisection
+       halves drop key 0 below the threshold again. *)
+    Alcotest.test_case "comb key mixed with wNAF keys: every culprit named"
+      `Slow (fun () ->
+        let comb_uses = Schnorr.comb_min_uses + 2 in
+        let spec =
+          List.init (comb_uses + 4) (fun i ->
+              if i mod 3 = 1 && i / 3 < 4 then 1 + (i / 3) else 0)
+        in
+        let base =
+          Array.of_list
+            (List.mapi (fun i k -> triple k (Printf.sprintf "mix-%d" i)) spec)
+        in
+        check_int "comb key uses" comb_uses
+          (List.length (List.filter (( = ) 0) spec));
+        check_bool "clean" true (Schnorr.batch_verify base = `All_valid);
+        List.iteri
+          (fun bad k ->
+            if k = 0 then begin
+              let sigs = Array.copy base in
+              let pk, msg, s = sigs.(bad) in
+              sigs.(bad) <- (pk, msg, flip_byte s (bad mod 64));
+              check_bool
+                (Printf.sprintf "culprit %d" bad)
+                true
+                (Schnorr.batch_verify sigs = reference sigs
+                && reference sigs = `Invalid [ bad ])
+            end)
+          spec);
+    qtest "batch_verify = iterated verify, one key at or above the comb \
+           threshold" ~count:10
+      QCheck2.Gen.(
+        list_size (int_range 8 32)
+          (pair (frequency [ (3, return 0); (1, int_range 1 5) ]) (int_bound 7)))
+      (fun spec ->
+        let sigs =
+          Array.of_list
+            (List.mapi
+               (fun i (k, corrupt) ->
+                 let pk, msg, s = triple k (Printf.sprintf "thr-%d" i) in
+                 if corrupt = 0 then (pk, msg, flip_byte s (i mod 64))
+                 else (pk, msg, s))
+               spec)
+        in
+        Schnorr.batch_verify sigs = reference sigs);
     qtest "batch_verify with custom run_chunks = default" ~count:8
       QCheck2.Gen.(list_size (int_bound 10) (pair (int_bound 5) (int_bound 3)))
       (fun spec ->

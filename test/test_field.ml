@@ -179,6 +179,18 @@ let scalar_tests =
       (fun (a, b) ->
         Uint256.equal (Scalar.mul a b)
           (Uint256.mod_mul ~modulus:n (reduce_ref a) (reduce_ref b)));
+    qtest "comb columns hold the scalar's bits" ~count:100
+      QCheck2.Gen.(pair gen_wide (oneofl [ 1; 2; 4; 8; 16 ]))
+      (fun (k, teeth) ->
+        let cols = Scalar.comb_columns ~teeth k in
+        let spacing = 256 / teeth in
+        Array.length cols = spacing
+        && List.for_all
+             (fun pos ->
+               (cols.(pos mod spacing) lsr (pos / spacing)) land 1 = 1
+               = Uint256.bit k pos)
+             (List.init 256 Fun.id)
+        && Array.for_all (fun c -> c < 1 lsl teeth) cols);
     qtest "wnaf digits rebuild the scalar" ~count:100
       QCheck2.Gen.(pair gen_wide (int_range 2 8))
       (fun (k, w) ->
@@ -301,6 +313,56 @@ let point_tests =
         Secp256k1.equal
           (Secp256k1.mul_add ~g_scalar:a b pt)
           (Secp256k1.add (Secp256k1.mul a Secp256k1.g) (Secp256k1.mul b pt)));
+    (* Both tables of P, each with G on its comb. Column edges: 2^255
+       is column 31's top tooth alone, and 2^256 - 1 sets every column
+       to 255. P = G and P = -G with equal scalars make the accumulator
+       meet an equal or opposite entry (finish_add's doubling and
+       infinity branches). *)
+    qtest "comb and wNAF mul_add_precomp = reference ladder" ~count:40
+      QCheck2.Gen.(
+        let comb_scalar =
+          frequency
+            [
+              (3, scalar);
+              ( 2,
+                oneofl
+                  [
+                    Uint256.zero;
+                    Uint256.one;
+                    Uint256.mod_sub ~modulus:n Uint256.zero Uint256.one;
+                    hex
+                      "8000000000000000000000000000000000000000000000000000000000000000";
+                    hex
+                      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff";
+                  ] );
+            ]
+        in
+        let base =
+          frequency
+            [
+              (2, map Secp256k1.mul_g scalar);
+              (1, return Secp256k1.g);
+              (1, return (Secp256k1.neg Secp256k1.g));
+            ]
+        in
+        let scalars =
+          frequency
+            [
+              (2, pair comb_scalar comb_scalar);
+              (1, map (fun a -> (a, a)) comb_scalar);
+            ]
+        in
+        pair scalars base)
+      (fun ((a, b), pt) ->
+        let expected =
+          Secp256k1.add (Secp256k1.mul a Secp256k1.g) (Secp256k1.mul b pt)
+        in
+        List.for_all
+          (fun tbl ->
+            Secp256k1.equal
+              (Secp256k1.mul_add_precomp ~g_scalar:a b (tbl pt))
+              expected)
+          [ Secp256k1.comb; Secp256k1.precompute ]);
     qtest "has_x = affine x" ~count:20 QCheck2.Gen.(pair scalar bytes32)
       (fun (k, other) ->
         let pt = Secp256k1.add (Secp256k1.mul_g k) Secp256k1.g in

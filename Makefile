@@ -55,7 +55,9 @@ live-chaos-smoke:
 # secp256k1 key, every transaction and commitment digest carries a real
 # Schnorr signature, and verification goes through the batched
 # kernel (a comb table for a key that signs at least 8 signatures of a
-# chunk, GLV/wNAF ladders for the others). One node is SIGKILLed and respawned mid-run; the
+# chunk, kept in each host's bounded comb cache across batches, so the
+# one client key's comb is built once per process; GLV/wNAF ladders
+# for the others). One node is SIGKILLed and respawned mid-run; the
 # merged trace must pass all five audit invariants with zero honest
 # exposures.
 live-schnorr-smoke:

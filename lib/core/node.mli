@@ -98,6 +98,12 @@ val start : t -> unit
     the crash-recovery path) and schedule the periodic reconciliation
     and digest-share timers (staggered by a random offset). *)
 
+val handle_message : t -> from:int -> tag:string -> string -> unit
+(** The subscription handler {!start} registers: decode one wire
+    message and dispatch it. Malformed input is contained: the message
+    is dropped and counted as a {!Lo_obs.Event.Malformed} trace
+    event. *)
+
 val handle_message_view : t -> from:int -> tag:string -> Lo_codec.Reader.t -> unit
 (** Handle one wire message decoded straight out of a reader view over
     the transport's receive buffer (no intermediate payload string).

@@ -131,22 +131,47 @@ let normalize r =
     r.(9) <- (r.(9) + !c) land m22
   end
 
-(* Whether [a] (magnitude <= 8) is 0 mod p. A weak pass leaves a value
-   below 2p with canonical low limbs, so it is 0 mod p exactly when its
-   limbs spell 0 or p. *)
-let is_zero a =
-  let t = copy a in
-  normalize_weak t;
-  Array.for_all (fun x -> x = 0) t
-  || t.(0) = p0 && t.(1) = p1
-     && t.(2) land t.(3) land t.(4) land t.(5) land t.(6) land t.(7) land t.(8)
-        = m26
-     && t.(9) = m22
+(* Whether the non-negative limbs t0..t9 spell 0 mod p: the carry pass
+   of [normalize_weak], in locals. It leaves a value below 2p whose
+   limbs 0..8 are their low 26 bits, so the value is 0 mod p exactly
+   when those limbs spell 0 or p. [is_zero] and [equal] run on every
+   point addition and every x-check, so they allocate nothing. *)
+let[@inline] zero_limbs t0 t1 t2 t3 t4 t5 t6 t7 t8 t9 =
+  let x = t9 lsr 22 in
+  let t0 = t0 + (x * 0x3D1) in
+  let t1 = t1 + (x lsl 6) + (t0 lsr 26) in
+  let t2 = t2 + (t1 lsr 26) in
+  let t3 = t3 + (t2 lsr 26) in
+  let t4 = t4 + (t3 lsr 26) in
+  let t5 = t5 + (t4 lsr 26) in
+  let t6 = t6 + (t5 lsr 26) in
+  let t7 = t7 + (t6 lsr 26) in
+  let t8 = t8 + (t7 lsr 26) in
+  let t9 = (t9 land m22) + (t8 lsr 26) in
+  let t0 = t0 land m26 and t1 = t1 land m26 in
+  let any = (t2 lor t3 lor t4 lor t5 lor t6 lor t7 lor t8) land m26 in
+  let all = t2 land t3 land t4 land t5 land t6 land t7 land t8 land m26 in
+  t0 lor t1 lor any lor t9 = 0
+  || (t0 = p0 && t1 = p1 && all = m26 && t9 = m22)
 
+(* Whether [a] (magnitude <= 8) is 0 mod p. *)
+let is_zero a =
+  zero_limbs a.(0) a.(1) a.(2) a.(3) a.(4) a.(5) a.(6) a.(7) a.(8) a.(9)
+
+(* a - b as [sub] forms it (a + 18p - b), tested without the carry
+   being written back. *)
 let equal a b =
-  let d = create () in
-  sub d a b;
-  is_zero d
+  zero_limbs
+    (a.(0) + (18 * p0) - b.(0))
+    (a.(1) + (18 * p1) - b.(1))
+    (a.(2) + (18 * m26) - b.(2))
+    (a.(3) + (18 * m26) - b.(3))
+    (a.(4) + (18 * m26) - b.(4))
+    (a.(5) + (18 * m26) - b.(5))
+    (a.(6) + (18 * m26) - b.(6))
+    (a.(7) + (18 * m26) - b.(7))
+    (a.(8) + (18 * m26) - b.(8))
+    (a.(9) + (18 * m22) - b.(9))
 
 (* [a] must be normalised. *)
 let is_odd a = a.(0) land 1 = 1

@@ -69,14 +69,16 @@ let verify pk ~msg ~signature =
    accepts either y-parity of R (only R.x is signed), so the R_i cannot
    be reconstituted as group elements to sum. The batch path instead
    amortises the expensive parts per signature — one chain of doublings
-   for s*G - e*P against a per-domain comb of G, one table per distinct
-   public key per chunk, and a projective x-check with no inversion —
-   and reports only "chunk clean" / "chunk dirty". A key that signs at
-   least [comb_min_uses] of the chunk's signatures gets a comb (32
-   doublings per check); the others get width-5 wNAF tables on the GLV
-   chain (~128 doublings). A dirty chunk is bisected with the same
-   kernel, and a signer is blamed only after the reference [verify]
-   confirms the leaf, so accountability never rests on the fast path.
+   for s*G - e*P against a per-domain comb of G, one table per public
+   key, and a projective x-check with no inversion — and reports only
+   "chunk clean" / "chunk dirty". A key that signs at least
+   [comb_min_uses] of a chunk's signatures gets a comb (32 doublings
+   per check), kept in a bounded per-domain cache so its later chunks
+   pay nothing to build it; the others get width-5 wNAF tables on the
+   GLV chain (~128 doublings), built per chunk. A dirty chunk is
+   bisected with the same kernel, and a signer is blamed only after the
+   reference [verify] confirms the leaf, so accountability never rests
+   on the fast path.
    --- *)
 
 (* The break-even, from the field operation counts (multiplications
@@ -85,6 +87,35 @@ let verify pk ~msg ~signature =
    costs about 930 instead of 1,680, so it pays back after
    (6.1k - 0.4k) / 750 = 7.6 uses. *)
 let comb_min_uses = 8
+
+(* A comb is 255 affine entries of two 10-limb coordinates: 2 x 11
+   words plus a 3-word record, 200 bytes an entry, about 51 KB a key.
+   32 keys is then about 1.6 MB per domain, next to the 0.5 MB of
+   [Secp256k1.mul_g]'s table. *)
+let comb_cache_size = 32
+
+(* Keyed by the 33-byte encoding. The encoding determines the point
+   ([Secp256k1.decode_compressed] rejects x >= p) and [public_key] is
+   abstract, so a key cannot disagree with its cached table. Eviction
+   is FIFO: a full cache drops its oldest entry, and a hit touches
+   nothing. One cache per domain, so nothing here is shared mutable
+   state. *)
+type comb_cache = {
+  combs : (string, Secp256k1.precomp) Hashtbl.t;
+  order : string Queue.t;
+}
+
+let comb_cache_key =
+  Domain.DLS.new_key (fun () ->
+      { combs = Hashtbl.create comb_cache_size; order = Queue.create () })
+
+let cache_comb cache pk =
+  if Queue.length cache.order >= comb_cache_size then
+    Hashtbl.remove cache.combs (Queue.pop cache.order);
+  let tbl = Secp256k1.comb pk.point in
+  Hashtbl.add cache.combs pk.bytes tbl;
+  Queue.push pk.bytes cache.order;
+  tbl
 
 let kernel_one ~table pk msg signature =
   String.length signature = 64
@@ -99,11 +130,12 @@ let kernel_one ~table pk msg signature =
     (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) (table pk))
     rx
 
-(* True iff every signature in [lo, hi) passes the fast kernel. The
-   tables are per-chunk scratch, keyed by public-key encoding: chunks
-   fan out across domains, and each builds its own, so nothing here is
-   shared mutable state. *)
+(* True iff every signature in [lo, hi) passes the fast kernel. A key
+   takes its cached comb if it has one, whatever its uses here; else a
+   comb, cached, if it signs at least [comb_min_uses] of the range;
+   else a wNAF table kept for this range only. *)
 let kernel_range sigs lo hi =
+  let cache = Domain.DLS.get comb_cache_key in
   let uses = Hashtbl.create 4 in
   for i = lo to hi - 1 do
     let pk, _, _ = sigs.(i) in
@@ -116,9 +148,12 @@ let kernel_range sigs lo hi =
     | Some tbl -> tbl
     | None ->
         let tbl =
-          if Hashtbl.find uses pk.bytes >= comb_min_uses then
-            Secp256k1.comb pk.point
-          else Secp256k1.precompute pk.point
+          match Hashtbl.find_opt cache.combs pk.bytes with
+          | Some tbl -> tbl
+          | None ->
+              if Hashtbl.find uses pk.bytes >= comb_min_uses then
+                cache_comb cache pk
+              else Secp256k1.precompute pk.point
         in
         Hashtbl.add tables pk.bytes tbl;
         tbl
@@ -130,6 +165,11 @@ let kernel_range sigs lo hi =
     kernel_one ~table pk msg signature && go (i + 1)
   in
   go lo
+
+let kernel_accepts sigs = kernel_range sigs 0 (Array.length sigs)
+
+let cached_comb_keys () =
+  List.of_seq (Queue.to_seq (Domain.DLS.get comb_cache_key).order)
 
 let reference_invalid sigs lo hi =
   let bad = ref [] in
@@ -157,30 +197,17 @@ let rec bisect sigs lo hi =
 
 let batch_chunk = 32
 
-let batch_verify ?run_chunks sigs =
+(* Chunks run in order, so a key's first comb-eligible chunk fills the
+   cache for the chunks after it. Bisection yields each range's indices
+   in order, so the result is sorted. *)
+let batch_verify sigs =
   let count = Array.length sigs in
-  if count = 0 then `All_valid
-  else begin
-    let ranges =
-      List.init
-        ((count + batch_chunk - 1) / batch_chunk)
-        (fun c -> (c * batch_chunk, min count ((c + 1) * batch_chunk)))
-    in
-    let thunks =
-      List.map (fun (lo, hi) -> fun () -> kernel_range sigs lo hi) ranges
-    in
-    let results =
-      match run_chunks with
-      | None -> List.map (fun f -> f ()) thunks
-      | Some run -> run thunks
-    in
-    let bad =
-      List.concat
-        (List.map2
-           (fun (lo, hi) ok -> if ok then [] else bisect sigs lo hi)
-           ranges results)
-    in
-    match List.sort_uniq compare bad with
-    | [] -> `All_valid
-    | bad -> `Invalid bad
-  end
+  let bad = ref [] in
+  for c = 0 to ((count + batch_chunk - 1) / batch_chunk) - 1 do
+    let lo = c * batch_chunk in
+    let hi = min count (lo + batch_chunk) in
+    if not (kernel_range sigs lo hi) then bad := bisect sigs lo hi :: !bad
+  done;
+  match List.concat (List.rev !bad) with
+  | [] -> `All_valid
+  | bad -> `Invalid bad

@@ -31,30 +31,34 @@ val verify : public_key -> msg:string -> signature:string -> bool
     time). {!batch_verify} is qcheck-pinned against it. *)
 
 val batch_verify :
-  ?run_chunks:((unit -> bool) list -> bool list) ->
-  (public_key * string * string) array ->
-  [ `All_valid | `Invalid of int list ]
+  (public_key * string * string) array -> [ `All_valid | `Invalid of int list ]
 (** [batch_verify sigs] checks an array of [(pk, msg, signature)]
     triples and either declares them all valid or names the invalid
     indices (sorted). Outcome-equivalent to calling {!verify} on each
     triple, but amortised: [s*G - e*P] in one chain of doublings
-    against a per-domain comb of [G], one table per distinct public key
-    per chunk of {!batch_chunk} signatures, and a projective x-check
-    with no inversion. A key that signs at least {!comb_min_uses} of a
-    chunk's signatures gets a Lim-Lee comb (32 doublings per check);
-    the others get width-5 wNAF tables on a GLV chain of ~128
-    doublings. Keys carry their encoding, so nothing is re-normalised
-    or re-encoded.
+    against a per-domain comb of [G], one table per public key, and a
+    projective x-check with no inversion. The chunks of {!batch_chunk}
+    signatures run in order, in the calling domain.
+
+    A key's table is, in this order:
+    - its comb from the calling domain's comb cache, whatever its uses
+      in the chunk;
+    - a new Lim-Lee comb (32 doublings per check), added to the cache,
+      when the key signs at least {!comb_min_uses} of the chunk's
+      signatures;
+    - otherwise width-5 wNAF tables on a GLV chain of ~128 doublings,
+      built for this chunk only.
+
+    The cache holds at most {!comb_cache_size} combs per domain and
+    evicts first in, first out: adding to a full cache drops the comb
+    that was added earliest; a hit changes nothing. It is keyed by the
+    33-byte encoding, which determines the point, so a cached comb is
+    always the key's own.
 
     Accountability survives batching through bisection: the fast kernel
     only narrows dirty chunks, and an index is blamed only after the
     reference {!verify} confirms it, so a fast-path bug can never frame
-    an honest signer.
-
-    [run_chunks] runs the independent per-chunk checks — pass
-    [Lo_sim.Parallel.map]-backed fan-out to spread chunks across
-    domains (each chunk builds its own scratch); the default runs them
-    sequentially. It must preserve list order and length. *)
+    an honest signer. *)
 
 val batch_chunk : int
 (** Signatures per kernel chunk (the bisection granularity). *)
@@ -63,3 +67,18 @@ val comb_min_uses : int
 (** Signatures a key must sign within one chunk to get a comb table
     (8, the break-even between the comb's build cost and its saving
     per check). *)
+
+val comb_cache_size : int
+(** Combs kept per domain across calls (32, about 1.6 MB). *)
+
+(**/**)
+
+val kernel_accepts : (public_key * string * string) array -> bool
+(** Whether every triple passes the fast kernel alone, tables and comb
+    cache as in {!batch_verify}, with no bisection and no reference
+    check. {!batch_verify}'s verdicts hide a fast-path bug (it falls
+    back to {!verify}); this does not. Exposed for tests. *)
+
+val cached_comb_keys : unit -> string list
+(** Encodings of the keys in the calling domain's comb cache, oldest
+    first. Exposed for tests. *)

@@ -284,7 +284,8 @@ let mul_g scalar =
      most one mixed addition per column per base: about 32 * 7 + 64 *
      11 = 930 field multiplications and squarings, against about 1,680
      for the GLV chain. Building the table costs about 6.1k, so it pays
-     only for a key that is used many times (see [Schnorr]).
+     only for a key that is used many times ([Schnorr] builds it at 8
+     uses in a chunk and caches it per domain).
    - The odd multiples P, 3P, ..., 15P ([precompute], width-5 wNAF)
      and, for free, those of lambda P = (beta x, y). A scalar k splits
      as k1 + lambda k2 with both halves about 128 bits, so k P is two

@@ -55,8 +55,12 @@ val precompute : point -> precomp
 
 val comb : point -> precomp
 (** A Lim-Lee comb of the point: 8 teeth at spacing 32, 255 affine
-    points, about 6.1k field operations to build. Each use then saves
-    about 750 against {!precompute}'s table.
+    points (about 51 KB), about 6.1k field operations to build
+    ([substrate/secp256k1-comb-build]). Each use then saves about 750
+    against {!precompute}'s table, so a comb pays when it is reused:
+    {!Schnorr.batch_verify} builds one for a key that signs many
+    signatures of a chunk and keeps it in a bounded per-domain cache
+    across calls.
     @raise Invalid_argument on the point at infinity. *)
 
 val mul_add_precomp : g_scalar:Uint256.t -> Uint256.t -> precomp -> point

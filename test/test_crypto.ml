@@ -483,6 +483,15 @@ let flip_byte s i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
   Bytes.to_string b
 
+(* What iterated [Schnorr.verify] says about a batch. *)
+let reference_verdicts sigs =
+  let bad = ref [] in
+  Array.iteri
+    (fun i (pk, msg, signature) ->
+      if not (Schnorr.verify pk ~msg ~signature) then bad := i :: !bad)
+    sigs;
+  match List.rev !bad with [] -> `All_valid | l -> `Invalid l
+
 let batch_tests =
   let keys =
     Array.init 6 (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "bk%d" i))
@@ -490,14 +499,6 @@ let batch_tests =
   let triple i msg =
     let sk, pk = keys.(i mod Array.length keys) in
     (pk, msg, Schnorr.sign sk msg)
-  in
-  let reference sigs =
-    let bad = ref [] in
-    Array.iteri
-      (fun i (pk, msg, signature) ->
-        if not (Schnorr.verify pk ~msg ~signature) then bad := i :: !bad)
-      sigs;
-    match List.rev !bad with [] -> `All_valid | l -> `Invalid l
   in
   [
     Alcotest.test_case "empty batch is all valid" `Quick (fun () ->
@@ -531,7 +532,7 @@ let batch_tests =
                  else (pk, msg, s))
                spec)
         in
-        Schnorr.batch_verify sigs = reference sigs);
+        Schnorr.batch_verify sigs = reference_verdicts sigs);
     (* Key 0 signs [comb_min_uses] + 2 of the chunk's signatures, so it
        runs on a comb while keys 1-4 stay on wNAF tables; bisection
        halves drop key 0 below the threshold again. *)
@@ -558,8 +559,8 @@ let batch_tests =
               check_bool
                 (Printf.sprintf "culprit %d" bad)
                 true
-                (Schnorr.batch_verify sigs = reference sigs
-                && reference sigs = `Invalid [ bad ])
+                (Schnorr.batch_verify sigs = reference_verdicts sigs
+                && reference_verdicts sigs = `Invalid [ bad ])
             end)
           spec);
     qtest "batch_verify = iterated verify, one key at or above the comb \
@@ -577,23 +578,122 @@ let batch_tests =
                  else (pk, msg, s))
                spec)
         in
-        Schnorr.batch_verify sigs = reference sigs);
-    qtest "batch_verify with custom run_chunks = default" ~count:8
-      QCheck2.Gen.(list_size (int_bound 10) (pair (int_bound 5) (int_bound 3)))
+        Schnorr.batch_verify sigs = reference_verdicts sigs);
+  ]
+
+(* The comb cache outlives calls, so these tests run sequences of calls
+   and compare each verdict with the reference. Keys [ck<i>] sign whole
+   chunks, so each is comb-eligible on first sight. *)
+let comb_cache_tests =
+  let keys =
+    Array.init (Schnorr.comb_cache_size + 3) (fun i ->
+        Schnorr.keypair_of_seed (Printf.sprintf "ck%d" i))
+  in
+  let triple i msg =
+    let sk, pk = keys.(i) in
+    (pk, msg, Schnorr.sign sk msg)
+  in
+  let pk_bytes i = Schnorr.public_key_bytes (snd keys.(i)) in
+  (* A chunk of [uses] signatures by key [k], corrupting index [bad]. *)
+  let chunk ?(bad = -1) ~uses k tag =
+    Array.init uses (fun j ->
+        let pk, msg, s = triple k (Printf.sprintf "%s-%d-%d" tag k j) in
+        if j = bad then (pk, msg, flip_byte s (j mod 64)) else (pk, msg, s))
+  in
+  [
+    Alcotest.test_case
+      "keys past the cache bound: FIFO eviction, verdicts = verify" `Slow
+      (fun () ->
+        (* The cache as the [.mli] states it: a new key is appended and
+           the oldest dropped past the bound; a hit changes nothing. *)
+        let model = ref (Schnorr.cached_comb_keys ()) in
+        let call k tag ~bad =
+          let sigs = chunk ~bad ~uses:Schnorr.comb_min_uses k tag in
+          check_bool tag true
+            (Schnorr.batch_verify sigs = reference_verdicts sigs);
+          check_bool (tag ^ ": kernel alone") (bad < 0)
+            (Schnorr.kernel_accepts sigs);
+          let b = pk_bytes k in
+          if not (List.mem b !model) then begin
+            model := !model @ [ b ];
+            if List.length !model > Schnorr.comb_cache_size then
+              model := List.tl !model
+          end;
+          check_bool (tag ^ ": cache") true
+            (Schnorr.cached_comb_keys () = !model)
+        in
+        (* Two passes over more keys than the bound: every key of the
+           second pass was evicted and gets its comb rebuilt. *)
+        for round = 0 to 1 do
+          for k = 0 to Array.length keys - 1 do
+            let bad = if (k + round) mod 3 = 0 then k mod 8 else -1 in
+            call k (Printf.sprintf "fifo%d-%d" round k) ~bad;
+            if k >= 4 then
+              call (k - 4) (Printf.sprintf "hit%d-%d" round k) ~bad:(-1)
+          done
+        done);
+    (* A cached key keeps its comb in a chunk where it signs fewer than
+       [comb_min_uses], and next to keys on wNAF tables. *)
+    qtest "cached key below the threshold: batch_verify = iterated verify"
+      ~count:10
+      QCheck2.Gen.(
+        list_size (int_range 1 12)
+          (pair (frequency [ (2, return 0); (1, int_range 1 4) ]) (int_bound 5)))
       (fun spec ->
+        ignore
+          (Schnorr.batch_verify (chunk ~uses:Schnorr.comb_min_uses 0 "warm"));
         let sigs =
           Array.of_list
             (List.mapi
                (fun i (k, corrupt) ->
-                 let pk, msg, s = triple k (Printf.sprintf "msg-%d" i) in
+                 let pk, msg, s = triple k (Printf.sprintf "below-%d" i) in
                  if corrupt = 0 then (pk, msg, flip_byte s (i mod 64))
                  else (pk, msg, s))
                spec)
         in
-        Schnorr.batch_verify
-          ~run_chunks:(fun fs -> List.map (fun f -> f ()) fs)
-          sigs
-        = Schnorr.batch_verify sigs);
+        let expected = reference_verdicts sigs in
+        Schnorr.batch_verify sigs = expected
+        && Schnorr.kernel_accepts sigs = (expected = `All_valid));
+    Alcotest.test_case "cached key: one invalid at every position of a chunk"
+      `Slow (fun () ->
+        let k = 1 in
+        ignore (Schnorr.batch_verify (chunk ~uses:Schnorr.batch_chunk k "hot"));
+        check_bool "cached" true
+          (List.mem (pk_bytes k) (Schnorr.cached_comb_keys ()));
+        check_bool "kernel alone, clean" true
+          (Schnorr.kernel_accepts (chunk ~uses:Schnorr.batch_chunk k "hot"));
+        for bad = 0 to Schnorr.batch_chunk - 1 do
+          let sigs = chunk ~bad ~uses:Schnorr.batch_chunk k "hot" in
+          check_bool "kernel alone, dirty" false (Schnorr.kernel_accepts sigs);
+          match Schnorr.batch_verify sigs with
+          | `Invalid [ i ] -> check_int "culprit" bad i
+          | `Invalid _ -> Alcotest.fail "blamed more than the culprit"
+          | `All_valid -> Alcotest.fail "missed the invalid signature"
+        done);
+    Alcotest.test_case "two domains on the same keys: verdicts = verify" `Slow
+      (fun () ->
+        let batches =
+          List.init 6 (fun b ->
+              let k = b mod 3 in
+              let bad = if b mod 2 = 0 then (b * 5) mod 20 else -1 in
+              chunk ~bad ~uses:20 k (Printf.sprintf "dom%d" b))
+        in
+        let expected =
+          List.map
+            (fun b ->
+              let v = reference_verdicts b in
+              (v, v = `All_valid))
+            batches
+        in
+        let run () =
+          List.map
+            (fun b -> (Schnorr.batch_verify b, Schnorr.kernel_accepts b))
+            batches
+        in
+        let d1 = Domain.spawn run and d2 = Domain.spawn run in
+        let r1 = Domain.join d1 and r2 = Domain.join d2 in
+        check_bool "domain 1" true (r1 = expected);
+        check_bool "domain 2" true (r2 = expected));
   ]
 
 let verify_many_tests =
@@ -676,6 +776,7 @@ let () =
       ("secp256k1-properties", secp_property_tests);
       ("schnorr", schnorr_tests);
       ("schnorr-batch", batch_tests);
+      ("schnorr-comb-cache", comb_cache_tests);
       ("signer", signer_tests);
       ("verify-many", verify_many_tests);
       ("hmac-keyed", keyed_hmac_tests);

@@ -109,6 +109,72 @@ let gen_lazy m =
             (flatten_l (List.init 10 (fun i -> int_bound (bound m i)))) );
       ])
 
+(* Operands of [is_zero] and [equal] at magnitude <= 8, zero-heavy:
+   random limbs, the limb patterns k p for k <= 16 (0, p, and every
+   2(m+1) p that [neg] leaves on a zero of magnitude m), [neg]'s output
+   itself, k p off by d 2^(26 i) in one limb (never zero: 0 < |d| <
+   2^22), a magnitude-1 value plus k p, and d 2^(26 i) alone. *)
+let p_limbs =
+  [| 0x3FFFC2F; 0x3FFFFBF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF;
+     0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFF |]
+
+let times_p k = Array.map (fun x -> k * x) p_limbs
+let plus_p a k = Array.map2 ( + ) a (times_p k)
+
+let gen_mag8 =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, gen_lazy 8);
+        (1, map times_p (int_bound 16));
+        ( 1,
+          map
+            (fun m ->
+              let r = Fe.create () in
+              Fe.neg r (Fe.create ()) m;
+              Fe.limbs r)
+            (int_bound 7) );
+        ( 1,
+          map3
+            (fun k i d ->
+              let a = times_p k in
+              a.(i) <- a.(i) + d;
+              a)
+            (int_range 1 15) (int_bound 9)
+            (map2 (fun neg d -> if neg then -d else d) bool
+               (int_range 1 0x3FFFFF)) );
+        (1, map2 plus_p (gen_lazy 1) (int_bound 14));
+        ( 1,
+          map2
+            (fun i d ->
+              let a = Array.make 10 0 in
+              a.(i) <- d;
+              a)
+            (int_bound 9) (int_range 1 0x3FFFFF) );
+      ])
+
+(* Pairs for [equal]: independent operands, two spellings of one value,
+   and spellings of two values d 2^(26 i) apart (0 < d < 2^22). *)
+let gen_equal_pair =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pair gen_mag8 gen_mag8);
+        ( 2,
+          map3
+            (fun a j k -> (plus_p a j, plus_p a k))
+            (gen_lazy 1) (int_bound 14) (int_bound 14) );
+        ( 1,
+          map3
+            (fun a (j, k) (i, d) ->
+              let a' = Array.copy a in
+              a'.(i) <- a'.(i) + d;
+              (plus_p a j, plus_p a' k))
+            (gen_lazy 1)
+            (pair (int_bound 13) (int_bound 13))
+            (pair (int_bound 9) (int_range 1 0x3FFFFF)) );
+      ])
+
 let lazy_tests =
   let value l = R.of_limbs26 l in
   [
@@ -138,11 +204,15 @@ let lazy_tests =
         Uint256.equal (of_fe r) (R.fsub (value a) (value b)));
     qtest "normalize at magnitude 8 = reference" (gen_lazy 8) (fun a ->
         Uint256.equal (of_fe (Fe.of_limbs a)) (value a));
-    qtest "is_zero at magnitude 8" (gen_lazy 8) (fun a ->
-        Fe.is_zero (Fe.of_limbs a) = Uint256.is_zero (value a));
+    qtest "is_zero at magnitude 8" gen_mag8 (fun a ->
+        List.for_all (fun i -> a.(i) >= 0 && a.(i) <= bound 8 i)
+          (List.init 10 Fun.id)
+        && Fe.is_zero (Fe.of_limbs a) = Uint256.is_zero (value a));
+    qtest "equal at magnitude 8 = reference" gen_equal_pair (fun (a, b) ->
+        Fe.equal (Fe.of_limbs a) (Fe.of_limbs b)
+        = Uint256.equal (value a) (value b));
     Alcotest.test_case "limbs spelling p and 2p are zero" `Quick (fun () ->
-        let pl = [| 0x3FFFC2F; 0x3FFFFBF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF;
-                    0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFFF; 0x3FFFFF |] in
+        let pl = p_limbs in
         Alcotest.(check bool) "p" true (Fe.is_zero (Fe.of_limbs pl));
         Alcotest.(check bool) "2p" true
           (Fe.is_zero (Fe.of_limbs (Array.map (fun x -> 2 * x) pl)));

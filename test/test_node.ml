@@ -320,6 +320,157 @@ let malformed_tests =
         check_int "counted" 2 (Lo_obs.Trace.count d.trace "malformed"));
   ]
 
+(* Hostile bytes through the node: truncations, overwrites and splices
+   of valid encodings of all 12 [Messages] constructors, built from a
+   running deployment's own keys, logs and blocks so that what still
+   decodes reaches the handlers behind the shape check (the intact
+   encodings pass it). Each input either returns normally or is counted
+   as one [Malformed] event (an undecodable one always is); no
+   exception escapes either entry, nor the network run that follows. *)
+let node_fuzz_tests =
+  let world =
+    lazy
+      (let d = mk_network ~n:4 ~seed:781 () in
+       let txs =
+         List.init 4 (fun k ->
+             submit d ~target:k ~fee:(3 + k) (Printf.sprintf "nf%d" k))
+       in
+       Net.run_until d.net 10.0;
+       let block =
+         match Node.build_block d.nodes.(1) ~policy:Policy.Lo_fifo with
+         | Some b -> b
+         | None -> Alcotest.fail "no block to fuzz"
+       in
+       Net.run_until d.net 15.0;
+       let log = Node.commitment_log d.nodes.(1) in
+       let digest = Commitment.Log.current_digest log in
+       let light = Commitment.Log.current_digest_light log in
+       let older =
+         match Commitment.Log.digest_at log ~seq:1 with
+         | Some o -> o
+         | None -> Alcotest.fail "no older digest"
+       in
+       let id i = Node.node_id d.nodes.(i) in
+       let tx = List.hd txs in
+       let valid =
+         Array.map Messages.encode
+           [|
+             Messages.Submit (submit d ~target:3 ~fee:9 "nf-fresh");
+             Messages.Submit_ack
+               { txid = tx.Tx.id;
+                 ack_signature = String.make Signer.signature_size 's' };
+             Messages.Commit_request
+               { digest; delta = [ 1; 2 ]; want = [ 3 ]; appended = [ 3 ] };
+             Messages.Commit_response
+               { digest = light; want = [ 7 ]; delta = [ 9 ]; appended = [] };
+             Messages.Tx_batch txs;
+             Messages.Digest_share digest;
+             Messages.Digest_request { owner = id 1; seq = 1 };
+             Messages.Digest_reply [ older; light ];
+             Messages.Suspicion_note
+               { suspect = id 2; reporter = id 1; last_digest = Some digest;
+                 reason = "timeout" };
+             Messages.Suspicion_withdraw { suspect = id 2; reporter = id 1 };
+             Messages.Exposure_note
+               (Evidence.Block_bundle_violation
+                  { block; older; newer = digest; omitted_tx = Some tx });
+             Messages.Block_announce block;
+           |]
+       in
+       (d, valid))
+  in
+  let deliver ?(intact = false) ~view input =
+    let d, _ = Lazy.force world in
+    let node = d.nodes.(0) in
+    let before = Lo_obs.Trace.count d.trace "malformed" in
+    let outcome =
+      match
+        if view then
+          Node.handle_message_view node ~from:1 ~tag:"lo:fuzz"
+            (Lo_codec.Reader.of_string input)
+        else Node.handle_message node ~from:1 ~tag:"lo:fuzz" input
+      with
+      | () -> Ok ()
+      | exception e -> Error (Printexc.to_string e)
+    in
+    let counted = Lo_obs.Trace.count d.trace "malformed" - before in
+    let decodes =
+      match Messages.decode input with
+      | _ -> true
+      | exception Lo_codec.Reader.Malformed _ -> false
+    in
+    match outcome with
+    | Error e -> QCheck2.Test.fail_reportf "escaped: %s" e
+    | Ok () ->
+        (if intact then counted = 0
+         else if decodes then counted <= 1
+         else counted = 1)
+        || QCheck2.Test.fail_reportf "%d malformed events (decodes: %b)"
+             counted decodes
+  in
+  let settle () =
+    let d, _ = Lazy.force world in
+    Net.run_until d.net (Net.now d.net +. 5.0)
+  in
+  let overwrite s i c =
+    let b = Bytes.of_string s in
+    Bytes.set b i c;
+    Bytes.to_string b
+  in
+  let mutation =
+    QCheck2.Gen.(
+      let valid = snd (Lazy.force world) in
+      let* m = int_bound (Array.length valid - 1) in
+      let s = valid.(m) in
+      let len = String.length s in
+      frequency
+        [
+          (1, map (fun k -> String.sub s 0 k) (int_bound (len - 1)));
+          ( 2,
+            map2
+              (fun i c -> overwrite s i c)
+              (int_bound (len - 1))
+              (frequency [ (1, char); (1, oneofl [ '\x00'; '\x7f'; '\xff' ]) ]) );
+          ( 1,
+            let* o = int_bound (Array.length valid - 1) in
+            let t = valid.(o) in
+            map2
+              (fun i j -> String.sub s 0 i ^ String.sub t j (String.length t - j))
+              (int_bound len)
+              (int_bound (String.length t)) );
+        ])
+  in
+  List.concat_map
+    (fun (name, view) ->
+      [
+        Alcotest.test_case
+          (name ^ ": every truncation and 0xff byte returns or is counted")
+          `Quick (fun () ->
+            let _, valid = Lazy.force world in
+            Array.iteri
+              (fun m s ->
+                check_bool (Printf.sprintf "message %d intact" m) true
+                  (deliver ~intact:true ~view s);
+                for i = 0 to String.length s - 1 do
+                  check_bool
+                    (Printf.sprintf "message %d cut at %d" m i)
+                    true
+                    (deliver ~view (String.sub s 0 i));
+                  check_bool
+                    (Printf.sprintf "message %d, 0xff at %d" m i)
+                    true
+                    (deliver ~view (overwrite s i '\xff'))
+                done)
+              valid;
+            settle ());
+        QCheck_alcotest.to_alcotest
+          (QCheck2.Test.make ~count:1000 ~print:Lo_crypto.Hex.encode
+             ~name:(name ^ ": truncations, byte flips and splices")
+             mutation (deliver ~view));
+        Alcotest.test_case (name ^ ": the network runs on") `Quick settle;
+      ])
+    [ ("handle_message", false); ("handle_message_view", true) ]
+
 (* A validly signed digest whose sketch capacity or Bloom-clock size is
    not the deployment's: once merged with or compared against a
    same-owner digest of the right shape it would raise, so the node must
@@ -798,6 +949,7 @@ let () =
       ("detection", detection_tests);
       ("chain", chain_tests);
       ("malformed", malformed_tests @ mis_shaped_tests);
+      ("handler-fuzz", node_fuzz_tests);
       ("storage", storage_tests);
       ("rotation", rotation_tests);
       ("fuzz", fuzz_tests);

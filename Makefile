@@ -1,4 +1,4 @@
-.PHONY: all build test check chaos-smoke audit-smoke bench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke fmt bench clean
+.PHONY: all build test check chaos-smoke audit-smoke bench-smoke perfbench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke fmt bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # The one-stop gate: everything compiles, the full test suite passes,
 # and a tiny seeded chaos scenario exercises the fault-injection paths.
 check:
-	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) live-schnorr-smoke && $(MAKE) ingest-smoke
+	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) perfbench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) live-schnorr-smoke && $(MAKE) ingest-smoke
 
 # Small deterministic fault-injection run (churn + partitions + loss
 # bursts + latency spikes + link degradation); exits non-zero if any
@@ -101,6 +101,13 @@ bench:
 # committed BENCH_results.json baseline comes from a full `make bench`.
 bench-smoke:
 	LO_BENCH_MICRO_ONLY=1 LO_BENCH_SMOKE=1 LO_BENCH_OUT=BENCH_smoke.json dune exec bench/main.exe
+
+# The repository benchmark's measuring program, built from source and
+# run for two seconds on its crypto-bound workload: fails when it does
+# not build against the library APIs it calls, or when its correctness
+# gate fails (run.py exits non-zero on either).
+perfbench-smoke:
+	python3 perfbench/run.py --workload ingest-schnorr --seed 1 --seconds 2
 
 clean:
 	dune clean

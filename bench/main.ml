@@ -275,6 +275,16 @@ let fig7_group =
   (* Mempool-path kernels: prevalidation and commitment append. *)
   [
     Test.make ~name:"tx-decode" (staged (fun () -> Tx.of_string sample_tx_bytes));
+    (* A world pool's hit path: the framing is parsed and the span
+       looked up, with no id hash and no field copies. *)
+    Test.make ~name:"tx-decode-pooled"
+      (staged
+         (let pool = Interner.Tx_pool.create () in
+          let decode () =
+            Interner.Tx_pool.decode pool (Lo_codec.Reader.of_string sample_tx_bytes)
+          in
+          ignore (decode ());
+          fun () -> decode ()));
     Test.make ~name:"tx-prevalidate" (staged (fun () -> Tx.prevalidate scheme sample_tx));
     Test.make ~name:"commit-append-1"
       (staged
@@ -376,6 +386,18 @@ let fig10_group =
             fun () ->
               incr counter;
               Lo_sketch.Sketch.add s (1 + (!counter land 0xFFFFF))));
+      (* The same add from a world pool's cached powers, as in a world
+         where every node commits every id: 512 ids in turn, all cached
+         before timing starts. *)
+      Test.make ~name:"sketch-add-pooled"
+        (staged
+           (let s = Lo_sketch.Sketch.create ~capacity:Commitment.default_sketch_capacity () in
+            let pool = Interner.Tx_pool.create () in
+            Interner.Tx_pool.sketch_add_all pool s (List.init 512 (fun i -> i + 1));
+            let counter = ref 0 in
+            fun () ->
+              incr counter;
+              Interner.Tx_pool.sketch_add_all pool s [ 1 + (!counter land 511) ]));
       Test.make ~name:"strata-estimate"
         (staged
            (let a = Strata.of_list (mk_ids 300 11) in

@@ -88,6 +88,10 @@ let fixed t n =
   t.pos <- t.pos + n;
   s
 
+let skip t n =
+  need t n "fixed bytes";
+  t.pos <- t.pos + n
+
 let bytes t =
   let n = varint t in
   fixed t n

@@ -49,6 +49,10 @@ val varint : t -> int
 
 val bool : t -> bool
 val fixed : t -> int -> string
+val skip : t -> int -> unit
+(** [fixed] without the copy: consumes [n] bytes, raising where
+    [fixed t n] would. *)
+
 val bytes : t -> string
 val list : t -> (t -> 'a) -> 'a list
 

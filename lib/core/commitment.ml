@@ -152,6 +152,7 @@ module Log = struct
            snapshot — hashing feeds these bytes directly instead of
            re-serializing through a fresh Writer each time *)
     digest_index : (int, digest) Hashtbl.t; (* digests keyed by seq *)
+    tx_pool : Interner.Tx_pool.t option;
   }
 
   let owner t = Signer.id t.signer
@@ -191,8 +192,8 @@ module Log = struct
     end
 
   let create ?(sketch_capacity = default_sketch_capacity)
-      ?(clock_cells = default_clock_cells) ?(digest_history = max_int) ~signer
-      () =
+      ?(clock_cells = default_clock_cells) ?(digest_history = max_int) ?tx_pool
+      ~signer () =
     if digest_history < 1 then
       invalid_arg "Commitment.Log.create: digest_history must be >= 1";
     let sketch = Sketch.create ~capacity:sketch_capacity () in
@@ -223,6 +224,7 @@ module Log = struct
         ids = Array.make 64 0;
         sketch_buf = Bytes.create (Sketch.serialized_size sketch);
         digest_index = Hashtbl.create 256;
+        tx_pool;
       }
     in
     (* The signed empty (seq 0) snapshot anchors evidence about the very
@@ -251,8 +253,11 @@ module Log = struct
             t.cells.(cell) <- id :: t.cells.(cell))
           fresh;
         (* Syndrome accumulation is xor-commutative, so the whole
-           bundle goes through the paired sketch kernel at once. *)
-        Sketch.add_all t.sketch fresh;
+           bundle goes through the paired sketch kernel at once, or
+           through the world's cached powers. *)
+        (match t.tx_pool with
+        | None -> Sketch.add_all t.sketch fresh
+        | Some pool -> Interner.Tx_pool.sketch_add_all pool t.sketch fresh);
         let n = List.length fresh in
         if t.counter + n > Array.length t.ids then begin
           let grown = Array.make (max (t.counter + n) (2 * Array.length t.ids)) 0 in

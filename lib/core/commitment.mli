@@ -105,6 +105,7 @@ module Log : sig
     ?sketch_capacity:int ->
     ?clock_cells:int ->
     ?digest_history:int ->
+    ?tx_pool:Interner.Tx_pool.t ->
     signer:Lo_crypto.Signer.t ->
     unit ->
     t
@@ -114,7 +115,12 @@ module Log : sig
       light form, which still signature-verifies identically. Defaults
       to [max_int] (every sketch retained — full historical digests are
       served on the wire, so bounding is an explicit opt-in of scale
-      harnesses). Must be [>= 1]. *)
+      harnesses). Must be [>= 1].
+
+      [tx_pool] (a simulated world's shared pool) adds appended ids to
+      the sketch from the pool's cached syndrome powers
+      ({!Interner.Tx_pool.sketch_add_all}) instead of computing them;
+      every sketch and digest is the same. *)
 
   val owner : t -> string
   val contains : t -> int -> bool

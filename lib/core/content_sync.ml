@@ -2,15 +2,10 @@ type t = {
   mempool : Mempool.t;
   missing : (int, float) Hashtbl.t; (* committed ids lacking content *)
   adversary : Adversary.t;
-  canonical : Tx.t -> Tx.t;
-      (* per-world tx interning: every path into the mempool funnels
-         through [store_content], so substituting the canonical
-         (field-for-field equal) instance here collapses the per-node
-         decoded copies a broadcast fans out. Default: identity. *)
 }
 
-let create ?(canonical = fun tx -> tx) ~mempool ~adversary () =
-  { mempool; missing = Hashtbl.create 64; adversary; canonical }
+let create ~mempool ~adversary () =
+  { mempool; missing = Hashtbl.create 64; adversary }
 
 let missing_count t = Hashtbl.length t.missing
 
@@ -49,7 +44,6 @@ let serve t ids =
     ids
 
 let store_content t (env : Node_env.t) tx ~from_peer =
-  let tx = t.canonical tx in
   let short = Tx.short_id tx in
   if not (Mempool.mem_short t.mempool short) then begin
     match Mempool.add t.mempool ~tx ~received_at:(env.now ()) ~from_peer with
@@ -76,7 +70,7 @@ let ingest_batch_bulk t (env : Node_env.t) ~from txs =
     else true
   in
   let result =
-    Mempool.ingest_batch ~canonical:t.canonical ~keep ~scheme:env.config.scheme
+    Mempool.ingest_batch ~keep ~scheme:env.config.scheme
       ~known:(fun short -> Commitment.Log.contains env.primary_log short)
       ~commit:(fun ids -> env.commit ~source:(Some from_id) ~ids)
       ~received_at:(env.now ()) ~from_peer:(Some from_id) t.mempool txs

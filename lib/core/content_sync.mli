@@ -8,16 +8,7 @@
 
 type t
 
-val create :
-  ?canonical:(Tx.t -> Tx.t) ->
-  mempool:Mempool.t ->
-  adversary:Adversary.t ->
-  unit ->
-  t
-(** [canonical] (default identity) maps every transaction entering the
-    mempool to its per-world canonical instance (see
-    {!Interner.Tx_pool}); it must return a field-for-field equal value,
-    which makes the substitution unobservable. *)
+val create : mempool:Mempool.t -> adversary:Adversary.t -> unit -> t
 
 val missing_count : t -> int
 (** Committed ids whose content has not arrived yet. *)

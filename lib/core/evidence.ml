@@ -101,7 +101,7 @@ let encode w = function
           Writer.u8 w 1;
           Tx.encode w tx)
 
-let decode r =
+let decode ?tx_pool r =
   match Reader.u8 r with
   | 0 ->
       let older = Commitment.decode r in
@@ -114,7 +114,11 @@ let decode r =
       let omitted_tx =
         match Reader.u8 r with
         | 0 -> None
-        | 1 -> Some (Tx.decode r)
+        | 1 ->
+            Some
+              (match tx_pool with
+              | None -> Tx.decode r
+              | Some pool -> Interner.Tx_pool.decode pool r)
         | _ -> raise (Reader.Malformed "evidence omitted-tx flag")
       in
       Block_bundle_violation { block; older; newer; omitted_tx }

@@ -29,5 +29,8 @@ val verify : Lo_crypto.Signer.scheme -> t -> bool
     invalid rather than accepted. *)
 
 val encode : Lo_codec.Writer.t -> t -> unit
-val decode : Lo_codec.Reader.t -> t
+val decode : ?tx_pool:Interner.Tx_pool.t -> Lo_codec.Reader.t -> t
+(** [tx_pool] decodes the omitted transaction through the world's pool
+    ({!Interner.Tx_pool.decode}). *)
+
 val describe : t -> string

@@ -45,27 +45,100 @@ let iter t f =
   done
 
 module Tx_pool = struct
+  module Reader = Lo_codec.Reader
+  module Sketch = Lo_sketch.Sketch
+
+  (* Length of a cached power vector: the deployment sketch capacity,
+     [Commitment.default_sketch_capacity]. A sketch of larger capacity
+     skips the cache. *)
+  let power_capacity = 250
+
+  (* FIFO bound on cached power vectors. 1,024 vectors of 250 words is
+     about 2 MB a world, and holds every id one 200-node Fig. 6 scenario
+     commits (about 1,000), so each id's powers are computed once while
+     the id is still spreading. *)
+  let power_slots = 1024
+
   type nonrec t = {
-    by_id : (string, Tx.t) Hashtbl.t;
-    mutable hits : int;
+    by_wire : (string, Tx.t) Hashtbl.t;
+    slot_of : (int, int) Hashtbl.t; (* short id -> its power slot *)
+    slot_id : int array; (* id in each slot, 0 when free *)
+    vectors : int array array; (* each allocated on its slot's first use *)
+    mutable next_slot : int;
+    mutable decode_hits : int;
+    mutable decode_misses : int;
+    mutable power_hits : int;
+    mutable power_misses : int;
   }
 
-  let create ?(initial = 1024) () = { by_id = Hashtbl.create initial; hits = 0 }
+  type stats = {
+    decode_hits : int;
+    decode_misses : int;
+    power_hits : int;
+    power_misses : int;
+  }
 
-  (* First decoded instance wins; every later decode of the same tx
-     collapses onto it. The id is the SHA-256 of the full encoding and
-     [Tx.decode] recomputes it from the bytes, so two instances with
-     equal ids are field-for-field equal — substituting one for the
-     other is unobservable. *)
-  let canonical t (tx : Tx.t) =
-    match Hashtbl.find_opt t.by_id tx.Tx.id with
-    | Some c ->
-        t.hits <- t.hits + 1;
-        c
-    | None ->
-        Hashtbl.add t.by_id tx.Tx.id tx;
+  let create ?(initial = 1024) () =
+    {
+      by_wire = Hashtbl.create initial;
+      slot_of = Hashtbl.create power_slots;
+      slot_id = Array.make power_slots 0;
+      vectors = Array.make power_slots [||];
+      next_slot = 0;
+      decode_hits = 0;
+      decode_misses = 0;
+      power_hits = 0;
+      power_misses = 0;
+    }
+
+  let stats (t : t) : stats =
+    {
+      decode_hits = t.decode_hits;
+      decode_misses = t.decode_misses;
+      power_hits = t.power_hits;
+      power_misses = t.power_misses;
+    }
+
+  (* The framing is parsed first, so only a whole, well-formed
+     transaction is looked up; the exact bytes are the key, so a hit is
+     field-for-field what [Tx.decode] would return. *)
+  let decode (t : t) r =
+    let from = Reader.pos r in
+    Tx.skip r;
+    let wire = Reader.slice r ~from ~until:(Reader.pos r) in
+    match Hashtbl.find t.by_wire wire with
+    | tx ->
+        t.decode_hits <- t.decode_hits + 1;
+        tx
+    | exception Not_found ->
+        t.decode_misses <- t.decode_misses + 1;
+        let tx = Tx.decode (Reader.of_string wire) in
+        Hashtbl.add t.by_wire wire tx;
         tx
 
-  let unique t = Hashtbl.length t.by_id
-  let hits t = t.hits
+  let powers (t : t) e =
+    match Hashtbl.find t.slot_of e with
+    | slot ->
+        t.power_hits <- t.power_hits + 1;
+        t.vectors.(slot)
+    | exception Not_found ->
+        let slot = t.next_slot in
+        if Array.length t.vectors.(slot) = 0 then
+          t.vectors.(slot) <- Array.make power_capacity 0;
+        let v = t.vectors.(slot) in
+        (* Raises on an invalid id before the slot is touched. *)
+        Sketch.fill_powers e v;
+        t.power_misses <- t.power_misses + 1;
+        if t.slot_id.(slot) <> 0 then Hashtbl.remove t.slot_of t.slot_id.(slot);
+        t.slot_id.(slot) <- e;
+        Hashtbl.add t.slot_of e slot;
+        t.next_slot <- (slot + 1) mod power_slots;
+        v
+
+  let sketch_add_all t sketch ids =
+    if
+      Sketch.capacity sketch > power_capacity
+      || Sketch.field sketch != Lo_sketch.Gf2m.gf32
+    then Sketch.add_all sketch ids
+    else List.iter (fun e -> Sketch.add_powers sketch (powers t e)) ids
 end

@@ -41,9 +41,9 @@ type batch_result = {
   committed : int list;
 }
 
-let ingest_batch ?(canonical = fun tx -> tx) ?(keep = fun _ -> true) ~scheme
-    ~known ~commit ~received_at ~from_peer t txs =
-  let txs = Array.of_list (List.rev (List.rev_map canonical txs)) in
+let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
+    ~from_peer t txs =
+  let txs = Array.of_list txs in
   let n = Array.length txs in
   (* Stage I bounds checks first; survivors go through one batched
      signature verification (amortized point operations for Schnorr,

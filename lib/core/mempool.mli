@@ -37,7 +37,6 @@ type batch_result = {
 }
 
 val ingest_batch :
-  ?canonical:(Tx.t -> Tx.t) ->
   ?keep:(Tx.t -> bool) ->
   scheme:Lo_crypto.Signer.scheme ->
   known:(int -> bool) ->
@@ -54,10 +53,8 @@ val ingest_batch :
     (already committed) nor repeated in the batch — one commitment
     bundle, one digest update, per batch.
 
-    [canonical] collapses each decoded transaction onto its pooled
-    instance (pass {!Interner.Tx_pool.canonical}); [keep] is the
-    censorship filter applied after validation (default: keep all).
-    Per-transaction outcomes — which transactions are stored, rejected
+    [keep] is the censorship filter applied after validation (default:
+    keep all). Per-transaction outcomes — which transactions are stored, rejected
     or duplicate, and which ids reach the commitment log — match the
     iterated single-transaction path exactly; qcheck pins the
     equivalence including the final mempool state and digest. *)

@@ -106,10 +106,15 @@ let encode_into w msg =
 
 let encode msg = encode_into (Writer.create ~initial_size:128 ()) msg
 
-let decode_reader r =
+let decode_reader ?tx_pool r =
+  let tx_decode =
+    match tx_pool with
+    | None -> Tx.decode
+    | Some pool -> Interner.Tx_pool.decode pool
+  in
   let msg =
     match Reader.u8 r with
-    | 0 -> Submit (Tx.decode r)
+    | 0 -> Submit (tx_decode r)
     | 1 ->
         let digest = Commitment.decode r in
         let delta = Reader.list r Reader.u32 in
@@ -122,7 +127,7 @@ let decode_reader r =
         let delta = Reader.list r Reader.u32 in
         let appended = Reader.list r Reader.u32 in
         Commit_response { digest; want; delta; appended }
-    | 3 -> Tx_batch (Reader.list r Tx.decode)
+    | 3 -> Tx_batch (Reader.list r tx_decode)
     | 4 -> Digest_share (Commitment.decode r)
     | 5 ->
         let owner = Reader.fixed r Signer.id_size in
@@ -140,7 +145,7 @@ let decode_reader r =
         in
         let reason = Reader.bytes r in
         Suspicion_note { suspect; reporter; last_digest; reason }
-    | 8 -> Exposure_note (Evidence.decode r)
+    | 8 -> Exposure_note (Evidence.decode ?tx_pool r)
     | 9 -> Block_announce (Block.decode r)
     | 10 ->
         let txid = Reader.fixed r 32 in
@@ -155,6 +160,6 @@ let decode_reader r =
   Reader.expect_end r;
   msg
 
-let decode s = decode_reader (Reader.of_string s)
+let decode ?tx_pool s = decode_reader ?tx_pool (Reader.of_string s)
 
 let size msg = String.length (encode msg)

@@ -58,10 +58,14 @@ val encode_into : Lo_codec.Writer.t -> t -> string
     writer across sends keeps the encoder's scratch storage out of the
     per-message allocation bill. *)
 
-val decode : string -> t
-(** @raise Lo_codec.Reader.Malformed on invalid input. *)
+val decode : ?tx_pool:Interner.Tx_pool.t -> string -> t
+(** @raise Lo_codec.Reader.Malformed on invalid input.
 
-val decode_reader : Lo_codec.Reader.t -> t
+    [tx_pool] decodes every transaction ([Submit], [Tx_batch] and
+    evidence) through the world's pool ({!Interner.Tx_pool.decode}):
+    the same message, and [Malformed] on the same inputs. *)
+
+val decode_reader : ?tx_pool:Interner.Tx_pool.t -> Lo_codec.Reader.t -> t
 (** [decode] straight out of a reader view — the zero-copy wire path
     hands in a {!Lo_codec.Reader.sub_view} over the receive buffer, so
     the payload is never copied into an intermediate string. Consumes

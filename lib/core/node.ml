@@ -71,6 +71,8 @@ type t = {
          -> first simulated time this node deviated that way *)
   encode_buf : Lo_codec.Writer.t;
       (* pooled wire encoder, reused across every send/broadcast *)
+  tx_pool : Interner.Tx_pool.t option;
+      (* the world's shared decodes and syndrome powers (simulator) *)
   mutable env : Node_env.t option; (* set once in [create] *)
 }
 
@@ -217,15 +219,10 @@ let create ?tx_pool config ~transport ~rng ~directory ~signer ~neighbors
   let mk_log () =
     Commitment.Log.create ~sketch_capacity:config.sketch_capacity
       ~clock_cells:config.clock_cells ~digest_history:config.digest_history
-      ~signer ()
+      ?tx_pool ~signer ()
   in
   let mempool = Mempool.create () in
-  let canonical =
-    match tx_pool with
-    | None -> None
-    | Some pool -> Some (Interner.Tx_pool.canonical pool)
-  in
-  let content = Content_sync.create ?canonical ~mempool ~adversary:behavior () in
+  let content = Content_sync.create ~mempool ~adversary:behavior () in
   let tracker = Peer_tracker.create () in
   let t =
     {
@@ -251,6 +248,7 @@ let create ?tx_pool config ~transport ~rng ~directory ~signer ~neighbors
       seen_exposures = Hashtbl.create 16;
       deviations = Hashtbl.create 4;
       encode_buf = Lo_codec.Writer.create ~initial_size:256 ();
+      tx_pool;
       env = None;
     }
   in
@@ -404,7 +402,7 @@ let note_malformed t ~from ~tag =
 let handle_message t ~from ~tag payload =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
   else
-    match Messages.decode payload with
+    match Messages.decode ?tx_pool:t.tx_pool payload with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
     | msg -> dispatch_message t ~from msg

@@ -88,10 +88,12 @@ val create :
     deterministic stream; under the DES backend pass a
     [Rng.split] of the engine's root generator so seeded runs stay
     reproducible, under the live backend any per-node seed works.
-    [tx_pool] — a per-world canonical-transaction pool shared by all
-    nodes of a deployment, so ten thousand mempools retain one decoded
-    instance per tx instead of one each; omit it (live nodes do) to
-    keep instances private. *)
+    [tx_pool] — a per-world pool shared by all nodes of a deployment.
+    {!handle_message} then decodes each wire transaction once per world
+    (every mempool retains that one instance), and the commitment logs
+    take each id's syndrome powers from it. Signatures are still
+    checked on every delivery. Omit it (live nodes do) to keep
+    instances private; {!handle_message_view} never uses it. *)
 
 val start : t -> unit
 (** Register handlers (including the network restart handler driving

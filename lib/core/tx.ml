@@ -78,6 +78,17 @@ let decode r =
   let id = Lo_crypto.Sha256.digest_list [ unsigned; signature ] in
   { id; origin; fee; created_at; payload; signature }
 
+(* [decode]'s reads in [decode]'s order, none of them copied out, so
+   it raises exactly where [decode] raises. *)
+let skip r =
+  Reader.skip r Signer.id_size;
+  ignore (Reader.varint r : int);
+  ignore (Reader.u64 r : int);
+  let n = Reader.varint r in
+  Reader.skip r n;
+  if n > max_payload_size then raise (Reader.Malformed "tx payload too large");
+  Reader.skip r Signer.signature_size
+
 let to_string t =
   let w = Writer.create () in
   encode w t;

@@ -27,6 +27,12 @@ val decode : Lo_codec.Reader.t -> t
 (** @raise Lo_codec.Reader.Malformed on bad input. The id is recomputed
     from the bytes, never trusted. *)
 
+val skip : Lo_codec.Reader.t -> unit
+(** Consume one encoded transaction without decoding it: the same
+    framing checks as {!decode}, raising [Malformed] on exactly the
+    inputs {!decode} rejects and leaving the reader where {!decode}
+    would, but copying no field out and hashing nothing. *)
+
 val to_string : t -> string
 val of_string : string -> t
 val encoded_size : t -> int

@@ -25,8 +25,9 @@ let build_lo ?(config = Fun.id) ?(behaviors = fun _ -> Node.Honest) ?malicious
     Deployment.derive ?malicious ~scheme ~n ~seed ()
   in
   let node_config = config (Node.default_config scheme) in
-  (* One canonical decoded instance per tx for the whole world: every
-     node's mempool shares it instead of retaining its own copy. *)
+  (* One pool for the whole world: each wire transaction is decoded
+     once and every node's mempool shares that instance, and each id's
+     syndrome powers are computed once for every node's log. *)
   let tx_pool = Interner.Tx_pool.create () in
   let nodes =
     Array.init n (fun i ->

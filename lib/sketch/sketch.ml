@@ -11,8 +11,11 @@ let field t = t.field
 let capacity t = t.capacity
 let copy t = { t with syndromes = Array.copy t.syndromes }
 
+let check_element field e =
+  if e <= 0 || e > Gf2m.mask field then invalid_arg "Sketch.add: element"
+
 let add t e =
-  if e <= 0 || e > Gf2m.mask t.field then invalid_arg "Sketch.add: element";
+  check_element t.field e;
   (* Accumulate odd powers e^1, e^3, e^5, ... — the multiplier e^2 is
      fixed across the loop, so the whole walk runs as one fused kernel
      with the window table, reduction, and running power inlined. *)
@@ -38,6 +41,19 @@ let add_all t es =
         go rest
   in
   go es
+
+let fill_powers e v =
+  let f = Gf2m.gf32 in
+  check_element f e;
+  Array.fill v 0 (Array.length v) 0;
+  Gf2m.accum_powers f ~base:e ~step:(Gf2m.sq f e) v ~n:(Array.length v)
+
+let add_powers t v =
+  if Array.length v < t.capacity then invalid_arg "Sketch.add_powers: vector";
+  let s = t.syndromes in
+  for i = 0 to t.capacity - 1 do
+    Array.unsafe_set s i (Array.unsafe_get s i lxor Array.unsafe_get v i)
+  done
 
 let of_list ?field ~capacity es =
   let t = create ?field ~capacity () in

@@ -25,6 +25,19 @@ val add : t -> int -> unit
 
 val add_all : t -> int list -> unit
 
+val fill_powers : int -> int array -> unit
+(** [fill_powers e v] overwrites [v] with e^1, e^3, ..., e^(2n-1) in
+    GF(2^32), where [n = Array.length v]: the syndromes of the set [{e}]
+    at capacity [n]. A vector filled once serves {!add_powers} at every
+    capacity up to [n].
+    @raise Invalid_argument if the element is 0 or above 2^32 - 1. *)
+
+val add_powers : t -> int array -> unit
+(** [add_powers t v], with [v] filled by [fill_powers e] and [t] over
+    GF(2^32) (the default field), is [add t e]: it xors the first [capacity t] entries of [v] into the
+    syndromes, with no field multiplication.
+    @raise Invalid_argument if [v] is shorter than the capacity. *)
+
 val of_list : ?field:Gf2m.t -> capacity:int -> int list -> t
 
 val merge : t -> t -> t

@@ -856,6 +856,222 @@ let messages_tests =
    either returns or raises [Malformed], and what it allocates is
    bounded by the input's length (a declared count must not buy an
    allocation the bytes cannot back). *)
+(* ---------------- World pool ---------------- *)
+
+(* [Interner.Tx_pool.decode] against [Tx.decode], and the pool's cached
+   syndrome powers against [Sketch.add_all]. Each decode input sits
+   behind a junk prefix and before a junk suffix in its reader, so
+   absolute offsets and the stopping position are both exercised, and
+   each is decoded twice through one long-lived pool: a first sight and
+   a repeat, which must be a hit returning the same instance. *)
+let tx_pool_tests =
+  let module Reader = Lo_codec.Reader in
+  let module W = Lo_codec.Writer in
+  let module Sketch = Lo_sketch.Sketch in
+  let pool = Interner.Tx_pool.create ~initial:4 () in
+  let reader prefix input =
+    let data = prefix ^ input ^ "tail" in
+    Reader.of_substring data ~pos:(String.length prefix)
+      ~len:(String.length input + 4)
+  in
+  let outcome decode r =
+    match decode r with
+    | tx -> Ok (tx, Reader.pos r)
+    | exception Reader.Malformed _ -> Error ()
+  in
+  let same_fields (a : Tx.t) (b : Tx.t) =
+    a.Tx.id = b.Tx.id && a.origin = b.origin && a.fee = b.fee
+    && Int64.equal (Int64.bits_of_float a.created_at)
+         (Int64.bits_of_float b.created_at)
+    && a.payload = b.payload && a.signature = b.signature
+  in
+  let agrees ?(prefix = "pre") input =
+    let direct = outcome Tx.decode (reader prefix input) in
+    let before = Interner.Tx_pool.stats pool in
+    let first = outcome (Interner.Tx_pool.decode pool) (reader prefix input) in
+    let again = outcome (Interner.Tx_pool.decode pool) (reader "" input) in
+    let after = Interner.Tx_pool.stats pool in
+    match (direct, first, again) with
+    | Error (), Error (), Error () ->
+        after.decode_hits = before.decode_hits
+        && after.decode_misses = before.decode_misses
+    | Ok (d, dpos), Ok (f, fpos), Ok (g, gpos) ->
+        same_fields d f && dpos = fpos
+        && gpos = fpos - String.length prefix
+        && g == f
+        && after.decode_hits >= before.decode_hits + 1
+        && after.decode_hits + after.decode_misses
+           = before.decode_hits + before.decode_misses + 2
+    | _ -> false
+  in
+  let wire ~fee_bytes ~us ~len_bytes ~payload ~signature =
+    String.make Signer.id_size 'o' ^ fee_bytes ^ us ^ len_bytes ^ payload
+    ^ signature
+  in
+  let varint v =
+    let w = W.create () in
+    W.varint w v;
+    W.contents w
+  in
+  let u64 v =
+    let w = W.create () in
+    W.u64 w v;
+    W.contents w
+  in
+  let sig_ = String.make Signer.signature_size 's' in
+  let over_long =
+    let n = Tx.max_payload_size + 1 in
+    wire ~fee_bytes:(varint 5) ~us:(u64 7) ~len_bytes:(varint n)
+      ~payload:(String.make n 'p') ~signature:sig_
+  in
+  let encoding =
+    QCheck2.Gen.(
+      let* fee = oneof [ int_bound 127; int_bound 10_000_000 ] in
+      let* payload = string_size (int_bound 150) in
+      let* us = int_bound 10_000_000 in
+      let tx = mk_tx ~fee ~created_at:(float_of_int us /. 1e6) payload in
+      let s = Tx.to_string tx in
+      let fee_end = Signer.id_size + String.length (varint fee) in
+      let len_at = fee_end + 8 in
+      let len_end = len_at + String.length (varint (String.length payload)) in
+      let pad s ~at ~until =
+        (* the same value with one more, empty, continuation byte *)
+        let v = String.sub s at (until - at) in
+        let last = Char.code v.[String.length v - 1] in
+        String.sub s 0 at
+        ^ String.sub v 0 (String.length v - 1)
+        ^ String.make 1 (Char.chr (last lor 0x80))
+        ^ "\x00"
+        ^ String.sub s until (String.length s - until)
+      in
+      oneof
+        [
+          return s;
+          return (pad s ~at:Signer.id_size ~until:fee_end);
+          return (pad s ~at:len_at ~until:len_end);
+          map (fun k -> String.sub s 0 k) (int_bound (String.length s - 1));
+          map2
+            (fun i c ->
+              let b = Bytes.of_string s in
+              Bytes.set b i c;
+              Bytes.to_string b)
+            (int_bound (String.length s - 1))
+            char;
+        ])
+  in
+  let ids_gen =
+    QCheck2.Gen.(
+      let* capacity = int_range 1 300 in
+      let* distinct = int_range 1 1300 in
+      let* extra = list_size (int_bound 600) (int_bound (distinct - 1)) in
+      let* size = int_range 1 40 in
+      return (capacity, distinct, extra, size))
+  in
+  let universe n =
+    Array.init n (fun i -> Short_id.of_txid (Lo_crypto.Sha256.digest (string_of_int i)))
+  in
+  let rec chunks size = function
+    | [] -> []
+    | l ->
+        let rec take k acc = function
+          | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let c, rest = take size [] l in
+        c :: chunks size rest
+  in
+  let sketch_bytes s =
+    let w = W.create () in
+    Sketch.encode w s;
+    W.contents w
+  in
+  [
+    Alcotest.test_case "every truncation and byte of valid encodings" `Quick
+      (fun () ->
+        List.iter
+          (fun s ->
+            check_bool "intact" true (agrees s);
+            for i = 0 to String.length s - 1 do
+              check_bool (Printf.sprintf "cut at %d" i) true
+                (agrees (String.sub s 0 i));
+              let b = Bytes.of_string s in
+              Bytes.set b i '\xff';
+              check_bool (Printf.sprintf "0xff at %d" i) true
+                (agrees (Bytes.to_string b))
+            done)
+          [ Tx.to_string (mk_tx "pool"); Tx.to_string (mk_tx ~fee:300 "") ]);
+    Alcotest.test_case "over-long payloads are rejected alike" `Quick
+      (fun () ->
+        check_bool "over-long" true (agrees over_long);
+        check_bool "cut over-long" true
+          (agrees (String.sub over_long 0 (String.length over_long - 1))));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~print:Lo_crypto.Hex.encode
+         ~name:"pooled decode = Tx.decode" encoding agrees);
+    qtest "pooled sketches = Sketch.add_all" ~count:60 ids_gen
+      (fun (capacity, distinct, extra, size) ->
+        let u = universe distinct in
+        let ids = Array.to_list u @ List.map (fun i -> u.(i)) extra in
+        let pooled = Sketch.create ~capacity () in
+        let direct = Sketch.create ~capacity () in
+        List.iter
+          (fun bundle ->
+            Interner.Tx_pool.sketch_add_all pool pooled bundle;
+            Sketch.add_all direct bundle)
+          (chunks size ids);
+        sketch_bytes pooled = sketch_bytes direct);
+    qtest "pooled logs = unpooled logs, one pool, two capacities" ~count:20
+      ids_gen (fun (capacity, distinct, extra, size) ->
+        let world = Interner.Tx_pool.create () in
+        let u = universe distinct in
+        let bundles =
+          chunks size (Array.to_list u @ List.map (fun i -> u.(i)) extra)
+        in
+        List.for_all
+          (fun sketch_capacity ->
+            let log ?tx_pool () =
+              let l = Commitment.Log.create ~sketch_capacity ?tx_pool ~signer:alice () in
+              List.iter
+                (fun ids -> ignore (Commitment.Log.append l ~source:None ~ids))
+                bundles;
+              Commitment.Log.current_digest l
+            in
+            let a = log ~tx_pool:world () and b = log () in
+            Commitment.signing_bytes a = Commitment.signing_bytes b
+            && Option.map sketch_bytes a.Commitment.sketch
+               = Option.map sketch_bytes b.Commitment.sketch)
+          [ capacity; 300 - capacity + 1 ]);
+    Alcotest.test_case "repeat ids hit the cached powers" `Quick (fun () ->
+        let world = Interner.Tx_pool.create () in
+        let s = Sketch.create ~capacity:250 () in
+        Interner.Tx_pool.sketch_add_all world s [ 5; 6 ];
+        Interner.Tx_pool.sketch_add_all world s [ 5 ];
+        let st = Interner.Tx_pool.stats world in
+        check_int "misses" 2 st.power_misses;
+        check_int "hits" 1 st.power_hits;
+        check_bool "sketch of {6}" true
+          (sketch_bytes s = sketch_bytes (Sketch.of_list ~capacity:250 [ 6 ])));
+    Alcotest.test_case "invalid ids raise as in Sketch.add_all" `Quick
+      (fun () ->
+        List.iter
+          (fun capacity ->
+            List.iter
+              (fun bad ->
+                let raises add =
+                  match add (Sketch.create ~capacity ()) [ 7; bad ] with
+                  | () -> None
+                  | exception Invalid_argument m -> Some m
+                in
+                check_bool
+                  (Printf.sprintf "capacity %d, id %d" capacity bad)
+                  true
+                  (raises Sketch.add_all <> None
+                  && raises Sketch.add_all
+                     = raises (Interner.Tx_pool.sketch_add_all pool)))
+              [ 0; -3; 1 lsl 32 ])
+          [ 1; 250; 251 ]);
+  ]
+
 let decode_fuzz_tests =
   let log = mk_log () in
   let _ = Commitment.Log.append log ~source:None ~ids:[ 1; 2 ] in
@@ -1162,11 +1378,11 @@ let ingest_batch_tests =
       txs;
     (m, List.rev !accepted, List.rev !invalid, !dups, List.rev !fresh)
   in
-  let run_batch ?canonical ?keep ~known txs =
+  let run_batch ?keep ~known txs =
     let m = Mempool.create () in
     let committed = ref [] in
     let r =
-      Mempool.ingest_batch ?canonical ?keep ~scheme ~known
+      Mempool.ingest_batch ?keep ~scheme ~known
         ~commit:(fun ids -> committed := ids)
         ~received_at:7. ~from_peer:(Some "p") m txs
     in
@@ -1218,14 +1434,6 @@ let ingest_batch_tests =
         check_int "kept" 2 (List.length r.Mempool.accepted);
         check_int "committed" 2 (List.length committed);
         check_bool "agree" true (agree ~keep txs));
-    Alcotest.test_case "canonical substitution is applied" `Quick (fun () ->
-        let a = mk_tx "canon" in
-        let a' = Tx.of_string (Tx.to_string a) in
-        let canonical tx = if tx.Tx.id = a.Tx.id then a else tx in
-        let _, r, _ = run_batch ~canonical ~known:(fun _ -> false) [ a' ] in
-        match r.Mempool.accepted with
-        | [ e ] -> check_bool "interned instance" true (e.Mempool.tx == a)
-        | _ -> Alcotest.fail "expected one accepted entry");
     qtest "ingest_batch = iterated reference" ~count:120
       QCheck2.Gen.(
         list_size (int_bound 16) (pair (int_bound 5) (int_bound 4)))
@@ -1276,4 +1484,5 @@ let () =
       ("accountability", accountability_tests);
       ("messages", messages_tests);
       ("decode-fuzz", decode_fuzz_tests);
+      ("tx-pool", tx_pool_tests);
     ]

@@ -18,7 +18,8 @@ type deployment = {
   client : Signer.t;
 }
 
-let mk_network ?(behaviors = fun _ -> Node.Honest) ?(n = 25) ~seed () =
+let mk_network ?(behaviors = fun _ -> Node.Honest) ?(n = 25) ?tx_pool ~seed
+    () =
   let scheme = Signer.simulation () in
   let net = Net.create ~num_nodes:n ~seed () in
   let trace = Lo_obs.Trace.create ~capacity:1 () in
@@ -33,7 +34,7 @@ let mk_network ?(behaviors = fun _ -> Node.Honest) ?(n = 25) ~seed () =
   let config = Node.default_config scheme in
   let nodes =
     Array.init n (fun i ->
-        Node.create config
+        Node.create ?tx_pool config
           ~transport:(Lo_net.Sim_transport.make ~net ~mux ~node:i)
           ~rng:(Lo_net.Rng.split (Lo_net.Network.rng net))
           ~directory ~signer:signers.(i)
@@ -326,61 +327,63 @@ let malformed_tests =
    decodes reaches the handlers behind the shape check (the intact
    encodings pass it). Each input either returns normally or is counted
    as one [Malformed] event (an undecodable one always is); no
-   exception escapes either entry, nor the network run that follows. *)
+   exception escapes either entry, nor the network run that follows.
+   [handle_message] inputs also go to a twin deployment built with a
+   world pool, so the pooled decode path sees every input too. *)
 let node_fuzz_tests =
-  let world =
-    lazy
-      (let d = mk_network ~n:4 ~seed:781 () in
-       let txs =
-         List.init 4 (fun k ->
-             submit d ~target:k ~fee:(3 + k) (Printf.sprintf "nf%d" k))
-       in
-       Net.run_until d.net 10.0;
-       let block =
-         match Node.build_block d.nodes.(1) ~policy:Policy.Lo_fifo with
-         | Some b -> b
-         | None -> Alcotest.fail "no block to fuzz"
-       in
-       Net.run_until d.net 15.0;
-       let log = Node.commitment_log d.nodes.(1) in
-       let digest = Commitment.Log.current_digest log in
-       let light = Commitment.Log.current_digest_light log in
-       let older =
-         match Commitment.Log.digest_at log ~seq:1 with
-         | Some o -> o
-         | None -> Alcotest.fail "no older digest"
-       in
-       let id i = Node.node_id d.nodes.(i) in
-       let tx = List.hd txs in
-       let valid =
-         Array.map Messages.encode
-           [|
-             Messages.Submit (submit d ~target:3 ~fee:9 "nf-fresh");
-             Messages.Submit_ack
-               { txid = tx.Tx.id;
-                 ack_signature = String.make Signer.signature_size 's' };
-             Messages.Commit_request
-               { digest; delta = [ 1; 2 ]; want = [ 3 ]; appended = [ 3 ] };
-             Messages.Commit_response
-               { digest = light; want = [ 7 ]; delta = [ 9 ]; appended = [] };
-             Messages.Tx_batch txs;
-             Messages.Digest_share digest;
-             Messages.Digest_request { owner = id 1; seq = 1 };
-             Messages.Digest_reply [ older; light ];
-             Messages.Suspicion_note
-               { suspect = id 2; reporter = id 1; last_digest = Some digest;
-                 reason = "timeout" };
-             Messages.Suspicion_withdraw { suspect = id 2; reporter = id 1 };
-             Messages.Exposure_note
-               (Evidence.Block_bundle_violation
-                  { block; older; newer = digest; omitted_tx = Some tx });
-             Messages.Block_announce block;
-           |]
-       in
-       (d, valid))
+  let build ?tx_pool () =
+    let d = mk_network ~n:4 ?tx_pool ~seed:781 () in
+    let txs =
+      List.init 4 (fun k ->
+          submit d ~target:k ~fee:(3 + k) (Printf.sprintf "nf%d" k))
+    in
+    Net.run_until d.net 10.0;
+    let block =
+      match Node.build_block d.nodes.(1) ~policy:Policy.Lo_fifo with
+      | Some b -> b
+      | None -> Alcotest.fail "no block to fuzz"
+    in
+    Net.run_until d.net 15.0;
+    let log = Node.commitment_log d.nodes.(1) in
+    let digest = Commitment.Log.current_digest log in
+    let light = Commitment.Log.current_digest_light log in
+    let older =
+      match Commitment.Log.digest_at log ~seq:1 with
+      | Some o -> o
+      | None -> Alcotest.fail "no older digest"
+    in
+    let id i = Node.node_id d.nodes.(i) in
+    let tx = List.hd txs in
+    let valid =
+      Array.map Messages.encode
+        [|
+          Messages.Submit (submit d ~target:3 ~fee:9 "nf-fresh");
+          Messages.Submit_ack
+            { txid = tx.Tx.id;
+              ack_signature = String.make Signer.signature_size 's' };
+          Messages.Commit_request
+            { digest; delta = [ 1; 2 ]; want = [ 3 ]; appended = [ 3 ] };
+          Messages.Commit_response
+            { digest = light; want = [ 7 ]; delta = [ 9 ]; appended = [] };
+          Messages.Tx_batch txs;
+          Messages.Digest_share digest;
+          Messages.Digest_request { owner = id 1; seq = 1 };
+          Messages.Digest_reply [ older; light ];
+          Messages.Suspicion_note
+            { suspect = id 2; reporter = id 1; last_digest = Some digest;
+              reason = "timeout" };
+          Messages.Suspicion_withdraw { suspect = id 2; reporter = id 1 };
+          Messages.Exposure_note
+            (Evidence.Block_bundle_violation
+               { block; older; newer = digest; omitted_tx = Some tx });
+          Messages.Block_announce block;
+        |]
+    in
+    (d, valid)
   in
-  let deliver ?(intact = false) ~view input =
-    let d, _ = Lazy.force world in
+  let world = lazy (build ()) in
+  let pooled = lazy (fst (build ~tx_pool:(Interner.Tx_pool.create ()) ())) in
+  let deliver_to ~intact ~view d input =
     let node = d.nodes.(0) in
     let before = Lo_obs.Trace.count d.trace "malformed" in
     let outcome =
@@ -408,9 +411,14 @@ let node_fuzz_tests =
         || QCheck2.Test.fail_reportf "%d malformed events (decodes: %b)"
              counted decodes
   in
+  let deliver ?(intact = false) ~view input =
+    deliver_to ~intact ~view (fst (Lazy.force world)) input
+    && (view || deliver_to ~intact ~view (Lazy.force pooled) input)
+  in
   let settle () =
-    let d, _ = Lazy.force world in
-    Net.run_until d.net (Net.now d.net +. 5.0)
+    List.iter
+      (fun d -> Net.run_until d.net (Net.now d.net +. 5.0))
+      [ fst (Lazy.force world); Lazy.force pooled ]
   in
   let overwrite s i c =
     let b = Bytes.of_string s in

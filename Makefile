@@ -1,4 +1,4 @@
-.PHONY: all build test check chaos-smoke audit-smoke bench-smoke perfbench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke fmt bench clean
+.PHONY: all build test check chaos-smoke audit-smoke bench-smoke perfbench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke sim-trace-pin fmt bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # The one-stop gate: everything compiles, the full test suite passes,
 # and a tiny seeded chaos scenario exercises the fault-injection paths.
 check:
-	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) perfbench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) live-schnorr-smoke && $(MAKE) ingest-smoke
+	dune build && dune runtest && $(MAKE) chaos-smoke && $(MAKE) audit-smoke && $(MAKE) scale-smoke && $(MAKE) bench-smoke && $(MAKE) perfbench-smoke && $(MAKE) fuzz-smoke && $(MAKE) live-smoke && $(MAKE) live-chaos-smoke && $(MAKE) live-schnorr-smoke && $(MAKE) ingest-smoke && $(MAKE) sim-trace-pin
 
 # Small deterministic fault-injection run (churn + partitions + loss
 # bursts + latency spikes + link degradation); exits non-zero if any
@@ -63,15 +63,31 @@ live-chaos-smoke:
 live-schnorr-smoke:
 	dune exec bin/lo.exe -- cluster -n 4 --tps 40 --duration 5 --seed 1 --base-port 7971 --signer schnorr --chaos kills=1
 
-# A short live ingest burst through the batched admission path: a
-# small cluster driven at an elevated offered load, so content-sync
-# Tx_batch frames carry real multi-transaction bundles through
-# Mempool.ingest_batch (one batched signature verification and one
-# signed commitment digest per bundle). Same audit discipline as
-# live-smoke — the merged trace must pass every replay invariant and
-# no node may crash or end up exposed.
+# A short live ingest burst: a small cluster driven at an elevated
+# offered load, so content-sync Tx_batch frames carry real
+# multi-transaction bundles through Content_sync.ingest_batch, the one
+# admission path the simulator shares (one batched signature
+# verification per frame); live hosts commit each frame's fresh ids as
+# one signed digest. Same audit discipline as live-smoke — the merged
+# trace must pass every replay invariant and no node may crash or end
+# up exposed.
 ingest-smoke:
 	dune exec bin/lo.exe -- cluster -n 4 --tps 250 --duration 4 --seed 2 --base-port 7851
+
+# The simulator's reference trace: one traced run of the benchmark's
+# 200-node sim-fig6 world at seed 1 (about 30 s) must hash to the
+# pinned value. Transaction ids, signatures, digests, bundle
+# granularity and event order all feed the hash, so a change that
+# should be trace-neutral and is not fails here.
+sim-trace-pin:
+	@err=$$(python3 perfbench/run.py --workload sim-fig6 --seed 1 --seconds 30 --trace 1 2>&1 >/dev/null) \
+		|| { echo "$$err"; exit 1; }; \
+	want="reference trace 4eb55287de660b5ca4c281a0dd919bff"; \
+	if echo "$$err" | grep -q "$$want"; then \
+		echo "sim-trace-pin: $$want"; \
+	else \
+		echo "$$err"; echo "sim-trace-pin: expected $$want"; exit 1; \
+	fi
 
 # A 2,000-node fig6-style sharded sweep (4 worlds of 500 nodes, 10%
 # silent censors, neighbour rotation, block production), audited shard

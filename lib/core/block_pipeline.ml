@@ -54,24 +54,19 @@ let admit t (env : Node_env.t) (block : Block.t) ~hash =
         if not (Hashtbl.mem t.settled id) then
           Hashtbl.add t.settled id block.height)
       block.txids;
-    (match env.trace with
-    | Some tr ->
-        Lo_obs.Trace.emit tr ~at:(env.now ())
-          (Lo_obs.Event.Block_accept
-             {
-               node = env.my_index;
-               creator =
-                 Option.value (env.index_of block.creator) ~default:(-1);
-               height = block.height;
-               bundles =
-                 List.map
-                   (fun (seq, txids) ->
-                     (seq, List.map Short_id.of_txid txids))
-                   (Block.bundle_txids block);
-               omitted = List.map fst block.omissions;
-               appendix = block.appendix;
-             })
-    | None -> ());
+    Node_env.emit env
+      (Lo_obs.Event.Block_accept
+         {
+           node = env.my_index;
+           creator = Option.value (env.index_of block.creator) ~default:(-1);
+           height = block.height;
+           bundles =
+             List.map
+               (fun (seq, txids) -> (seq, List.map Short_id.of_txid txids))
+               (Block.bundle_txids block);
+           omitted = List.map fst block.omissions;
+           appendix = block.appendix;
+         });
     env.hooks.on_block_accepted block
   end
 
@@ -122,17 +117,13 @@ let rec inspect_block t (env : Node_env.t) (block : Block.t) ~hash ~from =
     List.iter
       (fun violation ->
         env.hooks.on_violation violation ~block;
-        (match env.trace with
-        | Some tr ->
-            Lo_obs.Trace.emit tr ~at:(env.now ())
-              (Lo_obs.Event.Violation
-                 {
-                   node = env.my_index;
-                   peer =
-                     Option.value (env.index_of block.creator) ~default:(-1);
-                   kind = violation_kind violation;
-                 })
-        | None -> ());
+        Node_env.emit env
+          (Lo_obs.Event.Violation
+             {
+               node = env.my_index;
+               peer = Option.value (env.index_of block.creator) ~default:(-1);
+               kind = violation_kind violation;
+             });
         match evidence_for t block violation with
         | Some evidence ->
             if Evidence.verify env.config.scheme evidence then

@@ -283,6 +283,7 @@ module Log = struct
       cells
 
   let bundles t = List.rev t.bundles_rev
+  let newest_bundle t = match t.bundles_rev with b :: _ -> Some b | [] -> None
 
   let oldest t n =
     let acc = ref [] in

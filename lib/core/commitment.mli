@@ -150,6 +150,10 @@ module Log : sig
   val bundles : t -> bundle list
   (** In commitment order. *)
 
+  val newest_bundle : t -> bundle option
+  (** The last bundle committed: after an {!append} that returned
+      [Some _], the ids that append kept, in order. *)
+
   val oldest : t -> int -> int list
   (** [oldest t n]: the first [n] committed ids in commitment order
       (none for [n <= 0]), in O(n) however long the log. *)

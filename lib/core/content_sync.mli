@@ -16,10 +16,6 @@ val missing_count : t -> int
 val want_list : t -> int list
 (** Up to {!Node_env.max_delta} missing ids to request from a peer. *)
 
-val mark_missing : t -> Node_env.t -> int list -> unit
-(** Note that the given committed ids lack content (no-op for ids
-    already in the mempool). *)
-
 val commit_fresh :
   t ->
   Node_env.t ->
@@ -30,10 +26,11 @@ val commit_fresh :
   int list
 (** Filter [ids] down to those not [known], optionally sort/dedup them,
     commit the survivors as one bundle attributed to [source] and mark
-    their content missing. Returns the committed ids ([[]] when none
-    were fresh). The [known] predicate is caller-supplied because the
-    paths differ: requests test the (possibly forked) log shown to the
-    peer, responses test the primary log. *)
+    those whose content is not in the mempool missing. Returns the
+    committed ids ([[]] when none were fresh). The [known] predicate is
+    caller-supplied because the paths differ: requests test the
+    (possibly forked) log shown to the peer, responses test the primary
+    log. *)
 
 val serve : t -> int list -> Tx.t list
 (** The requested transactions we can actually supply. *)
@@ -42,15 +39,24 @@ val store_content : t -> Node_env.t -> Tx.t -> from_peer:string option -> unit
 (** Admit content to the mempool, clear it from the missing set and
     fire [on_tx_content] (first arrival only). *)
 
-val ingest_batch : t -> Node_env.t -> from:int -> Tx.t list -> unit
-(** Handle a {!Messages.Tx_batch}: prevalidate, apply Stage-II
-    censorship, commit previously unseen ids and store content — one
-    commitment bundle per transaction (the DES path; golden traces pin
-    this granularity). *)
+val ingest_batch :
+  t ->
+  Node_env.t ->
+  bundles:[ `Per_id | `Per_frame ] ->
+  from:int ->
+  Tx.t list ->
+  unit
+(** Handle a {!Messages.Tx_batch} from peer [from] through
+    {!Mempool.ingest_batch}: bounds checks, one
+    {!Lo_crypto.Signer.verify_many} over the frame, the Stage-II
+    censorship filter, and an in-batch dedup. The ids neither committed
+    nor repeated are committed in batch order, then the new content is
+    stored.
 
-val ingest_batch_bulk : t -> Node_env.t -> from:int -> Tx.t list -> unit
-(** The batched admission path ({!Mempool.ingest_batch}): signatures
-    verified in one batch, fresh ids committed as ONE bundle with a
-    single digest update. Mempool contents and the committed id set
-    match {!ingest_batch}; only the bundle granularity (digest seq)
-    differs. Used by the live backend. *)
+    [bundles] is the only thing the two entry points set differently:
+    [`Per_id] commits each fresh id as its own bundle (the simulator's
+    {!Node.handle_message}; the golden traces pin one digest per id),
+    [`Per_frame] commits them as one bundle with a single digest update
+    (live hosts' {!Node.handle_message_view}). Mempool contents, arrival
+    order and the committed id set are the same either way; only the
+    log's bundles and [seq] differ. *)

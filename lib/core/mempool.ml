@@ -45,17 +45,16 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
     ~from_peer t txs =
   let txs = Array.of_list txs in
   let n = Array.length txs in
-  (* Stage I bounds checks first; survivors go through one batched
-     signature verification (amortized point operations for Schnorr,
-     one registry probe per origin for the simulation scheme). *)
+  (* Bounds checks first; survivors go through one batched signature
+     verification (amortized point operations for Schnorr, one registry
+     probe per origin for the simulation scheme). *)
   let reasons = Array.make n None in
   let pending_rev = ref [] in
   Array.iteri
     (fun i tx ->
-      if tx.Tx.fee < 0 then reasons.(i) <- Some "negative fee"
-      else if String.length tx.Tx.payload > Tx.max_payload_size then
-        reasons.(i) <- Some "oversized payload"
-      else pending_rev := i :: !pending_rev)
+      match Tx.check_bounds tx with
+      | Error r -> reasons.(i) <- Some r
+      | Ok () -> pending_rev := i :: !pending_rev)
     txs;
   let pending = Array.of_list (List.rev !pending_rev) in
   let triples =

@@ -46,18 +46,17 @@ val ingest_batch :
   t ->
   Tx.t list ->
   batch_result
-(** Batched admission (the throughput tier): bounds-check every
-    transaction, verify all surviving signatures in one
-    {!Lo_crypto.Signer.verify_many} call, store the valid ones, and
-    call [commit] ONCE with every short id that is neither [known]
-    (already committed) nor repeated in the batch — one commitment
-    bundle, one digest update, per batch.
-
-    [keep] is the censorship filter applied after validation (default:
-    keep all). Per-transaction outcomes — which transactions are stored, rejected
-    or duplicate, and which ids reach the commitment log — match the
-    iterated single-transaction path exactly; qcheck pins the
-    equivalence including the final mempool state and digest. *)
+(** The one admission path for transaction content: bounds-check every
+    transaction ({!Tx.check_bounds}), verify all surviving signatures in
+    one {!Lo_crypto.Signer.verify_many} call, drop those [keep] rejects
+    (the censorship filter; default: keep all), store the rest, and
+    call [commit] once with every short id that is neither [known]
+    (already committed) nor repeated in the batch, in batch order.
+    {!Content_sync.ingest_batch} (both node entry points) and the
+    benchmarks call it. Which transactions are stored, rejected or
+    duplicate, and which ids reach [commit], match the iterated
+    single-transaction path ({!Tx.prevalidate}, then {!add}); qcheck
+    pins the equivalence. *)
 
 val mem_short : t -> int -> bool
 val find_short : t -> int -> entry option

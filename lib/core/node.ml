@@ -120,41 +120,26 @@ let wire_digest t ~peer_index =
   if t.config.always_full_digests then Commitment.Log.current_digest log
   else Commitment.Log.current_digest_light log
 
+let env t =
+  match t.env with Some e -> e | None -> invalid_arg "Node: env unset"
+
 (* Primary-log appends funnel through here so the trace sees every
-   committed bundle. The fresh-id precomputation mirrors the log's own
-   filter (range check + known-id dedup, order preserved) because
-   [Log.append] does not report which ids survived. *)
+   committed bundle. *)
 let append_primary t ~source ~ids =
-  match t.transport.Transport.trace with
-  | None -> ignore (Commitment.Log.append t.log ~source ~ids)
-  | Some tr -> begin
-      let seen = Hashtbl.create 8 in
-      let fresh =
-        List.filter
-          (fun id ->
-            if
-              id <= 0 || id > Short_id.max_value
-              || Commitment.Log.contains t.log id
-              || Hashtbl.mem seen id
-            then false
-            else begin
-              Hashtbl.add seen id ();
-              true
-            end)
-          ids
-      in
-      match Commitment.Log.append t.log ~source ~ids with
-      | Some d ->
-          Lo_obs.Trace.emit tr ~at:(now t)
-            (Lo_obs.Event.Commit_append
-               {
-                 node = t.index;
-                 seq = d.Commitment.seq;
-                 count = d.Commitment.counter;
-                 ids = fresh;
-               })
-      | None -> ()
-    end
+  match Commitment.Log.append t.log ~source ~ids with
+  | None -> ()
+  | Some d ->
+      Node_env.emit (env t)
+        (Lo_obs.Event.Commit_append
+           {
+             node = t.index;
+             seq = d.Commitment.seq;
+             count = d.Commitment.counter;
+             ids =
+               (match Commitment.Log.newest_bundle t.log with
+               | Some b -> b.Commitment.Log.ids
+               | None -> []);
+           })
 
 let commit_bundle t ~source ~ids =
   append_primary t ~source ~ids;
@@ -165,25 +150,17 @@ let commit_bundle t ~source ~ids =
 let expose t ~accused evidence =
   if not (String.equal accused t.my_id) then begin
     if Accountability.expose t.acc ~peer:accused evidence then begin
-      (match t.transport.Transport.trace with
-      | Some tr ->
-          Lo_obs.Trace.emit tr ~at:(now t)
-            (Lo_obs.Event.Expose
-               {
-                 node = t.index;
-                 peer =
-                   Option.value
-                     (Directory.index_of t.directory accused)
-                     ~default:(-1);
-               })
-      | None -> ());
+      Node_env.emit (env t)
+        (Lo_obs.Event.Expose
+           {
+             node = t.index;
+             peer =
+               Option.value (Directory.index_of t.directory accused) ~default:(-1);
+           });
       Hashtbl.replace t.seen_exposures accused ();
       broadcast t (Messages.Exposure_note evidence)
     end
   end
-
-let env t =
-  match t.env with Some e -> e | None -> invalid_arg "Node: env unset"
 
 let make_env t =
   {
@@ -352,7 +329,7 @@ let note_dropped_message t ~tag =
   if String.equal tag "lo:commit-req" then
     record_deviation t ~kind:"silent-drop" ~height:None
 
-let dispatch_message t ~from msg =
+let dispatch_message t ~bundles ~from msg =
   begin
     match msg with
     | Messages.Submit tx ->
@@ -370,7 +347,8 @@ let dispatch_message t ~from msg =
     | Messages.Commit_response { digest; want; delta; appended } ->
         Reconciler.handle_commit_response t.reconciler (env t) ~from
           ~digest:(canon_digest t digest) ~want ~delta ~appended
-    | Messages.Tx_batch txs -> Content_sync.ingest_batch t.content (env t) ~from txs
+    | Messages.Tx_batch txs ->
+        Content_sync.ingest_batch t.content (env t) ~bundles ~from txs
     | Messages.Digest_share digest ->
         Peer_tracker.note_digest t.tracker (env t) (canon_digest t digest)
     | Messages.Digest_request { owner; seq } ->
@@ -393,11 +371,7 @@ let dispatch_message t ~from msg =
    but never silently: the drop is a counted trace event naming the
    sender. *)
 let note_malformed t ~from ~tag =
-  match t.transport.Transport.trace with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(now t)
-        (Lo_obs.Event.Malformed { node = t.index; src = from; tag })
-  | None -> ()
+  Node_env.emit (env t) (Lo_obs.Event.Malformed { node = t.index; src = from; tag })
 
 let handle_message t ~from ~tag payload =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
@@ -405,21 +379,19 @@ let handle_message t ~from ~tag payload =
     match Messages.decode ?tx_pool:t.tx_pool payload with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
-    | msg -> dispatch_message t ~from msg
+    | msg -> dispatch_message t ~bundles:`Per_id ~from msg
 
 (* The zero-copy wire path: decode straight out of a frame view over
-   the receive buffer. Same containment as [handle_message], but
-   [Tx_batch] takes the batched admission pipeline — one signature
-   batch, one commitment bundle — instead of the per-tx DES path. *)
+   the receive buffer. Same containment and dispatch as
+   [handle_message]; a [Tx_batch] commits its fresh ids as one bundle
+   per frame instead of one per id. *)
 let handle_message_view t ~from ~tag r =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
   else
     match Messages.decode_reader r with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
-    | Messages.Tx_batch txs ->
-        Content_sync.ingest_batch_bulk t.content (env t) ~from txs
-    | msg -> dispatch_message t ~from msg
+    | msg -> dispatch_message t ~bundles:`Per_frame ~from msg
 
 (* --- periodic timers --- *)
 

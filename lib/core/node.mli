@@ -102,20 +102,16 @@ val start : t -> unit
 
 val handle_message : t -> from:int -> tag:string -> string -> unit
 (** The subscription handler {!start} registers: decode one wire
-    message and dispatch it. Malformed input is contained: the message
-    is dropped and counted as a {!Lo_obs.Event.Malformed} trace
-    event. *)
+    message and dispatch it. A [Tx_batch] goes through
+    {!Content_sync.ingest_batch} with one commitment bundle per fresh
+    id. Malformed input is contained: the message is dropped and
+    counted as a {!Lo_obs.Event.Malformed} trace event. *)
 
 val handle_message_view : t -> from:int -> tag:string -> Lo_codec.Reader.t -> unit
-(** Handle one wire message decoded straight out of a reader view over
-    the transport's receive buffer (no intermediate payload string).
-    Behaviour matches the subscription handler {!start} registers,
-    except [Tx_batch] is admitted through the batched pipeline
-    ({!Content_sync.ingest_batch_bulk}): one signature batch, one
-    commitment bundle per frame. Used by the live TCP backend; the view
-    must not be retained past the call. Malformed input is contained:
-    the message is dropped and counted as a {!Lo_obs.Event.Malformed}
-    trace event, as on the subscription path. *)
+(** {!handle_message} on a reader view over the transport's receive
+    buffer (no intermediate payload string), except that a [Tx_batch]
+    commits its fresh ids as one bundle per frame. Used by the live TCP
+    backend; the view must not be retained past the call. *)
 
 val handle_restart : t -> unit
 (** The recovery path, run via the transport's restart handler (the DES

@@ -76,3 +76,8 @@ type t = {
   retry_inspections : owner:string -> unit;
   record_deviation : kind:string -> height:int option -> unit;
 }
+
+let emit t ev =
+  match t.trace with
+  | Some tr -> Lo_obs.Trace.emit tr ~at:(t.now ()) ev
+  | None -> ()

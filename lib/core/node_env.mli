@@ -90,8 +90,8 @@ type t = {
   config : config;
   hooks : hooks;
   trace : Lo_obs.Trace.t option;
-      (** observability sink (shared with the network engine); [None]
-          keeps every emission site on its cheap disabled path *)
+      (** observability sink (shared with the network engine); every
+          protocol event goes through {!emit} *)
   my_id : string;
   my_index : int;
   signer : Lo_crypto.Signer.t;
@@ -123,3 +123,7 @@ type t = {
           call it. [height] ties block-stage deviations to the tampered
           block so oracles can match them to honest acceptances. *)
 }
+
+val emit : t -> Lo_obs.Event.t -> unit
+(** Record an event in the trace at the current time; a no-op without a
+    sink. *)

@@ -52,42 +52,29 @@ let retry_delay (env : Node_env.t) ~retries =
   in
   Float.max 0.05 (base +. jitter)
 
-(* --- trace emission (no-ops without a sink) --- *)
+(* --- trace events --- *)
 
 let span_key peer_index = "recon:" ^ string_of_int peer_index
 
 let emit_span_begin (env : Node_env.t) ~peer_index =
-  match env.trace with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(env.now ())
-        (Lo_obs.Event.Span_begin
-           { node = env.my_index; key = span_key peer_index })
-  | None -> ()
+  Node_env.emit env
+    (Lo_obs.Event.Span_begin { node = env.my_index; key = span_key peer_index })
 
 let emit_span_end (env : Node_env.t) ~peer_index ~ok =
-  match env.trace with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(env.now ())
-        (Lo_obs.Event.Span_end
-           { node = env.my_index; key = span_key peer_index; ok })
-  | None -> ()
+  Node_env.emit env
+    (Lo_obs.Event.Span_end
+       { node = env.my_index; key = span_key peer_index; ok })
 
 let peer_of (env : Node_env.t) peer_id =
   Option.value (env.index_of peer_id) ~default:(-1)
 
 let emit_suspect (env : Node_env.t) peer_id =
-  match env.trace with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(env.now ())
-        (Lo_obs.Event.Suspect { node = env.my_index; peer = peer_of env peer_id })
-  | None -> ()
+  Node_env.emit env
+    (Lo_obs.Event.Suspect { node = env.my_index; peer = peer_of env peer_id })
 
 let emit_clear (env : Node_env.t) peer_id =
-  match env.trace with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(env.now ())
-        (Lo_obs.Event.Clear { node = env.my_index; peer = peer_of env peer_id })
-  | None -> ()
+  Node_env.emit env
+    (Lo_obs.Event.Clear { node = env.my_index; peer = peer_of env peer_id })
 
 (* What the peer is (probably) missing from us, and — when the stored
    digest carries a sketch — what we are missing from it. The common

@@ -111,14 +111,20 @@ let unsigned_bytes t =
   signing_bytes ~origin:t.origin ~fee:t.fee ~created_at:t.created_at
     ~payload:t.payload
 
-let prevalidate scheme t =
+let check_bounds t =
   if t.fee < 0 then Error "negative fee"
   else if String.length t.payload > max_payload_size then Error "oversized payload"
-  else if
-    Signer.verify scheme ~id:t.origin ~msg:(unsigned_bytes t)
-      ~signature:t.signature
-  then Ok ()
-  else Error "invalid signature"
+  else Ok ()
+
+let prevalidate scheme t =
+  match check_bounds t with
+  | Error _ as e -> e
+  | Ok () ->
+      if
+        Signer.verify scheme ~id:t.origin ~msg:(unsigned_bytes t)
+          ~signature:t.signature
+      then Ok ()
+      else Error "invalid signature"
 
 let equal a b = String.equal a.id b.id
 

@@ -45,9 +45,12 @@ val unsigned_bytes : t -> string
     the prefix of the full encoding the id digests). The batched
     admission path feeds these to {!Lo_crypto.Signer.verify_many}. *)
 
+val check_bounds : t -> (unit, string) result
+(** Fee >= 0 and payload size: the checks of paper Stage I step 2 that
+    need no signature. *)
+
 val prevalidate : Lo_crypto.Signer.scheme -> t -> (unit, string) result
-(** Signature, fee >= 0, payload size; the checks of paper Stage I
-    step 2. *)
+(** {!check_bounds}, then the signature. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -29,11 +29,7 @@ let note_unknown t node ~from ~tag =
   (match Hashtbl.find_opt t.unknown_by_tag tag with
   | Some r -> incr r
   | None -> Hashtbl.add t.unknown_by_tag tag (ref 1));
-  match Network.trace t.net with
-  | Some tr ->
-      Lo_obs.Trace.emit tr ~at:(Network.now t.net)
-        (Lo_obs.Event.Unknown_tag { node; src = from; tag })
-  | None -> ()
+  Network.emit t.net (Lo_obs.Event.Unknown_tag { node; src = from; tag })
 
 let dispatch t node net ~from ~tag payload =
   match Hashtbl.find_opt t.table (node, proto_of_tag tag) with

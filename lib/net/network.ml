@@ -56,6 +56,9 @@ let create ?(latency = Latency.default) ?(jitter = 0.1) ?(loss_rate = 0.)
 let set_trace t trace = t.obs <- trace
 let trace t = t.obs
 
+let emit t ev =
+  match t.obs with Some tr -> Lo_obs.Trace.emit tr ~at:t.clock ev | None -> ()
+
 let num_nodes t = t.num_nodes
 let now t = t.clock
 let rng t = t.rng
@@ -87,26 +90,19 @@ let send t ~src ~dst ~tag payload =
   then begin
     (* Refused before any charge: traced as a blocked drop with no
        matching send, so it stays outside bandwidth conservation. *)
-    match t.obs with
-    | Some tr ->
-        Lo_obs.Trace.emit tr ~at:t.clock
-          (Lo_obs.Event.Drop
-             {
-               src;
-               dst;
-               tag;
-               bytes = String.length payload;
-               reason = Lo_obs.Event.Blocked;
-             })
-    | None -> ()
+    emit t
+      (Lo_obs.Event.Drop
+         {
+           src;
+           dst;
+           tag;
+           bytes = String.length payload;
+           reason = Lo_obs.Event.Blocked;
+         })
   end
   else begin
     let size = String.length payload in
-    (match t.obs with
-    | Some tr ->
-        Lo_obs.Trace.emit tr ~at:t.clock
-          (Lo_obs.Event.Send { src; dst; tag; bytes = size })
-    | None -> ());
+    emit t (Lo_obs.Event.Send { src; dst; tag; bytes = size });
     let fault = Hashtbl.find_opt t.link_faults (src, dst) in
     let base =
       if src = dst then 0.
@@ -131,14 +127,10 @@ let send t ~src ~dst ~tag payload =
     if not lost then
       Event_queue.add t.queue ~time:(t.clock +. delay)
         (Deliver { src; dst; tag; payload })
-    else begin
-      match t.obs with
-      | Some tr ->
-          Lo_obs.Trace.emit tr ~at:t.clock
-            (Lo_obs.Event.Drop
-               { src; dst; tag; bytes = size; reason = Lo_obs.Event.Loss })
-      | None -> ()
-    end
+    else
+      emit t
+        (Lo_obs.Event.Drop
+           { src; dst; tag; bytes = size; reason = Lo_obs.Event.Loss })
   end
 
 let send_many t ~src ~dsts ~tag payload =
@@ -155,12 +147,9 @@ let schedule t ~delay f = schedule_at t ~at:(t.clock +. delay) f
 let mark_down t node v =
   let was = t.down.(node) in
   t.down.(node) <- v;
-  match t.obs with
-  | Some tr when was <> v ->
-      Lo_obs.Trace.emit tr ~at:t.clock
-        (if v then Lo_obs.Event.Crash { node }
-         else Lo_obs.Event.Restart { node })
-  | _ -> ()
+  if was <> v then
+    emit t
+      (if v then Lo_obs.Event.Crash { node } else Lo_obs.Event.Restart { node })
 
 let set_down t node v =
   check_node t node "set_down";
@@ -225,30 +214,22 @@ let dispatch t event =
   | Timer f -> f t
   | Deliver { src; dst; tag; payload } ->
       if not t.down.(dst) then begin
-        (match t.obs with
-        | Some tr ->
-            Lo_obs.Trace.emit tr ~at:t.clock
-              (Lo_obs.Event.Deliver
-                 { src; dst; tag; bytes = String.length payload })
-        | None -> ());
+        emit t
+          (Lo_obs.Event.Deliver { src; dst; tag; bytes = String.length payload });
         match t.handlers.(dst) with
         | None -> ()
         | Some handler -> handler t ~from:src ~tag payload
       end
-      else begin
-        match t.obs with
-        | Some tr ->
-            Lo_obs.Trace.emit tr ~at:t.clock
-              (Lo_obs.Event.Drop
-                 {
-                   src;
-                   dst;
-                   tag;
-                   bytes = String.length payload;
-                   reason = Lo_obs.Event.Down;
-                 })
-        | None -> ()
-      end
+      else
+        emit t
+          (Lo_obs.Event.Drop
+             {
+               src;
+               dst;
+               tag;
+               bytes = String.length payload;
+               reason = Lo_obs.Event.Down;
+             })
 
 let run_until t until =
   let continue = ref true in

@@ -44,6 +44,10 @@ val set_trace : t -> Lo_obs.Trace.t option -> unit
 
 val trace : t -> Lo_obs.Trace.t option
 
+val emit : t -> Lo_obs.Event.t -> unit
+(** Record an event in the sink at the current clock; a no-op without
+    one. *)
+
 val send : t -> src:node -> dst:node -> tag:string -> string -> unit
 (** Queue a message for delivery. Self-sends are delivered with zero
     latency; for distinct nodes the perturbed delay is clamped to a

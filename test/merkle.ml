@@ -1,3 +1,5 @@
+module Sha256 = Lo_crypto.Sha256
+
 type direction = Left | Right
 type proof = { leaf_index : int; path : (direction * string) list }
 

@@ -3,7 +3,11 @@
     Used for compact commitments over transaction bundles: a miner can
     later reveal any committed transaction together with a logarithmic
     proof of membership. Leaves and internal nodes are domain-separated
-    to prevent second-preimage tricks. *)
+    to prevent second-preimage tricks.
+
+    No protocol path uses it yet, so it lives beside its tests; it moves
+    back into [lo_crypto] when commitment-log compaction summarises
+    pruned prefixes by Merkle root. *)
 
 type direction = Left | Right
 (** Side on which the sibling hash sits at each level (bottom-up). *)

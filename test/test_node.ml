@@ -479,6 +479,73 @@ let node_fuzz_tests =
       ])
     [ ("handle_message", false); ("handle_message_view", true) ]
 
+(* The simulator ([handle_message]) and live hosts
+   ([handle_message_view]) admit a [Tx_batch] through one path that
+   differs only in bundle granularity: twin deployments fed the same
+   frame end with the same mempool, committed ids and deviations, and
+   only the commitment log's seq tells them apart. *)
+let admission_tests =
+  let censored (tx : Tx.t) = String.starts_with ~prefix:"censor" tx.Tx.payload in
+  let twin () =
+    let d =
+      mk_network ~n:4 ~seed:907
+        ~behaviors:(fun i -> if i = 0 then Node.Tx_censor censored else Node.Honest)
+        ()
+    in
+    let tx ~fee payload =
+      Tx.create ~signer:d.client ~fee ~created_at:0.5 ~payload
+    in
+    let v1 = tx ~fee:3 "adm-1" and v2 = tx ~fee:4 "adm-2" in
+    let v3 = tx ~fee:5 "adm-3" and known = tx ~fee:6 "adm-known" in
+    let bad =
+      let raw = Bytes.of_string (Tx.to_string (tx ~fee:7 "adm-bad")) in
+      let last = Bytes.length raw - 1 in
+      Bytes.set raw last (Char.chr (Char.code (Bytes.get raw last) lxor 1));
+      Tx.of_string (Bytes.to_string raw)
+    in
+    let log = Node.commitment_log d.nodes.(0) in
+    ignore (Commitment.Log.append log ~source:None ~ids:[ Tx.short_id known ]);
+    let frame =
+      Messages.encode
+        (Messages.Tx_batch
+           [ v1; v2; bad; v1; known; tx ~fee:8 "censor-me"; v3 ])
+    in
+    (d, frame, Commitment.Log.seq log)
+  in
+  let outcome d =
+    let node = d.nodes.(0) in
+    let log = Node.commitment_log node in
+    ( List.map
+        (fun e -> e.Mempool.tx.Tx.id)
+        (Mempool.entries_in_arrival_order (Node.mempool node)),
+      Commitment.Log.oldest log (Commitment.Log.counter log),
+      Node.deviations node,
+      Commitment.Log.seq log )
+  in
+  [
+    Alcotest.test_case "both entry points admit a Tx_batch alike" `Quick
+      (fun () ->
+        let des, frame, seq0 = twin () in
+        let live, frame', _ = twin () in
+        Alcotest.(check string) "same frame" frame frame';
+        Node.handle_message des.nodes.(0) ~from:1 ~tag:"lo:txs" frame;
+        Node.handle_message_view live.nodes.(0) ~from:1 ~tag:"lo:txs"
+          (Lo_codec.Reader.of_string frame);
+        let arrivals, committed, deviations, seq = outcome des in
+        let arrivals', committed', deviations', seq' = outcome live in
+        check_int "stored: valid, repeat once, committed; not bad or censored"
+          4 (List.length arrivals);
+        check_bool "same arrival order" true (arrivals = arrivals');
+        check_int "committed: the prior id and three fresh ones" 4
+          (List.length committed);
+        check_bool "same committed ids" true (committed = committed');
+        check_bool "censorship recorded" true
+          (List.exists (fun (_, kind, _) -> kind = "censor-content") deviations);
+        check_bool "same deviations" true (deviations = deviations');
+        check_int "one bundle per fresh id" (seq0 + 3) seq;
+        check_int "one bundle per frame" (seq0 + 1) seq');
+  ]
+
 (* A validly signed digest whose sketch capacity or Bloom-clock size is
    not the deployment's: once merged with or compared against a
    same-owner digest of the right shape it would raise, so the node must
@@ -958,6 +1025,7 @@ let () =
       ("chain", chain_tests);
       ("malformed", malformed_tests @ mis_shaped_tests);
       ("handler-fuzz", node_fuzz_tests);
+      ("admission", admission_tests);
       ("storage", storage_tests);
       ("rotation", rotation_tests);
       ("fuzz", fuzz_tests);

@@ -19,8 +19,8 @@ check:
 chaos-smoke:
 	dune exec bin/lo.exe -- chaos -n 16 --duration 8 --rate 5 --reps 1 --seed 1
 
-# Trace a seeded chaos run and replay it through the invariant auditor
-# (commit monotonicity, canonical order, suspicion liveness, bandwidth
+# Trace a seeded chaos run with the invariant auditor attached (commit
+# monotonicity, canonical order, suspicion liveness, bandwidth
 # conservation, span balance); exits non-zero on any violation.
 audit-smoke:
 	dune exec bin/lo.exe -- trace chaos -n 16 --duration 8 --rate 5 --seed 1 --audit
@@ -91,8 +91,8 @@ sim-trace-pin:
 
 # A 2,000-node fig6-style sharded sweep (4 worlds of 500 nodes, 10%
 # silent censors, neighbour rotation, block production), audited shard
-# by shard with the five replay invariants; exits non-zero on any
-# honest-blaming violation, honest exposure, or trace-ring eviction.
+# by shard with the five invariants as the events are emitted; exits
+# non-zero on any honest-blaming violation or honest exposure.
 # This is the paper-scale path at a sub-minute budget — the full
 # 10,000-node sweep is `dune exec bin/lo.exe -- scale -n 10000`.
 scale-smoke:

@@ -674,7 +674,8 @@ let run_experiments () =
    and peak RSS, generous enough (~3x the 1-core reference machine) to
    stay quiet across hardware but tight enough to catch the failure
    modes they defend against (calendar queue degenerating to a scan,
-   interner/dedup-set leaks, trace-ring mis-sizing). The 10,000-node
+   interner/dedup-set leaks, audit state or shard traces that start
+   holding the event stream again). The 10,000-node
    pair is measurement-only and runs with the full benchmarks.
 
    These rows run FIRST in the process: peak RSS comes from VmHWM, a

@@ -379,7 +379,7 @@ let scale_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"K"
           ~doc:
-            "Independent shard worlds (default: sized to ~1250 nodes \
+            "Independent shard worlds (default: sized to ~625 nodes \
              each). The merged result is byte-identical for any LO_JOBS.")
   in
   let fraction_arg =
@@ -499,8 +499,10 @@ let () =
            value
            & opt (some int) None
            & info [ "capacity" ] ~docv:"EVENTS"
-               ~doc:"Event ring capacity (default 1048576; aggregates \
-                     survive eviction but the audit needs the full ring).")
+               ~doc:"Event ring capacity (default 1048576). It bounds only \
+                     the $(b,--out) export, which keeps the newest \
+                     $(docv) events; aggregates and the audit see every \
+                     event.")
        in
        Cmd.v
          (Cmd.info "trace"

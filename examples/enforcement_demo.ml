@@ -46,19 +46,18 @@ let () =
     (fun s -> Enforcement.register ledger ~id:(Signer.id s) ~stake:1000)
     signers;
   (* Observer: node 1's verified exposures drive the slashing. *)
-  Lo_obs.Trace.set_observer trace
-    (Some
-       (function
-       | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
-         -> (
-           let accused = Signer.id signers.(peer) in
-           match Accountability.status (Node.accountability nodes.(1)) accused with
-           | Accountability.Exposed evidence ->
-               Printf.printf "[%.2fs] exposure verified (%s); slashing...\n" now
-                 (Evidence.describe evidence);
-               Enforcement.punish ledger ~id:accused evidence ~now
-           | _ -> ())
-       | _ -> ()));
+  Lo_obs.Trace.observe trace
+    (function
+    | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
+      -> (
+        let accused = Signer.id signers.(peer) in
+        match Accountability.status (Node.accountability nodes.(1)) accused with
+        | Accountability.Exposed evidence ->
+            Printf.printf "[%.2fs] exposure verified (%s); slashing...\n" now
+              (Evidence.describe evidence);
+            Enforcement.punish ledger ~id:accused evidence ~now
+        | _ -> ())
+    | _ -> ());
 
   (* Stage I: a client with acknowledgements. *)
   let client_signer = Signer.make scheme ~seed:"enforcement-client" in

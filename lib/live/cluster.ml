@@ -175,6 +175,26 @@ let watchdog_grace = 5.0
 
 let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
+let close_deficits trace =
+  let at = Lo_obs.Trace.last_at trace in
+  List.fold_left
+    (fun emitted (tag, (f : Lo_obs.Trace.flow)) ->
+      let m = f.sent_msgs - f.delivered_msgs - f.dropped_msgs
+      and b = f.sent_bytes - f.delivered_bytes - f.dropped_bytes in
+      if m > 0 && b >= 0 then begin
+        let per = b / m in
+        for k = 0 to m - 1 do
+          let bytes = if k = 0 then b - (per * (m - 1)) else per in
+          Lo_obs.Trace.emit trace ~at
+            (Lo_obs.Event.Drop
+               { src = -1; dst = -1; tag; bytes; reason = Lo_obs.Event.Down })
+        done;
+        emitted + m
+      end
+      else emitted)
+    0
+    (Lo_obs.Trace.tag_flows trace)
+
 let run ?out_dir ?(base_port = Host.default_base_port)
     ?chaos ?signer ~n ~tps ~duration ~seed () =
   if n <= 0 then invalid_arg "Cluster.run: n";
@@ -337,83 +357,29 @@ let run ?out_dir ?(base_port = Host.default_base_port)
       (fun (a : Lo_obs.Trace.entry) b -> Float.compare a.at b.at)
       entries
   in
-  (* --- close kill-induced bandwidth deficits ---
-     A SIGKILLed host can neither deliver what was in flight to it nor
-     drop what sat in its own queues; its write-ahead trace guarantees
-     every such frame still has a durable Send, so with induced kills
-     the per-tag deficits are non-negative and attributable to the
-     crashes. Balance them with synthetic crash drops, exactly like the
-     DES engine's omniscient accounting of messages to a dead node.
-     Without induced kills nothing is synthesized: a deficit then is a
-     real accounting bug and must fail the audit. *)
-  let synthesized = ref [] in
-  if !induced <> [] then begin
-    let horizon =
-      List.fold_left
-        (fun acc (e : Lo_obs.Trace.entry) -> Float.max acc e.at)
-        0. entries
-    in
-    let deficits : (string, (int * int) ref) Hashtbl.t = Hashtbl.create 16 in
-    let touch tag dm db =
-      let r =
-        match Hashtbl.find_opt deficits tag with
-        | Some r -> r
-        | None ->
-            let r = ref (0, 0) in
-            Hashtbl.add deficits tag r;
-            r
-      in
-      let m, b = !r in
-      r := (m + dm, b + db)
-    in
-    List.iter
-      (fun (e : Lo_obs.Trace.entry) ->
-        match e.ev with
-        | Lo_obs.Event.Send { tag; bytes; _ } -> touch tag 1 bytes
-        | Lo_obs.Event.Deliver { tag; bytes; _ } -> touch tag (-1) (-bytes)
-        | Lo_obs.Event.Drop { reason = Lo_obs.Event.Blocked; _ } -> ()
-        | Lo_obs.Event.Drop { tag; bytes; _ } -> touch tag (-1) (-bytes)
-        | _ -> ())
-      entries;
-    Hashtbl.iter
-      (fun tag r ->
-        let m, b = !r in
-        if m > 0 && b >= 0 then begin
-          let per = b / m in
-          for k = 0 to m - 1 do
-            let bytes = if k = 0 then b - (per * (m - 1)) else per in
-            synthesized :=
-              {
-                Lo_obs.Trace.at = horizon;
-                ev =
-                  Lo_obs.Event.Drop
-                    {
-                      src = -1;
-                      dst = -1;
-                      tag;
-                      bytes;
-                      reason = Lo_obs.Event.Down;
-                    };
-              }
-              :: !synthesized
-          done
-        end)
-      deficits
-  end;
-  let entries = entries @ List.rev !synthesized in
-  Out_channel.with_open_text (Filename.concat dir "merged.jsonl") (fun oc ->
-      List.iter
-        (fun e -> output_string oc (Lo_obs.Jsonl.line e ^ "\n"))
-        entries);
-  let audit = Lo_obs.Audit.check entries in
-  let exposures = ref 0 and restarts = ref 0 in
-  List.iter
-    (fun (e : Lo_obs.Trace.entry) ->
-      match e.ev with
-      | Lo_obs.Event.Expose _ -> incr exposures
-      | Lo_obs.Event.Restart _ -> incr restarts
-      | _ -> ())
-    entries;
+  (* One pass over the merged stream: the audit and the merged.jsonl
+     writer both observe a one-entry trace the entries are replayed
+     into. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  let auditor = Lo_obs.Audit.attach trace in
+  let synthesized =
+    Out_channel.with_open_text (Filename.concat dir "merged.jsonl") (fun oc ->
+        Lo_obs.Trace.observe trace (fun e ->
+            output_string oc (Lo_obs.Jsonl.line e);
+            output_char oc '\n');
+        List.iter
+          (fun { Lo_obs.Trace.at; ev } -> Lo_obs.Trace.emit trace ~at ev)
+          entries;
+        (* A SIGKILLed host can neither deliver what was in flight to it
+           nor drop what sat in its own queues; its write-ahead trace
+           guarantees every such frame still has a durable Send, so with
+           induced kills the per-tag deficits are non-negative and
+           attributable to the crashes. Without induced kills nothing is
+           synthesized: a deficit then is a real accounting bug and must
+           fail the audit. *)
+        if !induced <> [] then close_deficits trace else 0)
+  in
+  let audit = Lo_obs.Audit.finish auditor in
   let submitted = ref 0
   and frames = ref 0
   and unknown = ref 0
@@ -443,14 +409,14 @@ let run ?out_dir ?(base_port = Host.default_base_port)
     submitted = !submitted;
     frames = !frames;
     unknown = !unknown;
-    events = List.length entries;
-    exposures = !exposures;
+    events = Lo_obs.Trace.total trace;
+    exposures = Lo_obs.Trace.count trace "expose";
     failed_nodes = List.sort Int.compare !failed;
     induced_kills = List.rev !induced;
-    restarts = !restarts;
+    restarts = Lo_obs.Trace.count trace "restart";
     reconnects = !reconnects;
     watchdog_killed = List.sort Int.compare !watchdog_killed;
-    synthesized_drops = List.length !synthesized;
+    synthesized_drops = synthesized;
     truncated_lines = !truncated;
     audit;
   }

@@ -8,7 +8,8 @@
     exit statuses with a non-blocking reap loop, and reads the JSONL
     trace plus a tiny stats file each incarnation leaves in [out_dir]
     ([node-<i>.<incarnation>.jsonl] / [.stats]). The merged stream is
-    written to [merged.jsonl] and fed to {!Lo_obs.Audit.check}.
+    replayed once into a one-entry trace that an {!Lo_obs.Audit} and
+    the [merged.jsonl] writer observe.
 
     {b Chaos.} With [chaos] set, the supervisor compiles the schedule
     to process-level {!Lo_net.Fault_plan.Crash} events: at each kill
@@ -94,6 +95,15 @@ val run :
     overwritten. Without [chaos] no kills are induced and no drops are
     synthesized. [signer] (default [`Simulation]) picks the scheme every
     node signs and verifies under. *)
+
+val close_deficits : Lo_obs.Trace.t -> int
+(** Balance every message tag whose charged sends exceed its deliveries
+    and drops (by [m] messages and [b >= 0] bytes, from
+    {!Lo_obs.Trace.tag_flows}): emit [m] synthetic
+    [Drop {reason = Down}] events for it at the trace's newest
+    timestamp, [b] bytes spread evenly with the remainder on the first.
+    Returns the number emitted. The supervisor applies it after
+    replaying a run with induced kills. *)
 
 val ok : report -> bool
 (** All children exited cleanly (induced kills excepted), the watchdog

@@ -20,9 +20,6 @@ type config = {
 
 let drain = 3.0
 
-(* Events the in-memory trace ring retains. *)
-let trace_capacity = 1 lsl 20
-
 let default_base_port = 7350
 
 let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
@@ -144,7 +141,9 @@ let run ?trace_path cfg =
   let { Deployment.signers; directory; topology; client } =
     Deployment.derive ~scheme ~n ~seed ()
   in
-  let trace = Lo_obs.Trace.create ~capacity:trace_capacity () in
+  (* Only the trace's counters and its write-ahead observer are read, so
+     the ring keeps a single entry. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
   let now_rel () = Clock.now_s () -. epoch in
   let emit ev = Lo_obs.Trace.emit trace ~at:(now_rel ()) ev in
 
@@ -164,11 +163,7 @@ let run ?trace_path cfg =
     match trace_path with
     | Some path ->
         let oc = open_out path in
-        Lo_obs.Trace.set_observer trace
-          (Some
-             (fun e ->
-               Buffer.add_string wal (Lo_obs.Jsonl.line e);
-               Buffer.add_char wal '\n'));
+        Lo_obs.Trace.observe trace (Lo_obs.Jsonl.add_line wal);
         Some oc
     | None -> None
   in

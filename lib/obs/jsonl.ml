@@ -95,13 +95,13 @@ let line { Trace.at; ev } =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let add_line b e =
+  Buffer.add_string b (line e);
+  Buffer.add_char b '\n'
+
 let to_string trace =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (line e);
-      Buffer.add_char b '\n')
-    (Trace.events trace);
+  List.iter (add_line b) (Trace.events trace);
   Buffer.contents b
 
 let output oc trace =

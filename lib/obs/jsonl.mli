@@ -13,6 +13,10 @@
 val line : Trace.entry -> string
 (** Without the trailing newline. *)
 
+val add_line : Buffer.t -> Trace.entry -> unit
+(** [line] and its newline, appended to the buffer: a {!Trace.observe}
+    callback that streams a trace as JSONL. *)
+
 val to_string : Trace.t -> string
 (** Every retained entry, one per line, each newline-terminated. *)
 

@@ -57,11 +57,8 @@ type t = {
   kinds : int array;  (* per Event.kind_index *)
   tags : mutable_flow Str_tbl.t;
   nodes : mutable_io Int_tbl.t;
-  spans : (int * string, int) Hashtbl.t;  (* open-count per (node, key) *)
-  mutable open_count : int;
-  mutable span_errors : int;
   mutable phases_rev : (string * float) list;
-  mutable observer : (entry -> unit) option;
+  mutable observers : (entry -> unit) list;  (* in attach order *)
 }
 
 let dummy = { at = 0.; ev = Event.Crash { node = -1 } }
@@ -78,22 +75,16 @@ let create ?(capacity = 1_048_576) () =
     kinds = Array.make Event.kind_count 0;
     tags = Str_tbl.create 16;
     nodes = Int_tbl.create 64;
-    spans = Hashtbl.create 64;
-    open_count = 0;
-    span_errors = 0;
     phases_rev = [];
-    observer = None;
+    observers = [];
   }
 
-let set_observer t obs = t.observer <- obs
+let observe t f = t.observers <- t.observers @ [ f ]
 
-let capacity t = t.cap
 let length t = t.len
 let evicted t = t.evicted
 let total t = t.len + t.evicted
 let last_at t = t.last_at
-let open_spans t = t.open_count
-let span_errors t = t.span_errors
 
 let flow_for t tag =
   match Str_tbl.find_opt t.tags tag with
@@ -152,26 +143,18 @@ let account t (ev : Event.t) =
         f.f_dropped_msgs <- f.f_dropped_msgs + 1;
         f.f_dropped_bytes <- f.f_dropped_bytes + bytes
       end
-  | Event.Span_begin { node; key } ->
-      let k = (node, key) in
-      let open_now =
-        match Hashtbl.find_opt t.spans k with Some n -> n | None -> 0
-      in
-      Hashtbl.replace t.spans k (open_now + 1);
-      t.open_count <- t.open_count + 1
-  | Event.Span_end { node; key; _ } -> begin
-      let k = (node, key) in
-      match Hashtbl.find_opt t.spans k with
-      | Some n when n > 0 ->
-          Hashtbl.replace t.spans k (n - 1);
-          t.open_count <- t.open_count - 1
-      | _ -> t.span_errors <- t.span_errors + 1
-    end
-  | Event.Commit_append _ | Event.Suspect _ | Event.Clear _ | Event.Expose _
-  | Event.Violation _ | Event.Block_accept _ | Event.Crash _
-  | Event.Restart _ | Event.Conn_down _ | Event.Conn_up _
-  | Event.Unknown_tag _ | Event.Malformed _ ->
+  | Event.Span_begin _ | Event.Span_end _ | Event.Commit_append _
+  | Event.Suspect _ | Event.Clear _ | Event.Expose _ | Event.Violation _
+  | Event.Block_accept _ | Event.Crash _ | Event.Restart _
+  | Event.Conn_down _ | Event.Conn_up _ | Event.Unknown_tag _
+  | Event.Malformed _ ->
       ()
+
+let rec notify entry = function
+  | [] -> ()
+  | f :: rest ->
+      f entry;
+      notify entry rest
 
 let emit t ~at ev =
   account t ev;
@@ -184,7 +167,7 @@ let emit t ~at ev =
     t.evicted <- t.evicted + 1
   end;
   if at > t.last_at then t.last_at <- at;
-  match t.observer with Some f -> f entry | None -> ()
+  notify entry t.observers
 
 let events t =
   List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))

@@ -6,7 +6,10 @@
     logic, so a run behaves identically with tracing on or off. The ring
     keeps the newest [capacity] events (oldest are evicted first); the
     aggregate counters cover {e every} event ever emitted, including
-    evicted ones.
+    evicted ones, and so do the {!observe} callbacks. A run that only
+    folds its events (figures, the {!Audit}, a streamed export) needs a
+    one-entry ring; a larger ring is for reading the events back
+    ({!events}, {!Jsonl.output}).
 
     Wall-clock phase notes ({!note_phase}) are deliberately kept out of
     the event stream: they measure the host machine, not the simulation,
@@ -41,17 +44,18 @@ val create : ?capacity:int -> unit -> t
 (** Ring capacity defaults to [1_048_576] entries.
     @raise Invalid_argument when [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val emit : t -> at:float -> Event.t -> unit
 
-val set_observer : t -> (entry -> unit) option -> unit
-(** Install (or clear) a callback invoked synchronously from {!emit}
-    with every entry, after it is accounted and stored. This is how the
-    live backend streams a durable write-ahead trace: the ring alone
-    can evict under pressure, while the observer sees every event
-    exactly once in emission order. The observer must not emit into the
-    same trace. *)
+val observe : t -> (entry -> unit) -> unit
+(** Append a callback invoked synchronously from {!emit} with every
+    entry, after it is accounted and stored. Observers run in the order
+    they were added and cannot be removed; each sees every event from
+    the moment it is added, exactly once and in emission order,
+    whatever the ring keeps. This is how a run is folded without
+    holding its events: {!Audit.attach} judges the invariants, the
+    figures fold time-resolved quantities, and the live backend streams
+    a durable write-ahead trace — several at once on one trace. An
+    observer must not emit into the same trace. *)
 
 val length : t -> int
 (** Entries currently retained. *)
@@ -80,12 +84,6 @@ val tag_flows : t -> (string * flow) list
 val node_flows : t -> (int * node_io) list
 (** Per-node sent/received traffic (charged sends and deliveries),
     sorted by node. *)
-
-val open_spans : t -> int
-(** Spans begun and not yet ended (never negative). *)
-
-val span_errors : t -> int
-(** [Span_end] events that had no matching open span. *)
 
 (** {1 Wall-clock self-profiling (not part of the event stream)} *)
 

@@ -57,17 +57,16 @@ let inject_forks ~malicious ~fee ~label r =
    first. *)
 let record_exposures ~malicious exposures r =
   let d = r.Runner.deployment in
-  Lo_obs.Trace.set_observer r.Runner.trace
-    (Some
-       (fun { Lo_obs.Trace.at; ev } ->
-         match ev with
-         | Lo_obs.Event.Expose { node; peer }
-           when honest_on_bad malicious node peer -> (
-             let accused = Node.node_id d.Scenario.nodes.(peer) in
-             match Hashtbl.find_opt exposures accused with
-             | Some times -> times := at :: !times
-             | None -> Hashtbl.add exposures accused (ref [ at ]))
-         | _ -> ()))
+  Lo_obs.Trace.observe r.Runner.trace
+    (fun { Lo_obs.Trace.at; ev } ->
+      match ev with
+      | Lo_obs.Event.Expose { node; peer }
+        when honest_on_bad malicious node peer -> (
+          let accused = Node.node_id d.Scenario.nodes.(peer) in
+          match Hashtbl.find_opt exposures accused with
+          | Some times -> times := at :: !times
+          | None -> Hashtbl.add exposures accused (ref [ at ]))
+      | _ -> ())
 
 (* ----------------------------------------------------------------- *)
 (* Fig. 6                                                             *)
@@ -95,20 +94,19 @@ let fig6_run ~scale ~fraction ~rep =
        (* The paper's overlay shuffles continuously (Sec. 5.1). *)
        ~rotate_period:5.0 ~drain:30.
        ~wire:(fun r ->
-         Lo_obs.Trace.set_observer r.Runner.trace
-           (Some
-              (fun { Lo_obs.Trace.at; ev } ->
-                match ev with
-                | Lo_obs.Event.Suspect { node; peer }
-                  when honest_on_bad malicious node peer ->
-                    suspected_bad.(node) <- suspected_bad.(node) + 1;
-                    if suspected_bad.(node) = num_bad then
-                      all_suspected_at.(node) <- at
-                | Lo_obs.Event.Clear { node; peer }
-                  when honest_on_bad malicious node peer ->
-                    suspected_bad.(node) <- suspected_bad.(node) - 1;
-                    all_suspected_at.(node) <- infinity
-                | _ -> ())))
+         Lo_obs.Trace.observe r.Runner.trace
+           (fun { Lo_obs.Trace.at; ev } ->
+             match ev with
+             | Lo_obs.Event.Suspect { node; peer }
+               when honest_on_bad malicious node peer ->
+                 suspected_bad.(node) <- suspected_bad.(node) + 1;
+                 if suspected_bad.(node) = num_bad then
+                   all_suspected_at.(node) <- at
+             | Lo_obs.Event.Clear { node; peer }
+               when honest_on_bad malicious node peer ->
+                 suspected_bad.(node) <- suspected_bad.(node) - 1;
+                 all_suspected_at.(node) <- infinity
+             | _ -> ()))
        ());
   let suspicion_times = ref [] and complete = ref 0 and correct_count = ref 0 in
   Array.iteri
@@ -220,12 +218,11 @@ let fig7_rep ~scale ~rep =
   ignore
     (Runner.run_lo ~scale ~seed ~drain:20.
        ~wire:(fun r ->
-         Lo_obs.Trace.set_observer r.Runner.trace
-           (Some
-              (function
-              | { Lo_obs.Trace.ev = Lo_obs.Event.Span_begin { node; _ }; _ } ->
-                  rounds.(node) <- rounds.(node) + 1
-              | _ -> ()));
+         Lo_obs.Trace.observe r.Runner.trace
+           (function
+           | { Lo_obs.Trace.ev = Lo_obs.Event.Span_begin { node; _ }; _ } ->
+               rounds.(node) <- rounds.(node) + 1
+           | _ -> ());
          Runner.content_latency_probe stats r ~on_sample:(fun ~node tx dt ->
              Metrics.Histogram.add hist dt;
              match Hashtbl.find_opt snapshot_at_creation tx.Tx.id with
@@ -598,13 +595,9 @@ type memcpu_result = {
 (* Trace replay                                                        *)
 (* ----------------------------------------------------------------- *)
 
-(* The audit's violations over a run's caller-sunk trace, one line
-   each; none when the run was not audited. *)
-let audit_lines run = function
-  | Some tr ->
-      let report = Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon tr in
-      List.map Lo_obs.Audit.violation_to_string report.Lo_obs.Audit.violations
-  | None -> []
+let print_violations =
+  List.iter (fun v ->
+      Printf.printf "  audit: %s\n" (Lo_obs.Audit.violation_to_string v))
 
 type replay_result = {
   trace_txs : int;
@@ -617,7 +610,9 @@ type replay_result = {
 
 let replay ?(scale = default_scale) ?(audit = false) ~trace () =
   let stats = Metrics.Stats.create () in
-  let obs = if audit then Some (Lo_obs.Trace.create ()) else None in
+  (* The audit folds the run as it goes: a one-entry ring will do. *)
+  let obs = if audit then Some (Lo_obs.Trace.create ~capacity:1 ()) else None in
+  let auditor = Option.map Lo_obs.Audit.attach obs in
   let run =
     Runner.run_lo ~scale ~seed:scale.seed ~workload:(`Trace trace) ~drain:20.
       ?trace:obs
@@ -627,8 +622,12 @@ let replay ?(scale = default_scale) ?(audit = false) ~trace () =
   let duration =
     match Lo_workload.Trace.stats trace with Some (_, dur, _, _) -> dur | None -> 0.
   in
-  let violations = audit_lines run obs in
-  List.iter (Printf.printf "  audit: %s\n") violations;
+  let violations =
+    match auditor with
+    | Some a -> (Lo_obs.Audit.finish ~horizon:run.Runner.horizon a).violations
+    | None -> []
+  in
+  print_violations violations;
   let result =
     {
       trace_txs = List.length trace;
@@ -935,11 +934,15 @@ type chaos_rep = {
   cleared : int;
   unresolved : int;  (** suspicions still standing at the horizon *)
   exposures : int;
-  violations : string list;
+  audit : Lo_obs.Audit.report option;  (** when the cell is audited *)
 }
 
-let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
-    ~audit =
+let rep_violations r =
+  match r.audit with Some a -> a.Lo_obs.Audit.violations | None -> []
+
+(* Audited when given a [trace] to attach the audit to. *)
+let chaos_cell_run ?trace ~scale ~churn_rate ~partition_duration ~burst_loss
+    ~rep () =
   let n = scale.nodes in
   let duration = scale.duration in
   let seed =
@@ -953,19 +956,18 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
   in
   let latency = Metrics.Stats.create () in
   let completes = ref 0 in
-  let trace = if audit then Some (Lo_obs.Trace.create ()) else None in
+  let auditor = Option.map Lo_obs.Audit.attach trace in
   let run =
     Runner.run_lo ~scale ~seed ~n ~duration ~config:chaos_config ~faults:plan
       ~drain:30. ?trace
       ~wire:(fun r ->
         Runner.content_latency_probe latency r;
         (* A reconciliation completes when its span ends answered. *)
-        Lo_obs.Trace.set_observer r.Runner.trace
-          (Some
-             (function
-             | { Lo_obs.Trace.ev = Lo_obs.Event.Span_end { ok = true; _ }; _ } ->
-                 incr completes
-             | _ -> ())))
+        Lo_obs.Trace.observe r.Runner.trace
+          (function
+          | { Lo_obs.Trace.ev = Lo_obs.Event.Span_end { ok = true; _ }; _ } ->
+              incr completes
+          | _ -> ()))
       ()
   in
   let count = Lo_obs.Trace.count run.Runner.trace in
@@ -989,8 +991,15 @@ let chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss ~rep
     exposures = count "expose";
     (* Returned, not printed: cells run on the domain pool and printing
        belongs to the ordered aggregation in {!chaos}. *)
-    violations = audit_lines run trace;
+    audit = Option.map (Lo_obs.Audit.finish ~horizon:run.Runner.horizon) auditor;
   }
+
+let chaos_rep_audit ~trace ~scale ~churn_rate ~partition_duration ~burst_loss
+    ~rep () =
+  Option.get
+    (chaos_cell_run ~trace ~scale ~churn_rate ~partition_duration ~burst_loss
+       ~rep ())
+      .audit
 
 let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
     ?(partition_durations = [ 1.5; 3.0 ]) ?(burst_losses = [ 0.15; 0.35 ])
@@ -1012,9 +1021,7 @@ let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
   let cells =
     List.map
       (fun ((churn_rate, partition_duration, burst_loss), reps) ->
-        List.iter
-          (fun r -> List.iter (Printf.printf "  audit: %s\n") r.violations)
-          reps;
+        List.iter (fun r -> print_violations (rep_violations r)) reps;
         let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
         let attempts = sum (fun r -> r.attempts)
         and completes = sum (fun r -> r.completes)
@@ -1049,12 +1056,15 @@ let chaos ?(scale = default_scale) ?(churn_rates = [ 0.1; 0.3 ])
                float_of_int (raised - sum (fun r -> r.unresolved))
                /. float_of_int raised);
           honest_exposures = sum (fun r -> r.exposures);
-          audit_violations = sum (fun r -> List.length r.violations);
+          audit_violations = sum (fun r -> List.length (rep_violations r));
         })
       (Parallel.sweep ~reps:scale.reps
          (fun (churn_rate, partition_duration, burst_loss) rep ->
-           chaos_cell_run ~scale ~churn_rate ~partition_duration ~burst_loss
-             ~rep ~audit)
+           let trace =
+             if audit then Some (Lo_obs.Trace.create ~capacity:1 ()) else None
+           in
+           chaos_cell_run ?trace ~scale ~churn_rate ~partition_duration
+             ~burst_loss ~rep ())
          cell_params)
   in
   Report.table
@@ -1100,6 +1110,7 @@ type trace_run_result = {
 
 let trace_run ?(scale = default_scale) ?capacity ~kind () =
   let trace = Lo_obs.Trace.create ?capacity () in
+  let auditor = Lo_obs.Audit.attach trace in
   let run =
     match kind with
     | `Baseline ->
@@ -1129,7 +1140,7 @@ let trace_run ?(scale = default_scale) ?capacity ~kind () =
             if i = 0 then Node.Silent_censor else Node.Honest)
           ~blocks:(Policy.Lo_fifo, 4.0) ()
   in
-  let audit = Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon trace in
+  let audit = Lo_obs.Audit.finish ~horizon:run.Runner.horizon auditor in
   Report.table ~title:"Trace — events by kind"
     ~header:[ "kind"; "count" ]
     (List.map
@@ -1154,8 +1165,6 @@ let trace_run ?(scale = default_scale) ?capacity ~kind () =
       Report.table ~title:"Trace — harness wall-clock by phase"
         ~header:[ "phase"; "seconds" ]
         (List.map (fun (p, s) -> [ p; Printf.sprintf "%.3f" s ]) phases));
-  List.iter
-    (fun v -> Printf.printf "  audit: %s\n" (Lo_obs.Audit.violation_to_string v))
-    audit.Lo_obs.Audit.violations;
+  print_violations audit.Lo_obs.Audit.violations;
   print_endline (Lo_obs.Audit.summary audit);
   { trace; horizon = run.Runner.horizon; audit }

@@ -139,8 +139,9 @@ val replay :
   replay_result
 (** Run the Fig. 7 dissemination measurement on an externally supplied
     transaction trace (the paper replays an Ethereum trace; [lo replay
-    --trace FILE] feeds a CSV through this). [audit] additionally traces
-    the run and replays the trace through the invariant checker. *)
+    --trace FILE] feeds a CSV through this). [audit] additionally
+    attaches a {!Lo_obs.Audit} to the run's one-entry trace and prints
+    its violations. *)
 
 (** {1 Chaos — fault injection (robustness)} *)
 
@@ -181,9 +182,25 @@ val chaos :
     background latency spikes and asymmetric link degradation in every
     cell), all nodes honest, and report latency, reconciliation success,
     and the suspicion/withdrawal/exposure ledger per cell. A value of 0
-    disables that fault dimension for the cell. [audit] traces every rep
-    and replays it through {!Lo_obs.Audit} (tracing never perturbs the
-    simulation, so cells are identical with auditing on or off). *)
+    disables that fault dimension for the cell. [audit] attaches a
+    {!Lo_obs.Audit} to every rep's one-entry trace (tracing never
+    perturbs the simulation, so cells are identical with auditing on or
+    off). *)
+
+val chaos_rep_audit :
+  trace:Lo_obs.Trace.t ->
+  scale:scale ->
+  churn_rate:float ->
+  partition_duration:float ->
+  burst_loss:float ->
+  rep:int ->
+  unit ->
+  Lo_obs.Audit.report
+(** The audit of one repetition of a {!chaos} cell as
+    [chaos ~audit:true] computes it, attached to the fresh [trace]
+    ([chaos] passes a one-entry ring). A larger ring lets a caller
+    replay the same run through {!Lo_obs.Audit.check_trace} and
+    compare. *)
 
 (** {1 Trace — full-run observability} *)
 
@@ -203,6 +220,8 @@ type trace_run_result = {
 val trace_run :
   ?scale:scale -> ?capacity:int -> kind:trace_kind -> unit -> trace_run_result
 (** Run one fully traced scenario, print event/flow/phase summaries and
-    the audit verdict, and hand back the trace for export ([lo trace]
-    writes it as JSONL). [capacity] bounds the event ring (default
-    {!Lo_obs.Trace.create}'s). *)
+    the verdict of an audit attached before the run, and hand back the
+    trace for export ([lo trace] writes it as JSONL). [capacity] bounds
+    the event ring, and so only the export (default
+    {!Lo_obs.Trace.create}'s); the audit sees every event whatever it
+    is. *)

@@ -8,7 +8,7 @@
     knobs and folds that differ. Every run carries a trace, and the
     figures are computed from it: byte counts from
     {!Lo_obs.Trace.tag_flows}, event counts from {!Lo_obs.Trace.count},
-    and time-resolved quantities from a {!Lo_obs.Trace.set_observer}
+    and time-resolved quantities from a {!Lo_obs.Trace.observe}
     fold. {!run_baseline} is the equivalent cycle for the non-LØ
     protocols of Fig. 9. *)
 

@@ -14,14 +14,13 @@ type shard_report = {
   seed : int;
   nodes : int;
   adversaries : int;
-  events : int;  (* total trace events (detects ring eviction) *)
-  evicted : int;
+  events : int;
   txs : int;
   delivered : int;  (* workload txs whose content reached some node *)
   honest_exposures : int;
   detections : int;  (* audit violations naming a configured adversary *)
   failures : string list;  (* violations blaming honest nodes / stream *)
-  jsonl : string option;  (* only when a merged export was requested *)
+  jsonl : Buffer.t option;  (* only when a merged export was requested *)
 }
 
 type report = {
@@ -62,12 +61,31 @@ let peak_rss_mb () =
 let default_shard_nodes = 625
 
 let run_shard ~shard ~seed ~nodes ~fraction ~rate ~duration ~drain
-    ~digest_history ~trace_capacity ~export () =
+    ~digest_history ~export () =
   let shard_seed = seed + (shard * 1000) in
   let malicious, num_bad =
     Deployment.pick_malicious ~seed:shard_seed ~n:nodes ~fraction
   in
-  let trace = Lo_obs.Trace.create ~capacity:trace_capacity () in
+  let is_adv i = i >= 0 && i < nodes && malicious.(i) in
+  (* Everything read from the shard's trace is folded as it is emitted:
+     the audit, the honest-exposure count and (under export) the JSONL,
+     so the ring keeps a single entry. *)
+  let trace = Lo_obs.Trace.create ~capacity:1 () in
+  let audit = Lo_obs.Audit.attach trace in
+  let honest_exposures = ref 0 in
+  Lo_obs.Trace.observe trace (function
+    | { Lo_obs.Trace.ev = Lo_obs.Event.Expose { peer; _ }; _ }
+      when not (is_adv peer) ->
+        incr honest_exposures
+    | _ -> ());
+  let jsonl =
+    if export then begin
+      let b = Buffer.create 65536 in
+      Lo_obs.Trace.observe trace (Lo_obs.Jsonl.add_line b);
+      Some b
+    end
+    else None
+  in
   let delivered = ref 0 in
   let scale =
     { Runner.nodes; reps = 1; rate; duration; seed = shard_seed }
@@ -96,18 +114,11 @@ let run_shard ~shard ~seed ~nodes ~fraction ~rate ~duration ~drain
           r.Runner.deployment.Scenario.nodes)
       ()
   in
-  let audit = Lo_obs.Audit.check_trace ~horizon:run.Runner.horizon trace in
-  let is_adv i = i >= 0 && i < nodes && malicious.(i) in
+  let report = Lo_obs.Audit.finish ~horizon:run.Runner.horizon audit in
   let detections, failures =
     List.partition
       (fun (v : Lo_obs.Audit.violation) -> is_adv v.node)
-      audit.Lo_obs.Audit.violations
-  in
-  let honest_exposures =
-    List.length
-      (List.filter
-         (fun (_, _, accused) -> not (is_adv accused))
-         (Lo_obs.Query.exposures (Lo_obs.Trace.events trace)))
+      report.Lo_obs.Audit.violations
   in
   {
     shard;
@@ -115,21 +126,12 @@ let run_shard ~shard ~seed ~nodes ~fraction ~rate ~duration ~drain
     nodes;
     adversaries = num_bad;
     events = Lo_obs.Trace.total trace;
-    evicted = Lo_obs.Trace.evicted trace;
     txs = List.length run.Runner.txs;
     delivered = !delivered;
-    honest_exposures;
+    honest_exposures = !honest_exposures;
     detections = List.length detections;
-    failures =
-      List.map Lo_obs.Audit.violation_to_string failures
-      @
-      (if Lo_obs.Trace.evicted trace > 0 then
-         [
-           Printf.sprintf "shard %d evicted %d events (ring too small)" shard
-             (Lo_obs.Trace.evicted trace);
-         ]
-       else []);
-    jsonl = (if export then Some (Lo_obs.Jsonl.to_string trace) else None);
+    failures = List.map Lo_obs.Audit.violation_to_string failures;
+    jsonl;
   }
 
 let shard_sizes ~n ~shards =
@@ -137,7 +139,7 @@ let shard_sizes ~n ~shards =
   List.init shards (fun i -> base + if i < extra then 1 else 0)
 
 let sweep ?shards ?(malicious_fraction = 0.1) ?(rate = 10.) ?(duration = 5.)
-    ?(drain = 30.) ?(digest_history = 16) ?trace_capacity ?out
+    ?(drain = 30.) ?(digest_history = 16) ?out
     ?(jobs : int option) ~n ~seed () =
   let shards =
     match shards with
@@ -147,23 +149,12 @@ let sweep ?shards ?(malicious_fraction = 0.1) ?(rate = 10.) ?(duration = 5.)
   in
   if n < shards then invalid_arg "Scale.sweep: need at least one node per shard";
   let sizes = shard_sizes ~n ~shards in
-  let trace_capacity =
-    match trace_capacity with
-    | Some c -> c
-    | None ->
-        (* Suspicion traffic grows ~ (shard nodes)^2 * fraction: a
-           625-node shard at 10% censors and 30 s drain logs ~2,650
-           events/node. 4,500/node leaves ~1.7x headroom; eviction is
-           reported as a failure rather than silently tolerated. *)
-        Stdlib.max 1_000_000 (4500 * ((n / shards) + 1))
-  in
   let t0 = Lo_live.Clock.now_s () in
   let reports =
     Parallel.map ?jobs
       (fun (shard, nodes) ->
         run_shard ~shard ~seed ~nodes ~fraction:malicious_fraction ~rate
-          ~duration ~drain ~digest_history ~trace_capacity
-          ~export:(out <> None) ())
+          ~duration ~drain ~digest_history ~export:(out <> None) ())
       (List.mapi (fun i nodes -> (i, nodes)) sizes)
   in
   let wall_s = Lo_live.Clock.now_s () -. t0 in
@@ -174,7 +165,7 @@ let sweep ?shards ?(malicious_fraction = 0.1) ?(rate = 10.) ?(duration = 5.)
   | Some oc ->
       List.iter
         (fun (r : shard_report) ->
-          match r.jsonl with Some s -> output_string oc s | None -> ())
+          match r.jsonl with Some b -> Buffer.output_buffer oc b | None -> ())
         reports);
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   {

@@ -7,8 +7,8 @@
     (own network, event queue, RNG, directory, tx pool, trace — shard
     worlds share nothing mutable), runs each with a seeded fraction of
     silent-censor adversaries under neighbour rotation and block
-    production, audits every shard trace with the five replay
-    invariants, and reclassifies violations that name a configured
+    production, audits every shard's event stream with the five
+    invariants as it is emitted ({!Lo_obs.Audit.attach}), and reclassifies violations that name a configured
     adversary as {e detections} (the protocol catching them — the fig6
     point); anything blaming an honest node, plus any honest exposure,
     is a {e failure}.
@@ -23,14 +23,14 @@ type shard_report = {
   seed : int;  (** the shard's derived seed *)
   nodes : int;
   adversaries : int;
-  events : int;  (** total trace events, pre-eviction *)
-  evicted : int;  (** > 0 means the ring was undersized — a failure *)
+  events : int;  (** trace events emitted *)
   txs : int;
   delivered : int;  (** workload txs whose content reached some node *)
   honest_exposures : int;
   detections : int;
   failures : string list;
-  jsonl : string option;  (** set only when an export sink was given *)
+  jsonl : Buffer.t option;
+      (** the shard's JSONL, set only when an export sink was given *)
 }
 
 type report = {
@@ -57,7 +57,7 @@ val peak_rss_mb : unit -> float option
 val default_shard_nodes : int
 (** 625 — 10k nodes default to 16 shards. Suspicion traffic grows
     roughly with [(shard nodes)^2 * fraction], so smaller shards cost
-    superlinearly less CPU and ring space per node; 16 shards still
+    superlinearly less CPU and audit state per node; 16 shards still
     saturate a typical 8-core laptop. *)
 
 val sweep :
@@ -67,7 +67,6 @@ val sweep :
   ?duration:float ->
   ?drain:float ->
   ?digest_history:int ->
-  ?trace_capacity:int ->
   ?out:out_channel ->
   ?jobs:int ->
   n:int ->
@@ -79,7 +78,9 @@ val sweep :
     retry escalation to raise suspicions and age them past the audit
     grace window); [digest_history] 16 (the memory-lean window — scale
     runs opt in, protocol behaviour at these horizons never reaches
-    back further); trace ring sized ~1.7x the expected shard event count
-    (eviction is reported as a failure, never ignored). [out] streams
-    the merged JSONL (shard order); expect hundreds of MB at 10k nodes.
+    back further). Each shard's audit is attached to its trace and folds
+    the events as they are emitted, so no shard holds its event stream.
+    [out] writes the merged JSONL (shard order), which each shard
+    buffers in memory until the sweep ends; expect hundreds of MB at
+    10k nodes.
     [jobs] overrides the {!Parallel} pool size ([LO_JOBS] otherwise). *)

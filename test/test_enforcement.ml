@@ -280,19 +280,18 @@ let integration_tests =
         Array.iter
           (fun s -> Enforcement.register ledger ~id:(Signer.id s) ~stake:1000)
           signers;
-        Lo_obs.Trace.set_observer trace
-          (Some
-             (function
-             | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
-               -> (
-                 let accused = Signer.id signers.(peer) in
-                 match
-                   Accountability.status (Node.accountability nodes.(1)) accused
-                 with
-                 | Accountability.Exposed ev ->
-                     Enforcement.punish ledger ~id:accused ev ~now
-                 | _ -> ())
-             | _ -> ()));
+        Lo_obs.Trace.observe trace
+          (function
+          | { Lo_obs.Trace.at = now; ev = Lo_obs.Event.Expose { node = 1; peer } }
+            -> (
+              let accused = Signer.id signers.(peer) in
+              match
+                Accountability.status (Node.accountability nodes.(1)) accused
+              with
+              | Accountability.Exposed ev ->
+                  Enforcement.punish ledger ~id:accused ev ~now
+              | _ -> ())
+          | _ -> ());
         let client = Signer.make scheme ~seed:"sl-client" in
         let tx = Tx.create ~signer:client ~fee:9 ~created_at:0.0 ~payload:"fork" in
         Node.submit_tx nodes.(0) tx;

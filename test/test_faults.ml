@@ -47,12 +47,11 @@ let make_harness () =
   let cleared = ref [] in
   (* Withdrawals are observed on the trace. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
-  Lo_obs.Trace.set_observer trace
-    (Some
-       (function
-       | { Lo_obs.Trace.ev = Lo_obs.Event.Clear { peer; _ }; _ } ->
-           cleared := ids.(peer) :: !cleared
-       | _ -> ()));
+  Lo_obs.Trace.observe trace
+    (function
+    | { Lo_obs.Trace.ev = Lo_obs.Event.Clear { peer; _ }; _ } ->
+        cleared := ids.(peer) :: !cleared
+    | _ -> ());
   let env =
     {
       Node_env.config;

@@ -595,6 +595,40 @@ let cluster_tests =
     d
   in
   [
+    Alcotest.test_case "synthesized drops close a replayed kill deficit"
+      `Quick (fun () ->
+        (* The supervisor's merge: replay a stream in which a victim's
+           queues died with it (two lo:txs frames and one lo:digest frame
+           sent, none delivered or dropped) into an audited trace, then
+           close the per-tag deficits. *)
+        let module Ev = Lo_obs.Event in
+        let trace = Lo_obs.Trace.create ~capacity:1 () in
+        let audit = Lo_obs.Audit.attach trace in
+        let send at tag bytes =
+          Lo_obs.Trace.emit trace ~at
+            (Ev.Send { src = 0; dst = 1; tag; bytes })
+        in
+        send 1.0 "lo:txs" 10;
+        Lo_obs.Trace.emit trace ~at:1.5
+          (Ev.Deliver { src = 0; dst = 1; tag = "lo:txs"; bytes = 10 });
+        send 2.0 "lo:txs" 7;
+        send 2.5 "lo:txs" 8;
+        send 3.0 "lo:digest" 40;
+        Lo_obs.Trace.emit trace ~at:3.0
+          (Ev.Drop
+             { src = 0; dst = 1; tag = "lo:digest"; bytes = 5;
+               reason = Ev.Blocked });
+        Lo_obs.Trace.emit trace ~at:4.0 (Ev.Crash { node = 1 });
+        check_bool "deficit fails the audit" false
+          (Lo_obs.Audit.ok (Lo_obs.Audit.finish audit));
+        check_int "one drop per missing frame" 3
+          (Lo_live.Cluster.close_deficits trace);
+        let report = Lo_obs.Audit.finish audit in
+        if not (Lo_obs.Audit.ok report) then
+          Alcotest.fail (Lo_obs.Audit.summary report);
+        check_int "drops audited" 10 report.Lo_obs.Audit.events_checked;
+        check_int "nothing left to close" 0
+          (Lo_live.Cluster.close_deficits trace));
     Alcotest.test_case "duplicated frames are absorbed by protocol idempotency"
       `Slow (fun () ->
         let chaos =

@@ -296,13 +296,12 @@ let malformed_tests =
       `Quick (fun () ->
         let d = mk_network ~n:3 ~seed:115 () in
         let seen = ref [] in
-        Lo_obs.Trace.set_observer d.trace
-          (Some
-             (function
-             | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
-               ->
-                 seen := (node, src, tag) :: !seen
-             | _ -> ()));
+        Lo_obs.Trace.observe d.trace
+          (function
+          | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
+            ->
+              seen := (node, src, tag) :: !seen
+          | _ -> ());
         let whole =
           Messages.encode
             (Messages.Digest_share
@@ -554,13 +553,12 @@ let mis_shaped_case ~name ~seed make_odd =
   Alcotest.test_case name `Quick (fun () ->
       let d = mk_network ~n:3 ~seed () in
       let seen = ref [] in
-      Lo_obs.Trace.set_observer d.trace
-        (Some
-           (function
-           | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
-             ->
-               seen := (node, src, tag) :: !seen
-           | _ -> ()));
+      Lo_obs.Trace.observe d.trace
+        (function
+        | { Lo_obs.Trace.ev = Lo_obs.Event.Malformed { node; src; tag }; _ }
+          ->
+            seen := (node, src, tag) :: !seen
+        | _ -> ());
       let signer = Signer.make d.scheme ~seed:"odd-shape" in
       let right = Commitment.Log.create ~signer () in
       ignore (Commitment.Log.append right ~source:None ~ids:[ 11 ]);
@@ -824,15 +822,14 @@ let slow_node_tests =
         let d = mk_network ~n:12 ~seed:960 () in
         let id6 = Node.node_id d.nodes.(6) in
         let transient = ref 0 and cleared = ref 0 in
-        Lo_obs.Trace.set_observer d.trace
-          (Some
-             (fun { Lo_obs.Trace.ev; _ } ->
-               match ev with
-               | Lo_obs.Event.Suspect { node; peer = 6 } when node <> 6 ->
-                   incr transient
-               | Lo_obs.Event.Clear { node; peer = 6 } when node <> 6 ->
-                   incr cleared
-               | _ -> ()));
+        Lo_obs.Trace.observe d.trace
+          (fun { Lo_obs.Trace.ev; _ } ->
+            match ev with
+            | Lo_obs.Event.Suspect { node; peer = 6 } when node <> 6 ->
+                incr transient
+            | Lo_obs.Event.Clear { node; peer = 6 } when node <> 6 ->
+                incr cleared
+            | _ -> ());
         for k = 0 to 4 do
           ignore (submit d ~target:k ~fee:3 (Printf.sprintf "slow%d" k))
         done;

@@ -48,14 +48,13 @@ let make_harness () =
   let cleared = ref [] in
   (* Suspicion and withdrawal are observed on the trace. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
-  Lo_obs.Trace.set_observer trace
-    (Some
-       (fun { Lo_obs.Trace.ev; _ } ->
-         match ev with
-         | Lo_obs.Event.Suspect { peer; _ } ->
-             suspicions := ids.(peer) :: !suspicions
-         | Lo_obs.Event.Clear { peer; _ } -> cleared := ids.(peer) :: !cleared
-         | _ -> ()));
+  Lo_obs.Trace.observe trace
+    (fun { Lo_obs.Trace.ev; _ } ->
+      match ev with
+      | Lo_obs.Event.Suspect { peer; _ } ->
+          suspicions := ids.(peer) :: !suspicions
+      | Lo_obs.Event.Clear { peer; _ } -> cleared := ids.(peer) :: !cleared
+      | _ -> ());
   let env =
     {
       Node_env.config;

@@ -85,10 +85,6 @@ let crypto_group =
       (staged (fun () -> Lo_sketch.Gf2m.mul Lo_sketch.Gf2m.gf16 0xBEEF 0x1234));
     Test.make ~name:"gf16-mul-generic"
       (staged (fun () -> Lo_sketch.Gf2m.mul_generic Lo_sketch.Gf2m.gf16 0xBEEF 0x1234));
-    Test.make ~name:"gf32-mul-by"
-      (staged
-         (let mul_b = Lo_sketch.Gf2m.mul_by Lo_sketch.Gf2m.gf32 0x12345678 in
-          fun () -> mul_b 0xDEADBEEF));
     Test.make ~name:"sha256-1KiB"
       (staged
          (let block = String.make 1024 'z' in
@@ -429,13 +425,6 @@ let memcpu_group =
         Test.make ~name:(Printf.sprintf "reconcile-partitioned-%d" (2 * n))
           (staged (fun () ->
                Lo_sketch.Partitioned.reconcile ~capacity:64 ~local ~remote ()));
-        (* The pre-kernel decode path ([fast:false]: per-partition
-           allocations, exhaustive root search), kept measurable so the
-           kernel's win is a recorded ratio, not a lost baseline. *)
-        Test.make ~name:(Printf.sprintf "reconcile-partitioned-%d-ref" (2 * n))
-          (staged (fun () ->
-               Lo_sketch.Partitioned.reconcile ~fast:false ~capacity:64 ~local
-                 ~remote ()));
       ])
     [ 50; 125 ]
 
@@ -798,12 +787,6 @@ let compute_speedups micro =
          ratio "substrate" "gf16-mul-generic" "gf16-mul-table");
         ("commit-append-500-vs-baseline",
          ratio "fig7" "commit-append-500-baseline" "commit-append-500");
-        ("reconcile-partitioned-100-kernel-vs-ref",
-         ratio "sec6.5" "reconcile-partitioned-100-ref"
-           "reconcile-partitioned-100");
-        ("reconcile-partitioned-250-kernel-vs-ref",
-         ratio "sec6.5" "reconcile-partitioned-250-ref"
-           "reconcile-partitioned-250");
         (* Amortization of the batch Schnorr path: K individual
            verifications against one K-element verify_many call. *)
         ("schnorr-batch-amortized-16",

@@ -74,7 +74,9 @@ let execute (s : Scenario.t) =
   | Some m -> assigned.(m) <- mutation_behavior s.mutation
   | None -> ());
   let malicious = Array.map (fun b -> b <> Adversary.Honest) assigned in
-  let trace = Trace.create () in
+  let adversaries = List.map (fun a -> (a.node, a.kind)) s.adversaries in
+  let trace = Trace.create ~capacity:1 () in
+  let watch = Oracle.watch ~adversaries trace in
   let config c =
     {
       c with
@@ -166,20 +168,13 @@ let execute (s : Scenario.t) =
          else None)
       ~blocks_only_honest:false ~drain:s.drain ~trace ~scale ~seed:s.seed ()
   in
-  let adversaries =
-    List.map (fun a -> (a.node, a.kind)) s.adversaries
-  in
-  let verdict =
-    Oracle.judge ~adversaries ~horizon:run.Runner.horizon ~run ~trace ()
-  in
+  let verdict = Oracle.judge watch ~horizon:run.Runner.horizon ~run () in
   let mutant_observable =
     match mutant with
     | None -> 0
     | Some m ->
-        let is_adv i = List.mem_assoc i adversaries in
         List.length
-          (Oracle.observable_deviations ~horizon:run.Runner.horizon ~is_adv
-             ~entries:(Trace.events trace)
+          (Oracle.observable_deviations ~horizon:run.Runner.horizon watch
              ~node:run.Runner.deployment.Lo_sim.Scenario.nodes.(m)
              ~idx:m ())
   in

@@ -1,7 +1,6 @@
 module Trace = Lo_obs.Trace
 module Event = Lo_obs.Event
 module Audit = Lo_obs.Audit
-module Query = Lo_obs.Query
 module Runner = Lo_sim.Runner
 module Sim = Lo_sim.Scenario
 open Lo_core
@@ -16,6 +15,54 @@ type verdict = {
   required_detections : int;
 }
 
+(* What the oracles read from the event stream, folded by observers
+   attached before the run, so the run keeps a one-entry ring. *)
+type watch = {
+  adversaries : (int * string) list;
+  audit : Audit.t;
+  mutable exposures : (float * int * int) list;
+      (** every [Expose] as (at, exposer, accused), newest first *)
+  first_detection : (int, float * string) Hashtbl.t;
+      (** per adversary: the first suspect, expose or violation naming
+          it by a node that is neither it nor another adversary *)
+  accepts : (int, (float * int * int) list) Hashtbl.t;
+      (** per creator: (at, accepting node, height) of its blocks
+          accepted by another node *)
+}
+
+let is_adv w i = List.mem_assoc i w.adversaries
+
+let watch ~adversaries trace =
+  let w =
+    {
+      adversaries;
+      audit = Audit.attach trace;
+      exposures = [];
+      first_detection = Hashtbl.create 8;
+      accepts = Hashtbl.create 8;
+    }
+  in
+  let detect ~at node peer via =
+    if
+      is_adv w peer && node <> peer && (not (is_adv w node))
+      && not (Hashtbl.mem w.first_detection peer)
+    then Hashtbl.add w.first_detection peer (at, via)
+  in
+  Trace.observe trace (fun { Trace.at; ev } ->
+      match ev with
+      | Event.Suspect { node; peer } -> detect ~at node peer "suspect"
+      | Event.Expose { node; peer } ->
+          w.exposures <- (at, node, peer) :: w.exposures;
+          detect ~at node peer "expose"
+      | Event.Violation { node; peer; _ } -> detect ~at node peer "violation"
+      | Event.Block_accept { node; creator; height; _ } when node <> creator ->
+          let prev =
+            Option.value ~default:[] (Hashtbl.find_opt w.accepts creator)
+          in
+          Hashtbl.replace w.accepts creator ((at, node, height) :: prev)
+      | _ -> ());
+  w
+
 let block_kinds = [ "block-inject"; "block-reorder"; "block-censor" ]
 
 (* A deviation carries a protocol obligation only when the network had
@@ -24,29 +71,25 @@ let block_kinds = [ "block-inject"; "block-reorder"; "block-censor" ]
    waiting), or a tampered block some honest node accepted. Stage-I/II
    censorship and an unshown equivocation fork are invisible by
    construction — tracked, never required. *)
-let observable ~slack ~horizon ~is_adv ~entries ~idx (at, dkind, height) =
+let observable ~slack ~horizon w ~idx (at, dkind, height) =
   if String.equal dkind "silent-drop" then at <= horizon -. slack
   else if List.mem dkind block_kinds then
     List.exists
       (fun (t0, node, h) ->
-        (not (is_adv node)) && Some h = height && t0 <= horizon -. slack)
-      (Query.accepts_of_creator entries ~creator:idx)
+        (not (is_adv w node)) && Some h = height && t0 <= horizon -. slack)
+      (Option.value ~default:[] (Hashtbl.find_opt w.accepts idx))
   else false
 
-let observable_deviations ?(slack = 15.) ~horizon ~is_adv ~entries ~node ~idx
-    () =
-  List.filter
-    (observable ~slack ~horizon ~is_adv ~entries ~idx)
-    (Node.deviations node)
+let observable_deviations ?(slack = 15.) ~horizon w ~node ~idx () =
+  List.filter (observable ~slack ~horizon w ~idx) (Node.deviations node)
 
-let judge ~adversaries ~horizon ?(slack = 15.) ~run ~trace () =
+let judge w ~horizon ?(slack = 15.) ~run () =
   let d = run.Runner.deployment in
   let dir = d.Sim.directory in
   let nodes = d.Sim.nodes in
   let n = Array.length nodes in
-  let is_adv i = List.mem_assoc i adversaries in
+  let adversaries = w.adversaries and is_adv = is_adv w in
   let index_of id = Directory.index_of dir id in
-  let entries = Trace.events trace in
   let failures = ref [] in
   let detections = ref [] in
   let fail oracle detail = failures := { oracle; detail } :: !failures in
@@ -55,7 +98,7 @@ let judge ~adversaries ~horizon ?(slack = 15.) ~run ~trace () =
   (* Layer 1: the replay audit. A violation naming a configured
      adversary is the protocol catching it — reclassify as detection;
      anything blaming an honest node (or the stream itself) fails. *)
-  let report = Audit.check_trace ~horizon trace in
+  let report = Audit.finish ~horizon w.audit in
   List.iter
     (fun (v : Audit.violation) ->
       if v.node >= 0 && is_adv v.node then
@@ -78,7 +121,7 @@ let judge ~adversaries ~horizon ?(slack = 15.) ~run ~trace () =
     (fun (at, accuser, accused) ->
       if is_adv accused then detect accused "expose" at
       else honest_exposure ~accuser ~accused ~where:"trace")
-    (Query.exposures entries);
+    (List.rev w.exposures);
   for i = 0 to n - 1 do
     List.iter
       (fun (peer_id, _ev) ->
@@ -108,27 +151,13 @@ let judge ~adversaries ~horizon ?(slack = 15.) ~run ~trace () =
 
   (* Layer 4: detection-completeness against each adversary's own
      ground-truth deviation log. *)
-  let detection_of idx =
-    List.find_map
-      (fun { Trace.at; ev } ->
-        let hit node via =
-          if node <> idx && not (is_adv node) then Some (at, via) else None
-        in
-        match ev with
-        | Event.Suspect { node; peer } when peer = idx -> hit node "suspect"
-        | Event.Expose { node; peer } when peer = idx -> hit node "expose"
-        | Event.Violation { node; peer; _ } when peer = idx ->
-            hit node "violation"
-        | _ -> None)
-      entries
-  in
   let audit_detected idx =
     List.exists (fun (v : Audit.violation) -> v.node = idx) report.violations
   in
   let required = ref 0 in
   List.iter
     (fun (idx, _kind) ->
-      let caught = detection_of idx in
+      let caught = Hashtbl.find_opt w.first_detection idx in
       (match caught with
       | Some (at, via) -> detect idx via at
       | None -> ());
@@ -145,8 +174,7 @@ let judge ~adversaries ~horizon ?(slack = 15.) ~run ~trace () =
                  | Some h -> Printf.sprintf " h=%d" h
                  | None -> "")
                  at))
-        (observable_deviations ~slack ~horizon ~is_adv ~entries
-           ~node:nodes.(idx) ~idx ()))
+        (observable_deviations ~slack ~horizon w ~node:nodes.(idx) ~idx ()))
     adversaries;
 
   (* Layer 5: cross-node prefix agreement on honest owners' snapshots. *)

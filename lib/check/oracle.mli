@@ -41,19 +41,30 @@ type verdict = {
       (** observable deviations the completeness oracle demanded *)
 }
 
+type watch
+(** The event-stream side of the oracles — the replay audit, the
+    exposures, each adversary's first detection and the block accepts
+    — folded by observers while the run emits, so the run's trace can
+    keep a one-entry ring. *)
+
+val watch : adversaries:(int * string) list -> Lo_obs.Trace.t -> watch
+(** Attach the oracles' observers to a trace that has recorded no
+    event yet (see {!Lo_obs.Audit.attach}). [adversaries] is the ground
+    truth as [(node index, kind label)] — crucially {e excluding} any
+    hidden mutation (see {!Harness.mutations}), which is exactly how a
+    mutated rule becomes an oracle failure.
+    @raise Invalid_argument if the trace has recorded an event. *)
+
 val judge :
-  adversaries:(int * string) list ->
+  watch ->
   horizon:float ->
   ?slack:float ->
   run:Lo_sim.Runner.run ->
-  trace:Lo_obs.Trace.t ->
   unit ->
   verdict
-(** [adversaries] is the ground truth as [(node index, kind label)] —
-    crucially {e excluding} any hidden mutation (see
-    {!Harness.mutations}), which is exactly how a mutated rule becomes
-    an oracle failure. [slack] (default 15 s) is how much time before
-    [horizon] a deviation must leave for detection to be demanded. *)
+(** Judge the finished run whose trace the watch observed. [slack]
+    (default 15 s) is how much time before [horizon] a deviation must
+    leave for detection to be demanded. *)
 
 val failures_to_string : failure list -> string
 (** One line per failure, deterministic order. *)
@@ -61,8 +72,7 @@ val failures_to_string : failure list -> string
 val observable_deviations :
   ?slack:float ->
   horizon:float ->
-  is_adv:(int -> bool) ->
-  entries:Lo_obs.Trace.entry list ->
+  watch ->
   node:Lo_core.Node.t ->
   idx:int ->
   unit ->

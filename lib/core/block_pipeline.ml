@@ -238,7 +238,7 @@ let build_block t (env : Node_env.t) ~policy =
         (fun id ->
           Option.map (fun e -> e.Mempool.tx) (Mempool.find_short t.mempool id));
       is_settled = (fun id -> Hashtbl.mem t.settled id);
-      fee_threshold = env.config.fee_threshold;
+      fee_threshold = 0;
       max_txs = env.config.max_block_txs;
       seed = head_hash t;
     }
@@ -295,7 +295,7 @@ let build_block t (env : Node_env.t) ~policy =
     let block =
       Block.create ~signer:env.signer ~height:(chain_height t + 1)
         ~prev_hash:(head_hash t) ~start_seq ~commit_seq
-        ~fee_threshold:env.config.fee_threshold
+        ~fee_threshold:0
         ~txids:out.Policy.txids ~bundle_sizes ~appendix
         ~omissions:out.Policy.omissions ~timestamp:(env.now ())
     in

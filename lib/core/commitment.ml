@@ -274,14 +274,6 @@ module Log = struct
 
   let digest_at t ~seq = Hashtbl.find_opt t.digest_index seq
 
-  let ids_in_cells t cells =
-    List.concat_map
-      (fun cell ->
-        if cell >= 0 && cell < Array.length t.cells then
-          List.rev t.cells.(cell)
-        else [])
-      cells
-
   let bundles t = List.rev t.bundles_rev
   let newest_bundle t = match t.bundles_rev with b :: _ -> Some b | [] -> None
 

@@ -141,12 +141,6 @@ module Log : sig
   (** Historical snapshot (all digests are retained, Sec. 5.2; beyond
       [digest_history] only in light form). *)
 
-  val ids_in_cells : t -> int list -> int list
-  (** Committed ids that map to the given Bloom-clock cells, cell by
-      cell in the order given, each cell in commitment order. Nothing in
-      the library calls it: it is the reference that
-      {!newest_in_cells} is tested against. *)
-
   val bundles : t -> bundle list
   (** In commitment order. *)
 
@@ -163,8 +157,9 @@ module Log : sig
       O(n). *)
 
   val newest_in_cells : t -> int list -> int -> int list
-  (** [newest_in_cells t cells n]: the first [n] ids of
-      [List.rev (ids_in_cells t cells)] — the clock-guided delta, newest
-      first within the last cell, then the cell before it, and so on.
-      Walks at most [n] ids. *)
+  (** [newest_in_cells t cells n]: the first [n] committed ids that map
+      to the Bloom-clock cells [cells] (out-of-range cells map none) —
+      the clock-guided delta, newest first within the last cell of
+      [cells], then the cell before it, and so on. Walks at most [n]
+      ids. *)
 end

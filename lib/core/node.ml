@@ -28,9 +28,6 @@ type config = Node_env.config = {
   max_retries : int;
   retry_backoff : float;
   retry_jitter : float;
-  sketch_capacity : int;
-  clock_cells : int;
-  fee_threshold : int;
   max_block_txs : int;
   digest_share_period : float;
   always_full_digests : bool;
@@ -194,9 +191,8 @@ let create ?tx_pool config ~transport ~rng ~directory ~signer ~neighbors
     ~behavior =
   let my_id = Signer.id signer in
   let mk_log () =
-    Commitment.Log.create ~sketch_capacity:config.sketch_capacity
-      ~clock_cells:config.clock_cells ~digest_history:config.digest_history
-      ?tx_pool ~signer ()
+    Commitment.Log.create ~digest_history:config.digest_history ?tx_pool
+      ~signer ()
   in
   let mempool = Mempool.create () in
   let content = Content_sync.create ~mempool ~adversary:behavior () in
@@ -298,25 +294,25 @@ let canon_digest t (d : Commitment.digest) =
    vouch for the shape, so a digest whose sketch capacity or clock size
    differs from the deployment's is dropped at entry, like any other
    undecodable input. *)
-let digest_fits t (d : Commitment.digest) =
-  Lo_bloom.Bloom_clock.cells d.Commitment.clock = t.config.clock_cells
+let digest_fits (d : Commitment.digest) =
+  Lo_bloom.Bloom_clock.cells d.Commitment.clock = Commitment.default_clock_cells
   &&
   match d.Commitment.sketch with
   | None -> true
-  | Some s -> Lo_sketch.Sketch.capacity s = t.config.sketch_capacity
+  | Some s -> Lo_sketch.Sketch.capacity s = Commitment.default_sketch_capacity
 
-let message_fits t = function
+let message_fits = function
   | Messages.Commit_request { digest; _ }
   | Messages.Commit_response { digest; _ }
   | Messages.Digest_share digest ->
-      digest_fits t digest
-  | Messages.Digest_reply digests -> List.for_all (digest_fits t) digests
+      digest_fits digest
+  | Messages.Digest_reply digests -> List.for_all digest_fits digests
   | Messages.Suspicion_note { last_digest; _ } ->
-      Option.fold ~none:true ~some:(digest_fits t) last_digest
+      Option.fold ~none:true ~some:digest_fits last_digest
   | Messages.Exposure_note
       ( Evidence.Conflicting_digests { older; newer }
       | Evidence.Block_bundle_violation { older; newer; _ } ) ->
-      digest_fits t older && digest_fits t newer
+      digest_fits older && digest_fits newer
   | Messages.Submit _ | Messages.Submit_ack _ | Messages.Tx_batch _
   | Messages.Digest_request _ | Messages.Suspicion_withdraw _
   | Messages.Block_announce _ ->
@@ -378,7 +374,7 @@ let handle_message t ~from ~tag payload =
   else
     match Messages.decode ?tx_pool:t.tx_pool payload with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
-    | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
+    | msg when not (message_fits msg) -> note_malformed t ~from ~tag
     | msg -> dispatch_message t ~bundles:`Per_id ~from msg
 
 (* The zero-copy wire path: decode straight out of a frame view over
@@ -390,7 +386,7 @@ let handle_message_view t ~from ~tag r =
   else
     match Messages.decode_reader r with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
-    | msg when not (message_fits t msg) -> note_malformed t ~from ~tag
+    | msg when not (message_fits msg) -> note_malformed t ~from ~tag
     | msg -> dispatch_message t ~bundles:`Per_frame ~from msg
 
 (* --- periodic timers --- *)

@@ -40,9 +40,6 @@ type config = Node_env.config = {
           restores the paper's fixed interval) *)
   retry_jitter : float;
       (** seeded uniform perturbation of each retry delay (fraction) *)
-  sketch_capacity : int;
-  clock_cells : int;
-  fee_threshold : int;
   max_block_txs : int;
   digest_share_period : float;  (** latest-commitment gossip period *)
   always_full_digests : bool;

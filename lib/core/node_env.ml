@@ -10,9 +10,6 @@ type config = {
   max_retries : int;
   retry_backoff : float;
   retry_jitter : float;
-  sketch_capacity : int;
-  clock_cells : int;
-  fee_threshold : int;
   max_block_txs : int;
   digest_share_period : float;
   always_full_digests : bool;
@@ -28,9 +25,6 @@ let default_config scheme =
     max_retries = 3;
     retry_backoff = 2.0;
     retry_jitter = 0.2;
-    sketch_capacity = Commitment.default_sketch_capacity;
-    clock_cells = Commitment.default_clock_cells;
-    fee_threshold = 0;
     max_block_txs = 2000;
     digest_share_period = 2.0;
     always_full_digests = false;

@@ -34,9 +34,6 @@ type config = {
       (** seeded uniform perturbation of each retry delay, as a
           fraction of the backed-off delay (desynchronises probes after
           a partition heals) *)
-  sketch_capacity : int;
-  clock_cells : int;
-  fee_threshold : int;
   max_block_txs : int;
   digest_share_period : float;  (** latest-commitment gossip period *)
   always_full_digests : bool;

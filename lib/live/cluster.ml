@@ -449,7 +449,7 @@ let summary r =
                   (fun (at, node) -> Printf.sprintf "%d@%.1fs" node at)
                   ks)))
       r.restarts r.reconnects r.synthesized_drops r.truncated_lines;
-  Printf.bprintf b "audit: %s\n" (Lo_obs.Audit.summary r.audit);
+  Printf.bprintf b "%s\n" (Lo_obs.Audit.summary r.audit);
   List.iter
     (fun v -> Printf.bprintf b "  %s\n" (Lo_obs.Audit.violation_to_string v))
     r.audit.Lo_obs.Audit.violations;

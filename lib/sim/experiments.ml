@@ -767,27 +767,19 @@ let best_of_3_ms f =
 
 let decode_cost_for diff ~seed =
   let rng = Rng.create seed in
-  let field = Lo_sketch.Gf2m.gf32 in
-  let fresh () = 1 + Rng.int rng (Lo_sketch.Gf2m.mask field - 1) in
+  let fresh () = 1 + Rng.int rng (Lo_sketch.Gf2m.mask Lo_sketch.Gf2m.gf32 - 1) in
   let shared = List.init 500 (fun _ -> fresh ()) in
   let local = shared @ List.init (diff / 2) (fun _ -> fresh ()) in
   let remote = shared @ List.init (diff - (diff / 2)) (fun _ -> fresh ()) in
-  (* [fast:false] on both sides: this experiment reproduces the paper's
-     Sec. 6.5 comparison of the two decode *algorithms* (trace-splitting
-     root search, with and without partitioning). The candidate-driven
-     kernel — the deployment path — would make even the monolithic
-     decode cheap and erase the effect being measured; it is benchmarked
-     separately in the sec6.5 rows of BENCH_results.json. *)
   let (_, mono), mono_ms =
     best_of_3_ms (fun () ->
-        Lo_sketch.Partitioned.reconcile_monolithic ~field ~fast:false
-          ~capacity:diff ~local ~remote ())
+        Lo_sketch.Partitioned.reconcile_monolithic ~capacity:diff ~local
+          ~remote ())
   in
   assert (mono <> None);
   let (stats, recovered), part_ms =
     best_of_3_ms (fun () ->
-        Lo_sketch.Partitioned.reconcile ~field ~fast:false ~capacity:64 ~local
-          ~remote ())
+        Lo_sketch.Partitioned.reconcile ~capacity:64 ~local ~remote ())
   in
   assert (List.length recovered = diff);
   {

@@ -10,82 +10,6 @@ let shift_mul f c poly k =
     Poly.of_coeffs (Array.to_list out)
   end
 
-(* --- Scratch-based variant: the reference [run] above allocates two
-   fresh polynomials per discrepancy step ([Poly.add] + [shift_mul]);
-   decoding a partitioned sketch runs Berlekamp–Massey once per
-   partition, so the arrays are hoisted into a reusable scratch and
-   every update happens in place. [run_scratch] is qcheck-pinned to
-   return exactly [run]'s connection polynomial and length. --- *)
-
-type scratch = {
-  mutable c : int array;
-  mutable b : int array;
-  mutable t : int array;
-}
-
-let create_scratch () =
-  { c = Array.make 64 0; b = Array.make 64 0; t = Array.make 64 0 }
-
-let ensure scratch size =
-  if Array.length scratch.c < size then begin
-    scratch.c <- Array.make size 0;
-    scratch.b <- Array.make size 0;
-    scratch.t <- Array.make size 0
-  end
-
-let run_scratch scratch f s ~off ~len =
-  let size = len + 2 in
-  ensure scratch size;
-  let c = scratch.c and b = scratch.b and t = scratch.t in
-  Array.fill c 0 size 0;
-  Array.fill b 0 size 0;
-  c.(0) <- 1;
-  b.(0) <- 1;
-  (* [dc]/[db] bound the degrees of [c]/[b] so blits and update loops
-     stay proportional to the live prefix, as the Poly version's
-     normalisation did. *)
-  let dc = ref 0 and db = ref 0 in
-  let l = ref 0 and m = ref 1 and bd = ref 1 in
-  for i = 0 to len - 1 do
-    let delta = ref s.(off + i) in
-    for j = 1 to !l do
-      if c.(j) <> 0 then
-        delta := !delta lxor Gf2m.mul f c.(j) s.(off + i - j)
-    done;
-    if !delta = 0 then incr m
-    else begin
-      let coef = Gf2m.div f !delta !bd in
-      if 2 * !l <= i then begin
-        let dt = !dc in
-        Array.blit c 0 t 0 (dt + 1);
-        for j = 0 to !db do
-          if b.(j) <> 0 then
-            c.(j + !m) <- c.(j + !m) lxor Gf2m.mul f coef b.(j)
-        done;
-        dc := max !dc (!db + !m);
-        l := i + 1 - !l;
-        Array.blit t 0 b 0 (dt + 1);
-        if !db > dt then Array.fill b (dt + 1) (!db - dt) 0;
-        db := dt;
-        bd := !delta;
-        m := 1
-      end
-      else begin
-        for j = 0 to !db do
-          if b.(j) <> 0 then
-            c.(j + !m) <- c.(j + !m) lxor Gf2m.mul f coef b.(j)
-        done;
-        dc := max !dc (!db + !m);
-        incr m
-      end
-    end
-  done;
-  let d = ref (min !dc (size - 1)) in
-  while !d > 0 && c.(!d) = 0 do
-    decr d
-  done;
-  (Poly.of_coeffs (Array.to_list (Array.sub c 0 (!d + 1))), !l)
-
 let run f s =
   let n = Array.length s in
   let c = ref Poly.one and b = ref Poly.one in

@@ -9,15 +9,3 @@ val run : Gf2m.t -> int array -> Poly.t * int
 (** [run f s] returns [(c, l)] where [c] is the connection polynomial
     (with [c(0) = 1]) of the minimal LFSR of length [l] generating the
     sequence [s] (read as s.(0), s.(1), ...). *)
-
-type scratch
-(** Reusable working arrays for {!run_scratch}; grown on demand, never
-    shared across domains. *)
-
-val create_scratch : unit -> scratch
-
-val run_scratch : scratch -> Gf2m.t -> int array -> off:int -> len:int -> Poly.t * int
-(** [run_scratch scratch f s ~off ~len] is
-    [run f (Array.sub s off len)] (qcheck-pinned) with all intermediate
-    polynomial updates done in place in [scratch] — the allocation-free
-    kernel behind batched partitioned-sketch decoding. *)

@@ -90,18 +90,12 @@ let fill_window tab b =
     Array.unsafe_set tab ((2 * i) + 1) (d lxor b)
   done
 
-(* a < 2^m <= 2^32: four byte-wide windows. Degrees stay within a
-   63-bit int: b contributes <= 31, the window <= 7, and the three 8-bit
-   shifts another 24, for a top degree of 62. *)
-let clmul_window tab a =
-  let p = Array.unsafe_get tab ((a lsr 24) land 0xFF) in
-  let p = (p lsl 8) lxor Array.unsafe_get tab ((a lsr 16) land 0xFF) in
-  let p = (p lsl 8) lxor Array.unsafe_get tab ((a lsr 8) land 0xFF) in
-  (p lsl 8) lxor Array.unsafe_get tab (a land 0xFF)
-
 (* dst.(off + j) <- dst.(off + j) xor b * src.(j), unreduced, for
    j < len: the inner loop of polynomial division and of the trace
-   sums, with the product inlined. *)
+   sums, with the product inlined. a < 2^m <= 2^32 takes four
+   byte-wide windows; degrees stay within a 63-bit int: b contributes
+   <= 31, the window <= 7, and the three 8-bit shifts another 24, for a
+   top degree of 62. *)
 let accum_window tab src dst ~off ~len =
   if
     Array.length tab < 256 || off < 0
@@ -117,30 +111,10 @@ let accum_window tab src dst ~off ~len =
     Array.unsafe_set dst (off + j) (Array.unsafe_get dst (off + j) lxor p)
   done
 
-(* A multiplier with one operand fixed: used where the same factor is
-   applied across a whole loop (syndrome accumulation multiplies by e^2
-   capacity times). For untabled fields the full 256-entry window table
-   of the fixed operand is built once and amortised across every call;
-   per call that leaves four table lookups plus the reduction. *)
-let mul_by f b =
-  if b = 0 then fun _ -> 0
-  else if Array.length f.log_tbl <> 0 then begin
-    let log_b = f.log_tbl.(b) in
-    let exp_tbl = f.exp_tbl and log_tbl = f.log_tbl in
-    fun a ->
-      if a = 0 then 0
-      else Array.unsafe_get exp_tbl (Array.unsafe_get log_tbl a + log_b)
-  end
-  else begin
-    let tab = Array.make 256 0 in
-    fill_window tab b;
-    fun a -> if a = 0 then 0 else reduce f (clmul_window tab a)
-  end
-
 (* The syndrome-accumulation kernel: s.(i) <- s.(i) xor base * step^i
-   for i in [0, n). This is [mul_by] fused into the Horner walk — the
-   window table, the reduction, and the running power all live in one
-   loop body, so there is no closure call per multiplication. On the
+   for i in [0, n). The window table of [step], the reduction, and the
+   running power all live in one loop body, so there is no call per
+   multiplication. On the
    ingest hot path this runs once per transaction with n = sketch
    capacity, which makes the per-multiplication constant the single
    largest term in commit-append cost. *)
@@ -193,7 +167,7 @@ let accum_powers f ~base ~step s ~n =
           if i < n - 1 then begin
             (* base <> 0 and step <> 0, so every power is nonzero: no
                zero-operand branch needed. Same degree argument as
-               [mul_by]: the raw product stays within 63 bits. *)
+               [accum_window]: the raw product stays within 63 bits. *)
             let a = !p in
             let q = ref (Array.unsafe_get tab ((a lsr 24) land 0xFF)) in
             q := (!q lsl 8) lxor Array.unsafe_get tab ((a lsr 16) land 0xFF);

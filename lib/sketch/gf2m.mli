@@ -4,7 +4,13 @@
     over GF(2); arithmetic is modulo a fixed irreducible polynomial.
     These fields carry the PinSketch syndromes: the paper maps each
     transaction id to its 32-bit representation, i.e. an element of
-    GF(2^32). *)
+    GF(2^32).
+
+    Besides the single products ({!mul}, {!sq}, {!inv}), two kernels
+    take the products by one fixed factor through an 8-bit window table:
+    {!accum_powers} accumulates a sketch's syndromes, and
+    {!fill_window}/{!accum_window}/{!reduce} carry the decoder's
+    polynomial division and trace sums. *)
 
 type t
 (** A field descriptor (size and reduction polynomial). *)
@@ -48,14 +54,6 @@ val mul_generic : t -> int -> int -> int
     Safe to call concurrently from multiple domains (its window scratch
     is domain-local). *)
 
-val mul_by : t -> int -> int -> int
-(** [mul_by f b] returns a function computing [fun a -> mul f a b] with
-    the [b]-dependent precomputation hoisted out: for untabled fields an
-    8-bit window table of [b] is built once and shared across every
-    application. Use when one factor is fixed across a loop (e.g.
-    syndrome accumulation). The returned closure is pure and
-    domain-safe. *)
-
 val fill_window : int array -> int -> unit
 (** [fill_window tab b] writes the 8-bit window table of [b] into the
     first 256 entries of [tab]: entry [i] is the carryless product of
@@ -86,8 +84,8 @@ val accum_powers : t -> base:int -> step:int -> int array -> n:int -> unit
     for [i] in [\[0, n)] — i.e. [s.(i) <- add s.(i) (mul f base
     (step^i))]. This is the syndrome-accumulation inner loop of
     [Sketch.add] as one fused kernel: the window table of [step], the
-    modular reduction, and the running power are all inlined, removing
-    the per-multiplication closure call that a {!mul_by} loop pays.
+    modular reduction, and the running power are all inlined, with no
+    call per multiplication.
     Semantically identical to the naive loop for every field and any
     [base]/[step] (including zero). @raise Invalid_argument if [n]
     exceeds [Array.length s]. *)

@@ -15,24 +15,12 @@ let empty_stats =
     max_depth = 0;
   }
 
-let sketch_pair field capacity local remote =
-  let sl = Sketch.of_list ~field ~capacity local in
-  let sr = Sketch.of_list ~field ~capacity remote in
-  let merged = Sketch.merge sl sr in
-  (merged, 2 * Sketch.serialized_size sl)
-
-let reconcile ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local ~remote () =
+let reconcile ~capacity ~local ~remote () =
   let stats = ref empty_stats in
   let diff = ref [] in
-  (* The kernel path shares one decoder scratch across every partition
-     and hands each decode its candidate set (the partition's own
-     local/remote ids — the difference is a subset by construction).
-     Results are identical either way; [fast:false] keeps the reference
-     path alive for equivalence tests and benchmarks. *)
-  let scratch = if fast then Some (Sketch.Scratch.create ()) else None in
   (* Partition (depth, value): ids whose low [depth] bits equal [value]. *)
   let queue = Queue.create () in
-  let sketch = Sketch.of_list ~field ~capacity in
+  let sketch = Sketch.of_list ~capacity in
   Queue.add (0, 0, local, remote, sketch local, sketch remote) queue;
   while not (Queue.is_empty queue) do
     let depth, value, l, r, sl, sr = Queue.pop queue in
@@ -46,18 +34,11 @@ let reconcile ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local ~remote () =
         bytes_exchanged = !stats.bytes_exchanged + bytes;
         max_depth = max !stats.max_depth depth;
       };
-    let decoded =
-      if fast then
-        Sketch.decode_with ?scratch
-          ~candidates:(Array.of_list (List.rev_append l r))
-          merged
-      else Sketch.decode merged
-    in
-    match decoded with
+    match Sketch.decode merged with
     | Ok elements -> diff := List.rev_append elements !diff
     | Error `Decode_failure ->
         stats := { !stats with decode_failures = !stats.decode_failures + 1 };
-        if depth >= Gf2m.bits field then
+        if depth >= Gf2m.bits Gf2m.gf32 then
           (* Cannot split further; give up on this partition (ids are
              uniform hashes, so in practice this is unreachable). *)
           ()
@@ -82,24 +63,17 @@ let reconcile ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local ~remote () =
   done;
   (!stats, !diff)
 
-let reconcile_monolithic ?(field = Gf2m.gf32) ?(fast = true) ~capacity ~local
-    ~remote () =
-  let merged, bytes = sketch_pair field capacity local remote in
+let reconcile_monolithic ~capacity ~local ~remote () =
+  let sl = Sketch.of_list ~capacity local in
+  let sr = Sketch.of_list ~capacity remote in
   let stats =
     {
       empty_stats with
       sketches_built = 2;
       reconciliations = 1;
-      bytes_exchanged = bytes;
+      bytes_exchanged = 2 * Sketch.serialized_size sl;
     }
   in
-  let decoded =
-    if fast then
-      Sketch.decode_with
-        ~candidates:(Array.of_list (List.rev_append local remote))
-        merged
-    else Sketch.decode merged
-  in
-  match decoded with
+  match Sketch.decode (Sketch.merge sl sr) with
   | Ok elements -> (stats, Some elements)
   | Error `Decode_failure -> ({ stats with decode_failures = 1 }, None)

@@ -7,7 +7,10 @@
     and reconciles each partition with a fresh small sketch, completing
     the same difference "in under 100 ms". This module implements that
     strategy and accounts for the work performed, which drives Fig. 10
-    (reconciliations per minute) and the Sec. 6.5 CPU comparison. *)
+    (reconciliations per minute) and the Sec. 6.5 CPU comparison. Both
+    strategies decode with {!Sketch.decode}, the one decoder the
+    protocol's reconciler also calls, so the comparison times the
+    deployment decoder. *)
 
 type stats = {
   sketches_built : int;  (** total sketches computed on either side *)
@@ -18,8 +21,6 @@ type stats = {
 }
 
 val reconcile :
-  ?field:Gf2m.t ->
-  ?fast:bool ->
   capacity:int ->
   local:int list ->
   remote:int list ->
@@ -29,17 +30,10 @@ val reconcile :
     nodes would: sketch both sides per partition, merge, decode; on
     decode failure split the partition by the next id bit and retry.
     Returns the recovered difference (unordered) together with the work
-    statistics. Elements must be nonzero field elements.
-
-    [fast] (default true) decodes through the kernel path — shared
-    decoder scratch across partitions plus candidate-driven root search
-    seeded with each partition's own ids ({!Sketch.decode_with}).
-    Outcome-equivalent to the reference path on every input
-    (qcheck-pinned); [fast:false] keeps the reference measurable. *)
+    statistics. Elements must be nonzero elements of GF(2^32), the
+    field of the transaction-id sketches. *)
 
 val reconcile_monolithic :
-  ?field:Gf2m.t ->
-  ?fast:bool ->
   capacity:int ->
   local:int list ->
   remote:int list ->

@@ -133,26 +133,6 @@ let eval f a x =
   done;
   !acc
 
-let eval_by f a x =
-  (* Horner with the fixed multiplier [x] hoisted into a window table
-     via [Gf2m.mul_by] — the per-candidate step of the Chien-style root
-     search over candidate sets. Identical to [eval] on every input. *)
-  let d = degree a in
-  if d < 8 then eval f a x
-  else begin
-    let mul_x = Gf2m.mul_by f x in
-    let acc = ref 0 in
-    for i = d downto 0 do
-      acc := mul_x !acc lxor Array.unsafe_get a i
-    done;
-    !acc
-  end
-
-let reverse a =
-  let d = degree a in
-  if d < 0 then zero
-  else normalize (Array.init (d + 1) (fun i -> a.(d - i)))
-
 let square_mod f a ~modulus =
   if is_zero a then zero
   else begin

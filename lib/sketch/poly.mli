@@ -38,16 +38,6 @@ val gcd : Gf2m.t -> t -> t -> t
 val monic : Gf2m.t -> t -> t
 val eval : Gf2m.t -> t -> int -> int
 
-val eval_by : Gf2m.t -> t -> int -> int
-(** [eval_by f a x] = [eval f a x], with the fixed Horner multiplier
-    [x] hoisted into a {!Gf2m.mul_by} window table — faster for the
-    repeated-evaluation shape of candidate root searches on untabled
-    fields. *)
-
-val reverse : t -> t
-(** Coefficient reversal x^d * a(1/x): the roots of [reverse a] are the
-    inverses of the nonzero roots of [a]. *)
-
 val square_mod : Gf2m.t -> t -> modulus:t -> t
 (** Frobenius squaring mod a polynomial: in characteristic 2,
     (sum a_i x^i)^2 = sum a_i^2 x^(2i), then reduced. *)

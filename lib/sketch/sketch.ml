@@ -75,12 +75,6 @@ let truncate t ~capacity =
 
 let is_empty t = Array.for_all (fun s -> s = 0) t.syndromes
 
-module Scratch = struct
-  type t = { bm : Berlekamp_massey.scratch; mutable ss : int array }
-
-  let create () = { bm = Berlekamp_massey.create_scratch (); ss = [||] }
-end
-
 (* Re-encode to rule out spurious decodes beyond capacity. *)
 let reencode_check t elements =
   let check = create ~field:t.field ~capacity:t.capacity () in
@@ -88,82 +82,28 @@ let reencode_check t elements =
   if Array.for_all2 ( = ) check.syndromes t.syndromes then Ok elements
   else Error `Decode_failure
 
-(* Candidate-driven root search: in set reconciliation the decoded
-   difference is a subset of [local union remote], so instead of
-   factoring the locator by trace splitting we evaluate its reversal at
-   each candidate element (the reversal's roots are the elements
-   themselves, no inversions needed). If the locator has degree l and l
-   distinct candidates are roots, those are all its roots and the
-   polynomial provably splits completely — exactly the cases where
-   [Poly.roots] succeeds. Fewer hits means candidates did not cover the
-   root set; the caller falls back to the full search, keeping the
-   outcome identical to {!decode} on every input. *)
-let candidate_roots f locator l candidates =
-  let rev = Poly.reverse locator in
-  let found = Hashtbl.create (2 * l) in
-  let n_found = ref 0 in
-  let mask = Gf2m.mask f in
-  (try
-     Array.iter
-       (fun e ->
-         if
-           e > 0 && e <= mask
-           && (not (Hashtbl.mem found e))
-           && Poly.eval_by f rev e = 0
-         then begin
-           Hashtbl.add found e ();
-           incr n_found;
-           if !n_found = l then raise Exit
-         end)
-       candidates
-   with Exit -> ());
-  if !n_found = l then Some (Hashtbl.fold (fun e () acc -> e :: acc) found [])
-  else None
-
-let decode_with ?scratch ?candidates t =
+let decode t =
   if is_empty t then Ok []
   else begin
     let f = t.field in
     let c = t.capacity in
     (* Full syndrome sequence s_1..s_2c; even entries from Frobenius:
        s_2k = s_k^2. [ss] is 1-indexed. *)
-    let ss =
-      match scratch with
-      | None -> Array.make ((2 * c) + 1) 0
-      | Some s ->
-          if Array.length s.Scratch.ss < (2 * c) + 1 then
-            s.Scratch.ss <- Array.make ((2 * c) + 1) 0;
-          s.Scratch.ss
-    in
+    let ss = Array.make ((2 * c) + 1) 0 in
     for k = 1 to 2 * c do
       ss.(k) <-
         (if k land 1 = 1 then t.syndromes.((k - 1) / 2)
          else Gf2m.sq f ss.(k / 2))
     done;
-    let locator, l =
-      match scratch with
-      | None -> Berlekamp_massey.run f (Array.sub ss 1 (2 * c))
-      | Some s -> Berlekamp_massey.run_scratch s.Scratch.bm f ss ~off:1 ~len:(2 * c)
-    in
+    let locator, l = Berlekamp_massey.run f (Array.sub ss 1 (2 * c)) in
     if l = 0 || Poly.degree locator <> l then Error `Decode_failure
-    else begin
-      let from_candidates =
-        match candidates with
-        | None -> None
-        | Some cand -> candidate_roots f locator l cand
-      in
-      match from_candidates with
-      | Some elements -> reencode_check t elements
-      | None -> (
-          match Poly.roots f locator with
-          | None -> Error `Decode_failure
-          | Some roots when List.length roots <> l -> Error `Decode_failure
-          | Some roots when List.mem 0 roots -> Error `Decode_failure
-          | Some roots -> reencode_check t (List.map (Gf2m.inv f) roots))
-    end
+    else
+      match Poly.roots f locator with
+      | None -> Error `Decode_failure
+      | Some roots when List.length roots <> l -> Error `Decode_failure
+      | Some roots when List.mem 0 roots -> Error `Decode_failure
+      | Some roots -> reencode_check t (List.map (Gf2m.inv f) roots)
   end
-
-let decode t = decode_with t
 
 let syndrome_bytes field = (Gf2m.bits field + 7) / 8
 let serialized_size t = 1 + 2 + (t.capacity * syndrome_bytes t.field)

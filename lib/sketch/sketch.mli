@@ -6,7 +6,11 @@
     which decodes exactly when the difference has at most [c] elements —
     that is the reconciliation primitive of the paper's commitments
     (Sec. 4.2). Elements are nonzero field elements; the LØ layer maps
-    32-byte transaction ids onto nonzero 32-bit short ids. *)
+    32-byte transaction ids onto nonzero 32-bit short ids.
+
+    There is one decoder, {!decode}: Berlekamp–Massey over the 2c
+    syndromes ({!Berlekamp_massey.run}), the locator's roots by trace
+    splitting ({!Poly.roots}), and a re-encode check. *)
 
 type t
 
@@ -60,34 +64,6 @@ val decode : t -> (int list, [ `Decode_failure ]) result
 (** Recover the elements of the (symmetric-difference) set, unordered.
     Fails when the difference exceeds the capacity. A successful decode
     is verified by re-encoding, so a wrong set is never returned. *)
-
-(** Reusable decoder working state (syndrome expansion buffer and
-    Berlekamp–Massey arrays). One scratch serves any number of
-    sequential {!decode_with} calls; never share one across domains. *)
-module Scratch : sig
-  type t
-
-  val create : unit -> t
-end
-
-val decode_with :
-  ?scratch:Scratch.t ->
-  ?candidates:int array ->
-  t ->
-  (int list, [ `Decode_failure ]) result
-(** {!decode} with the kernel knobs exposed; outcome-identical to
-    {!decode} on every input (qcheck-pinned, up to element order).
-
-    [scratch] reuses the syndrome/Berlekamp–Massey buffers across
-    calls — the partitioned reconciler decodes once per partition and
-    pays the allocations once.
-
-    [candidates] is a superset of the expected difference (in
-    reconciliation: local union remote). The decoder then finds the
-    locator roots by evaluating its reversal over the candidates
-    instead of factoring by trace splitting; if the candidates do not
-    cover all roots it falls back to the full search, so the result is
-    unchanged even when the hint is wrong. *)
 
 val serialized_size : t -> int
 (** Bytes on the wire: 4 bytes per syndrome for GF(2^32) plus a small

@@ -16,6 +16,14 @@ let bob = Signer.make scheme ~seed:"live-bob"
 
 let mk_tx payload = Tx.create ~signer:alice ~fee:7 ~created_at:1.5 ~payload
 
+let occurrences needle s =
+  let n = String.length needle and m = String.length s in
+  let count = ref 0 in
+  for i = 0 to m - n do
+    if String.sub s i n = needle then incr count
+  done;
+  !count
+
 (* One instance of every wire constructor — the whole live protocol
    surface. If a constructor is added, the length check below fails and
    this list must grow with it. *)
@@ -223,14 +231,6 @@ let mux_tests =
         check_bool "by tag" true
           (Lo_net.Mux.unknown_tags mux = [ ("zz:ping", 2) ]);
         let dump = Lo_obs.Jsonl.to_string trace in
-        let occurrences needle s =
-          let n = String.length needle and m = String.length s in
-          let count = ref 0 in
-          for i = 0 to m - n do
-            if String.sub s i n = needle then incr count
-          done;
-          !count
-        in
         check_int "traced" 2 (occurrences "\"ev\":\"unknown_tag\"" dump));
   ]
 
@@ -646,7 +646,9 @@ let cluster_tests =
           Alcotest.fail (Lo_live.Cluster.summary r);
         check_int "no kills" 0 (List.length r.Lo_live.Cluster.induced_kills);
         check_int "no restarts" 0 r.Lo_live.Cluster.restarts;
-        check_bool "traffic flowed" true (r.Lo_live.Cluster.frames > 0));
+        check_bool "traffic flowed" true (r.Lo_live.Cluster.frames > 0);
+        check_int "one audit prefix" 1
+          (occurrences "audit:" (Lo_live.Cluster.summary r)));
     Alcotest.test_case
       "kill and respawn leaves an audit-clean merged trace (two seeds)"
       `Slow (fun () ->

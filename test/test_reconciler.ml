@@ -34,8 +34,7 @@ let make_harness () =
   let peer_id = Signer.id peer_signer in
   let ids = [| my_id; peer_id |] in
   let log =
-    Commitment.Log.create ~sketch_capacity:config.Node_env.sketch_capacity
-      ~clock_cells:config.Node_env.clock_cells ~signer ()
+    Commitment.Log.create ~signer ()
   in
   let mempool = Mempool.create () in
   let content = Content_sync.create ~mempool ~adversary:Adversary.Honest () in
@@ -160,10 +159,7 @@ let tests =
         (* The peer comes back: its commitment digest arrives in a
            Commit_response. *)
         let peer_log =
-          Commitment.Log.create
-            ~sketch_capacity:h.env.Node_env.config.Node_env.sketch_capacity
-            ~clock_cells:h.env.Node_env.config.Node_env.clock_cells
-            ~signer:h.peer_signer ()
+          Commitment.Log.create ~signer:h.peer_signer ()
         in
         Reconciler.handle_commit_response h.reconciler h.env ~from:1
           ~digest:(Commitment.Log.current_digest peer_log)

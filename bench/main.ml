@@ -78,13 +78,7 @@ let crypto_group =
     Test.make ~name:"sim-sign" (staged (fun () -> Signer.sign signer "message"));
     Test.make ~name:"schnorr-sign" (staged (fun () -> Signer.sign schnorr_signer "message"));
     Test.make ~name:"gf32-mul"
-      (staged (fun () -> Lo_sketch.Gf2m.mul Lo_sketch.Gf2m.gf32 0xDEADBEEF 0x12345678));
-    (* The log/antilog fast path against the windowed reference it
-       replaced — the speedup ratio is recorded in BENCH_results.json. *)
-    Test.make ~name:"gf16-mul-table"
-      (staged (fun () -> Lo_sketch.Gf2m.mul Lo_sketch.Gf2m.gf16 0xBEEF 0x1234));
-    Test.make ~name:"gf16-mul-generic"
-      (staged (fun () -> Lo_sketch.Gf2m.mul_generic Lo_sketch.Gf2m.gf16 0xBEEF 0x1234));
+      (staged (fun () -> Lo_sketch.Gf2m.mul 0xDEADBEEF 0x12345678));
     Test.make ~name:"sha256-1KiB"
       (staged
          (let block = String.make 1024 'z' in
@@ -213,16 +207,15 @@ module Baseline_append = struct
     match fresh with
     | [] -> ()
     | _ ->
-        let field = Gf2m.gf32 in
         let n = Array.length t.syndromes in
         List.iter
           (fun id ->
             Bloom_clock.add_int t.clock id;
-            let e2 = Gf2m.mul_generic field id id in
+            let e2 = Gf2m.mul id id in
             let p = ref id in
             for i = 0 to n - 1 do
               t.syndromes.(i) <- t.syndromes.(i) lxor !p;
-              if i < n - 1 then p := Gf2m.mul_generic field !p e2
+              if i < n - 1 then p := Gf2m.mul !p e2
             done;
             let cell =
               Bloom_clock.cell_of_int ~cells:(Array.length t.cells) id
@@ -783,8 +776,6 @@ let compute_speedups micro =
   | [] -> []
   | _ ->
       [
-        ("gf16-mul-table-vs-generic",
-         ratio "substrate" "gf16-mul-generic" "gf16-mul-table");
         ("commit-append-500-vs-baseline",
          ratio "fig7" "commit-append-500-baseline" "commit-append-500");
         (* Amortization of the batch Schnorr path: K individual

@@ -136,9 +136,6 @@ module Tx_pool = struct
         v
 
   let sketch_add_all t sketch ids =
-    if
-      Sketch.capacity sketch > power_capacity
-      || Sketch.field sketch != Lo_sketch.Gf2m.gf32
-    then Sketch.add_all sketch ids
+    if Sketch.capacity sketch > power_capacity then Sketch.add_all sketch ids
     else List.iter (fun e -> Sketch.add_powers sketch (powers t e)) ids
 end

@@ -68,9 +68,8 @@ module Tx_pool : sig
 
   val sketch_add_all : t -> Lo_sketch.Sketch.t -> int list -> unit
   (** {!Lo_sketch.Sketch.add_all} through the cached power vectors: the
-      same syndromes, by xor only on a hit. A sketch over another field
-      than GF(2^32), or of capacity above 250, takes
-      {!Lo_sketch.Sketch.add_all} itself.
+      same syndromes, by xor only on a hit. A sketch of capacity above
+      250 takes {!Lo_sketch.Sketch.add_all} itself.
       @raise Invalid_argument on an id that is 0 or above 2^32 - 1, as
       {!Lo_sketch.Sketch.add_all} does (ids before it may have been
       added). *)

@@ -30,11 +30,6 @@ let latest t ~peer =
   | None -> None
   | Some st -> st.latest
 
-let stored_digest t ~owner ~seq =
-  match Hashtbl.find_opt t.peers owner with
-  | None -> None
-  | Some st -> Hashtbl.find_opt st.digests seq
-
 let digest_pair t ~owner ~seq =
   match Hashtbl.find_opt t.peers owner with
   | None -> None

@@ -15,8 +15,6 @@ val create : unit -> t
 val latest : t -> peer:string -> Commitment.digest option
 (** The newest stored digest of [peer], if any. *)
 
-val stored_digest : t -> owner:string -> seq:int -> Commitment.digest option
-
 val digest_pair :
   t -> owner:string -> seq:int -> (Commitment.digest * Commitment.digest) option
 (** The full-form [(seq-1, seq)] snapshot pair — the evidence base for

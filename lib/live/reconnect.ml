@@ -14,21 +14,19 @@ let delay p ~rng ~attempts =
   Float.max 1e-4 jittered
 
 type t = {
-  policy : policy;
   rng : Rng.t;
   mutable attempts : int;
   mutable next_at : float;
 }
 
-let create ?(policy = default_policy) ~rng () =
-  { policy; rng; attempts = 0; next_at = Float.neg_infinity }
+let create ~rng () = { rng; attempts = 0; next_at = Float.neg_infinity }
 
 let ready t ~now = now >= t.next_at
 let next_at t = t.next_at
 let attempts t = t.attempts
 
 let failed t ~now =
-  t.next_at <- now +. delay t.policy ~rng:t.rng ~attempts:t.attempts;
+  t.next_at <- now +. delay default_policy ~rng:t.rng ~attempts:t.attempts;
   t.attempts <- t.attempts + 1
 
 let opened t =
@@ -37,4 +35,4 @@ let opened t =
 
 let lost t ~now =
   t.attempts <- 0;
-  t.next_at <- now +. delay t.policy ~rng:t.rng ~attempts:0
+  t.next_at <- now +. delay default_policy ~rng:t.rng ~attempts:0

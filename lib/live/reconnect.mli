@@ -30,8 +30,9 @@ val delay : policy -> rng:Lo_net.Rng.t -> attempts:int -> float
 (** Mutable per-peer state driving one connection's retry clock. *)
 type t
 
-val create : ?policy:policy -> rng:Lo_net.Rng.t -> unit -> t
-(** Fresh state: {!ready} is immediately true (first connect is free). *)
+val create : rng:Lo_net.Rng.t -> unit -> t
+(** Fresh state on {!default_policy}: {!ready} is immediately true
+    (first connect is free). *)
 
 val ready : t -> now:float -> bool
 (** May a connect attempt start now? *)

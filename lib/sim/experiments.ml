@@ -767,7 +767,7 @@ let best_of_3_ms f =
 
 let decode_cost_for diff ~seed =
   let rng = Rng.create seed in
-  let fresh () = 1 + Rng.int rng (Lo_sketch.Gf2m.mask Lo_sketch.Gf2m.gf32 - 1) in
+  let fresh () = 1 + Rng.int rng (Lo_sketch.Gf2m.mask - 1) in
   let shared = List.init 500 (fun _ -> fresh ()) in
   let local = shared @ List.init (diff / 2) (fun _ -> fresh ()) in
   let remote = shared @ List.init (diff - (diff / 2)) (fun _ -> fresh ()) in

@@ -1,11 +1,11 @@
-(** Berlekamp–Massey over GF(2^m).
+(** Berlekamp–Massey over GF(2^32).
 
     Finds the shortest linear-feedback shift register generating a
     syndrome sequence; its connection polynomial is the PinSketch
     locator whose roots are the inverses of the set-difference
     elements. *)
 
-val run : Gf2m.t -> int array -> Poly.t * int
-(** [run f s] returns [(c, l)] where [c] is the connection polynomial
+val run : int array -> Poly.t * int
+(** [run s] returns [(c, l)] where [c] is the connection polynomial
     (with [c(0) = 1]) of the minimal LFSR of length [l] generating the
     sequence [s] (read as s.(0), s.(1), ...). *)

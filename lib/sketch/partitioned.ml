@@ -38,9 +38,9 @@ let reconcile ~capacity ~local ~remote () =
     | Ok elements -> diff := List.rev_append elements !diff
     | Error `Decode_failure ->
         stats := { !stats with decode_failures = !stats.decode_failures + 1 };
-        if depth >= Gf2m.bits Gf2m.gf32 then
-          (* Cannot split further; give up on this partition (ids are
-             uniform hashes, so in practice this is unreachable). *)
+        if depth >= 32 then
+          (* All 32 id bits are spent; give up on this partition (ids
+             are uniform hashes, so in practice this is unreachable). *)
           ()
         else begin
           let bit = 1 lsl depth in

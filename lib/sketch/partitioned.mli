@@ -1,5 +1,5 @@
 (** Hash-partitioned set reconciliation — the optimisation of paper
-    Sec. 6.5.
+    Sec. 6.5, over GF(2^32) ids.
 
     Monolithic PinSketch decoding costs grow quadratically with the set
     difference; the paper reports ~10 s for a 1,000-element difference.
@@ -31,7 +31,7 @@ val reconcile :
     decode failure split the partition by the next id bit and retry.
     Returns the recovered difference (unordered) together with the work
     statistics. Elements must be nonzero elements of GF(2^32), the
-    field of the transaction-id sketches. *)
+    one field of the transaction-id sketches. *)
 
 val reconcile_monolithic :
   capacity:int ->

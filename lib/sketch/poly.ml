@@ -29,10 +29,14 @@ let add a b =
    its peak RSS, so the threshold stays at 16. *)
 let window_min = 16
 
-let scale f c a =
-  if c = 0 then zero else normalize (Array.map (fun x -> Gf2m.mul f c x) a)
+(* The degree of the field, GF(2^32): the length of a Frobenius cycle
+   and of a trace sum. *)
+let m = 32
 
-let mul f a b =
+let scale c a =
+  if c = 0 then zero else normalize (Array.map (fun x -> Gf2m.mul c x) a)
+
+let mul a b =
   if is_zero a || is_zero b then zero
   else begin
     let out = Array.make (degree a + degree b + 1) 0 in
@@ -40,7 +44,7 @@ let mul f a b =
       (fun i ai ->
         if ai <> 0 then
           Array.iteri
-            (fun j bj -> out.(i + j) <- out.(i + j) lxor Gf2m.mul f ai bj)
+            (fun j bj -> out.(i + j) <- out.(i + j) lxor Gf2m.mul ai bj)
             b)
       a;
     normalize out
@@ -59,20 +63,20 @@ let normalize_prefix a n =
    table, so its degree-b products cost four lookups each, and they are
    xored into [r] unreduced: a coefficient of [r] is reduced once, when
    the division reaches it or at the end, instead of once per product. *)
-let long_div f r b q =
+let long_div r b q =
   let db = degree b and da = Array.length r - 1 in
   let lead = b.(db) in
-  let lead_inv = if lead = 1 then 1 else Gf2m.inv f lead in
+  let lead_inv = if lead = 1 then 1 else Gf2m.inv lead in
   let want_q = Array.length q > 0 in
   if db < window_min then begin
     for i = da downto db do
       let c = r.(i) in
       if c <> 0 then begin
-        let factor = if lead_inv = 1 then c else Gf2m.mul f c lead_inv in
+        let factor = if lead_inv = 1 then c else Gf2m.mul c lead_inv in
         if want_q then q.(i - db) <- factor;
         let off = i - db in
         for j = 0 to db - 1 do
-          r.(off + j) <- r.(off + j) lxor Gf2m.mul f factor b.(j)
+          r.(off + j) <- r.(off + j) lxor Gf2m.mul factor b.(j)
         done;
         r.(i) <- 0
       end
@@ -81,9 +85,9 @@ let long_div f r b q =
   else begin
     let tab = Array.make 256 0 in
     for i = da downto db do
-      let c = Gf2m.reduce f r.(i) in
+      let c = Gf2m.reduce r.(i) in
       if c <> 0 then begin
-        let factor = if lead_inv = 1 then c else Gf2m.mul f c lead_inv in
+        let factor = if lead_inv = 1 then c else Gf2m.mul c lead_inv in
         if want_q then q.(i - db) <- factor;
         Gf2m.fill_window tab factor;
         Gf2m.accum_window tab b r ~off:(i - db) ~len:db
@@ -91,57 +95,57 @@ let long_div f r b q =
       r.(i) <- 0
     done;
     for j = 0 to db - 1 do
-      r.(j) <- Gf2m.reduce f r.(j)
+      r.(j) <- Gf2m.reduce r.(j)
     done
   end
 
-let divmod f a b =
+let divmod a b =
   if is_zero b then raise Division_by_zero;
   let da = degree a and db = degree b in
   if da < db then (zero, normalize (Array.copy a))
   else begin
     let r = Array.copy a and q = Array.make (da - db + 1) 0 in
-    long_div f r b q;
+    long_div r b q;
     (normalize q, normalize_prefix r db)
   end
 
 (* [rem] on an array the caller hands over: divided in place. *)
-let rem_owned f r b =
+let rem_owned r b =
   if is_zero b then raise Division_by_zero;
   let db = degree b in
   if degree r < db then normalize r
   else begin
-    long_div f r b [||];
+    long_div r b [||];
     normalize_prefix r db
   end
 
-let rem f a b = rem_owned f (Array.copy a) b
+let rem a b = rem_owned (Array.copy a) b
 
-let monic f a =
+let monic a =
   if is_zero a then a
   else
     let lead = a.(degree a) in
-    if lead = 1 then a else scale f (Gf2m.inv f lead) a
+    if lead = 1 then a else scale (Gf2m.inv lead) a
 
-let rec gcd f a b = if is_zero b then monic f a else gcd f b (rem f a b)
+let rec gcd a b = if is_zero b then monic a else gcd b (rem a b)
 
-let eval f a x =
+let eval a x =
   (* Horner's rule. *)
   let acc = ref 0 in
   for i = degree a downto 0 do
-    acc := Gf2m.mul f !acc x lxor a.(i)
+    acc := Gf2m.mul !acc x lxor a.(i)
   done;
   !acc
 
-let square_mod f a ~modulus =
+let square_mod a ~modulus =
   if is_zero a then zero
   else begin
     let out = Array.make ((2 * degree a) + 1) 0 in
-    Array.iteri (fun i ai -> out.(2 * i) <- Gf2m.sq f ai) a;
-    rem_owned f out modulus
+    Array.iteri (fun i ai -> out.(2 * i) <- Gf2m.sq ai) a;
+    rem_owned out modulus
   end
 
-let mul_mod f a b ~modulus = rem f (mul f a b) modulus
+let mul_mod a b ~modulus = rem (mul a b) modulus
 
 (* --- Root finding ---
 
@@ -162,25 +166,24 @@ let mul_mod f a b ~modulus = rem f (mul f a b) modulus
 
 (* X_0 .. X_(len - 1) of [p] by repeated squaring: about m (deg p)^2
    products. *)
-let frobenius_table f p ~len =
+let frobenius_table p ~len =
   let tbl = Array.make len zero in
-  tbl.(0) <- rem f [| 0; 1 |] p;
+  tbl.(0) <- rem [| 0; 1 |] p;
   for k = 1 to len - 1 do
-    tbl.(k) <- square_mod f tbl.(k - 1) ~modulus:p
+    tbl.(k) <- square_mod tbl.(k - 1) ~modulus:p
   done;
   tbl
 
 (* Tr(beta x) mod p from p's table, [d] = degree p. *)
-let trace_of_table f tbl ~beta ~d =
-  let m = Gf2m.bits f in
+let trace_of_table tbl ~beta ~d =
   let acc = Array.make d 0 in
   let b = ref beta in
   if d < window_min then
     for k = 0 to m - 1 do
       let bk = !b in
       if bk <> 0 then
-        Array.iteri (fun i x -> acc.(i) <- acc.(i) lxor Gf2m.mul f bk x) tbl.(k);
-      b := Gf2m.sq f bk
+        Array.iteri (fun i x -> acc.(i) <- acc.(i) lxor Gf2m.mul bk x) tbl.(k);
+      b := Gf2m.sq bk
     done
   else begin
     let tab = Array.make 256 0 in
@@ -188,18 +191,17 @@ let trace_of_table f tbl ~beta ~d =
       let xk = tbl.(k) in
       Gf2m.fill_window tab !b;
       Gf2m.accum_window tab xk acc ~off:0 ~len:(Array.length xk);
-      b := Gf2m.sq f !b
+      b := Gf2m.sq !b
     done;
     for i = 0 to d - 1 do
-      acc.(i) <- Gf2m.reduce f acc.(i)
+      acc.(i) <- Gf2m.reduce acc.(i)
     done
   end;
   normalize acc
 
-let roots f p =
+let roots p =
   if is_zero p then None
   else begin
-    let m = Gf2m.bits f in
     let exception Split_failure in
     (* The table of a factor [c] of [p]. Reducing p's entries costs
        about m (deg p - deg c) deg c products, squaring afresh about
@@ -208,8 +210,8 @@ let roots f p =
     let table_of p tbl c =
       let dc = degree c in
       if dc < 2 then [||]
-      else if degree p - dc < dc then Array.init m (fun k -> rem f tbl.(k) c)
-      else frobenius_table f c ~len:m
+      else if degree p - dc < dc then Array.init m (fun k -> rem tbl.(k) c)
+      else frobenius_table c ~len:m
     in
     (* [find p tbl next_beta acc] accumulates the roots of monic
        squarefree [p], whose Frobenius table is [tbl]. *)
@@ -223,31 +225,31 @@ let roots f p =
           let rec split beta tries =
             if tries > m + 64 then raise Split_failure
             else begin
-              let t = trace_of_table f tbl ~beta ~d in
-              let g = gcd f p t in
+              let t = trace_of_table tbl ~beta ~d in
+              let g = gcd p t in
               let dg = degree g in
               if dg > 0 && dg < d then g
               else
                 (* also try Tr(beta x) + 1 via gcd with t+1 *)
-                let g' = gcd f p (add t one) in
+                let g' = gcd p (add t one) in
                 let dg' = degree g' in
                 if dg' > 0 && dg' < d then g'
-                else split (Gf2m.mul f beta 2 lxor 1) (tries + 1)
+                else split (Gf2m.mul beta 2 lxor 1) (tries + 1)
             end
           in
           let g = split next_beta 0 in
-          let h, r = divmod f p g in
+          let h, r = divmod p g in
           assert (is_zero r);
-          let g = monic f g and h = monic f h in
+          let g = monic g and h = monic h in
           let acc =
-            find g (table_of p tbl g) (Gf2m.mul f next_beta 3 lxor 5) acc
+            find g (table_of p tbl g) (Gf2m.mul next_beta 3 lxor 5) acc
           in
-          find h (table_of p tbl h) (Gf2m.mul f next_beta 3 lxor 7) acc
+          find h (table_of p tbl h) (Gf2m.mul next_beta 3 lxor 7) acc
     in
-    let p = monic f p in
+    let p = monic p in
     if degree p = 0 then Some []
     else begin
-      let tbl = frobenius_table f p ~len:(m + 1) in
+      let tbl = frobenius_table p ~len:(m + 1) in
       if not (equal tbl.(m) tbl.(0)) then None
       else
         match find p tbl 1 [] with

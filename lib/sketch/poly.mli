@@ -1,4 +1,5 @@
-(** Dense univariate polynomials over GF(2^m).
+(** Dense univariate polynomials over GF(2^32), the one field of
+    {!Gf2m}.
 
     Coefficient arrays are little-endian ([coeffs.(i)] multiplies x^i)
     and normalised (no trailing zero coefficients, so the zero
@@ -26,25 +27,25 @@ val coeff : t -> int -> int
 val add : t -> t -> t
 (** Coefficient-wise XOR. *)
 
-val scale : Gf2m.t -> int -> t -> t
-val mul : Gf2m.t -> t -> t -> t
-val divmod : Gf2m.t -> t -> t -> t * t
+val scale : int -> t -> t
+val mul : t -> t -> t
+val divmod : t -> t -> t * t
 (** Euclidean division. @raise Division_by_zero on a zero divisor. *)
 
-val rem : Gf2m.t -> t -> t -> t
-val gcd : Gf2m.t -> t -> t -> t
+val rem : t -> t -> t
+val gcd : t -> t -> t
 (** Monic greatest common divisor. *)
 
-val monic : Gf2m.t -> t -> t
-val eval : Gf2m.t -> t -> int -> int
+val monic : t -> t
+val eval : t -> int -> int
 
-val square_mod : Gf2m.t -> t -> modulus:t -> t
+val square_mod : t -> modulus:t -> t
 (** Frobenius squaring mod a polynomial: in characteristic 2,
     (sum a_i x^i)^2 = sum a_i^2 x^(2i), then reduced. *)
 
-val mul_mod : Gf2m.t -> t -> t -> modulus:t -> t
+val mul_mod : t -> t -> modulus:t -> t
 
-val roots : Gf2m.t -> t -> int list option
+val roots : t -> int list option
 (** All roots of a squarefree, fully-split polynomial, found by
     recursive trace splitting. Returns [None] when the polynomial is not
     a product of distinct linear factors (decode failure). The zero

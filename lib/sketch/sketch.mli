@@ -1,6 +1,7 @@
 (** PinSketch set sketches (the data structure behind Minisketch).
 
-    A sketch of capacity [c] over GF(2^m) stores the [c] odd power sums
+    A sketch of capacity [c] over GF(2^32) (libminisketch's field, and
+    the only one) stores the [c] odd power sums
     (syndromes) s_1, s_3, ..., s_(2c-1) of the set elements. Sketches of
     two sets XOR together into a sketch of their symmetric difference,
     which decodes exactly when the difference has at most [c] elements —
@@ -14,18 +15,16 @@
 
 type t
 
-val create : ?field:Gf2m.t -> capacity:int -> unit -> t
-(** Empty sketch; default field GF(2^32). @raise Invalid_argument if
-    [capacity <= 0]. *)
+val create : capacity:int -> unit -> t
+(** Empty sketch. @raise Invalid_argument if [capacity <= 0]. *)
 
-val field : t -> Gf2m.t
 val capacity : t -> int
 val copy : t -> t
 
 val add : t -> int -> unit
 (** Toggle an element's membership (adding twice removes it — sketches
     are symmetric-difference accumulators).
-    @raise Invalid_argument if the element is 0 or out of field range. *)
+    @raise Invalid_argument if the element is 0 or above 2^32 - 1. *)
 
 val add_all : t -> int list -> unit
 
@@ -37,16 +36,16 @@ val fill_powers : int -> int array -> unit
     @raise Invalid_argument if the element is 0 or above 2^32 - 1. *)
 
 val add_powers : t -> int array -> unit
-(** [add_powers t v], with [v] filled by [fill_powers e] and [t] over
-    GF(2^32) (the default field), is [add t e]: it xors the first [capacity t] entries of [v] into the
+(** [add_powers t v], with [v] filled by [fill_powers e], is
+    [add t e]: it xors the first [capacity t] entries of [v] into the
     syndromes, with no field multiplication.
     @raise Invalid_argument if [v] is shorter than the capacity. *)
 
-val of_list : ?field:Gf2m.t -> capacity:int -> int list -> t
+val of_list : capacity:int -> int list -> t
 
 val merge : t -> t -> t
 (** XOR of syndromes = sketch of the symmetric difference.
-    @raise Invalid_argument on mismatched field or capacity. *)
+    @raise Invalid_argument on mismatched capacity. *)
 
 val truncate : t -> capacity:int -> t
 (** A PinSketch of capacity [c] contains every smaller sketch as a
@@ -66,8 +65,8 @@ val decode : t -> (int list, [ `Decode_failure ]) result
     is verified by re-encoding, so a wrong set is never returned. *)
 
 val serialized_size : t -> int
-(** Bytes on the wire: 4 bytes per syndrome for GF(2^32) plus a small
-    header. *)
+(** Bytes on the wire: a 3-byte header (the field byte 32 and a 16-bit
+    capacity), then 4 big-endian bytes per syndrome. *)
 
 val encode : Lo_codec.Writer.t -> t -> unit
 
@@ -78,8 +77,8 @@ val encode_into : t -> bytes -> pos:int -> unit
     sketch in place across appends. @raise Invalid_argument if the
     target range does not fit. *)
 
-val decode_wire : ?field:Gf2m.t -> Lo_codec.Reader.t -> t
-(** Read a sketch; the field must match the expected deployment field
-    ([Gf2m.gf32] by default). The declared capacity is checked against
-    the bytes left before anything is allocated for it.
+val decode_wire : Lo_codec.Reader.t -> t
+(** Read a sketch. The field byte must be 32 and the capacity nonzero;
+    the declared capacity is checked against the bytes left before
+    anything is allocated for it.
     @raise Lo_codec.Reader.Malformed on bad or truncated input. *)

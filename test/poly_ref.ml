@@ -18,16 +18,16 @@ let normalize a =
 let degree a = Array.length a - 1
 let is_zero a = Array.length a = 0
 let coeff a i = if i < Array.length a then a.(i) else 0
-let inv f a = Gf2m.pow f a (Gf2m.mask f - 1)
+let inv a = Gf2m.pow a (Gf2m.mask - 1)
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
   normalize (Array.init (max la lb) (fun i -> coeff a i lxor coeff b i))
 
-let divmod f a b =
+let divmod a b =
   if is_zero b then raise Division_by_zero;
   let db = degree b in
-  let lead_inv = inv f b.(db) in
+  let lead_inv = inv b.(db) in
   let r = Array.copy a in
   let da = degree a in
   if da < db then ([||], normalize r)
@@ -35,59 +35,59 @@ let divmod f a b =
     let q = Array.make (da - db + 1) 0 in
     for i = da downto db do
       if r.(i) <> 0 then begin
-        let factor = Gf2m.mul f r.(i) lead_inv in
+        let factor = Gf2m.mul r.(i) lead_inv in
         q.(i - db) <- factor;
         for j = 0 to db do
-          r.(i - db + j) <- r.(i - db + j) lxor Gf2m.mul f factor b.(j)
+          r.(i - db + j) <- r.(i - db + j) lxor Gf2m.mul factor b.(j)
         done
       end
     done;
     (normalize q, normalize r)
   end
 
-let rem f a b = snd (divmod f a b)
+let rem a b = snd (divmod a b)
 
-let monic f a =
+let monic a =
   if is_zero a then a
   else
     let lead = a.(degree a) in
     if lead = 1 then a
     else
-      let c = inv f lead in
-      normalize (Array.map (fun x -> Gf2m.mul f c x) a)
+      let c = inv lead in
+      normalize (Array.map (fun x -> Gf2m.mul c x) a)
 
-let rec gcd f a b = if is_zero b then monic f a else gcd f b (rem f a b)
+let rec gcd a b = if is_zero b then monic a else gcd b (rem a b)
 
-let square_mod f a ~modulus =
+let square_mod a ~modulus =
   if is_zero a then [||]
   else begin
     let out = Array.make ((2 * degree a) + 1) 0 in
-    Array.iteri (fun i ai -> out.(2 * i) <- Gf2m.sq f ai) a;
-    rem f (normalize out) modulus
+    Array.iteri (fun i ai -> out.(2 * i) <- Gf2m.sq ai) a;
+    rem (normalize out) modulus
   end
 
 (* x^(2^m) = x (mod p): p is a product of distinct linear factors. *)
-let frobenius_fixed f p =
+let frobenius_fixed p =
   if degree p < 1 then false
   else begin
-    let x = rem f [| 0; 1 |] p in
+    let x = rem [| 0; 1 |] p in
     let cur = ref x in
-    for _ = 1 to Gf2m.bits f do
-      cur := square_mod f !cur ~modulus:p
+    for _ = 1 to 32 do
+      cur := square_mod !cur ~modulus:p
     done;
     !cur = x
   end
 
-let trace_mod f ~beta ~modulus =
-  let bx = rem f [| 0; beta |] modulus in
+let trace_mod ~beta ~modulus =
+  let bx = rem [| 0; beta |] modulus in
   let acc = ref bx and cur = ref bx in
-  for _ = 2 to Gf2m.bits f do
-    cur := square_mod f !cur ~modulus;
+  for _ = 2 to 32 do
+    cur := square_mod !cur ~modulus;
     acc := add !acc !cur
   done;
   !acc
 
-let roots f p =
+let roots p =
   if is_zero p then None
   else begin
     let exception Split_failure in
@@ -97,27 +97,27 @@ let roots f p =
       | 1 -> p.(0) :: acc
       | _ ->
           let rec split beta tries =
-            if tries > Gf2m.bits f + 64 then raise Split_failure
+            if tries > 32 + 64 then raise Split_failure
             else begin
-              let t = trace_mod f ~beta ~modulus:p in
-              let g = gcd f p t in
+              let t = trace_mod ~beta ~modulus:p in
+              let g = gcd p t in
               let dg = degree g in
               if dg > 0 && dg < degree p then g
               else
-                let g' = gcd f p (add t [| 1 |]) in
+                let g' = gcd p (add t [| 1 |]) in
                 let dg' = degree g' in
                 if dg' > 0 && dg' < degree p then g'
-                else split (Gf2m.mul f beta 2 lxor 1) (tries + 1)
+                else split (Gf2m.mul beta 2 lxor 1) (tries + 1)
             end
           in
           let g = split next_beta 0 in
-          let h, r = divmod f p g in
+          let h, r = divmod p g in
           assert (is_zero r);
-          let acc = find (monic f g) (Gf2m.mul f next_beta 3 lxor 5) acc in
-          find (monic f h) (Gf2m.mul f next_beta 3 lxor 7) acc
+          let acc = find (monic g) (Gf2m.mul next_beta 3 lxor 5) acc in
+          find (monic h) (Gf2m.mul next_beta 3 lxor 7) acc
     in
-    let p = monic f p in
-    if not (frobenius_fixed f p) then if degree p = 0 then Some [] else None
+    let p = monic p in
+    if not (frobenius_fixed p) then if degree p = 0 then Some [] else None
     else
       match find p 1 [] with
       | roots -> Some roots

@@ -2,7 +2,7 @@ open Lo_sketch
 module Writer = Lo_codec.Writer
 module Reader = Lo_codec.Reader
 
-type t = { field : Gf2m.t; strata : Sketch.t array }
+type t = { strata : Sketch.t array }
 
 (* Mix the element before counting trailing zeros so the stratum choice
    is independent of any structure in the ids themselves. *)
@@ -16,28 +16,25 @@ let stratum_of t id =
   let rec tz i = if i >= Array.length t.strata - 1 || h lsr i land 1 = 1 then i else tz (i + 1) in
   tz 0
 
-let create ?(field = Gf2m.gf32) ?(strata = 24) ?(capacity_per_stratum = 8) () =
+let create ?(strata = 24) ?(capacity_per_stratum = 8) () =
   if strata <= 0 || capacity_per_stratum <= 0 then invalid_arg "Strata.create";
   {
-    field;
     strata =
       Array.init strata (fun _ ->
-          Sketch.create ~field ~capacity:capacity_per_stratum ());
+          Sketch.create ~capacity:capacity_per_stratum ());
   }
 
 let add t id = Sketch.add t.strata.(stratum_of t id) id
 let add_all t ids = List.iter (add t) ids
 
-let of_list ?field ?strata ?capacity_per_stratum ids =
-  let t = create ?field ?strata ?capacity_per_stratum () in
+let of_list ?strata ?capacity_per_stratum ids =
+  let t = create ?strata ?capacity_per_stratum () in
   add_all t ids;
   t
 
 let estimate a b =
-  if
-    Array.length a.strata <> Array.length b.strata
-    || Gf2m.bits a.field <> Gf2m.bits b.field
-  then invalid_arg "Strata.estimate: mismatched estimators";
+  if Array.length a.strata <> Array.length b.strata then
+    invalid_arg "Strata.estimate: mismatched estimators";
   let n = Array.length a.strata in
   (* Decode from the sparsest strata down; scale up at the first decode
      failure. *)
@@ -57,8 +54,7 @@ let encode w t =
   Writer.u8 w (Array.length t.strata);
   Array.iter (Sketch.encode w) t.strata
 
-let decode_wire ?(field = Gf2m.gf32) r =
+let decode_wire r =
   let n = Reader.u8 r in
   if n = 0 then raise (Reader.Malformed "strata count");
-  let strata = Array.init n (fun _ -> Sketch.decode_wire ~field r) in
-  { field; strata }
+  { strata = Array.init n (fun _ -> Sketch.decode_wire r) }

@@ -15,19 +15,16 @@
     beside the tests, which use it as an independent cross-check, and
     the bench copies it for its estimate row. *)
 
-open Lo_sketch
-
 type t
 
-val create :
-  ?field:Gf2m.t -> ?strata:int -> ?capacity_per_stratum:int -> unit -> t
-(** Default: GF(2^32), 24 strata, capacity 8 per stratum (~800 bytes). *)
+val create : ?strata:int -> ?capacity_per_stratum:int -> unit -> t
+(** Default: 24 strata, capacity 8 per stratum (~800 bytes). *)
 
 val add : t -> int -> unit
 (** @raise Invalid_argument on 0 or out-of-field elements. *)
 
 val add_all : t -> int list -> unit
-val of_list : ?field:Gf2m.t -> ?strata:int -> ?capacity_per_stratum:int -> int list -> t
+val of_list : ?strata:int -> ?capacity_per_stratum:int -> int list -> t
 
 val estimate : t -> t -> int
 (** Estimated symmetric-difference size between the two underlying sets.
@@ -35,4 +32,4 @@ val estimate : t -> t -> int
 
 val serialized_size : t -> int
 val encode : Lo_codec.Writer.t -> t -> unit
-val decode_wire : ?field:Gf2m.t -> Lo_codec.Reader.t -> t
+val decode_wire : Lo_codec.Reader.t -> t

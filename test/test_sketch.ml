@@ -1,6 +1,7 @@
-(* Tests for lo_sketch: GF(2^m) field laws, polynomial arithmetic,
-   Berlekamp–Massey, PinSketch encode/decode semantics, and the
-   partitioned reconciliation of Sec. 6.5. *)
+(* Tests for lo_sketch: GF(2^32) field laws and the bit-serial
+   reference, polynomial arithmetic, Berlekamp–Massey, PinSketch
+   encode/decode semantics, and the partitioned reconciliation of
+   Sec. 6.5. *)
 
 open Lo_sketch
 
@@ -10,84 +11,131 @@ let check_int = Alcotest.(check int)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let fields = [ ("gf8", Gf2m.gf8); ("gf16", Gf2m.gf16); ("gf32", Gf2m.gf32) ]
-
-let elt_gen f = QCheck2.Gen.int_range 0 (Gf2m.mask f)
-let nonzero_gen f = QCheck2.Gen.int_range 1 (Gf2m.mask f)
+let elt_gen = QCheck2.Gen.int_range 0 Gf2m.mask
+let nonzero_gen = QCheck2.Gen.int_range 1 Gf2m.mask
 
 let field_tests =
-  List.concat_map
-    (fun (name, f) ->
-      [
-        qtest (name ^ ": mul commutes") QCheck2.Gen.(pair (elt_gen f) (elt_gen f))
-          (fun (a, b) -> Gf2m.mul f a b = Gf2m.mul f b a);
-        qtest (name ^ ": mul associates")
-          QCheck2.Gen.(triple (elt_gen f) (elt_gen f) (elt_gen f))
-          (fun (a, b, c) ->
-            Gf2m.mul f (Gf2m.mul f a b) c = Gf2m.mul f a (Gf2m.mul f b c));
-        qtest (name ^ ": distributive")
-          QCheck2.Gen.(triple (elt_gen f) (elt_gen f) (elt_gen f))
-          (fun (a, b, c) ->
-            Gf2m.mul f a (b lxor c) = Gf2m.mul f a b lxor Gf2m.mul f a c);
-        qtest (name ^ ": one is neutral") (elt_gen f) (fun a -> Gf2m.mul f a 1 = a);
-        qtest (name ^ ": zero annihilates") (elt_gen f) (fun a -> Gf2m.mul f a 0 = 0);
-        qtest (name ^ ": inverse") (nonzero_gen f) (fun a ->
-            Gf2m.mul f a (Gf2m.inv f a) = 1);
-        qtest (name ^ ": sq = mul self") (elt_gen f) (fun a ->
-            Gf2m.sq f a = Gf2m.mul f a a);
-        qtest (name ^ ": frobenius is additive")
-          QCheck2.Gen.(pair (elt_gen f) (elt_gen f))
-          (fun (a, b) -> Gf2m.sq f (a lxor b) = Gf2m.sq f a lxor Gf2m.sq f b);
-        qtest (name ^ ": order divides 2^m - 1") (nonzero_gen f) (fun a ->
-            Gf2m.pow f a (Gf2m.order_minus_one f) = 1);
-        qtest (name ^ ": trace in {0,1}") (elt_gen f) (fun a ->
-            let t = Gf2m.trace f a in
-            t = 0 || t = 1);
-        qtest (name ^ ": trace is additive")
-          QCheck2.Gen.(pair (elt_gen f) (elt_gen f))
-          (fun (a, b) -> Gf2m.trace f (a lxor b) = Gf2m.trace f a lxor Gf2m.trace f b);
-        (* [mul] takes the log/antilog fast path for m <= 16; it must
-           agree with the windowed reference multiplier everywhere. *)
-        qtest (name ^ ": mul = mul_generic")
-          QCheck2.Gen.(pair (elt_gen f) (elt_gen f))
-          (fun (a, b) -> Gf2m.mul f a b = Gf2m.mul_generic f a b);
-        qtest (name ^ ": div = mul by inverse")
-          QCheck2.Gen.(pair (elt_gen f) (nonzero_gen f))
-          (fun (a, b) -> Gf2m.div f a b = Gf2m.mul f a (Gf2m.inv f b));
-      ])
-    fields
-  @ [
-      Alcotest.test_case "reducible modulus rejected" `Quick (fun () ->
-          (* x^4 + x^2 + 1 = (x^2+x+1)^2 is reducible *)
-          match Gf2m.make ~m:4 ~modulus:0x5 with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "accepted reducible polynomial");
-      Alcotest.test_case "even modulus rejected" `Quick (fun () ->
-          match Gf2m.make ~m:8 ~modulus:0x1A with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "accepted even modulus");
-      Alcotest.test_case "pow matches repeated mul" `Quick (fun () ->
-          let f = Gf2m.gf16 in
-          let a = 0x1234 in
-          let rec naive k = if k = 0 then 1 else Gf2m.mul f a (naive (k - 1)) in
-          for k = 0 to 10 do
-            check_int "pow" (naive k) (Gf2m.pow f a k)
-          done);
-    ]
+  [
+    qtest "gf32: mul commutes" QCheck2.Gen.(pair elt_gen elt_gen)
+      (fun (a, b) -> Gf2m.mul a b = Gf2m.mul b a);
+    qtest "gf32: mul associates" QCheck2.Gen.(triple elt_gen elt_gen elt_gen)
+      (fun (a, b, c) -> Gf2m.mul (Gf2m.mul a b) c = Gf2m.mul a (Gf2m.mul b c));
+    qtest "gf32: distributive" QCheck2.Gen.(triple elt_gen elt_gen elt_gen)
+      (fun (a, b, c) ->
+        Gf2m.mul a (b lxor c) = Gf2m.mul a b lxor Gf2m.mul a c);
+    qtest "gf32: one is neutral" elt_gen (fun a -> Gf2m.mul a 1 = a);
+    qtest "gf32: zero annihilates" elt_gen (fun a -> Gf2m.mul a 0 = 0);
+    qtest "gf32: inverse" nonzero_gen (fun a -> Gf2m.mul a (Gf2m.inv a) = 1);
+    qtest "gf32: sq = mul self" elt_gen (fun a -> Gf2m.sq a = Gf2m.mul a a);
+    qtest "gf32: frobenius is additive" QCheck2.Gen.(pair elt_gen elt_gen)
+      (fun (a, b) -> Gf2m.sq (a lxor b) = Gf2m.sq a lxor Gf2m.sq b);
+    qtest "gf32: order divides 2^m - 1" nonzero_gen (fun a ->
+        Gf2m.pow a Gf2m.mask = 1);
+    qtest "gf32: trace in {0,1}" elt_gen (fun a ->
+        let t = Gf2m.trace a in
+        t = 0 || t = 1);
+    qtest "gf32: trace is additive" QCheck2.Gen.(pair elt_gen elt_gen)
+      (fun (a, b) -> Gf2m.trace (a lxor b) = Gf2m.trace a lxor Gf2m.trace b);
+    qtest "gf32: div = mul by inverse" QCheck2.Gen.(pair elt_gen nonzero_gen)
+      (fun (a, b) -> Gf2m.div a b = Gf2m.mul a (Gf2m.inv b));
+    Alcotest.test_case "pow matches repeated mul" `Quick (fun () ->
+        let a = 0x1234 in
+        let rec naive k = if k = 0 then 1 else Gf2m.mul a (naive (k - 1)) in
+        for k = 0 to 10 do
+          check_int "pow" (naive k) (Gf2m.pow a k)
+        done);
+  ]
+
+(* ------- The field against the bit-serial reference ------- *)
+
+(* [Gf32_ref] multiplies one bit at a time and shares no code with
+   [Gf2m]. Operands mix uniform elements with the edge values 0, 1,
+   2^31 and 2^32 - 1, where a window or a fold is most likely to drop a
+   bit. *)
+let edges = [ 0; 1; 2; 1 lsl 31; Gf2m.mask ]
+let edge_elt_gen = QCheck2.Gen.(frequency [ (1, oneofl edges); (3, elt_gen) ])
+
+let edge_nonzero_gen =
+  QCheck2.Gen.(
+    frequency [ (1, oneofl (List.filter (( <> ) 0) edges)); (3, nonzero_gen) ])
+
+(* Run lengths on both sides of the window-table threshold of 16. *)
+let kernel_n_gen = QCheck2.Gen.(oneof [ int_range 0 15; int_range 16 40 ])
+
+let ref_tests =
+  [
+    Alcotest.test_case "x^32 + x^7 + x^3 + x^2 + 1 is irreducible" `Quick
+      (fun () -> check_bool "irreducible" true (Gf32_ref.is_irreducible ()));
+    qtest "mul = reference" ~count:500
+      QCheck2.Gen.(pair edge_elt_gen edge_elt_gen)
+      (fun (a, b) -> Gf2m.mul a b = Gf32_ref.mul a b);
+    Alcotest.test_case "edge values = reference" `Quick (fun () ->
+        List.iter
+          (fun a ->
+            let name op = Printf.sprintf "%s %#x" op a in
+            check_int (name "sq") (Gf32_ref.mul a a) (Gf2m.sq a);
+            check_int (name "pow") (Gf32_ref.pow a 12345) (Gf2m.pow a 12345);
+            if a <> 0 then check_int (name "inv") (Gf32_ref.inv a) (Gf2m.inv a);
+            List.iter
+              (fun b ->
+                check_int (name "mul") (Gf32_ref.mul a b) (Gf2m.mul a b);
+                if b <> 0 then
+                  check_int (name "div") (Gf32_ref.div a b) (Gf2m.div a b))
+              edges)
+          edges);
+    qtest "sq = reference" ~count:500 edge_elt_gen (fun a ->
+        Gf2m.sq a = Gf32_ref.mul a a);
+    qtest "inv = reference" ~count:200 edge_nonzero_gen (fun a ->
+        Gf2m.inv a = Gf32_ref.inv a);
+    qtest "div = reference" ~count:200
+      QCheck2.Gen.(pair edge_elt_gen edge_nonzero_gen)
+      (fun (a, b) -> Gf2m.div a b = Gf32_ref.div a b);
+    qtest "pow = reference" ~count:200
+      QCheck2.Gen.(pair edge_elt_gen (int_range 0 Gf2m.mask))
+      (fun (a, k) -> Gf2m.pow a k = Gf32_ref.pow a k);
+    qtest "reduce = reference on any 63-bit word" ~count:500 QCheck2.Gen.int
+      (fun q -> Gf2m.reduce q = Gf32_ref.reduce q);
+    qtest "reduce (accum_window) = reference" ~count:300
+      QCheck2.Gen.(pair (list_size (int_range 1 8) edge_elt_gen) edge_elt_gen)
+      (fun (xs, b) ->
+        let src = Array.of_list xs in
+        let dst = Array.make (Array.length src) 0 in
+        let tab = Array.make 256 0 in
+        Gf2m.fill_window tab b;
+        Gf2m.accum_window tab src dst ~off:0 ~len:(Array.length src);
+        Array.for_all2 (fun d x -> Gf2m.reduce d = Gf32_ref.mul x b) dst src);
+    qtest "accum_powers = reference" ~count:300
+      QCheck2.Gen.(triple kernel_n_gen edge_elt_gen edge_elt_gen)
+      (fun (n, base, step) ->
+        let s1 = Array.init (n + 2) (fun i -> (i * 0x9E3779B9) land Gf2m.mask) in
+        let s2 = Array.copy s1 in
+        Gf2m.accum_powers ~base ~step s1 ~n;
+        Gf32_ref.accum_powers ~base ~step s2 ~n;
+        s1 = s2);
+    qtest "accum_powers2 = reference" ~count:300
+      QCheck2.Gen.(
+        pair kernel_n_gen (array_size (return 4) edge_elt_gen))
+      (fun (n, args) ->
+        let s1 = Array.init (n + 2) (fun i -> (i * 0x9E3779B9) land Gf2m.mask) in
+        let s2 = Array.copy s1 in
+        Gf2m.accum_powers2 ~base1:args.(0) ~step1:args.(1) ~base2:args.(2)
+          ~step2:args.(3) s1 ~n;
+        Gf32_ref.accum_powers ~base:args.(0) ~step:args.(1) s2 ~n;
+        Gf32_ref.accum_powers ~base:args.(2) ~step:args.(3) s2 ~n;
+        s1 = s2);
+  ]
 
 (* ---------------- Polynomials ---------------- *)
 
-let f16 = Gf2m.gf16
+let poly_gen =
+  QCheck2.Gen.(map (fun l -> Poly.of_coeffs l) (list_size (int_bound 8) elt_gen))
 
-let poly_gen f =
-  QCheck2.Gen.(map (fun l -> Poly.of_coeffs l) (list_size (int_bound 8) (elt_gen f)))
-
-let nonzero_poly_gen f =
+let nonzero_poly_gen =
   QCheck2.Gen.(
     map2
       (fun l lead -> Poly.of_coeffs (l @ [ lead ]))
-      (list_size (int_bound 7) (elt_gen f))
-      (nonzero_gen f))
+      (list_size (int_bound 7) elt_gen)
+      nonzero_gen)
 
 let poly_tests =
   [
@@ -95,75 +143,75 @@ let poly_tests =
         check_int "degree" 1 (Poly.degree (Poly.of_coeffs [ 1; 2; 0; 0 ]));
         check_bool "zero" true (Poly.is_zero (Poly.of_coeffs [ 0; 0 ])));
     Alcotest.test_case "eval" `Quick (fun () ->
-        (* p(x) = x^2 + 3 over gf16 at x=2: 2*2 xor 3 = 4 xor 3 = 7 *)
+        (* p(x) = x^2 + 3 at x=2: 2*2 xor 3 = 4 xor 3 = 7 *)
         let p = Poly.of_coeffs [ 3; 0; 1 ] in
-        check_int "eval" 7 (Poly.eval f16 p 2));
-    qtest "add is xor of coeffs" QCheck2.Gen.(pair (poly_gen f16) (poly_gen f16))
+        check_int "eval" 7 (Poly.eval p 2));
+    qtest "add is xor of coeffs" QCheck2.Gen.(pair poly_gen poly_gen)
       (fun (a, b) ->
         let s = Poly.add a b in
         List.for_all
           (fun i -> Poly.coeff s i = Poly.coeff a i lxor Poly.coeff b i)
           (List.init 12 Fun.id));
     qtest "mul degree adds"
-      QCheck2.Gen.(pair (nonzero_poly_gen f16) (nonzero_poly_gen f16))
+      QCheck2.Gen.(pair nonzero_poly_gen nonzero_poly_gen)
       (fun (a, b) ->
-        Poly.degree (Poly.mul f16 a b) = Poly.degree a + Poly.degree b);
+        Poly.degree (Poly.mul a b) = Poly.degree a + Poly.degree b);
     qtest "divmod reconstructs"
-      QCheck2.Gen.(pair (poly_gen f16) (nonzero_poly_gen f16))
+      QCheck2.Gen.(pair poly_gen nonzero_poly_gen)
       (fun (a, b) ->
-        let q, r = Poly.divmod f16 a b in
-        Poly.equal a (Poly.add (Poly.mul f16 q b) r)
+        let q, r = Poly.divmod a b in
+        Poly.equal a (Poly.add (Poly.mul q b) r)
         && (Poly.is_zero r || Poly.degree r < Poly.degree b));
     qtest "gcd divides both"
-      QCheck2.Gen.(pair (nonzero_poly_gen f16) (nonzero_poly_gen f16))
+      QCheck2.Gen.(pair nonzero_poly_gen nonzero_poly_gen)
       (fun (a, b) ->
-        let g = Poly.gcd f16 a b in
-        let _, ra = Poly.divmod f16 a g in
-        let _, rb = Poly.divmod f16 b g in
+        let g = Poly.gcd a b in
+        let _, ra = Poly.divmod a g in
+        let _, rb = Poly.divmod b g in
         Poly.is_zero ra && Poly.is_zero rb);
     Alcotest.test_case "monic leading coeff" `Quick (fun () ->
         let p = Poly.of_coeffs [ 3; 5; 9 ] in
-        let m = Poly.monic f16 p in
+        let m = Poly.monic p in
         check_int "lead" 1 (Poly.coeff m (Poly.degree m)));
     qtest "square_mod = mul_mod self" ~count:100
-      QCheck2.Gen.(pair (poly_gen f16) (nonzero_poly_gen f16))
+      QCheck2.Gen.(pair poly_gen nonzero_poly_gen)
       (fun (a, m) ->
         QCheck2.assume (Poly.degree m >= 1);
-        Poly.equal (Poly.square_mod f16 a ~modulus:m)
-          (Poly.mul_mod f16 a a ~modulus:m));
+        Poly.equal (Poly.square_mod a ~modulus:m)
+          (Poly.mul_mod a a ~modulus:m));
     Alcotest.test_case "roots of known product" `Quick (fun () ->
-        (* (x-3)(x-5)(x-9) over gf16; subtraction = xor *)
+        (* (x-3)(x-5)(x-9); subtraction = xor *)
         let lin r = Poly.of_coeffs [ r; 1 ] in
-        let p = Poly.mul f16 (Poly.mul f16 (lin 3) (lin 5)) (lin 9) in
-        match Poly.roots f16 p with
+        let p = Poly.mul (Poly.mul (lin 3) (lin 5)) (lin 9) in
+        match Poly.roots p with
         | Some rs ->
             check_bool "roots" true (List.sort compare rs = [ 3; 5; 9 ])
         | None -> Alcotest.fail "no roots found");
     Alcotest.test_case "repeated roots rejected" `Quick (fun () ->
         let lin r = Poly.of_coeffs [ r; 1 ] in
-        let p = Poly.mul f16 (lin 3) (lin 3) in
-        check_bool "rejected" true (Poly.roots f16 p = None));
+        let p = Poly.mul (lin 3) (lin 3) in
+        check_bool "rejected" true (Poly.roots p = None));
     Alcotest.test_case "irreducible quadratic rejected" `Quick (fun () ->
         (* x^2 + x + alpha is irreducible for some alpha; find one whose
            roots call returns None. frobenius_fixed must be false for an
            irreducible quadratic over the field itself... use trace: an
            element with trace 1 makes x^2+x+a irreducible. *)
         let a =
-          let rec find c = if Gf2m.trace f16 c = 1 then c else find (c + 1) in
+          let rec find c = if Gf2m.trace c = 1 then c else find (c + 1) in
           find 1
         in
         let p = Poly.of_coeffs [ a; 1; 1 ] in
-        check_bool "no roots" true (Poly.roots f16 p = None));
+        check_bool "no roots" true (Poly.roots p = None));
     qtest "random split polynomials fully factor" ~count:60
-      QCheck2.Gen.(list_size (int_range 1 12) (nonzero_gen f16))
+      QCheck2.Gen.(list_size (int_range 1 12) nonzero_gen)
       (fun roots ->
         let roots = List.sort_uniq compare roots in
         let p =
           List.fold_left
-            (fun acc r -> Poly.mul f16 acc (Poly.of_coeffs [ r; 1 ]))
+            (fun acc r -> Poly.mul acc (Poly.of_coeffs [ r; 1 ]))
             Poly.one roots
         in
-        match Poly.roots f16 p with
+        match Poly.roots p with
         | Some rs -> List.sort compare rs = roots
         | None -> false);
   ]
@@ -175,113 +223,94 @@ let poly_tests =
    lazy-reduction kernel. Root order is observable (it orders the ids
    of a decoded delta), so the roots must match as lists. *)
 
-let product f roots =
+let product roots =
   List.fold_left
-    (fun acc r -> Poly.mul f acc (Poly.of_coeffs [ r; 1 ]))
+    (fun acc r -> Poly.mul acc (Poly.of_coeffs [ r; 1 ]))
     Poly.one roots
 
 (* A fully split squarefree polynomial of degree [lo..hi] with a random
    nonzero leading coefficient. *)
-let split_poly_gen f ~lo ~hi =
+let split_poly_gen ~lo ~hi =
   QCheck2.Gen.(
     map2
-      (fun roots lead ->
-        Poly.scale f lead (product f (List.sort_uniq compare roots)))
-      (list_size (int_range lo hi) (elt_gen f))
-      (nonzero_gen f))
+      (fun roots lead -> Poly.scale lead (product (List.sort_uniq compare roots)))
+      (list_size (int_range lo hi) elt_gen)
+      nonzero_gen)
 
 (* Polynomials the decoder must reject or accept exactly as the
    reference does: split ones, ones with a repeated root, and split
    ones times a random (rarely split) factor. *)
-let mixed_poly_gen f =
+let mixed_poly_gen =
   QCheck2.Gen.(
     oneof
       [
-        split_poly_gen f ~lo:1 ~hi:30;
+        split_poly_gen ~lo:1 ~hi:30;
         map2
-          (fun roots r -> product f (r :: r :: List.sort_uniq compare roots))
-          (list_size (int_range 0 20) (elt_gen f))
-          (elt_gen f);
-        map2
-          (fun p q -> Poly.mul f p q)
-          (split_poly_gen f ~lo:0 ~hi:20)
+          (fun roots r -> product (r :: r :: List.sort_uniq compare roots))
+          (list_size (int_range 0 20) elt_gen)
+          elt_gen;
+        map2 Poly.mul
+          (split_poly_gen ~lo:0 ~hi:20)
           (map2
              (fun l lead -> Poly.of_coeffs (l @ [ lead ]))
-             (list_size (int_range 1 6) (elt_gen f))
-             (nonzero_gen f));
+             (list_size (int_range 1 6) elt_gen)
+             nonzero_gen);
       ])
 
-let big_poly_gen f ~max_degree =
+let big_poly_gen ~max_degree =
   QCheck2.Gen.(
     map2
       (fun l lead -> Poly.of_coeffs (l @ [ lead ]))
-      (list_size (int_bound max_degree) (elt_gen f))
-      (nonzero_gen f))
-
-(* Untabled fields with other shapes of m - 1 for the addition chain. *)
-let extra_fields =
-  List.map
-    (fun (m, modulus) -> (Printf.sprintf "gf%d" m, Gf2m.make ~m ~modulus))
-    [ (17, 0x9); (24, 0x87); (31, 0x9) ]
+      (list_size (int_bound max_degree) elt_gen)
+      nonzero_gen)
 
 let poly_ref_tests =
-  List.concat_map
-    (fun (name, f) ->
-      [
-        qtest (name ^ ": roots = reference, order included") ~count:40
-          (split_poly_gen f ~lo:1 ~hi:140)
-          (fun p -> Poly.roots f p = Poly_ref.roots f p);
-        qtest (name ^ ": roots None exactly where the reference") ~count:150
-          (mixed_poly_gen f)
-          (fun p -> Poly.roots f p = Poly_ref.roots f p);
-        qtest (name ^ ": divmod = reference") ~count:300
-          QCheck2.Gen.(
-            pair (big_poly_gen f ~max_degree:90) (big_poly_gen f ~max_degree:45))
-          (fun (a, b) -> Poly.divmod f a b = Poly_ref.divmod f a b);
-        qtest (name ^ ": gcd = reference") ~count:100
-          QCheck2.Gen.(
-            pair (big_poly_gen f ~max_degree:60) (big_poly_gen f ~max_degree:60))
-          (fun (a, b) -> Poly.gcd f a b = Poly_ref.gcd f a b);
-      ])
-    [ ("gf16", Gf2m.gf16); ("gf32", Gf2m.gf32) ]
-  @ List.concat_map
-      (fun (name, f) ->
-        let reference a = Gf2m.pow f a (Gf2m.mask f - 1) in
-        [
-          qtest (name ^ ": inv = pow a (mask - 1)") ~count:500 (nonzero_gen f)
-            (fun a -> Gf2m.inv f a = reference a);
-          Alcotest.test_case (name ^ ": inv edge values") `Quick (fun () ->
-              List.iter
-                (fun a -> check_int (string_of_int a) (reference a) (Gf2m.inv f a))
-                [ 1; 2; 1 lsl (Gf2m.bits f - 1); Gf2m.mask f ]);
-          qtest (name ^ ": reduce (accum_window) = mul")
-            QCheck2.Gen.(pair (list_size (int_range 1 8) (elt_gen f)) (elt_gen f))
-            (fun (xs, b) ->
-              let src = Array.of_list xs in
-              let dst = Array.make (Array.length src + 1) 0 in
-              let tab = Array.make 256 0 in
-              Gf2m.fill_window tab b;
-              Gf2m.accum_window tab src dst ~off:1 ~len:(Array.length src);
-              dst.(0) = 0
-              && List.for_all
-                   (fun j -> Gf2m.reduce f dst.(j + 1) = Gf2m.mul f src.(j) b)
-                   (List.init (Array.length src) Fun.id));
-        ])
-      (fields @ extra_fields)
-  @ [
-      Alcotest.test_case "accum_window rejects a short table" `Quick (fun () ->
-          let src = [| 1; 2; 3 |] and dst = Array.make 3 0 in
-          Alcotest.check_raises "short" (Invalid_argument "Gf2m.accum_window")
-            (fun () ->
-              Gf2m.accum_window (Array.make 255 0) src dst ~off:0 ~len:3));
-    ]
+  let reference a = Gf2m.pow a (Gf2m.mask - 1) in
+  [
+    qtest "gf32: roots = reference, order included" ~count:40
+      (split_poly_gen ~lo:1 ~hi:140)
+      (fun p -> Poly.roots p = Poly_ref.roots p);
+    qtest "gf32: roots None exactly where the reference" ~count:150
+      mixed_poly_gen
+      (fun p -> Poly.roots p = Poly_ref.roots p);
+    qtest "gf32: divmod = reference" ~count:300
+      QCheck2.Gen.(
+        pair (big_poly_gen ~max_degree:90) (big_poly_gen ~max_degree:45))
+      (fun (a, b) -> Poly.divmod a b = Poly_ref.divmod a b);
+    qtest "gf32: gcd = reference" ~count:100
+      QCheck2.Gen.(
+        pair (big_poly_gen ~max_degree:60) (big_poly_gen ~max_degree:60))
+      (fun (a, b) -> Poly.gcd a b = Poly_ref.gcd a b);
+    qtest "gf32: inv = pow a (mask - 1)" ~count:500 nonzero_gen (fun a ->
+        Gf2m.inv a = reference a);
+    Alcotest.test_case "gf32: inv edge values" `Quick (fun () ->
+        List.iter
+          (fun a -> check_int (string_of_int a) (reference a) (Gf2m.inv a))
+          [ 1; 2; 1 lsl 31; Gf2m.mask ]);
+    qtest "gf32: reduce (accum_window) = mul"
+      QCheck2.Gen.(pair (list_size (int_range 1 8) elt_gen) elt_gen)
+      (fun (xs, b) ->
+        let src = Array.of_list xs in
+        let dst = Array.make (Array.length src + 1) 0 in
+        let tab = Array.make 256 0 in
+        Gf2m.fill_window tab b;
+        Gf2m.accum_window tab src dst ~off:1 ~len:(Array.length src);
+        dst.(0) = 0
+        && List.for_all
+             (fun j -> Gf2m.reduce dst.(j + 1) = Gf2m.mul src.(j) b)
+             (List.init (Array.length src) Fun.id));
+    Alcotest.test_case "accum_window rejects a short table" `Quick (fun () ->
+        let src = [| 1; 2; 3 |] and dst = Array.make 3 0 in
+        Alcotest.check_raises "short" (Invalid_argument "Gf2m.accum_window")
+          (fun () -> Gf2m.accum_window (Array.make 255 0) src dst ~off:0 ~len:3));
+  ]
 
 (* ---------------- Berlekamp–Massey ---------------- *)
 
 let bm_tests =
   [
     Alcotest.test_case "all-zero sequence" `Quick (fun () ->
-        let c, l = Berlekamp_massey.run f16 (Array.make 8 0) in
+        let c, l = Berlekamp_massey.run (Array.make 8 0) in
         check_int "length" 0 l;
         check_bool "trivial" true (Poly.equal c Poly.one));
     Alcotest.test_case "known LFSR recovered" `Quick (fun () ->
@@ -291,22 +320,22 @@ let bm_tests =
         s.(0) <- 1;
         s.(1) <- 5;
         for i = 2 to n - 1 do
-          s.(i) <- Gf2m.mul f16 3 s.(i - 1) lxor Gf2m.mul f16 2 s.(i - 2)
+          s.(i) <- Gf2m.mul 3 s.(i - 1) lxor Gf2m.mul 2 s.(i - 2)
         done;
-        let c, l = Berlekamp_massey.run f16 s in
+        let c, l = Berlekamp_massey.run s in
         check_int "length" 2 l;
         check_bool "poly" true (Poly.equal c (Poly.of_coeffs [ 1; 3; 2 ])));
     qtest "recovered LFSR regenerates sequence" ~count:50
-      QCheck2.Gen.(list_size (int_range 4 10) (elt_gen f16))
+      QCheck2.Gen.(list_size (int_range 4 10) elt_gen)
       (fun prefix ->
         let s = Array.of_list (prefix @ prefix) in
-        let c, l = Berlekamp_massey.run f16 s in
+        let c, l = Berlekamp_massey.run s in
         (* check the recurrence for i >= l *)
         let ok = ref true in
         for i = l to Array.length s - 1 do
           let acc = ref s.(i) in
           for j = 1 to l do
-            acc := !acc lxor Gf2m.mul f16 (Poly.coeff c j) s.(i - j)
+            acc := !acc lxor Gf2m.mul (Poly.coeff c j) s.(i - j)
           done;
           if !acc <> 0 then ok := false
         done;
@@ -315,12 +344,12 @@ let bm_tests =
 
 (* ---------------- Sketch ---------------- *)
 
-let rand_distinct rng n f =
+let rand_distinct rng n =
   let tbl = Hashtbl.create n in
   let rec go acc k =
     if k = 0 then acc
     else begin
-      let v = 1 + Lo_net.Rng.int rng (Gf2m.mask f - 1) in
+      let v = 1 + Lo_net.Rng.int rng (Gf2m.mask - 1) in
       if Hashtbl.mem tbl v then go acc k
       else begin
         Hashtbl.add tbl v ();
@@ -350,9 +379,9 @@ let sketch_tests =
         Alcotest.check_raises "zero" (Invalid_argument "Sketch.add: element")
           (fun () -> Sketch.add s 0));
     Alcotest.test_case "out-of-field rejected" `Quick (fun () ->
-        let s = Sketch.create ~field:Gf2m.gf8 ~capacity:4 () in
+        let s = Sketch.create ~capacity:4 () in
         Alcotest.check_raises "range" (Invalid_argument "Sketch.add: element")
-          (fun () -> Sketch.add s 256));
+          (fun () -> Sketch.add s (1 lsl 32)));
     Alcotest.test_case "merge incompatible rejected" `Quick (fun () ->
         let a = Sketch.create ~capacity:4 () and b = Sketch.create ~capacity:8 () in
         Alcotest.check_raises "capacity"
@@ -360,19 +389,19 @@ let sketch_tests =
             ignore (Sketch.merge a b)));
     Alcotest.test_case "decode at exact capacity" `Quick (fun () ->
         let rng = Lo_net.Rng.create 7 in
-        let elems = rand_distinct rng 16 Gf2m.gf32 in
+        let elems = rand_distinct rng 16 in
         let s = Sketch.of_list ~capacity:16 elems in
         match Sketch.decode s with
         | Ok d -> check_bool "exact" true (List.sort compare d = List.sort compare elems)
         | Error _ -> Alcotest.fail "decode failed at capacity");
     Alcotest.test_case "over capacity fails" `Quick (fun () ->
         let rng = Lo_net.Rng.create 8 in
-        let elems = rand_distinct rng 20 Gf2m.gf32 in
+        let elems = rand_distinct rng 20 in
         let s = Sketch.of_list ~capacity:16 elems in
         check_bool "fails" true (Sketch.decode s = Error `Decode_failure));
     Alcotest.test_case "wire roundtrip" `Quick (fun () ->
         let rng = Lo_net.Rng.create 9 in
-        let s = Sketch.of_list ~capacity:8 (rand_distinct rng 5 Gf2m.gf32) in
+        let s = Sketch.of_list ~capacity:8 (rand_distinct rng 5) in
         let w = Lo_codec.Writer.create () in
         Sketch.encode w s;
         check_int "size" (Sketch.serialized_size s) (Lo_codec.Writer.length w);
@@ -382,7 +411,7 @@ let sketch_tests =
       QCheck2.Gen.(pair (int_range 1 40) (int_range 0 30))
       (fun (capacity, n) ->
         let rng = Lo_net.Rng.create ((capacity * 1009) + n) in
-        let s = Sketch.of_list ~capacity (rand_distinct rng (min n capacity) Gf2m.gf32) in
+        let s = Sketch.of_list ~capacity (rand_distinct rng (min n capacity)) in
         let w = Lo_codec.Writer.create () in
         Sketch.encode w s;
         let buf = Bytes.create (Sketch.serialized_size s) in
@@ -392,7 +421,7 @@ let sketch_tests =
       QCheck2.Gen.(triple (int_bound 50) (int_bound 10) (int_bound 10))
       (fun (shared_n, only_a_n, only_b_n) ->
         let rng = Lo_net.Rng.create (shared_n + (17 * only_a_n) + (31 * only_b_n)) in
-        let all = rand_distinct rng (shared_n + only_a_n + only_b_n) Gf2m.gf32 in
+        let all = rand_distinct rng (shared_n + only_a_n + only_b_n) in
         let rec split3 a b c na nb xs =
           match xs with
           | [] -> (a, b, c)
@@ -410,7 +439,7 @@ let sketch_tests =
         | Error `Decode_failure -> false);
     Alcotest.test_case "truncate is a syndrome prefix" `Quick (fun () ->
         let rng = Lo_net.Rng.create 11 in
-        let elems = rand_distinct rng 5 Gf2m.gf32 in
+        let elems = rand_distinct rng 5 in
         let big = Sketch.of_list ~capacity:32 elems in
         let small = Sketch.truncate big ~capacity:8 in
         check_int "capacity" 8 (Sketch.capacity small);
@@ -423,7 +452,7 @@ let sketch_tests =
       QCheck2.Gen.(int_range 1 12)
       (fun diff ->
         let rng = Lo_net.Rng.create (diff * 31) in
-        let elems = rand_distinct rng diff Gf2m.gf32 in
+        let elems = rand_distinct rng diff in
         let big = Sketch.of_list ~capacity:64 elems in
         Sketch.decode (Sketch.truncate big ~capacity:(diff + 4))
         = Ok (List.sort compare elems)
@@ -440,6 +469,34 @@ let sketch_tests =
         let s1 = Sketch.of_list ~capacity:16 xs in
         let s2 = Sketch.of_list ~capacity:16 (List.rev xs) in
         Sketch.decode (Sketch.merge s1 s2) = Ok []);
+    (* The header's first byte names the field: 32, and nothing else
+       decodes. *)
+    Alcotest.test_case "wire header is field byte 32" `Quick (fun () ->
+        let s = Sketch.of_list ~capacity:3 [ 1; 0xDEADBEEF ] in
+        let w = Lo_codec.Writer.create () in
+        Sketch.encode w s;
+        let buf = Bytes.make (Sketch.serialized_size s + 2) '\xff' in
+        Sketch.encode_into s buf ~pos:2;
+        let wire = Lo_codec.Writer.contents w in
+        check_int "size" (3 + (3 * 4)) (String.length wire);
+        check_int "encode" 32 (Char.code wire.[0]);
+        check_int "encode_into" 32 (Char.code (Bytes.get buf 2));
+        check_int "capacity" 3 ((Char.code wire.[1] lsl 8) lor Char.code wire.[2]));
+    Alcotest.test_case "decode_wire rejects bad headers" `Quick (fun () ->
+        let body = String.make 8 '\x00' in
+        let rejects label wire =
+          match Sketch.decode_wire (Lo_codec.Reader.of_string wire) with
+          | exception Lo_codec.Reader.Malformed _ -> ()
+          | _ -> Alcotest.failf "%s accepted" label
+        in
+        let header m cap = Printf.sprintf "%c\x00%c" (Char.chr m) (Char.chr cap) in
+        List.iter
+          (fun m -> rejects (Printf.sprintf "field %d" m) (header m 2 ^ body))
+          [ 8; 16; 31 ];
+        rejects "capacity 0" (header 32 0 ^ body);
+        rejects "truncated body" (header 32 2 ^ String.sub body 0 7);
+        let ok = Sketch.decode_wire (Lo_codec.Reader.of_string (header 32 2 ^ body)) in
+        check_int "accepted capacity" 2 (Sketch.capacity ok));
   ]
 
 (* ---------------- BCH decode bound ----------------
@@ -456,7 +513,7 @@ let bch_bound_tests =
       (fun (d, salt) ->
         let capacity = 24 in
         let rng = Lo_net.Rng.create ((d * 7919) + salt) in
-        let elems = rand_distinct rng d Gf2m.gf32 in
+        let elems = rand_distinct rng d in
         match Sketch.decode (Sketch.of_list ~capacity elems) with
         | Ok got -> List.sort compare got = List.sort compare elems
         | Error `Decode_failure -> false);
@@ -466,7 +523,7 @@ let bch_bound_tests =
         let capacity = 16 in
         let d = capacity + excess in
         let rng = Lo_net.Rng.create ((d * 104729) + salt) in
-        let elems = rand_distinct rng d Gf2m.gf32 in
+        let elems = rand_distinct rng d in
         Sketch.decode (Sketch.of_list ~capacity elems) = Error `Decode_failure);
   ]
 
@@ -476,14 +533,14 @@ let partitioned_tests =
   [
     Alcotest.test_case "identical sets need one round" `Quick (fun () ->
         let rng = Lo_net.Rng.create 5 in
-        let xs = rand_distinct rng 50 Gf2m.gf32 in
+        let xs = rand_distinct rng 50 in
         let stats, diff = Partitioned.reconcile ~capacity:16 ~local:xs ~remote:xs () in
         check_int "rounds" 1 stats.Partitioned.reconciliations;
         check_bool "no diff" true (diff = []));
     Alcotest.test_case "small diff, no splits" `Quick (fun () ->
         let rng = Lo_net.Rng.create 6 in
-        let shared = rand_distinct rng 100 Gf2m.gf32 in
-        let extra = rand_distinct rng 5 Gf2m.gf32 in
+        let shared = rand_distinct rng 100 in
+        let extra = rand_distinct rng 5 in
         let stats, diff =
           Partitioned.reconcile ~capacity:16 ~local:(shared @ extra) ~remote:shared ()
         in
@@ -491,8 +548,8 @@ let partitioned_tests =
         check_bool "diff" true (List.sort compare diff = List.sort compare extra));
     Alcotest.test_case "large diff forces splits but recovers" `Quick (fun () ->
         let rng = Lo_net.Rng.create 7 in
-        let local = rand_distinct rng 200 Gf2m.gf32 in
-        let remote = rand_distinct rng 180 Gf2m.gf32 in
+        let local = rand_distinct rng 200 in
+        let remote = rand_distinct rng 180 in
         let stats, diff = Partitioned.reconcile ~capacity:16 ~local ~remote () in
         check_bool "split happened" true (stats.Partitioned.decode_failures > 0);
         let expected =
@@ -503,7 +560,7 @@ let partitioned_tests =
           (List.sort compare diff = List.sort compare expected));
     Alcotest.test_case "monolithic fails when undersized" `Quick (fun () ->
         let rng = Lo_net.Rng.create 8 in
-        let local = rand_distinct rng 100 Gf2m.gf32 in
+        let local = rand_distinct rng 100 in
         let stats, result =
           Partitioned.reconcile_monolithic ~capacity:16 ~local ~remote:[] ()
         in
@@ -511,7 +568,7 @@ let partitioned_tests =
         check_bool "none" true (result = None));
     Alcotest.test_case "monolithic succeeds when sized" `Quick (fun () ->
         let rng = Lo_net.Rng.create 9 in
-        let local = rand_distinct rng 30 Gf2m.gf32 in
+        let local = rand_distinct rng 30 in
         let _, result =
           Partitioned.reconcile_monolithic ~capacity:30 ~local ~remote:[] ()
         in
@@ -533,13 +590,13 @@ let strata_tests =
   [
     Alcotest.test_case "identical sets estimate zero" `Quick (fun () ->
         let rng = Lo_net.Rng.create 21 in
-        let xs = rand_distinct rng 500 Gf2m.gf32 in
+        let xs = rand_distinct rng 500 in
         let a = Strata.of_list xs and b = Strata.of_list xs in
         check_int "zero" 0 (Strata.estimate a b));
     Alcotest.test_case "small diffs are exact" `Quick (fun () ->
         let rng = Lo_net.Rng.create 22 in
-        let shared = rand_distinct rng 300 Gf2m.gf32 in
-        let extra = rand_distinct rng 7 Gf2m.gf32 in
+        let shared = rand_distinct rng 300 in
+        let extra = rand_distinct rng 7 in
         let a = Strata.of_list shared in
         let b = Strata.of_list (shared @ extra) in
         check_int "exact" 7 (Strata.estimate a b));
@@ -547,8 +604,8 @@ let strata_tests =
         List.iter
           (fun d ->
             let rng = Lo_net.Rng.create (23 + d) in
-            let shared = rand_distinct rng 200 Gf2m.gf32 in
-            let extra = rand_distinct rng d Gf2m.gf32 in
+            let shared = rand_distinct rng 200 in
+            let extra = rand_distinct rng d in
             let a = Strata.of_list shared in
             let b = Strata.of_list (shared @ extra) in
             let est = Strata.estimate a b in
@@ -559,7 +616,7 @@ let strata_tests =
           [ 100; 400; 1500 ]);
     Alcotest.test_case "wire roundtrip" `Quick (fun () ->
         let rng = Lo_net.Rng.create 24 in
-        let xs = rand_distinct rng 50 Gf2m.gf32 in
+        let xs = rand_distinct rng 50 in
         let a = Strata.of_list xs in
         let w = Lo_codec.Writer.create () in
         Strata.encode w a;
@@ -575,8 +632,8 @@ let strata_tests =
         (* The intended workflow: estimate, then reconcile with 2x the
            estimate as capacity. *)
         let rng = Lo_net.Rng.create 25 in
-        let shared = rand_distinct rng 300 Gf2m.gf32 in
-        let extra = rand_distinct rng 60 Gf2m.gf32 in
+        let shared = rand_distinct rng 300 in
+        let extra = rand_distinct rng 60 in
         let local = shared @ extra and remote = shared in
         let est =
           Strata.estimate (Strata.of_list local) (Strata.of_list remote)
@@ -616,7 +673,7 @@ let split_sets_gen =
         let seen = Hashtbl.create 64 in
         let draw () =
           let rec go () =
-            let v = 1 + Lo_net.Rng.int rng (Gf2m.mask Gf2m.gf32 - 1) in
+            let v = 1 + Lo_net.Rng.int rng (Gf2m.mask - 1) in
             if Hashtbl.mem seen v then go ()
             else begin
               Hashtbl.add seen v ();
@@ -754,21 +811,15 @@ let kernel_tests =
         || Option.map (List.sort compare) diff = Some expected);
     (* The accumulation kernels against the definitional loop. *)
     qtest "accum_powers = naive power loop" ~count:120
-      QCheck2.Gen.(
-        quad (int_range 0 2) (int_bound 40) (int_bound 0xffffff)
-          (int_bound 0xffffff))
-      (fun (which, n, base, step) ->
-        let f =
-          match which with 0 -> Gf2m.gf8 | 1 -> Gf2m.gf16 | _ -> Gf2m.gf32
-        in
-        let base = base land Gf2m.mask f and step = step land Gf2m.mask f in
-        let s1 = Array.init (n + 2) (fun i -> (i * 7) land Gf2m.mask f) in
+      QCheck2.Gen.(triple (int_bound 40) elt_gen elt_gen)
+      (fun (n, base, step) ->
+        let s1 = Array.init (n + 2) (fun i -> i * 7) in
         let s2 = Array.copy s1 in
-        Gf2m.accum_powers f ~base ~step s1 ~n;
+        Gf2m.accum_powers ~base ~step s1 ~n;
         let p = ref base in
         for i = 0 to n - 1 do
           s2.(i) <- s2.(i) lxor !p;
-          if i < n - 1 then p := Gf2m.mul f !p step
+          if i < n - 1 then p := Gf2m.mul !p step
         done;
         s1 = s2);
     qtest "accum_powers2 = two accum_powers" ~count:120
@@ -776,16 +827,15 @@ let kernel_tests =
         pair (int_bound 40)
           (array_size (return 4) (int_bound 0xffffffff)))
       (fun (n, args) ->
-        let b1 = args.(0) land Gf2m.mask Gf2m.gf32
-        and s1v = args.(1) land Gf2m.mask Gf2m.gf32
-        and b2 = args.(2) land Gf2m.mask Gf2m.gf32
-        and s2v = args.(3) land Gf2m.mask Gf2m.gf32 in
+        let b1 = args.(0) land Gf2m.mask
+        and s1v = args.(1) land Gf2m.mask
+        and b2 = args.(2) land Gf2m.mask
+        and s2v = args.(3) land Gf2m.mask in
         let a1 = Array.init (n + 2) (fun i -> i * 31) in
         let a2 = Array.copy a1 in
-        Gf2m.accum_powers2 Gf2m.gf32 ~base1:b1 ~step1:s1v ~base2:b2
-          ~step2:s2v a1 ~n;
-        Gf2m.accum_powers Gf2m.gf32 ~base:b1 ~step:s1v a2 ~n;
-        Gf2m.accum_powers Gf2m.gf32 ~base:b2 ~step:s2v a2 ~n;
+        Gf2m.accum_powers2 ~base1:b1 ~step1:s1v ~base2:b2 ~step2:s2v a1 ~n;
+        Gf2m.accum_powers ~base:b1 ~step:s1v a2 ~n;
+        Gf2m.accum_powers ~base:b2 ~step:s2v a2 ~n;
         a1 = a2);
     qtest "add_all pairing = iterated add" ~count:100
       QCheck2.Gen.(
@@ -808,6 +858,7 @@ let () =
   Alcotest.run "lo_sketch"
     [
       ("gf2m", field_tests);
+      ("gf32-ref", ref_tests);
       ("poly", poly_tests);
       ("poly-ref", poly_ref_tests);
       ("berlekamp-massey", bm_tests);

@@ -1,4 +1,4 @@
-.PHONY: all build test check chaos-smoke audit-smoke bench-smoke perfbench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke sim-trace-pin fmt bench clean
+.PHONY: all build test check chaos-smoke audit-smoke bench-smoke perfbench-smoke fuzz-smoke live-smoke live-chaos-smoke live-schnorr-smoke ingest-smoke scale-smoke sim-trace-pin fmt bench loc clean
 
 all: build
 
@@ -109,6 +109,11 @@ fmt:
 
 bench:
 	dune exec bench/main.exe
+
+# Lines of .ml + .mli in the shipped code (lib/, bin/, examples/): the
+# size ROADMAP item 9 tracks. It prints the total and gates nothing.
+loc:
+	@find lib bin examples -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
 
 # Micro-benchmarks only, at a tiny measurement budget: seconds, not
 # minutes. Writes BENCH_smoke.json and schema-validates it (the bench

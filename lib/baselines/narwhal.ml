@@ -58,7 +58,6 @@ let create config ~net ~index ~num_nodes ~signer =
 
 let on_tx_content t f = t.on_content <- f
 let on_tx_committed t f = t.on_committed <- f
-let mempool_size t = Hashtbl.length t.txs_seen
 let headers_seen t = t.headers
 
 let note_tx t tx =

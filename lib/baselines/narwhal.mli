@@ -38,6 +38,5 @@ val on_tx_committed : t -> (string -> now:float -> unit) -> unit
 (** Fired per transaction id when a header referencing its batch
     arrives — the Narwhal notion of mempool inclusion. *)
 
-val mempool_size : t -> int
 val headers_seen : t -> int
 

@@ -140,8 +140,6 @@ let of_string s =
   Reader.expect_end r;
   t
 
-let encoded_size t = String.length (to_string t)
-
 let verify_signature scheme t =
   Signer.verify scheme ~id:t.creator ~msg:(signing_bytes t)
     ~signature:t.signature

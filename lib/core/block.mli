@@ -54,7 +54,6 @@ val encode : Lo_codec.Writer.t -> t -> unit
 val decode : Lo_codec.Reader.t -> t
 val to_string : t -> string
 val of_string : string -> t
-val encoded_size : t -> int
 val verify_signature : Lo_crypto.Signer.scheme -> t -> bool
 
 val structure_ok : t -> bool

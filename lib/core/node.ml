@@ -228,7 +228,6 @@ let create ?tx_pool config ~transport ~rng ~directory ~signer ~neighbors
   t.env <- Some (make_env t);
   t
 
-let head_hash t = Block_pipeline.head_hash t.pipeline
 let chain_height t = Block_pipeline.chain_height t.pipeline
 let find_block t ~height = Block_pipeline.find_block t.pipeline ~height
 let known_digest t ~peer = Peer_tracker.latest t.tracker ~peer
@@ -441,8 +440,8 @@ let handle_restart t =
     t.neighbors
 
 let start t =
-  (* Subscribe by protocol prefix so other protocols (the peer sampler)
-     can share the node's transport endpoint. *)
+  (* Subscribe by protocol prefix so other protocols can share the
+     node's transport endpoint. *)
   t.transport.Transport.subscribe ~proto:"lo" (fun ~from ~tag payload ->
       handle_message t ~from ~tag payload);
   if not (Adversary.drops_all_messages t.behavior) then begin

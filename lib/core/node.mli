@@ -135,7 +135,6 @@ val build_block : t -> policy:Policy.t -> Block.t option
     with the given policy; [None] if the mempool yields no transactions
     and no block was produced. Behaviour modifiers apply here. *)
 
-val head_hash : t -> string
 val chain_height : t -> int
 val find_block : t -> height:int -> Block.t option
 

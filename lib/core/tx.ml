@@ -127,8 +127,3 @@ let prevalidate scheme t =
       else Error "invalid signature"
 
 let equal a b = String.equal a.id b.id
-
-let pp fmt t =
-  Format.fprintf fmt "tx[%s fee=%d size=%dB]"
-    (Lo_crypto.Hex.encode (String.sub t.id 0 6))
-    t.fee (String.length t.payload)

@@ -53,4 +53,3 @@ val prevalidate : Lo_crypto.Signer.scheme -> t -> (unit, string) result
 (** {!check_bounds}, then the signature. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 (* Little-endian arbitrary-length naturals over 16-bit limbs stored in
    native ints. 16-bit limbs keep every intermediate product and carry
    comfortably inside OCaml's 63-bit integers. Internal module: Uint256
-   builds its generic-modulus arithmetic on it, and Scalar its fixed-n
-   folds. *)
+   builds its comparisons and modular add/sub on it, and Scalar its
+   fixed-n folds. *)
 
 let limb_bits = 16
 let limb_mask = 0xFFFF
@@ -94,46 +94,6 @@ let bit a i =
   let limb = i / limb_bits in
   if limb >= Array.length a then false
   else a.(limb) lsr (i mod limb_bits) land 1 = 1
-
-(* Binary long division's remainder: r = a mod b, r < b. *)
-let rem a b =
-  if is_zero b then invalid_arg "Limbs.rem: division by zero";
-  let nb = Array.length b in
-  let r = Array.make (nb + 1) 0 in
-  let r_ge_b () =
-    if r.(nb) <> 0 then true
-    else
-      let rec go i =
-        if i < 0 then true
-        else if r.(i) <> b.(i) then r.(i) > b.(i)
-        else go (i - 1)
-      in
-      go (nb - 1)
-  in
-  let sub_b () =
-    let borrow = ref 0 in
-    for i = 0 to nb - 1 do
-      let d = r.(i) - b.(i) - !borrow in
-      if d < 0 then begin
-        r.(i) <- d + limb_mask + 1;
-        borrow := 1
-      end
-      else begin
-        r.(i) <- d;
-        borrow := 0
-      end
-    done;
-    r.(nb) <- r.(nb) - !borrow
-  in
-  for i = num_bits a - 1 downto 0 do
-    (* r := r << 1 | bit i of a *)
-    for j = nb downto 1 do
-      r.(j) <- ((r.(j) lsl 1) lor (r.(j - 1) lsr (limb_bits - 1))) land limb_mask
-    done;
-    r.(0) <- ((r.(0) lsl 1) land limb_mask) lor (if bit a i then 1 else 0);
-    if r_ge_b () then sub_b ()
-  done;
-  Array.sub r 0 nb
 
 (* Fit into exactly [n] limbs (value must fit). *)
 let resize a n =

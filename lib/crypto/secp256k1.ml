@@ -20,15 +20,6 @@ let fe_of_u256 a = Fe.of_bytes_be (Uint256.to_bytes_be a)
 let u256_of_fe a = Uint256.of_bytes_be (Fe.to_bytes_be a)
 let beta_fe = fe_of_u256 beta
 
-let field_mul a b =
-  let r = Fe.create () in
-  Fe.mul r (fe_of_u256 a) (fe_of_u256 b);
-  u256_of_fe r
-
-let field_sqrt a =
-  let r = Fe.create () in
-  if Fe.sqrt r (fe_of_u256 a) then Some (u256_of_fe r) else None
-
 (* x^3 + 7, magnitude 2. *)
 let curve_rhs x =
   let r = Fe.create () in

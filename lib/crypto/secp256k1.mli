@@ -95,10 +95,6 @@ val decode_compressed : string -> point option
 
 (**/**)
 
-val field_mul : Uint256.t -> Uint256.t -> Uint256.t
-val field_sqrt : Uint256.t -> Uint256.t option
-(** Square root mod p when it exists (p = 3 mod 4). Exposed for tests. *)
-
 val beta : Uint256.t
 (** The cube root of unity mod p with [Scalar.lambda * (x, y) =
     (beta x, y)]. Exposed for tests. *)

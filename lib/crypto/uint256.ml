@@ -50,8 +50,6 @@ let equal a b = compare a b = 0
 let is_zero = Limbs.is_zero
 let bit = Limbs.bit
 let num_bits = Limbs.num_bits
-let add a b = Array.sub (Limbs.add a b) 0 limbs
-let mod_reduce ~modulus a = Limbs.resize (Limbs.rem a modulus) limbs
 
 let mod_add ~modulus a b =
   let s = Limbs.add a b in
@@ -61,23 +59,6 @@ let mod_add ~modulus a b =
 let mod_sub ~modulus a b =
   if Limbs.compare a b >= 0 then Limbs.sub a b
   else Limbs.resize (Limbs.sub (Limbs.add a modulus) b) limbs
-
-let mod_mul ~modulus a b =
-  Limbs.resize (Limbs.rem (Limbs.mul a b) modulus) limbs
-
-let mod_pow ~modulus b e =
-  let result = ref (mod_reduce ~modulus one) in
-  let acc = ref (mod_reduce ~modulus b) in
-  for i = 0 to num_bits e - 1 do
-    if bit e i then result := mod_mul ~modulus !result !acc;
-    acc := mod_mul ~modulus !acc !acc
-  done;
-  !result
-
-let mod_inv_prime ~modulus a =
-  if is_zero a then invalid_arg "Uint256.mod_inv_prime: zero";
-  let p_minus_2 = Limbs.resize (Limbs.sub modulus (of_int 2)) limbs in
-  mod_pow ~modulus a p_minus_2
 
 let pp fmt a = Format.pp_print_string fmt (to_hex a)
 let to_limbs a = Array.copy a

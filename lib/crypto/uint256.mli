@@ -1,9 +1,10 @@
-(** Unsigned 256-bit integers with modular arithmetic.
+(** Unsigned 256-bit integers: encodings, comparisons and bits, plus
+    modular addition and subtraction.
 
     Backed by 16-bit limbs (see [Limbs]); all values are in
-    [\[0, 2^256)]. Modular operations take the modulus explicitly, so the
-    same module serves both the secp256k1 base field and its scalar
-    field. *)
+    [\[0, 2^256)]. The modular operations take the modulus explicitly;
+    [Scalar] uses them for the group order n. Products live in [Fe]
+    (mod p) and [Scalar] (mod n). *)
 
 type t
 
@@ -32,19 +33,9 @@ val is_zero : t -> bool
 val bit : t -> int -> bool
 val num_bits : t -> int
 
-val add : t -> t -> t
-(** Addition modulo 2^256 (wraps silently). *)
-
-val mod_reduce : modulus:t -> t -> t
 val mod_add : modulus:t -> t -> t -> t
 val mod_sub : modulus:t -> t -> t -> t
-val mod_mul : modulus:t -> t -> t -> t
-val mod_pow : modulus:t -> t -> t -> t
-(** [mod_pow ~modulus b e] is [b^e mod modulus] by square-and-multiply. *)
-
-val mod_inv_prime : modulus:t -> t -> t
-(** Inverse modulo a prime via Fermat's little theorem.
-    @raise Invalid_argument on zero input. *)
+(** Both operands in [\[0, modulus)]. *)
 
 val pp : Format.formatter -> t -> unit
 

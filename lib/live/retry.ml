@@ -17,5 +17,3 @@ let rec accept fd =
 let rec waitpid flags pid =
   try Unix.waitpid flags pid
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid flags pid
-
-let sleep = Clock.sleep

@@ -21,6 +21,3 @@ val select :
 
 val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr
 val waitpid : Unix.wait_flag list -> int -> int * Unix.process_status
-
-val sleep : float -> unit
-(** {!Clock.sleep}: restarted until the full duration has elapsed. *)

@@ -2,8 +2,7 @@
 
     Tags follow the convention ["proto:detail"]; the mux owns each
     node's {!Network} handler and dispatches on the prefix before the
-    colon, letting several protocol layers (e.g. the LØ mempool and the
-    peer sampler) share one simulated node. *)
+    colon, letting several protocol layers share one simulated node. *)
 
 type t
 

@@ -4,169 +4,3 @@ let uniform_sample rng ~n ~k ~exclude =
     if not (exclude i) then candidates := i :: !candidates
   done;
   Rng.sample_without_replacement rng k !candidates
-
-type config = {
-  view_size : int;
-  num_samplers : int;
-  period : float;
-  push_cap : int;
-}
-
-let default_config =
-  { view_size = 16; num_samplers = 16; period = 1.0; push_cap = 8 }
-
-(* One min-wise sampler: remembers the id minimising a keyed hash over
-   everything it has observed; with a uniformly random key the minimum
-   is a uniform sample of the observed id stream's support. *)
-type sampler = { key : int; mutable best : int; mutable best_hash : int }
-
-type node_state = {
-  mutable view : int list;
-  samplers : sampler array;
-  mutable pushes : int list; (* pushes received this round *)
-  mutable pulls : int list; (* ids learned from pull replies this round *)
-  mutable push_count : int;
-  seen : (int, unit) Hashtbl.t;
-}
-
-type t = {
-  net : Network.t;
-  config : config;
-  rng : Rng.t;
-  states : node_state array;
-}
-
-let mix_hash key id =
-  (* splitmix-style integer mixing; uniform enough for min-wise use. *)
-  let z = Int64.add (Int64.of_int key) (Int64.mul (Int64.of_int id) 0x9E3779B97F4A7C15L) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.logxor z (Int64.shift_right_logical z 27) in
-  Int64.to_int z land max_int
-
-let observe_id st id =
-  Hashtbl.replace st.seen id ();
-  Array.iter
-    (fun s ->
-      let h = mix_hash s.key id in
-      if s.best < 0 || h < s.best_hash then begin
-        s.best <- id;
-        s.best_hash <- h
-      end)
-    st.samplers
-
-let encode_ids ids =
-  String.concat "," (List.map string_of_int ids)
-
-let decode_ids s =
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.filter_map (fun x -> int_of_string_opt x)
-
-let handle t node _net ~from ~tag payload =
-  let st = t.states.(node) in
-  match tag with
-  | "sampler:push" ->
-      if st.push_count < t.config.push_cap then begin
-        st.push_count <- st.push_count + 1;
-        st.pushes <- from :: st.pushes;
-        observe_id st from
-      end
-  | "sampler:pull-req" ->
-      let ids = node :: st.view in
-      Network.send t.net ~src:node ~dst:from ~tag:"sampler:pull-resp"
-        (encode_ids ids)
-  | "sampler:pull-resp" ->
-      let ids = decode_ids payload in
-      List.iter
-        (fun id ->
-          if id >= 0 && id < Network.num_nodes t.net && id <> node then begin
-            st.pulls <- id :: st.pulls;
-            observe_id st id
-          end)
-        ids
-  | _ -> ()
-
-let dedup ids =
-  let tbl = Hashtbl.create 16 in
-  List.filter
-    (fun id ->
-      if Hashtbl.mem tbl id then false
-      else begin
-        Hashtbl.add tbl id ();
-        true
-      end)
-    ids
-
-let rec round t node =
-  let st = t.states.(node) in
-  (* Close the previous round: rebuild the view from thirds of pushes,
-     pulls and sampler outputs, as in Brahms. *)
-  let third = max 1 (t.config.view_size / 3) in
-  let pushes = Rng.sample_without_replacement t.rng third (dedup st.pushes) in
-  let pulls = Rng.sample_without_replacement t.rng third (dedup st.pulls) in
-  let sampled =
-    Array.to_list st.samplers
-    |> List.filter_map (fun s -> if s.best >= 0 then Some s.best else None)
-    |> dedup
-    |> Rng.sample_without_replacement t.rng third
-  in
-  let candidates = dedup (pushes @ pulls @ sampled @ st.view) in
-  let view =
-    List.filteri (fun i _ -> i < t.config.view_size) candidates
-  in
-  if view <> [] then st.view <- view;
-  st.pushes <- [];
-  st.pulls <- [];
-  st.push_count <- 0;
-  (* Open the new round: push self to a random view member, pull from
-     another. *)
-  (match st.view with
-  | [] -> ()
-  | view ->
-      let target = Rng.pick_list t.rng view in
-      Network.send t.net ~src:node ~dst:target ~tag:"sampler:push" "";
-      let target2 = Rng.pick_list t.rng view in
-      Network.send t.net ~src:node ~dst:target2 ~tag:"sampler:pull-req" "");
-  Network.schedule t.net ~delay:t.config.period (fun _ -> round t node)
-
-let create ?(config = default_config) mux net ~bootstrap =
-  let n = Network.num_nodes net in
-  let rng = Rng.split (Network.rng net) in
-  let states =
-    Array.init n (fun node ->
-        let view = dedup (bootstrap node) in
-        let st =
-          {
-            view;
-            samplers =
-              Array.init config.num_samplers (fun _ ->
-                  { key = Rng.int rng max_int; best = -1; best_hash = 0 });
-            pushes = [];
-            pulls = [];
-            push_count = 0;
-            seen = Hashtbl.create 32;
-          }
-        in
-        List.iter (observe_id st) view;
-        st)
-  in
-  let t = { net; config; rng; states } in
-  for node = 0 to n - 1 do
-    Mux.register mux node ~proto:"sampler" (handle t node)
-  done;
-  t
-
-let start t =
-  for node = 0 to Network.num_nodes t.net - 1 do
-    let offset = Rng.float t.rng t.config.period in
-    Network.schedule t.net ~delay:offset (fun _ -> round t node)
-  done
-
-let current_view t node = t.states.(node).view
-
-let samples t node =
-  Array.to_list t.states.(node).samplers
-  |> List.filter_map (fun s -> if s.best >= 0 then Some s.best else None)
-
-let observed t node = Hashtbl.length t.states.(node).seen

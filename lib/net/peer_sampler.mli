@@ -1,45 +1,15 @@
-(** Byzantine-resilient uniform peer sampling (Brahms-style, simplified).
+(** Uniform peer sampling: the idealised sampler the paper presumes.
 
     LØ's detection guarantees rest on an overlay in which any two
     correct nodes eventually interact (paper Sec. 3 and 5.1). The paper
-    assumes a sampler in the style of Brahms/Basalt; this module
-    implements the essential construction: gossip rounds mixing bounded
-    pushes with pulls, plus min-wise independent samplers that converge
-    to uniform choices and are hard for an adversary to bias by
-    flooding.
-
-    The LØ experiments themselves use {!uniform_sample} (the idealised
-    abstraction the paper presumes); this gossip implementation is
-    validated separately for uniformity and flood resistance. *)
+    assumes a Byzantine-resilient sampler in the style of Brahms/Basalt
+    and abstracts it as "continuous sampling": each draw is uniform over
+    the correct candidates. The simulated experiments and [lo scale]
+    that rotate neighbours draw them with {!uniform_sample}, through
+    [Lo_sim.Scenario.rotate_neighbors]; the live cluster keeps its
+    bootstrap topology. *)
 
 val uniform_sample :
   Rng.t -> n:int -> k:int -> exclude:(int -> bool) -> int list
 (** [k] distinct node ids drawn uniformly among those not excluded
     (fewer if not enough candidates). *)
-
-type t
-
-type config = {
-  view_size : int;  (** gossip view size (Brahms' l1) *)
-  num_samplers : int;  (** min-wise samplers per node (Brahms' l2) *)
-  period : float;  (** gossip round period, seconds *)
-  push_cap : int;  (** max pushes accepted per round (flood defence) *)
-}
-
-val default_config : config
-
-val create :
-  ?config:config -> Mux.t -> Network.t -> bootstrap:(int -> int list) -> t
-(** Registers the sampler on every node of the network; [bootstrap]
-    provides each node's initial view (e.g. its topology neighbours). *)
-
-val start : t -> unit
-(** Schedule the first (staggered) gossip round on every node. *)
-
-val current_view : t -> int -> int list
-val samples : t -> int -> int list
-(** Converged sampler outputs for a node (may contain duplicates before
-    convergence; empty entries are skipped). *)
-
-val observed : t -> int -> int
-(** How many distinct peer ids this node has ever observed. *)

@@ -98,39 +98,6 @@ let rotate_neighbors d ~period ~until =
   in
   rotate period
 
-let attach_gossip_sampler d ?(period = 5.0) ~until () =
-  let sampler =
-    Lo_net.Peer_sampler.create d.mux d.net
-      ~bootstrap:(fun i -> Topology.neighbors d.topology i)
-  in
-  Lo_net.Peer_sampler.start sampler;
-  let rec refresh at =
-    if at <= until then begin
-      Network.schedule_at d.net ~at (fun _ ->
-          Array.iter
-            (fun node ->
-              let i = Node.index node in
-              let candidates =
-                Lo_net.Peer_sampler.samples sampler i
-                @ Lo_net.Peer_sampler.current_view sampler i
-              in
-              let exposed j =
-                Accountability.is_exposed (Node.accountability node)
-                  (Directory.id_of d.directory j)
-              in
-              let fresh =
-                List.sort_uniq compare candidates
-                |> List.filter (fun j -> j <> i && not (exposed j))
-                |> List.filteri (fun k _ -> k < 8)
-              in
-              if List.length fresh >= 3 then Node.set_neighbors node fresh)
-            d.nodes);
-      refresh (at +. period)
-    end
-  in
-  refresh period;
-  sampler
-
 let standard_workload = Deployment.workload
 
 (* --- fault injection (chaos experiments, scripted churn) --- *)

@@ -55,17 +55,11 @@ val schedule_blocks :
 val rotate_neighbors : lo_deployment -> period:float -> until:float -> unit
 (** The paper's "continuous sampling" (Sec. 3): every [period] seconds
     each node replaces its overlay neighbours with a fresh uniform
-    sample (8 peers, excluding itself and peers it has exposed),
-    modelling the Byzantine-resilient sampler the paper presumes. *)
-
-val attach_gossip_sampler :
-  lo_deployment -> ?period:float -> until:float -> unit -> Lo_net.Peer_sampler.t
-(** The non-idealised variant: run the Brahms-style gossip sampler on
-    the same simulated nodes (it shares each node via the message mux)
-    and refresh every node's LØ neighbour set from its converged sampler
-    outputs every [period] (default 5 s). This closes the loop of the
-    paper's architecture — bootstrap topology → byzantine-resilient
-    sampling → reconciliation overlay. *)
+    sample (8 peers, excluding itself and peers it has exposed), drawn
+    by {!Lo_net.Peer_sampler.uniform_sample}. This is the idealised
+    sampler the paper presumes, not a gossip protocol: the overlay of
+    every rotating experiment is the paper's abstraction of a
+    Byzantine-resilient sampler. *)
 
 val standard_workload :
   rate:float -> duration:float -> seed:int -> n:int -> Lo_workload.Tx_gen.spec list

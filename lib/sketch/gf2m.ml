@@ -165,16 +165,6 @@ let sq a =
     lor (spread8.((a lsr 16) land 0xFF) lsl 32)
     lor (spread8.((a lsr 24) land 0xFF) lsl 48))
 
-let pow a k =
-  if k < 0 then invalid_arg "Gf2m.pow: negative exponent";
-  let r = ref 1 and base = ref a and k = ref k in
-  while !k <> 0 do
-    if !k land 1 = 1 then r := mul !r !base;
-    base := sq !base;
-    k := !k lsr 1
-  done;
-  !r
-
 (* a^(2^k) *)
 let rec sq_times a k = if k = 0 then a else sq_times (sq a) (k - 1)
 
@@ -196,11 +186,3 @@ let inv a =
   sq b31
 
 let div a b = mul a (inv b)
-
-let trace a =
-  let acc = ref 0 and cur = ref a in
-  for _ = 1 to 32 do
-    acc := !acc lxor !cur;
-    cur := sq !cur
-  done;
-  !acc

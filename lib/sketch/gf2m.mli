@@ -61,14 +61,8 @@ val accum_powers2 :
     two sequential {!accum_powers} calls for any inputs. *)
 
 val sq : int -> int
-val pow : int -> int -> int
-(** [pow a k] for [k >= 0]; [pow a 0 = 1]. *)
-
 val inv : int -> int
 (** An Itoh–Tsujii addition chain: 8 multiplications and 31 squarings.
     @raise Division_by_zero on 0. *)
 
 val div : int -> int -> int
-
-val trace : int -> int
-(** Absolute trace Tr(a) = a + a^2 + a^4 + ... + a^(2^31), in {0,1}. *)

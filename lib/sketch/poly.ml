@@ -9,7 +9,6 @@ let normalize a =
   let d = top (n - 1) in
   if d = n - 1 then a else Array.sub a 0 (d + 1)
 
-let constant c = if c = 0 then zero else [| c |]
 let of_coeffs cs = normalize (Array.of_list cs)
 let degree a = Array.length a - 1
 let is_zero a = Array.length a = 0
@@ -129,14 +128,6 @@ let monic a =
 
 let rec gcd a b = if is_zero b then monic a else gcd b (rem a b)
 
-let eval a x =
-  (* Horner's rule. *)
-  let acc = ref 0 in
-  for i = degree a downto 0 do
-    acc := Gf2m.mul !acc x lxor a.(i)
-  done;
-  !acc
-
 let square_mod a ~modulus =
   if is_zero a then zero
   else begin
@@ -144,8 +135,6 @@ let square_mod a ~modulus =
     Array.iteri (fun i ai -> out.(2 * i) <- Gf2m.sq ai) a;
     rem_owned out modulus
   end
-
-let mul_mod a b ~modulus = rem (mul a b) modulus
 
 (* --- Root finding ---
 

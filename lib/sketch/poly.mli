@@ -16,7 +16,6 @@ type t = int array
 
 val zero : t
 val one : t
-val constant : int -> t
 val of_coeffs : int list -> t
 val degree : t -> int
 (** Degree; -1 for the zero polynomial. *)
@@ -37,13 +36,9 @@ val gcd : t -> t -> t
 (** Monic greatest common divisor. *)
 
 val monic : t -> t
-val eval : t -> int -> int
-
 val square_mod : t -> modulus:t -> t
 (** Frobenius squaring mod a polynomial: in characteristic 2,
     (sum a_i x^i)^2 = sum a_i^2 x^(2i), then reduced. *)
-
-val mul_mod : t -> t -> modulus:t -> t
 
 val roots : t -> int list option
 (** All roots of a squarefree, fully-split polynomial, found by

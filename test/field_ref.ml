@@ -3,7 +3,8 @@
    over 16-bit limbs, reduced by folding t = hi 2^256 + lo = hi (2^32 +
    977) + lo (mod p) until the value fits, then subtracting p. Slow and
    allocation-heavy, and simple enough to read at a glance — which is
-   what an oracle is for. *)
+   what an oracle is for. The generic-modulus arithmetic at the end
+   serves the scalar field the same way. *)
 
 open Lo_crypto
 
@@ -131,3 +132,44 @@ let of_limbs26 limbs =
     acc := add (mul !acc [| 0; 0x400 |]) l16
   done;
   reduce !acc
+
+(* --- Any modulus ---
+
+   The generic modular arithmetic the scalar field ran on before
+   [Scalar]'s fixed-n folds: binary long division, one bit of the
+   dividend at a time, for any nonzero modulus. It checks [Scalar] and
+   the GLV constants, and the small-prime cases pin it in turn. *)
+
+let limbs = Uint256.to_limbs
+
+(* a mod b: r stays below b, so 2r + 1 fits [length b + 1] limbs. *)
+let rem a b =
+  if is_zero b then invalid_arg "Field_ref.rem: division by zero";
+  let nb = Array.length b in
+  let r = ref (Array.make (nb + 1) 0) in
+  for i = (limb_bits * Array.length a) - 1 downto 0 do
+    let bit = (a.(i / limb_bits) lsr (i mod limb_bits)) land 1 in
+    let t = Array.sub (add (add !r !r) [| bit |]) 0 (nb + 1) in
+    r := if compare t b >= 0 then sub t b else t
+  done;
+  Uint256.of_limbs !r
+
+let mod_reduce ~modulus a = rem (limbs a) (limbs modulus)
+let mod_mul ~modulus a b = rem (mul (limbs a) (limbs b)) (limbs modulus)
+
+let mod_pow ~modulus b e =
+  let result = ref (mod_reduce ~modulus Uint256.one)
+  and acc = ref (mod_reduce ~modulus b) in
+  for i = 0 to Uint256.num_bits e - 1 do
+    if Uint256.bit e i then result := mod_mul ~modulus !result !acc;
+    acc := mod_mul ~modulus !acc !acc
+  done;
+  !result
+
+(* Fermat: a^(m-2) for a prime m. *)
+let mod_inv_prime ~modulus a =
+  if Uint256.is_zero a then invalid_arg "Field_ref.mod_inv_prime: zero";
+  mod_pow ~modulus a (Uint256.of_limbs (sub (limbs modulus) [| 2 |]))
+
+(* a + b modulo 2^256: the carry limb is dropped. *)
+let wrap_add a b = Uint256.of_limbs (Array.sub (add (limbs a) (limbs b)) 0 16)

@@ -42,6 +42,15 @@ let pow a k =
 let inv a = if a = 0 then raise Division_by_zero else pow a (mask - 1)
 let div a b = mul a (inv b)
 
+(* Tr(a) = a + a^2 + a^4 + ... + a^(2^31), in {0, 1}. *)
+let trace a =
+  let acc = ref 0 and cur = ref a in
+  for _ = 1 to 32 do
+    acc := !acc lxor !cur;
+    cur := mul !cur !cur
+  done;
+  !acc
+
 (* s.(i) <- s.(i) xor base * step^i for i < n, one product at a time. *)
 let accum_powers ~base ~step s ~n =
   let p = ref base in

@@ -5,7 +5,8 @@
    Tr(beta x) mod p is rebuilt from m fresh modular squarings. Slow, and
    simple enough to read at a glance — which is what an oracle is for.
    [Poly.roots] must return exactly what [roots] returns here, root
-   order included. *)
+   order included. [eval] and [mul_mod] are here too: only tests use
+   them, so the library does not carry them. *)
 
 open Lo_sketch
 
@@ -18,7 +19,7 @@ let normalize a =
 let degree a = Array.length a - 1
 let is_zero a = Array.length a = 0
 let coeff a i = if i < Array.length a then a.(i) else 0
-let inv a = Gf2m.pow a (Gf2m.mask - 1)
+let inv a = Gf32_ref.pow a (Gf2m.mask - 1)
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -46,6 +47,22 @@ let divmod a b =
   end
 
 let rem a b = snd (divmod a b)
+
+(* Horner's rule. *)
+let eval a x =
+  let acc = ref 0 in
+  for i = degree a downto 0 do
+    acc := Gf2m.mul !acc x lxor a.(i)
+  done;
+  !acc
+
+let mul_mod a b ~modulus =
+  let out = Array.make (max 0 (degree a + degree b + 1)) 0 in
+  Array.iteri
+    (fun i ai ->
+      Array.iteri (fun j bj -> out.(i + j) <- out.(i + j) lxor Gf2m.mul ai bj) b)
+    a;
+  rem (normalize out) modulus
 
 let monic a =
   if is_zero a then a

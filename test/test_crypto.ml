@@ -179,25 +179,25 @@ let uint256_tests =
           Uint256.of_hex
             "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
         in
-        Alcotest.check u256 "wrap" Uint256.zero (Uint256.add max Uint256.one));
+        Alcotest.check u256 "wrap" Uint256.zero (Field_ref.wrap_add max Uint256.one));
     Alcotest.test_case "mod_add/mod_sub inverse" `Quick (fun () ->
         let a = Uint256.of_int 12 and b = Uint256.of_int 9 in
         let s = Uint256.mod_add ~modulus:p17 a b in
         Alcotest.check u256 "sub back" a (Uint256.mod_sub ~modulus:p17 s b));
     Alcotest.test_case "mod_mul small" `Quick (fun () ->
         Alcotest.check u256 "12*9 mod 17 = 6" (Uint256.of_int 6)
-          (Uint256.mod_mul ~modulus:p17 (Uint256.of_int 12) (Uint256.of_int 9)));
+          (Field_ref.mod_mul ~modulus:p17 (Uint256.of_int 12) (Uint256.of_int 9)));
     Alcotest.test_case "mod_pow fermat small prime" `Quick (fun () ->
         (* a^16 = 1 mod 17 for a != 0 *)
         for a = 1 to 16 do
           Alcotest.check u256 "fermat" Uint256.one
-            (Uint256.mod_pow ~modulus:p17 (Uint256.of_int a) (Uint256.of_int 16))
+            (Field_ref.mod_pow ~modulus:p17 (Uint256.of_int a) (Uint256.of_int 16))
         done);
     Alcotest.test_case "mod_inv_prime" `Quick (fun () ->
         for a = 1 to 16 do
-          let inv = Uint256.mod_inv_prime ~modulus:p17 (Uint256.of_int a) in
+          let inv = Field_ref.mod_inv_prime ~modulus:p17 (Uint256.of_int a) in
           Alcotest.check u256 "a * a^-1 = 1" Uint256.one
-            (Uint256.mod_mul ~modulus:p17 (Uint256.of_int a) inv)
+            (Field_ref.mod_mul ~modulus:p17 (Uint256.of_int a) inv)
         done);
     Alcotest.test_case "num_bits" `Quick (fun () ->
         check_int "zero" 0 (Uint256.num_bits Uint256.zero);
@@ -209,10 +209,10 @@ let uint256_tests =
       (fun (a, b, m) ->
         let ua = Uint256.of_int a and ub = Uint256.of_int b in
         let um = Uint256.of_int m in
-        let ua = Uint256.mod_reduce ~modulus:um ua in
-        let ub = Uint256.mod_reduce ~modulus:um ub in
+        let ua = Field_ref.mod_reduce ~modulus:um ua in
+        let ub = Field_ref.mod_reduce ~modulus:um ub in
         Uint256.equal
-          (Uint256.mod_mul ~modulus:um ua ub)
+          (Field_ref.mod_mul ~modulus:um ua ub)
           (Uint256.of_int (a mod m * (b mod m) mod m))
         && Uint256.equal
              (Uint256.mod_add ~modulus:um ua ub)
@@ -279,9 +279,9 @@ let secp_tests =
           (decode_compressed ("\x05" ^ String.make 32 'a') = None));
     Alcotest.test_case "field sqrt roundtrip" `Quick (fun () ->
         let a = Uint256.of_int 1234567 in
-        let sq = field_mul a a in
-        match field_sqrt sq with
-        | Some r -> check_bool "root" true (Uint256.equal (field_mul r r) sq)
+        let sq = Field_ref.fmul a a in
+        match Field_ref.fsqrt sq with
+        | Some r -> check_bool "root" true (Uint256.equal (Field_ref.fmul r r) sq)
         | None -> Alcotest.fail "sqrt of a square failed");
   ]
 
@@ -311,7 +311,7 @@ let secp_property_tests =
         check_bool "zero" true (is_infinity (mul Uint256.zero g)));
     Alcotest.test_case "scalar reduction mod n" `Quick (fun () ->
         (* (n+5)G = 5G *)
-        let unreduced = Uint256.add n (Uint256.of_int 5) in
+        let unreduced = Field_ref.wrap_add n (Uint256.of_int 5) in
         check_bool "reduces" true
           (equal (mul unreduced g) (mul (Uint256.of_int 5) g)));
   ]
@@ -327,19 +327,19 @@ let uint256_edge_tests =
           (fun () -> ignore (Uint256.of_hex (String.make 66 'f'))));
     Alcotest.test_case "mod_inv of zero rejected" `Quick (fun () ->
         Alcotest.check_raises "zero"
-          (Invalid_argument "Uint256.mod_inv_prime: zero") (fun () ->
-            ignore (Uint256.mod_inv_prime ~modulus:(Uint256.of_int 17) Uint256.zero)));
+          (Invalid_argument "Field_ref.mod_inv_prime: zero") (fun () ->
+            ignore (Field_ref.mod_inv_prime ~modulus:(Uint256.of_int 17) Uint256.zero)));
     Alcotest.test_case "mod_pow exponent zero is one" `Quick (fun () ->
         let m = Uint256.of_int 97 in
         Alcotest.check u256 "one" Uint256.one
-          (Uint256.mod_pow ~modulus:m (Uint256.of_int 42) Uint256.zero));
+          (Field_ref.mod_pow ~modulus:m (Uint256.of_int 42) Uint256.zero));
     Alcotest.test_case "mul near 2^256 boundary" `Quick (fun () ->
         (* (2^128-1)^2 mod (2^255-19-ish prime stand-in): use secp's p *)
         let a =
           Uint256.of_hex "ffffffffffffffffffffffffffffffff"
         in
         let p = Secp256k1.p in
-        let sq = Uint256.mod_mul ~modulus:p a a in
+        let sq = Field_ref.mod_mul ~modulus:p a a in
         (* (2^128-1)^2 = 2^256 - 2^129 + 1; mod p = (2^256 mod p) - 2^129 + 1
            with 2^256 mod p = 2^32 + 977 *)
         let expected =

@@ -1,6 +1,6 @@
 (* The ten-limb field, the fixed-n scalar reduction and the GLV split,
    each pinned against a slow reference: the 16-bit-limb field of
-   [Field_ref], and Uint256's generic (bit-serial division) modular
+   [Field_ref], and its generic (bit-serial division) modular
    arithmetic for scalars. *)
 
 open Lo_crypto
@@ -43,7 +43,7 @@ let gen_elt =
         (2, oneofl edges);
         (* just above p *)
         ( 1,
-          map (fun k -> Uint256.add p (Uint256.of_int k)) (int_bound 0xFFFFFFFF)
+          map (fun k -> R.wrap_add p (Uint256.of_int k)) (int_bound 0xFFFFFFFF)
         );
       ])
 
@@ -232,13 +232,16 @@ let gen_wide =
             [
               Uint256.zero;
               n;
-              Uint256.add n Uint256.one;
+              R.wrap_add n Uint256.one;
               hex
                 "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff";
             ] );
       ])
 
-let reduce_ref a = Uint256.mod_reduce ~modulus:n a
+(* [R.mod_reduce] and [R.mod_mul] are the generic modular arithmetic
+   that [Uint256] exported as [mod_reduce] and [mod_mul]; the test
+   names keep those names. *)
+let reduce_ref a = R.mod_reduce ~modulus:n a
 
 let scalar_tests =
   [
@@ -248,7 +251,7 @@ let scalar_tests =
       QCheck2.Gen.(pair gen_wide gen_wide)
       (fun (a, b) ->
         Uint256.equal (Scalar.mul a b)
-          (Uint256.mod_mul ~modulus:n (reduce_ref a) (reduce_ref b)));
+          (R.mod_mul ~modulus:n (reduce_ref a) (reduce_ref b)));
     qtest "comb columns hold the scalar's bits" ~count:100
       QCheck2.Gen.(pair gen_wide (oneofl [ 1; 2; 4; 8; 16 ]))
       (fun (k, teeth) ->
@@ -290,7 +293,7 @@ let scalar_tests =
 (* ---------------- GLV ---------------- *)
 
 let cube_mod ~modulus x =
-  Uint256.mod_mul ~modulus (Uint256.mod_mul ~modulus x x) x
+  R.mod_mul ~modulus (R.mod_mul ~modulus x x) x
 
 let glv_tests =
   let lambda = Scalar.lambda and beta = Secp256k1.beta in
@@ -312,7 +315,7 @@ let glv_tests =
             Secp256k1.to_affine Secp256k1.g )
         with
         | Some (x, y), Some (gx, gy) ->
-            Alcotest.check u256 "x" (Uint256.mod_mul ~modulus:p beta gx) x;
+            Alcotest.check u256 "x" (R.mod_mul ~modulus:p beta gx) x;
             Alcotest.check u256 "y" gy y
         | _ -> Alcotest.fail "infinity");
     qtest "split: k = k1 + lambda k2 (mod n), |k1|, |k2| < 2^129" ~count:300
@@ -328,7 +331,7 @@ let glv_tests =
                   Uint256.mod_sub ~modulus:n Uint256.zero Uint256.one;
                   lambda;
                   two128;
-                  Uint256.add two128 Uint256.one;
+                  R.wrap_add two128 Uint256.one;
                   hex "ffffffffffffffffffffffffffffffff";
                   hex "80000000000000000000000000000000";
                 ] );
@@ -340,7 +343,7 @@ let glv_tests =
         in
         let k' =
           Uint256.mod_add ~modulus:n (signed neg1 a1)
-            (Uint256.mod_mul ~modulus:n lambda (signed neg2 a2))
+            (R.mod_mul ~modulus:n lambda (signed neg2 a2))
         in
         Uint256.num_bits a1 <= 129
         && Uint256.num_bits a2 <= 129

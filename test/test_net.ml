@@ -1,5 +1,6 @@
 (* Tests for lo_net: PRNG, event queue, latency model, the discrete
-   event network engine, topologies, the mux, and the peer sampler. *)
+   event network engine, topologies, the mux, and uniform peer
+   sampling. *)
 
 open Lo_net
 
@@ -681,74 +682,6 @@ let sampler_tests =
         check_int "size" 10 (List.length s);
         check_int "distinct" 10 (List.length (List.sort_uniq compare s));
         List.iter (fun i -> check_bool "excluded" true (i >= 25)) s);
-    Alcotest.test_case "gossip sampler observes most of the network" `Slow (fun () ->
-        let n = 60 in
-        let net = Network.create ~num_nodes:n ~seed:33 () in
-        let mux = Mux.create net in
-        let rng = Rng.create 2 in
-        let topo = Topology.build rng ~n ~out_degree:4 ~max_in:125 in
-        let sampler =
-          Peer_sampler.create mux net ~bootstrap:(fun i -> Topology.neighbors topo i)
-        in
-        Peer_sampler.start sampler;
-        Network.run_until net 30.0;
-        (* After 30 rounds each node should have observed most peers. *)
-        let total = ref 0 in
-        for i = 0 to n - 1 do
-          total := !total + Peer_sampler.observed sampler i
-        done;
-        let avg = float_of_int !total /. float_of_int n in
-        check_bool "observed most" true (avg > float_of_int n *. 0.6));
-    Alcotest.test_case "samples roughly uniform over nodes" `Slow (fun () ->
-        let n = 40 in
-        let net = Network.create ~num_nodes:n ~seed:34 () in
-        let mux = Mux.create net in
-        let rng = Rng.create 3 in
-        let topo = Topology.build rng ~n ~out_degree:4 ~max_in:125 in
-        let sampler =
-          Peer_sampler.create mux net ~bootstrap:(fun i -> Topology.neighbors topo i)
-        in
-        Peer_sampler.start sampler;
-        Network.run_until net 40.0;
-        (* count how often each node appears in others' samples *)
-        let counts = Array.make n 0 in
-        for i = 0 to n - 1 do
-          List.iter (fun s -> counts.(s) <- counts.(s) + 1) (Peer_sampler.samples sampler i)
-        done;
-        let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
-        check_bool "most nodes sampled somewhere" true (nonzero > n / 2));
-    Alcotest.test_case "push cap bounds flooding influence" `Slow (fun () ->
-        (* a flooding attacker pushes its id constantly; with the push
-           cap its representation stays bounded *)
-        let n = 30 in
-        let net = Network.create ~num_nodes:n ~seed:35 () in
-        let mux = Mux.create net in
-        let rng = Rng.create 4 in
-        let topo = Topology.build rng ~n ~out_degree:4 ~max_in:125 in
-        let sampler =
-          Peer_sampler.create mux net ~bootstrap:(fun i -> Topology.neighbors topo i)
-        in
-        Peer_sampler.start sampler;
-        (* attacker node 0 spams pushes every 50ms to everyone *)
-        let rec spam t =
-          for dst = 1 to n - 1 do
-            Network.send net ~src:0 ~dst ~tag:"sampler:push" ""
-          done;
-          if t < 30.0 then Network.schedule net ~delay:0.05 (fun _ -> spam (t +. 0.05))
-        in
-        Network.schedule net ~delay:0.1 (fun _ -> spam 0.1);
-        Network.run_until net 30.0;
-        (* attacker must not dominate views *)
-        let attacker_share = ref 0 and total = ref 0 in
-        for i = 1 to n - 1 do
-          List.iter
-            (fun v ->
-              incr total;
-              if v = 0 then incr attacker_share)
-            (Peer_sampler.current_view sampler i)
-        done;
-        check_bool "bounded" true
-          (float_of_int !attacker_share /. float_of_int (max 1 !total) < 0.5));
   ]
 
 let () =

@@ -26,8 +26,6 @@ type t = {
   mutation : string;
 }
 
-let horizon t = t.duration +. t.drain
-
 (* Quantise to 3 decimals so printing with %.3f and re-parsing is the
    identity on every float the generator (or the shrinker) produces. *)
 let q3 x = Float.of_int (Float.to_int ((x *. 1000.) +. 0.5)) /. 1000.

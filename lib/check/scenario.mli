@@ -15,8 +15,11 @@
     exact. *)
 
 type adversary = { node : int; kind : string }
-(** [kind] is an {!Lo_core.Adversary.kind_label} value (the predicate
-    strategies use fixed, documented predicates — see {!Harness}). *)
+(** [kind] names a faulty strategy in lowercase ("silent-censor",
+    "tx-censor", "block-injector", "block-reorderer",
+    "blockspace-censor" or "equivocator"); {!Harness} maps it to a
+    {!Lo_core.Adversary.t}, giving the predicate strategies fixed,
+    documented predicates. *)
 
 type t = {
   seed : int;  (** root seed of the run; everything derives from it *)
@@ -49,9 +52,6 @@ val generate : seed:int -> index:int -> t
 (** The [index]-th scenario of campaign [seed]: node count, workload,
     perturbation knobs, fault dimensions and adversary assignment all
     drawn from a generator seeded by [(seed, index)] alone. *)
-
-val horizon : t -> float
-(** [duration +. drain] — when the run ends. *)
 
 val describe : t -> string
 (** One line: the knobs that are actually on. *)

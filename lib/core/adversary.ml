@@ -7,15 +7,6 @@ type t =
   | Blockspace_censor of (Tx.t -> bool)
   | Equivocator
 
-let kind_label = function
-  | Honest -> "honest"
-  | Silent_censor -> "silent-censor"
-  | Tx_censor _ -> "tx-censor"
-  | Block_injector -> "block-injector"
-  | Block_reorderer -> "block-reorderer"
-  | Blockspace_censor _ -> "blockspace-censor"
-  | Equivocator -> "equivocator"
-
 let drops_all_messages = function Silent_censor -> true | _ -> false
 let censors_tx t tx = match t with Tx_censor pred -> pred tx | _ -> false
 let forks_log = function Equivocator -> true | _ -> false

@@ -24,9 +24,6 @@ type t =
       (** maintains a forked commitment log and shows different forks to
           different peers *)
 
-val kind_label : t -> string
-(** Stable lowercase label per strategy (predicates elided). *)
-
 val drops_all_messages : t -> bool
 (** The silent censor neither handles messages nor runs timers. *)
 

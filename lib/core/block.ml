@@ -29,6 +29,8 @@ let reason_of_code = function
   | 2 -> Settled
   | _ -> raise (Reader.Malformed "omission reason")
 
+let micros ts = int_of_float (Float.round (ts *. 1e6))
+
 let encode_unsigned w t =
   Writer.fixed w t.creator;
   Writer.varint w t.height;
@@ -44,7 +46,7 @@ let encode_unsigned w t =
       Writer.u32 w id;
       Writer.u8 w (reason_code reason))
     t.omissions;
-  Writer.u64 w (int_of_float (Float.round (t.timestamp *. 1e6)))
+  Writer.u64 w (micros t.timestamp)
 
 let encode w t =
   encode_unsigned w t;
@@ -59,6 +61,20 @@ let hash t =
   let w = Writer.create ~initial_size:256 () in
   encode w t;
   Lo_crypto.Sha256.digest (Writer.contents w)
+
+let equal a b =
+  String.equal a.signature b.signature
+  && a.height = b.height
+  && String.equal a.creator b.creator
+  && String.equal a.prev_hash b.prev_hash
+  && a.start_seq = b.start_seq
+  && a.commit_seq = b.commit_seq
+  && a.fee_threshold = b.fee_threshold
+  && List.equal String.equal a.txids b.txids
+  && List.equal Int.equal a.bundle_sizes b.bundle_sizes
+  && a.appendix = b.appendix
+  && List.equal (fun (i, r) (j, q) -> i = j && r = q) a.omissions b.omissions
+  && micros a.timestamp = micros b.timestamp
 
 let structure_ok t =
   t.height >= 0 && t.start_seq >= 0 && t.commit_seq >= t.start_seq

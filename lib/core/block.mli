@@ -50,6 +50,12 @@ val create :
     [bundle_sizes] length). *)
 
 val hash : t -> string
+
+val equal : t -> t -> bool
+(** Field by field, with timestamps at the wire's microsecond
+    resolution: equal blocks encode to the same bytes, so they have the
+    same {!hash}. *)
+
 val encode : Lo_codec.Writer.t -> t -> unit
 val decode : Lo_codec.Reader.t -> t
 val to_string : t -> string

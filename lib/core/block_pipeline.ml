@@ -1,3 +1,9 @@
+(* A block enters [blocks_by_height] only through [admit], and every
+   caller of [admit] has first added the block's hash to [seen_blocks].
+   So a delivery equal to the block held at its height ({!Block.equal})
+   would hash to a seen value, and [accept_block] drops it without
+   hashing: flooding brings each block from every neighbour. *)
+
 module Rng = Lo_net.Rng
 
 type t = {
@@ -207,21 +213,24 @@ and retry_inspections t (env : Node_env.t) ~owner =
 (* --- acceptance --- *)
 
 let accept_block t (env : Node_env.t) (block : Block.t) ~from =
-  let hash = Block.hash block in
-  if not (Hashtbl.mem t.seen_blocks hash) then begin
-    Hashtbl.add t.seen_blocks hash ();
-    if
-      Block.verify_signature env.config.scheme block
-      && Block.structure_ok block
-      && not
-           (env.config.reject_exposed_blocks
-           && Accountability.is_exposed env.acc block.creator)
-    then begin
-      admit t env block ~hash;
-      env.broadcast (Messages.Block_announce block);
-      inspect_block t env block ~hash ~from
-    end
-  end
+  match Hashtbl.find_opt t.blocks_by_height block.height with
+  | Some held when Block.equal held block -> ()
+  | _ ->
+      let hash = Block.hash block in
+      if not (Hashtbl.mem t.seen_blocks hash) then begin
+        Hashtbl.add t.seen_blocks hash ();
+        if
+          Block.verify_signature env.config.scheme block
+          && Block.structure_ok block
+          && not
+               (env.config.reject_exposed_blocks
+               && Accountability.is_exposed env.acc block.creator)
+        then begin
+          admit t env block ~hash;
+          env.broadcast (Messages.Block_announce block);
+          inspect_block t env block ~hash ~from
+        end
+      end
 
 (* --- building --- *)
 

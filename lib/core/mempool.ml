@@ -47,14 +47,20 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
   let n = Array.length txs in
   (* Bounds checks first; survivors go through one batched signature
      verification (amortized point operations for Schnorr, one registry
-     probe per origin for the simulation scheme). *)
+     probe per origin for the simulation scheme). A survivor this node
+     already holds by full id and has committed is left out: the id is
+     SHA-256 over the unsigned bytes and the signature, so it is
+     byte-identical to a transaction whose signature was checked before
+     [add] stored it. *)
   let reasons = Array.make n None in
   let pending_rev = ref [] in
   Array.iteri
     (fun i tx ->
       match Tx.check_bounds tx with
       | Error r -> reasons.(i) <- Some r
-      | Ok () -> pending_rev := i :: !pending_rev)
+      | Ok () ->
+          if not (Hashtbl.mem t.by_id tx.Tx.id && known (Tx.short_id tx)) then
+            pending_rev := i :: !pending_rev)
     txs;
   let pending = Array.of_list (List.rev !pending_rev) in
   let triples =
@@ -72,7 +78,9 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
   let accepted_rev = ref [] and invalid_rev = ref [] in
   let duplicates = ref 0 in
   let fresh_rev = ref [] in
-  let in_batch = Hashtbl.create (2 * max 1 n) in
+  (* Made at the first id that is not [known]: when peers send content
+     for ids already committed, as they do in Stage II, it never is. *)
+  let in_batch = lazy (Hashtbl.create (2 * n)) in
   Array.iteri
     (fun i tx ->
       match reasons.(i) with
@@ -80,10 +88,12 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
       | None ->
           if keep tx then begin
             let short = Tx.short_id tx in
-            if (not (known short)) && not (Hashtbl.mem in_batch short) then begin
-              Hashtbl.add in_batch short ();
-              fresh_rev := short :: !fresh_rev
-            end;
+            (if not (known short) then
+               let in_batch = Lazy.force in_batch in
+               if not (Hashtbl.mem in_batch short) then begin
+                 Hashtbl.add in_batch short ();
+                 fresh_rev := short :: !fresh_rev
+               end);
             match add t ~tx ~received_at ~from_peer with
             | `Added e -> accepted_rev := e :: !accepted_rev
             | `Duplicate -> incr duplicates

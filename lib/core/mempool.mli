@@ -25,7 +25,9 @@ val size : t -> int
 val add :
   t -> tx:Tx.t -> received_at:float -> from_peer:string option ->
   [ `Added of entry | `Duplicate ]
-(** [`Duplicate] covers both a repeated transaction and the (negligible
+(** The caller has checked [tx]'s signature: {!ingest_batch} trusts
+    every stored entry and does not check a held copy again.
+    [`Duplicate] covers both a repeated transaction and the (negligible
     but handled) short-id collision with a different transaction. *)
 
 type batch_result = {
@@ -47,11 +49,15 @@ val ingest_batch :
   Tx.t list ->
   batch_result
 (** The one admission path for transaction content: bounds-check every
-    transaction ({!Tx.check_bounds}), verify all surviving signatures in
+    transaction ({!Tx.check_bounds}), verify the surviving signatures in
     one {!Lo_crypto.Signer.verify_many} call, drop those [keep] rejects
     (the censorship filter; default: keep all), store the rest, and
     call [commit] once with every short id that is neither [known]
     (already committed) nor repeated in the batch, in batch order.
+    A survivor already stored under its full id whose short id is
+    [known] is not verified again: the full id hashes the signed bytes,
+    so it is a copy of what {!add}'s caller checked. Held content that
+    is not yet committed is still verified.
     {!Content_sync.ingest_batch} (both node entry points) and the
     benchmarks call it. Which transactions are stored, rejected or
     duplicate, and which ids reach [commit], match the iterated

@@ -400,6 +400,25 @@ let block_tests =
         check_str "hash" (Lo_crypto.Hex.encode (Block.hash b))
           (Lo_crypto.Hex.encode (Block.hash b'));
         check_bool "verify" true (Block.verify_signature scheme b'));
+    Alcotest.test_case "equal iff same encoding" `Quick (fun () ->
+        let b = mk_block () in
+        let b' = Block.of_string (Block.to_string b) in
+        check_bool "decoded copy" true (Block.equal b b');
+        check_bool "sub-microsecond timestamp" true
+          (Block.equal b { b with timestamp = 5.0000000004 });
+        let other = (mk_tx "t2").Tx.id in
+        List.iter
+          (fun (name, c) ->
+            check_bool name false (Block.equal b c);
+            check_bool (name ^ ": hash differs") false
+              (String.equal (Block.hash b) (Block.hash c)))
+          [
+            ("txid", { b with txids = [ other ] });
+            ("height", { b with height = 2 });
+            ("timestamp", { b with timestamp = 5.000001 });
+            ("signature", mk_block ~signer:bob ());
+            ("omissions", { b with omissions = [ (7, Block.Settled) ] });
+          ]);
     Alcotest.test_case "tampered signature fails" `Quick (fun () ->
         let b = mk_block () in
         let raw = Bytes.of_string (Block.to_string b) in
@@ -1369,8 +1388,7 @@ let ingest_batch_tests =
     Bytes.set s off (Char.chr (Char.code (Bytes.get s off) lxor 1));
     Tx.of_string (Bytes.to_string s)
   in
-  let reference ?(keep = fun _ -> true) ~known txs =
-    let m = Mempool.create () in
+  let reference ?(keep = fun _ -> true) ?(m = Mempool.create ()) ~known txs =
     let accepted = ref [] and invalid = ref [] and dups = ref 0 in
     let fresh = ref [] in
     let seen = Hashtbl.create 16 in
@@ -1394,8 +1412,7 @@ let ingest_batch_tests =
       txs;
     (m, List.rev !accepted, List.rev !invalid, !dups, List.rev !fresh)
   in
-  let run_batch ?keep ~known txs =
-    let m = Mempool.create () in
+  let run_batch ?keep ?(m = Mempool.create ()) ~known txs =
     let committed = ref [] in
     let r =
       Mempool.ingest_batch ?keep ~scheme ~known
@@ -1412,11 +1429,24 @@ let ingest_batch_tests =
     if ids <> [] then ignore (Commitment.Log.append log ~source:None ~ids);
     Commitment.signing_bytes (Commitment.Log.current_digest log)
   in
-  let agree ?keep ?(known = fun _ -> false) txs =
-    let m1, acc1, inv1, dup1, fresh = reference ?keep ~known txs in
-    let m2, r, committed = run_batch ?keep ~known txs in
-    ids_of (Mempool.entries_in_arrival_order m1)
-    = ids_of (Mempool.entries_in_arrival_order m2)
+  (* Each path first admits [first] on its own, and the ids that batch
+     commits join [known] unless [forget] holds for them: [forget]
+     leaves content held but not committed, like the equivocator's
+     alt-log transaction. Then both paths take [txs]. *)
+  let agree ?keep ?(known = fun _ -> false) ?(first = [])
+      ?(forget = fun _ -> false) txs =
+    let known_after fresh s =
+      known s || (List.mem s fresh && not (forget s))
+    in
+    let m1, _, _, _, fresh1 = reference ?keep ~known first in
+    let known1 = known_after fresh1 in
+    let m1, acc1, inv1, dup1, fresh = reference ?keep ~m:m1 ~known:known1 txs in
+    let m2, _, first2 = run_batch ?keep ~known first in
+    let known2 = known_after first2 in
+    let m2, r, committed = run_batch ?keep ~m:m2 ~known:known2 txs in
+    fresh1 = first2
+    && ids_of (Mempool.entries_in_arrival_order m1)
+       = ids_of (Mempool.entries_in_arrival_order m2)
     && ids_of acc1 = ids_of r.Mempool.accepted
     && List.map fst inv1 = List.map fst r.Mempool.invalid
     && dup1 = r.Mempool.duplicates
@@ -1478,6 +1508,79 @@ let ingest_batch_tests =
           List.map (fun k -> Tx.short_id base.(k)) known_picks
         in
         agree ~known:(fun s -> List.mem s known_set) txs);
+    Alcotest.test_case "held content: one batch of every kind" `Quick
+      (fun () ->
+        let a = mk_tx "ha" and b = mk_tx "hb" and c = mk_tx "hc" in
+        let d = mk_tx "hd" and censored = mk_tx "hx" in
+        let keep tx = tx.Tx.payload <> "hx" in
+        let first = [ a; b; censored ] in
+        let forget s = s = Tx.short_id b in
+        let txs = [ a; b; corrupt_sig a; c; c; censored; d; a ] in
+        check_bool "agree" true (agree ~keep ~first ~forget txs);
+        (* [a] held and committed: duplicates, no commit. [b] held but
+           not committed: committed again. The corrupted copy of [a] is
+           a different id, so it is checked and invalid. *)
+        let m, _, _ = run_batch ~keep ~known:(fun _ -> false) first in
+        let known s = s = Tx.short_id a in
+        let _, r, committed = run_batch ~keep ~m ~known txs in
+        check_bool "invalid: the corrupted copy" true
+          (List.map fst r.Mempool.invalid = [ 2 ]);
+        check_int "duplicates: a twice, b, c's repeat" 4 r.Mempool.duplicates;
+        check_bool "committed: b, c, d" true
+          (committed = List.map Tx.short_id [ b; c; d ]));
+    Alcotest.test_case "held and committed content is not re-verified" `Quick
+      (fun () ->
+        (* Placed with [add], whose caller vouches for the signature,
+           and never checked: a later copy is a duplicate, not invalid,
+           so its signature was not checked either. *)
+        let bad = corrupt_sig (mk_tx "unchecked") in
+        let m = Mempool.create () in
+        ignore (Mempool.add m ~tx:bad ~received_at:1. ~from_peer:None);
+        let known s = s = Tx.short_id bad in
+        let _, r, committed = run_batch ~m ~known [ bad ] in
+        check_bool "not invalid" true (r.Mempool.invalid = []);
+        check_int "duplicate" 1 r.Mempool.duplicates;
+        check_bool "no commit" true (committed = []);
+        (* Not committed: the same entry takes the checked path. *)
+        let _, r, _ = run_batch ~m ~known:(fun _ -> false) [ bad ] in
+        check_bool "held, not committed: checked" true
+          (List.map fst r.Mempool.invalid = [ 0 ]));
+    qtest "ingest_batch over held content = reference" ~count:150
+      QCheck2.Gen.(
+        quad
+          (list_size (int_bound 6) (pair (int_bound 5) bool))
+          (list_size (int_bound 16) (pair (int_bound 5) (int_bound 4)))
+          bool
+          (list_size (int_bound 2) (int_bound 5)))
+      (fun (first_spec, spec, censor, known_bad) ->
+        let base =
+          Array.init 6 (fun i -> mk_tx ~fee:(i + 20) (Printf.sprintf "qh%d" i))
+        in
+        let keep =
+          if censor then Some (fun tx -> tx.Tx.fee <> 25) else None
+        in
+        let first = List.map (fun (k, _) -> base.(k)) first_spec in
+        let forgotten =
+          List.filter_map
+            (fun (k, forget) -> if forget then Some (Tx.short_id base.(k)) else None)
+            first_spec
+        in
+        let txs =
+          List.map
+            (fun (k, corrupt) ->
+              if corrupt = 0 then corrupt_sig base.(k) else base.(k))
+            spec
+        in
+        (* Committed ids whose content never arrived: a corrupted copy
+           is not held, so it is checked. *)
+        let known_set =
+          List.map (fun k -> Tx.short_id (corrupt_sig base.(k))) known_bad
+        in
+        agree ?keep
+          ~known:(fun s -> List.mem s known_set)
+          ~first
+          ~forget:(fun s -> List.mem s forgotten)
+          txs);
   ]
 
 let () =

@@ -959,6 +959,90 @@ let collusion_tests =
         check_bool "flagged by most inspectors" true (!injection_flags >= 8));
   ]
 
+(* Flooding brings each block to a node once per neighbour. A copy
+   equal to the block held at its height is dropped before it is
+   hashed; any other block at that height takes the checked path. *)
+let block_copy_tests =
+  let seed = 990 in
+  let flooded () =
+    let d = mk_network ~n:8 ~seed () in
+    let accepts = Array.make 8 0 and relays = Array.make 8 0 in
+    let violations = ref 0 and exposures = ref 0 in
+    Lo_obs.Trace.observe d.trace (fun { Lo_obs.Trace.ev; _ } ->
+        match ev with
+        | Lo_obs.Event.Block_accept { node; _ } ->
+            accepts.(node) <- accepts.(node) + 1
+        | Lo_obs.Event.Send { src; tag = "lo:block"; _ } ->
+            relays.(src) <- relays.(src) + 1
+        | Lo_obs.Event.Violation _ -> incr violations
+        | Lo_obs.Event.Expose _ -> incr exposures
+        | _ -> ());
+    ignore (submit d ~target:1 ~fee:5 "copied");
+    Net.run_until d.net 10.0;
+    let block =
+      Option.get (Node.build_block d.nodes.(0) ~policy:Policy.Lo_fifo)
+    in
+    Net.run_until d.net 20.0;
+    Array.iteri
+      (fun i n -> check_int (Printf.sprintf "node %d accepts once" i) 1 n)
+      accepts;
+    (d, block, accepts, relays, violations, exposures)
+  in
+  let deliver d ~dst block =
+    Net.send d.net ~src:((dst + 1) mod 8) ~dst ~tag:"lo:block"
+      (Messages.encode (Messages.Block_announce block));
+    Net.run_until d.net (Net.now d.net +. 5.0)
+  in
+  let with_txid (block : Block.t) =
+    Lo_crypto.Sha256.digest "other" :: List.tl block.Block.txids
+  in
+  [
+    Alcotest.test_case "a second delivery is neither accepted nor relayed"
+      `Quick (fun () ->
+        let d, block, accepts, relays, _, _ = flooded () in
+        let relayed = relays.(3) in
+        check_bool "relayed once" true (relayed > 0);
+        deliver d ~dst:3 block;
+        check_int "no second accept" 1 accepts.(3);
+        check_int "no second relay" relayed relays.(3));
+    Alcotest.test_case "own block echoed back is ignored" `Quick (fun () ->
+        let d, block, accepts, relays, _, _ = flooded () in
+        let announced = relays.(0) in
+        deliver d ~dst:0 block;
+        check_int "no second accept" 1 accepts.(0);
+        check_int "no second announce" announced relays.(0));
+    Alcotest.test_case "a changed txid under the old signature is rejected"
+      `Quick (fun () ->
+        let d, block, accepts, relays, violations, exposures = flooded () in
+        let relayed = relays.(3) and flagged = !violations in
+        deliver d ~dst:3 { block with Block.txids = with_txid block };
+        check_int "no accept" 1 accepts.(3);
+        check_int "no relay" relayed relays.(3);
+        check_int "no violation" flagged !violations;
+        check_int "no exposure" 0 !exposures;
+        check_bool "held block kept" true
+          (Block.equal block
+             (Option.get (Node.find_block d.nodes.(3) ~height:1))));
+    Alcotest.test_case "a re-signed same-height block is relayed as before"
+      `Quick (fun () ->
+        let d, block, accepts, relays, _, _ = flooded () in
+        let creator =
+          Signer.make d.scheme ~seed:(Printf.sprintf "n%d-%d" seed 0)
+        in
+        let fork =
+          Block.create ~signer:creator ~height:1
+            ~prev_hash:block.Block.prev_hash
+            ~start_seq:block.start_seq ~commit_seq:block.commit_seq
+            ~fee_threshold:block.fee_threshold ~txids:(with_txid block)
+            ~bundle_sizes:block.bundle_sizes ~appendix:block.appendix
+            ~omissions:block.omissions ~timestamp:block.timestamp
+        in
+        let relayed = relays.(3) in
+        deliver d ~dst:3 fork;
+        check_bool "relayed" true (relays.(3) > relayed);
+        check_int "height 1 already held: no accept" 1 accepts.(3));
+  ]
+
 let chaos_tests =
   (* Randomised adversarial mixes: whatever the byzantine assignment,
      accuracy must hold — no honest node is ever exposed, and at the end
@@ -1028,5 +1112,6 @@ let () =
       ("slow-node", slow_node_tests);
       ("rotated-overlay", rotated_overlay_tests);
       ("collusion", collusion_tests);
+      ("block-copies", block_copy_tests);
       ("chaos", chaos_tests);
     ]

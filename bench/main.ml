@@ -29,6 +29,15 @@ let scheme = Signer.simulation ()
 let signer = Signer.make scheme ~seed:"bench"
 let schnorr_signer = Signer.make Signer.schnorr ~seed:"bench"
 
+module Schnorr = Lo_crypto.Schnorr
+
+(* One [Schnorr.batch_chunk] of signatures by one key. *)
+let one_key_chunk =
+  let sk, pk = Schnorr.keypair_of_seed "bench-chunk" in
+  Array.init Schnorr.batch_chunk (fun i ->
+      let msg = Printf.sprintf "chunk-msg-%d" i in
+      (pk, msg, Schnorr.sign sk msg))
+
 let sample_tx =
   Tx.create ~signer ~fee:42 ~created_at:1.0 ~payload:(String.make 250 'x')
 
@@ -131,6 +140,14 @@ let crypto_group =
                 (Signer.id schnorr_signer, msg, Signer.sign schnorr_signer msg))
           in
           fun () -> Signer.verify_many Signer.schnorr sigs));
+    (* One chunk of one key, checked the default way (split across the
+       caller and Lo_crypto.Fanout's helpers) and in one part; the
+       schnorr-batch-split-32 speedup is their ratio (1.0 on a one-core
+       host, which has no helpers). *)
+    Test.make ~name:"schnorr-batch-verify-32"
+      (staged (fun () -> Schnorr.batch_verify one_key_chunk));
+    Test.make ~name:"schnorr-batch-verify-32-one-part"
+      (staged (fun () -> Schnorr.batch_verify_parts ~parts:1 one_key_chunk));
   ]
 
 let fig6_group =
@@ -814,6 +831,9 @@ let compute_speedups micro =
          16.0 *. ratio "substrate" "schnorr-verify" "schnorr-batch-verify-16");
         ("schnorr-batch-amortized-64",
          64.0 *. ratio "substrate" "schnorr-verify" "schnorr-batch-verify-64");
+        ("schnorr-batch-split-32",
+         ratio "substrate" "schnorr-batch-verify-32-one-part"
+           "schnorr-batch-verify-32");
       ]
 
 (* ----------------------------------------------------------------- *)

@@ -30,8 +30,6 @@ let sub_view t n =
   t.pos <- t.pos + n;
   v
 
-let clone t = { data = t.data; pos = t.pos; limit = t.limit }
-
 let u8 t =
   need t 1 "u8";
   let v = Char.code t.data.[t.pos] in
@@ -75,12 +73,6 @@ let varint t =
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   go 0 0
-
-let bool t =
-  match u8 t with
-  | 0 -> false
-  | 1 -> true
-  | _ -> raise (Malformed "bool")
 
 let fixed t n =
   need t n "fixed bytes";

@@ -36,9 +36,6 @@ val sub_view : t -> int -> t
     reader over exactly those bytes, sharing the underlying string.
     @raise Malformed if fewer than [n] bytes remain. *)
 
-val clone : t -> t
-(** An independent cursor over the same view (shared bytes). *)
-
 val u8 : t -> int
 val u16 : t -> int
 val u32 : t -> int
@@ -47,7 +44,6 @@ val varint : t -> int
 (** LEB128, at most nine bytes; @raise Malformed on a value that does
     not fit a non-negative OCaml [int] (2^62 and up). *)
 
-val bool : t -> bool
 val fixed : t -> int -> string
 val skip : t -> int -> unit
 (** [fixed] without the copy: consumes [n] bytes, raising where

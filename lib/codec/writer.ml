@@ -33,7 +33,6 @@ let rec varint t v =
     varint t (v lsr 7)
   end
 
-let bool t b = u8 t (if b then 1 else 0)
 let fixed t s = Buffer.add_string t s
 
 let bytes t s =

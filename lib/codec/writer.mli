@@ -26,8 +26,6 @@ val varint : t -> int -> unit
 (** LEB128-style variable-length unsigned integer (1 byte for values
     below 128; protocol counters are usually tiny). *)
 
-val bool : t -> bool -> unit
-
 val fixed : t -> string -> unit
 (** Raw bytes, no length prefix (for fixed-size fields like hashes). *)
 

@@ -75,10 +75,11 @@ let verify pk ~msg ~signature =
    [comb_min_uses] of a chunk's signatures gets a comb (32 doublings
    per check), kept in a bounded per-domain cache so its later chunks
    pay nothing to build it; the others get width-5 wNAF tables on the
-   GLV chain (~128 doublings), built per chunk. A dirty chunk is
-   bisected with the same kernel, and a signer is blamed only after the
-   reference [verify] confirms the leaf, so accountability never rests
-   on the fast path.
+   GLV chain (~128 doublings), built per chunk. The checks of a range
+   then fan out over [Fanout]'s helper domains; tables and cache stay
+   with the calling domain. A dirty chunk is bisected with the same
+   kernel, and a signer is blamed only after the reference [verify]
+   confirms the leaf, so accountability never rests on the fast path.
    --- *)
 
 (* The break-even, from the field operation counts (multiplications
@@ -117,7 +118,7 @@ let cache_comb cache pk =
   Queue.push pk.bytes cache.order;
   tbl
 
-let kernel_one ~table pk msg signature =
+let kernel_one table pk msg signature =
   String.length signature = 64
   &&
   let s = Uint256.of_bytes_be (String.sub signature 32 32) in
@@ -127,14 +128,25 @@ let kernel_one ~table pk msg signature =
   let e = challenge ~rx ~pk_bytes:pk.bytes msg in
   (* s*G - e*P = s*G + (n - e)*P on the prime-order group. *)
   Secp256k1.has_x
-    (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) (table pk))
+    (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) table)
     rx
+
+(* A range's checks are split into parts of at least [part_min]
+   signatures, one per domain [Fanout] can run at once; below two
+   parts' worth the range runs in the caller. A check costs about
+   0.1 ms and a helper starts about 0.1 ms after the caller, so a part
+   of 4 still pays. *)
+let part_min = 4
+let default_parts len = min (Fanout.width ()) (len / part_min)
 
 (* True iff every signature in [lo, hi) passes the fast kernel. A key
    takes its cached comb if it has one, whatever its uses here; else a
    comb, cached, if it signs at least [comb_min_uses] of the range;
-   else a wNAF table kept for this range only. *)
-let kernel_range sigs lo hi =
+   else a wNAF table kept for this range only. Every table is resolved
+   here, in the calling domain and in index order, before any check
+   runs; then [parts len] contiguous parts of the checks run through
+   [Fanout], which only read the tables and the triples. *)
+let kernel_range ~parts sigs lo hi =
   let cache = Domain.DLS.get comb_cache_key in
   let uses = Hashtbl.create 4 in
   for i = lo to hi - 1 do
@@ -158,15 +170,24 @@ let kernel_range sigs lo hi =
         Hashtbl.add tables pk.bytes tbl;
         tbl
   in
-  let rec go i =
-    i >= hi
-    ||
-    let pk, msg, signature = sigs.(i) in
-    kernel_one ~table pk msg signature && go (i + 1)
+  let len = hi - lo in
+  let by_index =
+    Array.init len (fun j ->
+        let pk, _, _ = sigs.(lo + j) in
+        table pk)
   in
-  go lo
+  let k = max 1 (min len (parts len)) in
+  Fanout.for_all k (fun part ->
+      let rec go j stop =
+        j >= stop
+        ||
+        let pk, msg, signature = sigs.(lo + j) in
+        kernel_one by_index.(j) pk msg signature && go (j + 1) stop
+      in
+      go (part * len / k) ((part + 1) * len / k))
 
-let kernel_accepts sigs = kernel_range sigs 0 (Array.length sigs)
+let kernel_accepts sigs =
+  kernel_range ~parts:default_parts sigs 0 (Array.length sigs)
 
 let cached_comb_keys () =
   List.of_seq (Queue.to_seq (Domain.DLS.get comb_cache_key).order)
@@ -183,16 +204,16 @@ let reference_invalid sigs lo hi =
    reference verifier. If the halves disagree with the parent (a fast
    path bug rather than a bad signature), fall back to scanning the
    range with [verify] so the outcome is still the reference one. *)
-let rec bisect sigs lo hi =
+let rec bisect ~parts sigs lo hi =
   if hi - lo <= 1 then reference_invalid sigs lo hi
   else begin
     let mid = (lo + hi) / 2 in
-    let left_ok = kernel_range sigs lo mid in
-    let right_ok = kernel_range sigs mid hi in
+    let left_ok = kernel_range ~parts sigs lo mid in
+    let right_ok = kernel_range ~parts sigs mid hi in
     if left_ok && right_ok then reference_invalid sigs lo hi
     else
-      (if left_ok then [] else bisect sigs lo mid)
-      @ if right_ok then [] else bisect sigs mid hi
+      (if left_ok then [] else bisect ~parts sigs lo mid)
+      @ if right_ok then [] else bisect ~parts sigs mid hi
   end
 
 let batch_chunk = 32
@@ -200,14 +221,20 @@ let batch_chunk = 32
 (* Chunks run in order, so a key's first comb-eligible chunk fills the
    cache for the chunks after it. Bisection yields each range's indices
    in order, so the result is sorted. *)
-let batch_verify sigs =
+let batch_verify_with ~parts sigs =
   let count = Array.length sigs in
   let bad = ref [] in
   for c = 0 to ((count + batch_chunk - 1) / batch_chunk) - 1 do
     let lo = c * batch_chunk in
     let hi = min count (lo + batch_chunk) in
-    if not (kernel_range sigs lo hi) then bad := bisect sigs lo hi :: !bad
+    if not (kernel_range ~parts sigs lo hi) then
+      bad := bisect ~parts sigs lo hi :: !bad
   done;
   match List.concat (List.rev !bad) with
   | [] -> `All_valid
   | bad -> `Invalid bad
+
+let batch_verify sigs = batch_verify_with ~parts:default_parts sigs
+
+let batch_verify_parts ~parts sigs =
+  batch_verify_with ~parts:(fun _ -> parts) sigs

@@ -38,7 +38,15 @@ val batch_verify :
     triple, but amortised: [s*G - e*P] in one chain of doublings
     against a per-domain comb of [G], one table per public key, and a
     projective x-check with no inversion. The chunks of {!batch_chunk}
-    signatures run in order, in the calling domain.
+    signatures run in order. Within a chunk (and within each bisection
+    range) the calling domain first resolves every key's table, in
+    index order, so its comb cache and the cache's order are the same
+    whatever the host's cores; only then do the checks fan out: split
+    into contiguous parts of at least 4 signatures, one per domain
+    {!Fanout} can run (the caller and its helpers), and the range
+    passes when every part does. Helpers only read the tables and the
+    triples. A range too small for two parts, and every range on a
+    one-core host, runs in the caller.
 
     A key's table is, in this order:
     - its comb from the calling domain's comb cache, whatever its uses
@@ -78,6 +86,14 @@ val kernel_accepts : (public_key * string * string) array -> bool
     cache as in {!batch_verify}, with no bisection and no reference
     check. {!batch_verify}'s verdicts hide a fast-path bug (it falls
     back to {!verify}); this does not. Exposed for tests. *)
+
+val batch_verify_parts :
+  parts:int ->
+  (public_key * string * string) array ->
+  [ `All_valid | `Invalid of int list ]
+(** {!batch_verify} with every kernel range split into [parts] parts
+    (at most one per signature), whatever its size and the host's
+    cores. Exposed for tests and the bench. *)
 
 val cached_comb_keys : unit -> string list
 (** Encodings of the keys in the calling domain's comb cache, oldest

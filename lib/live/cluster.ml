@@ -198,6 +198,14 @@ let close_deficits trace =
 let run ?out_dir ?(base_port = Host.default_base_port)
     ?chaos ?signer ~n ~tps ~duration ~seed () =
   if n <= 0 then invalid_arg "Cluster.run: n";
+  (* [Unix.fork] would fail at the first spawn, with a message that
+     does not say why. *)
+  if Lo_crypto.Fanout.spawned () then
+    failwith
+      "Cluster.run: this process has spawned Lo_crypto.Fanout's helper \
+       domains (a large Schnorr batch verification), and OCaml cannot \
+       fork once a second domain has existed; start the cluster from a \
+       process that has not verified such a batch";
   let dir = match out_dir with Some d -> d | None -> default_out_dir () in
   mkdir_p dir;
   let plan =

@@ -94,7 +94,12 @@ val run :
     directory under the system temp dir; existing files in it are
     overwritten. Without [chaos] no kills are induced and no drops are
     synthesized. [signer] (default [`Simulation]) picks the scheme every
-    node signs and verifies under. *)
+    node signs and verifies under.
+
+    The parent must be able to fork, so it must not have fanned out
+    signature checks first (the fork rule of {!Lo_crypto.Fanout}).
+    @raise Failure before anything is forked or written when
+    [Lo_crypto.Fanout.spawned ()]. *)
 
 val close_deficits : Lo_obs.Trace.t -> int
 (** Balance every message tag whose charged sends exceed its deliveries

@@ -214,16 +214,21 @@ let roots p =
           let rec split beta tries =
             if tries > m + 64 then raise Split_failure
             else begin
+              (* Only gcd(p, t) is worth trying. X_m = X_0 means p
+                 divides x^(2^m) - x, the product of (x - a) over the
+                 whole field, and every factor inherits that; so p is
+                 monic, squarefree and fully split, p = prod (x - a)
+                 over its d distinct roots. t takes only the values 0
+                 and 1 on them, so gcd(p, t) is the product over the
+                 roots where t is 0 and gcd(p, t + 1) the product over
+                 the rest: their degrees add up to d, one is 0 exactly
+                 when the other is d, and t + 1 splits p exactly when t
+                 does. *)
               let t = trace_of_table tbl ~beta ~d in
               let g = gcd p t in
               let dg = degree g in
               if dg > 0 && dg < d then g
-              else
-                (* also try Tr(beta x) + 1 via gcd with t+1 *)
-                let g' = gcd p (add t one) in
-                let dg' = degree g' in
-                if dg' > 0 && dg' < d then g'
-                else split (Gf2m.mul beta 2 lxor 1) (tries + 1)
+              else split (Gf2m.mul beta 2 lxor 1) (tries + 1)
             end
           in
           let g = split next_beta 0 in

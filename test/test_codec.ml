@@ -51,14 +51,6 @@ let scalar_tests =
     qtest "u32 roundtrip" QCheck2.Gen.(int_bound 0xFFFFFFFF) (fun v ->
         let r = R.of_string (encode (fun w -> W.u32 w v)) in
         R.u32 r = v);
-    Alcotest.test_case "bool roundtrip" `Quick (fun () ->
-        let r = R.of_string (encode (fun w -> W.bool w true; W.bool w false)) in
-        check_bool "t" true (R.bool r);
-        check_bool "f" false (R.bool r));
-    Alcotest.test_case "bool rejects 2" `Quick (fun () ->
-        let r = R.of_string "\x02" in
-        Alcotest.check_raises "malformed" (R.Malformed "bool") (fun () ->
-            ignore (R.bool r)));
   ]
 
 let composite_tests =
@@ -322,15 +314,6 @@ let view_tests =
           (xs, t)
         in
         read r_copy = read r_view);
-    qtest "clone is an independent cursor"
-      QCheck2.Gen.(list_size (int_range 1 6) (int_bound 9999))
-      (fun vals ->
-        let body = encode (fun w -> List.iter (fun v -> W.varint w v) vals) in
-        let r = R.of_string body in
-        let c = R.clone r in
-        let a = List.map (fun _ -> R.varint r) vals in
-        let b = List.map (fun _ -> R.varint c) vals in
-        a = b && R.at_end r && R.at_end c);
   ]
 
 let () =

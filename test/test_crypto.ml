@@ -685,15 +685,169 @@ let comb_cache_tests =
               (v, v = `All_valid))
             batches
         in
+        (* Both domains start together and split every range into 3
+           parts, so their jobs meet in [Fanout] at the same time. *)
+        let ready = Atomic.make 0 in
         let run () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
           List.map
-            (fun b -> (Schnorr.batch_verify b, Schnorr.kernel_accepts b))
+            (fun b ->
+              let v = Schnorr.batch_verify b in
+              check_bool "three parts" true
+                (Schnorr.batch_verify_parts ~parts:3 b = v);
+              (v, Schnorr.kernel_accepts b))
             batches
         in
         let d1 = Domain.spawn run and d2 = Domain.spawn run in
         let r1 = Domain.join d1 and r2 = Domain.join d2 in
         check_bool "domain 1" true (r1 = expected);
         check_bool "domain 2" true (r2 = expected));
+  ]
+
+(* [Fanout] on its own: every part of every job runs exactly once,
+   whichever domain claims it, with several callers at once. *)
+let fanout_tests =
+  [
+    Alcotest.test_case "every part runs once, three callers at once" `Quick
+      (fun () ->
+        let caller () =
+          List.for_all
+            (fun parts ->
+              let runs = Array.init parts (fun _ -> Atomic.make 0) in
+              let ok =
+                Fanout.for_all parts (fun i ->
+                    Atomic.incr runs.(i);
+                    (* some work, so parts overlap *)
+                    ignore (Sha256.digest (String.make (4096 * (1 + i)) 'x'));
+                    true)
+              in
+              ok && Array.for_all (fun r -> Atomic.get r = 1) runs)
+            (List.init 40 (fun j -> 1 + (j mod 4)))
+        in
+        let ds = List.init 3 (fun _ -> Domain.spawn caller) in
+        List.iteri
+          (fun c d ->
+            check_bool (Printf.sprintf "caller %d" c) true (Domain.join d))
+          ds);
+    Alcotest.test_case "the result is the conjunction of the parts" `Quick
+      (fun () ->
+        for parts = 1 to 4 do
+          for bad = -1 to parts - 1 do
+            check_bool
+              (Printf.sprintf "%d parts, part %d false" parts bad)
+              (bad < 0)
+              (Fanout.for_all parts (fun i -> i <> bad))
+          done
+        done);
+    Alcotest.test_case "a part's exception is re-raised in the caller" `Quick
+      (fun () ->
+        (* Part 0 (the caller's) waits until part 1 has started (or 5 s
+           have passed), so on a host with helpers part 1 runs in a
+           helper. *)
+        let started = Atomic.make false in
+        let part i =
+          if i = 0 then begin
+            let deadline = Unix.gettimeofday () +. 5. in
+            while
+              Fanout.width () > 1
+              && (not (Atomic.get started))
+              && Unix.gettimeofday () < deadline
+            do
+              Domain.cpu_relax ()
+            done;
+            true
+          end
+          else begin
+            Atomic.set started true;
+            failwith "part 1"
+          end
+        in
+        Alcotest.check_raises "raised" (Failure "part 1") (fun () ->
+            ignore (Fanout.for_all 2 part));
+        check_bool "pool still works" true (Fanout.for_all 4 (fun _ -> true)));
+  ]
+
+(* The split changes where checks run, never a verdict or the comb
+   cache. *)
+let fanout_schnorr_tests =
+  let keys =
+    Array.init 4 (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "fo%d" i))
+  in
+  let stranger = snd keys.(3) in
+  let s_too_big = String.make 32 '\xff' in
+  (* [size] signatures by the first [nk] keys, in turn or (blocked) in
+     contiguous runs, so a key may appear only in parts a helper runs;
+     each fault (position, kind) corrupts one of them: a flipped byte,
+     s >= n, or a key that did not sign. *)
+  let batch ((size, nk, faults), blocked) =
+    let sigs =
+      Array.init size (fun i ->
+          let sk, pk = keys.(if blocked then i * nk / size else i mod nk) in
+          let msg = Printf.sprintf "fo-%d-%d" nk i in
+          (pk, msg, Schnorr.sign sk msg))
+    in
+    List.iter
+      (fun (pos, kind) ->
+        let i = pos mod size in
+        let pk, msg, s = sigs.(i) in
+        sigs.(i) <-
+          (match kind with
+          | 0 -> (pk, msg, flip_byte s (i mod 64))
+          | 1 -> (pk, msg, String.sub s 0 32 ^ s_too_big)
+          | _ -> (stranger, msg, s)))
+      faults;
+    sigs
+  in
+  [
+    qtest "batch_verify at 1-4 parts = default = iterated verify" ~count:25
+      QCheck2.Gen.(
+        pair
+          (triple (int_range 1 100) (int_range 1 3)
+             (list_size (int_bound 3) (pair (int_bound 99) (int_bound 2))))
+          bool)
+      (fun spec ->
+        let sigs = batch spec in
+        let expected = reference_verdicts sigs in
+        Schnorr.batch_verify sigs = expected
+        && List.for_all
+             (fun parts -> Schnorr.batch_verify_parts ~parts sigs = expected)
+             [ 1; 2; 3; 4 ]);
+    Alcotest.test_case "comb cache after fanned-out batches = sequential" `Slow
+      (fun () ->
+        (* The same calls in fresh domains (empty caches), one checking
+           in one part and the others in 2, 3 and 4: clean and dirty
+           batches, keys below and above the comb threshold, and keys
+           whose signatures all fall in the later parts. *)
+        let calls =
+          List.init 8 (fun c ->
+              let nk = 1 + (c mod 3) in
+              let faults = if c mod 2 = 1 then [ (7 * c, c mod 3) ] else [] in
+              batch ((20 + (6 * c), nk, faults), c mod 4 < 2))
+        in
+        let run parts () =
+          List.map
+            (fun sigs ->
+              let v = Schnorr.batch_verify_parts ~parts sigs in
+              (v, Schnorr.cached_comb_keys ()))
+            calls
+        in
+        let sequential = Domain.join (Domain.spawn (run 1)) in
+        check_bool "some combs cached" true
+          (snd (List.nth sequential 7) <> []);
+        List.iter
+          (fun parts ->
+            let fanned = Domain.join (Domain.spawn (run parts)) in
+            List.iteri
+              (fun c ((v1, k1), (v, k)) ->
+                let tag = Printf.sprintf "%d parts, call %d" parts c in
+                check_bool (tag ^ ": verdict") true
+                  (v = v1 && v1 = reference_verdicts (List.nth calls c));
+                check_bool (tag ^ ": cache") true (k = k1))
+              (List.combine sequential fanned))
+          [ 2; 3; 4 ]);
   ]
 
 let verify_many_tests =
@@ -777,6 +931,8 @@ let () =
       ("schnorr", schnorr_tests);
       ("schnorr-batch", batch_tests);
       ("schnorr-comb-cache", comb_cache_tests);
+      ("fanout", fanout_tests);
+      ("schnorr-fanout", fanout_schnorr_tests);
       ("signer", signer_tests);
       ("verify-many", verify_many_tests);
       ("hmac-keyed", keyed_hmac_tests);

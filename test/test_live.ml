@@ -678,6 +678,51 @@ let cluster_tests =
               (r.Lo_live.Cluster.reconnects > 0);
             check_int "no honest exposure" 0 r.Lo_live.Cluster.exposures)
           [ 3; 11 ]);
+    (* The fork rule: in a child (this process must keep forking), fan
+       out one 32-signature Schnorr batch, then ask for a cluster. It
+       must be refused before anything is forked or written. *)
+    Alcotest.test_case "refused after a Schnorr fan-out, before any fork"
+      `Quick (fun () ->
+        let out_dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "lo-test-fanout-%d" (Unix.getpid ()))
+        in
+        flush stdout;
+        flush stderr;
+        match Unix.fork () with
+        | 0 ->
+            let sk, pk = Lo_crypto.Schnorr.keypair_of_seed "fork-rule" in
+            let sigs =
+              Array.init 32 (fun i ->
+                  let msg = string_of_int i in
+                  (pk, msg, Lo_crypto.Schnorr.sign sk msg))
+            in
+            let code =
+              if Lo_crypto.Schnorr.batch_verify sigs <> `All_valid then 3
+              else if not (Lo_crypto.Fanout.spawned ()) then 2
+              else
+                match
+                  Lo_live.Cluster.run ~out_dir ~base_port:7921 ~n:2 ~tps:10.
+                    ~duration:1. ~seed:1 ()
+                with
+                | _ -> 1
+                | exception Failure m
+                  when String.starts_with ~prefix:"Cluster.run:" m
+                       && not (Sys.file_exists out_dir) ->
+                    0
+                | exception _ -> 1
+            in
+            Unix._exit code
+        | pid -> (
+            match Unix.waitpid [] pid with
+            | _, Unix.WEXITED 0 -> ()
+            | _, Unix.WEXITED 2 when Lo_crypto.Fanout.width () = 1 ->
+                (* one core: no helpers, nothing to refuse *)
+                ()
+            | _, Unix.WEXITED c ->
+                Alcotest.failf "child exited %d (0: refused in time)" c
+            | _ -> Alcotest.fail "child killed"));
   ]
 
 (* ---------------- Batched wire path ---------------- *)

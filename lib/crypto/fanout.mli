@@ -14,7 +14,7 @@
     part no helper has claimed, so a call never waits for a helper to
     become free, only for the parts helpers already started.
 
-    {b Fork rule.} On OCaml 5.1, [Unix.fork] fails once a second domain
+    {b Fork rule.} On OCaml 5.1, [fork] fails once a second domain
     has existed in the process, even after it was joined, and these
     helpers live until the process exits. So a process that forks must
     fork before its first fan-out: {!spawned} says whether the pool
@@ -39,4 +39,4 @@ val for_all : int -> (int -> bool) -> bool
 
 val spawned : unit -> bool
 (** Whether this process has spawned the helpers, after which it can
-    no longer [Unix.fork]. *)
+    no longer [fork]. *)

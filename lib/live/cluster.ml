@@ -117,6 +117,7 @@ type report = {
   submitted : int;
   frames : int;
   unknown : int;
+  overflows : int;
   events : int;
   exposures : int;
   failed_nodes : int list;
@@ -155,9 +156,8 @@ let child ~cfg ~tp ~sp i =
     try
       let stats = Host.run ~trace_path:tp cfg in
       Out_channel.with_open_text sp (fun oc ->
-          Printf.fprintf oc "%d %d %d %d %d %d\n" stats.Host.submitted
-            stats.Host.frames_out stats.Host.frames_in stats.Host.unknown
-            stats.Host.trace_events stats.Host.reconnects);
+          Printf.fprintf oc "%d %d %d\n" stats.Host.submitted
+            stats.Host.frames_in stats.Host.reconnects);
       0
     with e ->
       Printf.eprintf "lo cluster: node %d failed: %s\n%!" i
@@ -370,6 +370,12 @@ let run ?out_dir ?(base_port = Host.default_base_port)
      into. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
   let auditor = Lo_obs.Audit.attach trace in
+  let overflows = ref 0 in
+  Lo_obs.Trace.observe trace (fun e ->
+      match e.Lo_obs.Trace.ev with
+      | Lo_obs.Event.Drop { reason = Lo_obs.Event.Overflow; _ } ->
+          incr overflows
+      | _ -> ());
   let synthesized =
     Out_channel.with_open_text (Filename.concat dir "merged.jsonl") (fun oc ->
         Lo_obs.Trace.observe trace (fun e ->
@@ -390,7 +396,6 @@ let run ?out_dir ?(base_port = Host.default_base_port)
   let audit = Lo_obs.Audit.finish auditor in
   let submitted = ref 0
   and frames = ref 0
-  and unknown = ref 0
   and reconnects = ref 0 in
   List.iter
     (fun node ->
@@ -400,11 +405,9 @@ let run ?out_dir ?(base_port = Host.default_base_port)
           let sp = stats_path dir node inc in
           if Sys.file_exists sp then
             try
-              Scanf.sscanf (read_file sp) " %d %d %d %d %d %d"
-                (fun s _out f_in u _ev rc ->
+              Scanf.sscanf (read_file sp) " %d %d %d" (fun s f_in rc ->
                   submitted := !submitted + s;
                   frames := !frames + f_in;
-                  unknown := !unknown + u;
                   reconnects := !reconnects + rc)
             with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
         paths.(node))
@@ -416,7 +419,8 @@ let run ?out_dir ?(base_port = Host.default_base_port)
     out_dir = dir;
     submitted = !submitted;
     frames = !frames;
-    unknown = !unknown;
+    unknown = Lo_obs.Trace.count trace "unknown_tag";
+    overflows = !overflows;
     events = Lo_obs.Trace.total trace;
     exposures = Lo_obs.Trace.count trace "expose";
     failed_nodes = List.sort Int.compare !failed;
@@ -441,8 +445,10 @@ let summary r =
   Printf.bprintf b "cluster: n=%d seed=%d duration=%.1fs out=%s\n" r.n r.seed
     r.duration r.out_dir;
   Printf.bprintf b
-    "workload: %d txs submitted (%.1f tx/s offered), %d frames, %d unknown-tag\n"
-    r.submitted (float_of_int r.submitted /. r.duration) r.frames r.unknown;
+    "workload: %d txs submitted (%.1f tx/s offered), %d frames, %d \
+     unknown-tag, %d overflow drop(s)\n"
+    r.submitted (float_of_int r.submitted /. r.duration) r.frames r.unknown
+    r.overflows;
   if r.induced_kills <> [] || r.restarts > 0 || r.reconnects > 0 then
     Printf.bprintf b
       "chaos: %d induced kill(s)%s, %d restart(s), %d reconnect(s), %d \

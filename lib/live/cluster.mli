@@ -60,7 +60,9 @@ type report = {
   out_dir : string;
   submitted : int;  (** transactions injected across the cluster *)
   frames : int;  (** TCP frames received across the cluster *)
-  unknown : int;  (** deliveries with no subscribed protocol *)
+  unknown : int;  (** [Unknown_tag] events in the merged trace *)
+  overflows : int;
+      (** [Drop {reason = Overflow}] in the merged trace: tail drops *)
   events : int;  (** merged trace entries audited *)
   exposures : int;  (** [Expose] events — must be 0 in an honest run *)
   failed_nodes : int list;

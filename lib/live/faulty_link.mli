@@ -5,19 +5,13 @@
     maps it to at most one [action] per frame (the probabilities are
     stacked, so their sum must stay <= 1). The host applies the action
     to the fully encoded frame just before it enters a peer's write
-    queue, which is the closest a single process can get to a lossy
-    kernel: drops and truncations exercise the receiver's incremental
-    decoder against real partial data, duplicates exercise protocol
+    queue ({!Link}, which also charges each action to the trace),
+    which is the closest a single process can get to a lossy kernel:
+    drops and truncations exercise the receiver's incremental decoder
+    against real partial data, duplicates exercise protocol
     idempotency, delays reorder frames across the stream, and garbling
     rewrites the frame under an alien tag to exercise the mux
-    unknown-tag path without desynchronising the stream.
-
-    Trace accounting is the caller's job; the contract is in
-    {!Host.run}: every action keeps per-tag bandwidth conservation
-    exact (a dropped or truncated frame charges a [Send] and a
-    [Drop]~[Loss]; a duplicate charges two [Send]s; a delayed frame
-    charges its [Send] when it actually enters the queue; a garbled
-    frame is charged under its replacement tag). *)
+    unknown-tag path without desynchronising the stream. *)
 
 type spec = {
   drop : float;  (** frame vanishes entirely *)
@@ -44,8 +38,6 @@ val none : spec
 val garble_tag : string
 (** The replacement tag for garbled frames; uses a protocol prefix no
     real subscriber claims, so receivers surface it as [Unknown_tag]. *)
-
-val is_none : spec -> bool
 
 val validate : spec -> unit
 (** @raise Invalid_argument if any rate is outside [0,1], the rates sum

@@ -59,74 +59,27 @@ type stats = {
    before the node may exit early; bounded above by [drain]. *)
 let quiet_exit = 1.0
 
-(* Per-peer cap on queued unwritten wire bytes; beyond it new frames
-   are refused with an accounted drop (tail drop). *)
-let max_queue_bytes = 1 lsl 18
-
-(* An established connection with queued bytes but no write progress
-   for this long is declared half-open and torn down. *)
-let stall_timeout = 4.0
-
-(* A connect attempt (SYN sent, not yet established) older than this is
-   abandoned; localhost either answers or refuses almost instantly. *)
-let connect_timeout = 1.0
-
 let loopback = Unix.inet_addr_loopback
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* --- per-peer outgoing link -------------------------------------- *)
+(* One non-blocking socket write, as a link sees it. *)
+let write_io fd buf off len : Link.io =
+  match Retry.write fd buf off len with
+  | 0 -> Link.Failed "eof"
+  | k -> Link.Wrote k
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Link.Again
+  | exception Unix.Unix_error _ -> Link.Failed "reset"
 
-(* One queued wire write. [pbytes] is the payload size the trace
-   charges (frame overhead is not accounted, matching the DES).
-   [accounted] entries already carried their Drop event when they were
-   created (fault-injected truncation prefixes), so losing them later
-   must not charge bandwidth again. *)
-type wire_entry = {
-  bytes : string;
-  tag : string;
-  pbytes : int;
-  accounted : bool;
-  mutable off : int;
-}
-
-type wire_item =
-  | Data of wire_entry
-  | Cut  (** close the connection here (fault-injected truncation) *)
-
-(* Outgoing connection state machine per peer:
-   fd = None                 -> Down (reconnect clock armed)
-   fd = Some _, up = false   -> Connecting (await writability)
-   fd = Some _, up = true    -> Up (drain queue as select allows) *)
-type link = {
-  peer : int;
-  addr : Unix.sockaddr;
-  mutable fd : Unix.file_descr option;
-  mutable up : bool;
-  queue : wire_item Queue.t;
-  mutable queued_bytes : int;  (** unwritten bytes across the queue *)
-  backoff : Reconnect.t;
-  mutable ever_up : bool;
-  mutable last_progress : float;
-      (** rel time of the last write progress (or connect start) *)
-}
+(* How a delivery's payload reached the host. *)
+type inbound =
+  | Local of string  (** sent by this node to itself *)
+  | Wire of Lo_codec.Reader.t  (** a view into a connection's decoder *)
+  | Skewed of int  (** a frame of another wire version: not handled *)
 
 let run ?trace_path cfg =
-  let {
-    id;
-    n;
-    base_port;
-    seed;
-    tps;
-    duration;
-    epoch;
-    incarnation;
-    resume_from;
-    faults;
-    signer;
-  } =
-    cfg
-  in
+  let { id; n; base_port; seed; duration; incarnation; _ } = cfg in
   (* The simulator's world derivation: every process reconstructs all n
      identities (which also populates the simulation scheme's
      verification registry) and the seed-determined overlay, so the
@@ -134,7 +87,7 @@ let run ?trace_path cfg =
      traffic — and a respawned incarnation re-derives the exact identity
      its predecessor held. *)
   let scheme =
-    match signer with
+    match cfg.signer with
     | `Simulation -> Signer.simulation ()
     | `Schnorr -> Signer.schnorr
   in
@@ -144,20 +97,14 @@ let run ?trace_path cfg =
   (* Only the trace's counters and its write-ahead observer are read, so
      the ring keeps a single entry. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
-  let now_rel () = Clock.now_s () -. epoch in
+  let now_rel () = Clock.now_s () -. cfg.epoch in
   let emit ev = Lo_obs.Trace.emit trace ~at:(now_rel ()) ev in
 
   (* --- write-ahead trace ---
      Every event is appended to [wal] the moment it is emitted (the
      trace observer sees the node's own emissions too) and flushed to
      disk once per loop iteration, *before* any socket write of that
-     iteration. The ordering is the crash-safety contract: a frame can
-     only reach a peer after the Send that charged it is durable, so a
-     SIGKILL leaves per-tag deficits that are strictly positive (sent
-     >= delivered + dropped) and the supervisor can close them with
-     synthetic crash drops — and a respawned incarnation can rebuild
-     its commitment log from its own durable prefix without ever
-     signing a conflicting history. *)
+     iteration: the crash-safety contract in host.mli. *)
   let wal = Buffer.create 65536 in
   let wal_oc =
     match trace_path with
@@ -190,206 +137,75 @@ let run ?trace_path cfg =
     Rng.create
       ((((seed * 1_000_003) + id) lxor 0x7f4a7c15) + (incarnation * 7919))
   in
-  let reconnects = ref 0 in
-  let links =
-    Array.init n (fun j ->
-        {
-          peer = j;
-          addr = Unix.ADDR_INET (loopback, base_port + j);
-          fd = None;
-          up = false;
-          queue = Queue.create ();
-          queued_bytes = 0;
-          backoff = Reconnect.create ~rng:link_rng ();
-          ever_up = false;
-          last_progress = 0.;
-        })
+  let timers = Timer_wheel.create () in
+  let after d fn = Timer_wheel.schedule timers ~at:(now_rel () +. d) fn in
+  (* Outgoing connections by fd, so a ready fd finds its link in one
+     lookup; a link's fd leaves the table when the link releases it. *)
+  let outgoing = Hashtbl.create 16 in
+  let env =
+    {
+      Link.self = id;
+      emit;
+      rng = link_rng;
+      faults = cfg.faults;
+      defer = after;
+      write = write_io;
+      release =
+        (fun fd ->
+          Hashtbl.remove outgoing fd;
+          close_quietly fd);
+      (* A burst of small frames to one peer leaves in ONE write(2):
+         ~3 instead of ~300 syscalls per pipelined reconciliation. *)
+      scratch = Bytes.create 65536;
+    }
   in
-  let link_fd_up l = match l.fd with Some fd when l.up -> Some fd | _ -> None in
-
-  (* Tear down [l]'s connection (established or in progress). The
-     partially written head frame, if any, can never be completed on a
-     future connection — the peer's decoder will discard the partial
-     tail at EOF — so it is dropped and charged here. *)
-  let link_down l ~reason =
-    match l.fd with
-    | None -> ()
-    | Some fd ->
-        close_quietly fd;
-        l.fd <- None;
-        let was_up = l.up in
-        l.up <- false;
-        (match Queue.peek_opt l.queue with
-        | Some (Data e) when e.off > 0 ->
-            ignore (Queue.pop l.queue);
-            l.queued_bytes <- l.queued_bytes - (String.length e.bytes - e.off);
-            if not e.accounted then
-              emit
-                (Lo_obs.Event.Drop
-                   {
-                     src = id;
-                     dst = l.peer;
-                     tag = e.tag;
-                     bytes = e.pbytes;
-                     reason = Lo_obs.Event.Down;
-                   })
-        | _ -> ());
-        if was_up then begin
-          emit (Lo_obs.Event.Conn_down { node = id; peer = l.peer; reason });
-          Reconnect.lost l.backoff ~now:(now_rel ())
-        end
-        else Reconnect.failed l.backoff ~now:(now_rel ())
-  in
-  let link_established l =
-    (match l.fd with
-    | Some fd -> (
-        try Unix.setsockopt fd Unix.TCP_NODELAY true
-        with Unix.Unix_error _ -> ())
-    | None -> ());
-    l.up <- true;
-    l.last_progress <- now_rel ();
-    emit
-      (Lo_obs.Event.Conn_up
-         { node = id; peer = l.peer; attempts = Reconnect.attempts l.backoff + 1 });
-    if l.ever_up then incr reconnects;
-    l.ever_up <- true;
-    Reconnect.opened l.backoff
-  in
-  (* A connecting socket turned writable: either established or failed;
-     SO_ERROR tells which. *)
-  let link_finish_connect l =
-    match l.fd with
-    | None -> ()
-    | Some fd -> (
-        match Unix.getsockopt_error fd with
-        | None -> link_established l
-        | Some _ -> link_down l ~reason:"refused")
-  in
-  let link_start_connect l =
+  let links = Array.init n (fun peer -> Link.create env ~peer) in
+  let start_connect peer l =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
-    l.last_progress <- now_rel ();
-    match Unix.connect fd l.addr with
-    | () ->
-        l.fd <- Some fd;
-        link_established l
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error _ -> ());
+    Hashtbl.replace outgoing fd l;
+    Link.connecting l ~now:(now_rel ()) fd;
+    match Unix.connect fd (Unix.ADDR_INET (loopback, base_port + peer)) with
+    | () -> Link.established l ~now:(now_rel ())
     | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR), _, _) ->
         (* EINTR: POSIX continues the connect asynchronously. *)
-        l.fd <- Some fd
+        ()
     | exception Unix.Unix_error _ ->
-        close_quietly fd;
-        Reconnect.failed l.backoff ~now:(now_rel ())
+        Link.down l ~now:(now_rel ()) ~reason:"refused"
   in
 
   (* --- transport state --- *)
-  let timers = Timer_wheel.create () in
   let subs : (string, Lo_transport.handler) Hashtbl.t = Hashtbl.create 4 in
   let restart_handler = ref (fun () -> ()) in
   let local : (string * string) Queue.t = Queue.create () in
   let submitted = ref 0 in
-  let frames_out = ref 0 in
   let frames_in = ref 0 in
-  let unknown = ref 0 in
   let last_activity = ref 0. in
 
-  (* Queue one encoded frame on [l]; the Send was already charged.
-     Tail drop when the peer's buffer is full: the frame is refused and
-     charged as a Down drop (the buffer only backs up when the peer is
-     down or stalled), keeping conservation exact. *)
-  let enqueue_frame l ~tag ~pbytes ~accounted frame =
-    let blen = String.length frame in
-    if l.queued_bytes + blen > max_queue_bytes then begin
-      if not accounted then
-        emit
-          (Lo_obs.Event.Drop
-             {
-               src = id;
-               dst = l.peer;
-               tag;
-               bytes = pbytes;
-               reason = Lo_obs.Event.Down;
-             })
-    end
-    else begin
-      Queue.add (Data { bytes = frame; tag; pbytes; accounted; off = 0 }) l.queue;
-      l.queued_bytes <- l.queued_bytes + blen
-    end
-  in
-  let charge_and_enqueue ~dst ~tag ~pbytes frame =
-    emit (Lo_obs.Event.Send { src = id; dst; tag; bytes = pbytes });
-    enqueue_frame links.(dst) ~tag ~pbytes ~accounted:false frame
-  in
-  (* Remote send with the encoded frame passed lazily: a fan-out
-     ([send_many]) shares one encoding across all destinations — the
-     first destination pays the encode, the rest reuse the string. *)
-  let send_remote ~dst ~tag ~pbytes payload frame =
-    let frame = Lazy.force frame in
-    match Faulty_link.decide faults link_rng ~frame_len:(String.length frame)
-    with
-    | Faulty_link.Pass -> charge_and_enqueue ~dst ~tag ~pbytes frame
-    | Faulty_link.Drop ->
-        (* The wire ate it whole: charged and immediately lost. *)
-        emit (Lo_obs.Event.Send { src = id; dst; tag; bytes = pbytes });
-        emit
-          (Lo_obs.Event.Drop
-             { src = id; dst; tag; bytes = pbytes; reason = Lo_obs.Event.Loss })
-    | Faulty_link.Duplicate ->
-        charge_and_enqueue ~dst ~tag ~pbytes frame;
-        charge_and_enqueue ~dst ~tag ~pbytes frame
-    | Faulty_link.Delay d ->
-        (* Charged when it actually enters the queue; timers freeze at
-           quiesce, so a delay past the horizon is never charged. *)
-        Timer_wheel.schedule timers
-          ~at:(now_rel () +. d)
-          (fun () -> charge_and_enqueue ~dst ~tag ~pbytes frame)
-    | Faulty_link.Truncate keep ->
-        (* The peer sees a prefix then EOF: its decoder discards the
-           partial tail. Charged as a loss up front; the prefix entry
-           is marked accounted so no later drop double-charges it. *)
-        emit (Lo_obs.Event.Send { src = id; dst; tag; bytes = pbytes });
-        emit
-          (Lo_obs.Event.Drop
-             { src = id; dst; tag; bytes = pbytes; reason = Lo_obs.Event.Loss });
-        let l = links.(dst) in
-        enqueue_frame l ~tag ~pbytes ~accounted:true (String.sub frame 0 keep);
-        Queue.add Cut l.queue
-    | Faulty_link.Garble ->
-        (* Same payload under an alien tag: parses as a valid frame,
-           exercises the receiver's unknown-tag path. Charged under
-           the replacement tag so per-tag conservation still holds. *)
-        let gtag = Faulty_link.garble_tag in
-        charge_and_enqueue ~dst ~tag:gtag ~pbytes
-          (Frame.encode ~src:id ~tag:gtag payload)
-  in
-  let send_local ~tag payload =
-    emit
-      (Lo_obs.Event.Send
-         { src = id; dst = id; tag; bytes = String.length payload });
-    Queue.add (tag, payload) local
-  in
-  let send_to ~dst ~tag payload =
-    if dst = id then send_local ~tag payload
-    else
-      send_remote ~dst ~tag ~pbytes:(String.length payload) payload
-        (lazy (Frame.encode ~src:id ~tag payload))
+  (* A fan-out shares one lazy encoding across its remote destinations:
+     the first pays the encode, the rest reuse the string. *)
+  let send_many ~dsts ~tag payload =
+    let frame = lazy (Frame.encode ~src:id ~tag payload) in
+    List.iter
+      (fun dst ->
+        if dst = id then begin
+          emit
+            (Lo_obs.Event.Send
+               { src = id; dst = id; tag; bytes = String.length payload });
+          Queue.add (tag, payload) local
+        end
+        else Link.send links.(dst) ~tag ~payload frame)
+      dsts
   in
   let transport =
     {
       Lo_transport.self = id;
       now = now_rel;
-      send = (fun ~dst ~tag payload -> send_to ~dst ~tag payload);
-      send_many =
-        (fun ~dsts ~tag payload ->
-          let pbytes = String.length payload in
-          let frame = lazy (Frame.encode ~src:id ~tag payload) in
-          List.iter
-            (fun dst ->
-              if dst = id then send_local ~tag payload
-              else send_remote ~dst ~tag ~pbytes payload frame)
-            dsts);
-      schedule =
-        (fun ~delay fn ->
-          Timer_wheel.schedule timers ~at:(now_rel () +. delay) fn);
+      send = (fun ~dst ~tag payload -> send_many ~dsts:[ dst ] ~tag payload);
+      send_many;
+      schedule = (fun ~delay fn -> after delay fn);
       subscribe = (fun ~proto handler -> Hashtbl.replace subs proto handler);
       set_restart_handler = (fun fn -> restart_handler := fn);
       trace = Some trace;
@@ -414,7 +230,7 @@ let run ?trace_path cfg =
      previous incarnation left open, and re-arm its standing suspicions
      so the reconciler's restart path re-probes and withdraws them. *)
   if incarnation > 0 then begin
-    match Resume.scan ~node:id resume_from with
+    match Resume.scan ~node:id cfg.resume_from with
     | Error msg ->
         failwith (Printf.sprintf "lo serve %d: resume failed: %s" id msg)
     | Ok r ->
@@ -449,58 +265,36 @@ let run ?trace_path cfg =
      protocol has been started (handlers registered). Until then "lo"
      frames take the generic subscriber path and surface as unknown. *)
   let started = ref false in
-  let dispatch ~from ~tag payload =
-    emit
-      (Lo_obs.Event.Deliver
-         { src = from; dst = id; tag; bytes = String.length payload });
-    match Hashtbl.find_opt subs (Lo_net.Mux.proto_of_tag tag) with
-    | Some handler -> handler ~from ~tag payload
-    | None ->
-        incr unknown;
-        emit (Lo_obs.Event.Unknown_tag { node = id; src = from; tag })
+  (* Every delivery, local or from the wire, lands here: one [Deliver]
+     charge, then the node's zero-copy path for a started node's
+     protocol frame from the wire ([Node.handle_message_view]; for
+     [Tx_batch] that is the batched admission pipeline), else the
+     subscriber of the tag's proto (a wire payload is copied out of the
+     view for it), else an [Unknown_tag]. A wire view dies with this
+     call, well before its decoder is touched again. *)
+  let deliver ~from ~tag ~bytes inbound =
+    emit (Lo_obs.Event.Deliver { src = from; dst = id; tag; bytes });
+    let unknown tag =
+      emit (Lo_obs.Event.Unknown_tag { node = id; src = from; tag })
+    in
+    let proto = Lo_net.Mux.proto_of_tag tag in
+    match (inbound, Hashtbl.find_opt subs proto) with
+    | Skewed version, _ ->
+        (* A peer speaking another framing: accounted, then surfaced
+           instead of lost silently. *)
+        unknown (Printf.sprintf "v%d:%s" version tag)
+    | Wire v, _ when !started && String.equal proto "lo" ->
+        Node.handle_message_view node ~from ~tag v
+    | Local payload, Some handler -> handler ~from ~tag payload
+    | Wire v, Some handler ->
+        handler ~from ~tag (Lo_codec.Reader.fixed v bytes)
+    | (Local _ | Wire _), None -> unknown tag
   in
-  (* Wire ingress, zero-copy: the payload stays a reader view into the
-     connection's receive buffer. The protocol fast path hands the view
-     straight to the node ([Node.handle_message_view] — for [Tx_batch]
-     that is the batched admission pipeline); only foreign-protocol
-     subscribers, which expect a string payload, force a copy. The view
-     dies with this call, well before the decoder is touched again. *)
-  let handle_view (v : Frame.Decoder.view) =
+  let handle_view { Frame.Decoder.v_version; v_src; v_tag; v_payload } =
     incr frames_in;
     last_activity := now_rel ();
-    let pbytes = Lo_codec.Reader.remaining v.Frame.Decoder.v_payload in
-    emit
-      (Lo_obs.Event.Deliver
-         { src = v.Frame.Decoder.v_src; dst = id; tag = v.Frame.Decoder.v_tag;
-           bytes = pbytes });
-    if v.Frame.Decoder.v_version <> Frame.version then begin
-      (* A peer speaking a newer framing: account the delivery, then
-         surface the skew instead of losing the message silently. *)
-      incr unknown;
-      emit
-        (Lo_obs.Event.Unknown_tag
-           {
-             node = id;
-             src = v.Frame.Decoder.v_src;
-             tag =
-               Printf.sprintf "v%d:%s" v.Frame.Decoder.v_version
-                 v.Frame.Decoder.v_tag;
-           })
-    end
-    else begin
-      let tag = v.Frame.Decoder.v_tag in
-      let from = v.Frame.Decoder.v_src in
-      if !started && String.equal (Lo_net.Mux.proto_of_tag tag) "lo" then
-        Node.handle_message_view node ~from ~tag v.Frame.Decoder.v_payload
-      else
-        match Hashtbl.find_opt subs (Lo_net.Mux.proto_of_tag tag) with
-        | Some handler ->
-            handler ~from ~tag
-              (Lo_codec.Reader.fixed v.Frame.Decoder.v_payload pbytes)
-        | None ->
-            incr unknown;
-            emit (Lo_obs.Event.Unknown_tag { node = id; src = from; tag })
-    end
+    deliver ~from:v_src ~tag:v_tag ~bytes:(Lo_codec.Reader.remaining v_payload)
+      (if v_version = Frame.version then Wire v_payload else Skewed v_version)
   in
 
   (* --- workload: the simulator's generator, filtered to this node ---
@@ -524,7 +318,7 @@ let run ?trace_path cfg =
             incr submitted;
             Node.submit_tx node tx)
       end)
-    (Deployment.workload ~rate:tps ~duration ~seed ~n);
+    (Deployment.workload ~rate:cfg.tps ~duration ~seed ~n);
 
   (* --- event loop ---
      One unified loop from process birth: connections are attempted
@@ -539,36 +333,6 @@ let run ?trace_path cfg =
      by this iteration's reads drain no earlier than the next
      iteration's writes — after their events are flushed too. *)
   let read_buf = Bytes.create 65536 in
-  (* Scratch for coalesced writes: a burst of small frames to one peer
-     goes to the kernel as ONE write(2) instead of one syscall per
-     frame — the difference between ~3 and ~300 syscalls per pipelined
-     reconciliation burst. *)
-  let write_scratch = Bytes.create 65536 in
-  (* Advance [l]'s queue past [k] written bytes: each frame written in
-     full is popped and counted, a partly written one keeps its offset.
-     [k] never reaches past a Cut: a write takes its bytes from the Data
-     run before it. *)
-  let advance l k =
-    l.queued_bytes <- l.queued_bytes - k;
-    l.last_progress <- now_rel ();
-    let rem = ref k in
-    while !rem > 0 do
-      match Queue.peek l.queue with
-      | Data d ->
-          let len = String.length d.bytes - d.off in
-          if !rem >= len then begin
-            ignore (Queue.pop l.queue);
-            rem := !rem - len;
-            if not d.accounted then incr frames_out;
-            last_activity := now_rel ()
-          end
-          else begin
-            d.off <- d.off + !rem;
-            rem := 0
-          end
-      | Cut -> assert false
-    done
-  in
   let decoders : (Unix.file_descr, Frame.Decoder.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -578,10 +342,24 @@ let run ?trace_path cfg =
     Hashtbl.remove decoders fd;
     incoming := List.filter (fun f -> f != fd) !incoming
   in
-  let running = ref true in
-  let queues_empty () =
-    Array.for_all (fun l -> Queue.is_empty l.queue) links
+  let rec accept_all () =
+    match Retry.accept listener with
+    | c, _ ->
+        (try Unix.setsockopt c Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        Hashtbl.replace decoders c (Frame.Decoder.create ());
+        incoming := c :: !incoming;
+        accept_all ()
+    | exception Unix.Unix_error _ -> ()
   in
+  let rec decode_all dec =
+    match Frame.Decoder.next_view dec with
+    | Some v ->
+        handle_view v;
+        decode_all dec
+    | None -> ()
+  in
+  let running = ref true in
   while !running do
     let now = now_rel () in
     if (not !started) && now >= 0. then begin
@@ -597,7 +375,8 @@ let run ?trace_path cfg =
     else if
       now >= duration
       && now -. !last_activity >= quiet_exit
-      && Queue.is_empty local && queues_empty ()
+      && Queue.is_empty local
+      && Array.for_all Link.idle links
     then running := false
     else begin
       (* Quiesce at [duration]: frozen timers stop new rounds, retries
@@ -606,45 +385,21 @@ let run ?trace_path cfg =
       while not (Queue.is_empty local) do
         let tag, payload = Queue.pop local in
         last_activity := now_rel ();
-        dispatch ~from:id ~tag payload
+        deliver ~from:id ~tag ~bytes:(String.length payload) (Local payload)
       done;
       (* Link upkeep: abandon stuck connects, tear down half-open
-         connections (progress stalled with bytes queued), start
-         reconnects whose backoff clock has expired. *)
-      Array.iter
-        (fun l ->
-          if l.peer <> id then begin
-            (match l.fd with
-            | Some _ when (not l.up) && now -. l.last_progress > connect_timeout
-              ->
-                link_down l ~reason:"connect-timeout"
-            | Some _
-              when l.up
-                   && (not (Queue.is_empty l.queue))
-                   && now -. l.last_progress > stall_timeout ->
-                link_down l ~reason:"stalled"
-            | _ -> ());
-            if l.fd = None && Reconnect.ready l.backoff ~now then
-              link_start_connect l
-          end)
+         connections, start reconnects whose backoff clock expired. *)
+      Array.iteri
+        (fun peer l ->
+          if peer <> id && Link.upkeep l ~now then start_connect peer l)
         links;
       wal_flush ();
-      let reads =
-        listener :: !incoming
-        @ Array.fold_left
-            (fun acc l ->
-              match link_fd_up l with Some fd -> fd :: acc | None -> acc)
-            [] links
-      in
-      let writes =
+      let fds pick =
         Array.fold_left
-          (fun acc l ->
-            match l.fd with
-            | Some fd when (not l.up) || not (Queue.is_empty l.queue) ->
-                fd :: acc
-            | _ -> acc)
+          (fun acc l -> match pick l with Some fd -> fd :: acc | None -> acc)
           [] links
       in
+      let reads = (listener :: !incoming) @ fds Link.read_fd in
       let timeout =
         let cap = 0.05 in
         if now >= duration then cap
@@ -653,165 +408,74 @@ let run ?trace_path cfg =
           | Some t -> Float.max 0.001 (Float.min cap (t -. now_rel ()))
           | None -> cap
       in
-      let readable, writable, _ = Retry.select reads writes [] timeout in
+      let readable, writable, _ =
+        Retry.select reads (fds Link.write_fd) [] timeout
+      in
       (* Writes first: everything written here was charged in a
          previous iteration and is already durable. *)
       List.iter
         (fun fd ->
-          match
-            Array.find_opt (fun l -> l.fd = Some fd && l.peer <> id) links
-          with
+          match Hashtbl.find_opt outgoing fd with
           | None -> ()
           | Some l ->
-              if not l.up then link_finish_connect l;
-              if l.up then begin
-                let continue = ref true in
-                while !continue && not (Queue.is_empty l.queue) do
-                  match Queue.peek l.queue with
-                  | Cut ->
-                      ignore (Queue.pop l.queue);
-                      (* Graceful FIN: frames written before the cut are
-                         delivered; the peer sees EOF mid-frame and
-                         discards the partial tail. *)
-                      link_down l ~reason:"cut";
-                      continue := false
-                  | Data e -> (
-                      (* Pick the bytes for one write: the head frame in
-                         place when it is alone in the queue or fills the
-                         scratch buffer on its own, else the run of Data
-                         entries at the head of the queue (stopping at a
-                         Cut or a full scratch) gathered into it. *)
-                      let head = String.length e.bytes - e.off in
-                      let buf, off, total =
-                        if
-                          head >= Bytes.length write_scratch
-                          || Queue.length l.queue = 1
-                        then
-                          (Bytes.unsafe_of_string e.bytes, e.off, head)
-                        else begin
-                          let total = ref 0 in
-                          (try
-                             Queue.iter
-                               (function
-                                 | Cut -> raise Exit
-                                 | Data d ->
-                                     let len = String.length d.bytes - d.off in
-                                     if !total + len > Bytes.length write_scratch
-                                     then raise Exit;
-                                     Bytes.blit_string d.bytes d.off
-                                       write_scratch !total len;
-                                     total := !total + len)
-                               l.queue
-                           with Exit -> ());
-                          (write_scratch, 0, !total)
-                        end
-                      in
-                      match Retry.write fd buf off total with
-                      | 0 ->
-                          link_down l ~reason:"eof";
-                          continue := false
-                      | k ->
-                          advance l k;
-                          if k < total then continue := false
-                      | exception
-                          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                        ->
-                          continue := false
-                      | exception Unix.Unix_error _ ->
-                          link_down l ~reason:"reset";
-                          continue := false)
-                done
-              end)
+              (match Link.state l with
+              | Link.Connecting fd -> (
+                  (* Established or failed: SO_ERROR tells which. *)
+                  match Unix.getsockopt_error fd with
+                  | None -> Link.established l ~now:(now_rel ())
+                  | Some _ -> Link.down l ~now:(now_rel ()) ~reason:"refused")
+              | Link.Down | Link.Up _ -> ());
+              if Link.flush l ~now:(now_rel ()) > 0 then
+                last_activity := now_rel ())
         writable;
       List.iter
         (fun fd ->
-          if fd == listener then begin
-            let continue = ref true in
-            while !continue do
-              match Retry.accept listener with
-              | c, _ ->
-                  (try Unix.setsockopt c Unix.TCP_NODELAY true
-                   with Unix.Unix_error _ -> ());
-                  Hashtbl.replace decoders c (Frame.Decoder.create ());
-                  incoming := c :: !incoming
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  continue := false
-              | exception Unix.Unix_error _ -> continue := false
-            done
-          end
-          else if Hashtbl.mem decoders fd then begin
-            match Retry.read fd read_buf 0 (Bytes.length read_buf) with
-            | 0 -> drop_incoming fd
-            | k -> (
-                let dec = Hashtbl.find decoders fd in
-                Frame.Decoder.feed_bytes dec read_buf 0 k;
-                try
-                  let continue = ref true in
-                  while !continue do
-                    match Frame.Decoder.next_view dec with
-                    | Some v -> handle_view v
-                    | None -> continue := false
-                  done
-                with Lo_codec.Reader.Malformed _ -> drop_incoming fd)
-            | exception
-                Unix.Unix_error
-                  ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-                drop_incoming fd
-          end
-          else begin
-            (* Readability on an outgoing connection: the peer never
-               sends data on it, so this is either EOF (peer died or
-               cut us — half-open detection) or junk to discard. *)
-            match
-              Array.find_opt (fun l -> link_fd_up l = Some fd) links
-            with
-            | None -> ()
-            | Some l -> (
-                match Retry.read fd read_buf 0 1024 with
-                | 0 -> link_down l ~reason:"eof"
-                | _ -> ()
+          if fd == listener then accept_all ()
+          else
+            match Hashtbl.find_opt decoders fd with
+            | Some dec -> (
+                match Retry.read fd read_buf 0 (Bytes.length read_buf) with
+                | 0 -> drop_incoming fd
+                | k -> (
+                    Frame.Decoder.feed_bytes dec read_buf 0 k;
+                    try decode_all dec
+                    with Lo_codec.Reader.Malformed _ -> drop_incoming fd)
                 | exception
-                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                    ()
-                | exception Unix.Unix_error _ -> link_down l ~reason:"reset")
-          end)
+                    Unix.Unix_error
+                      ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
+                    drop_incoming fd)
+            | None -> (
+                (* Readability on an outgoing connection: the peer never
+                   sends data on it, so this is either EOF (peer died or
+                   cut us — half-open detection) or junk to discard. *)
+                match Hashtbl.find_opt outgoing fd with
+                | Some l when Link.read_fd l = Some fd -> (
+                    match Retry.read fd read_buf 0 1024 with
+                    | 0 -> Link.down l ~now:(now_rel ()) ~reason:"eof"
+                    | _
+                    | (exception
+                        Unix.Unix_error
+                          ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)) ->
+                        ()
+                    | exception Unix.Unix_error _ ->
+                        Link.down l ~now:(now_rel ()) ~reason:"reset")
+                | _ -> ()))
         readable
     end
   done;
 
   (* --- shutdown --- *)
-  Array.iter
-    (fun l ->
-      if l.peer <> id then begin
-        Queue.iter
-          (function
-            | Data e when not e.accounted ->
-                emit
-                  (Lo_obs.Event.Drop
-                     {
-                       src = id;
-                       dst = l.peer;
-                       tag = e.tag;
-                       bytes = e.pbytes;
-                       reason =
-                         (if e.off > 0 then Lo_obs.Event.Down
-                          else Lo_obs.Event.In_flight);
-                     })
-            | Data _ | Cut -> ())
-          l.queue;
-        match l.fd with Some fd -> close_quietly fd | None -> ()
-      end)
-    links;
+  Array.iter Link.shutdown links;
   List.iter close_quietly !incoming;
   close_quietly listener;
   wal_flush ();
   (match wal_oc with Some oc -> close_out oc | None -> ());
+  let sum f = Array.fold_left (fun acc l -> acc + f l) 0 links in
   {
     submitted = !submitted;
-    frames_out = !frames_out;
+    frames_out = sum Link.frames_out;
     frames_in = !frames_in;
-    unknown = !unknown;
+    unknown = Lo_obs.Trace.count trace "unknown_tag";
     trace_events = Lo_obs.Trace.total trace;
-    reconnects = !reconnects;
+    reconnects = sum Link.reconnects;
   }

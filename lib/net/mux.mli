@@ -13,12 +13,3 @@ val register : t -> Network.node -> proto:string -> Network.handler -> unit
 
 val proto_of_tag : string -> string
 (** ["lo:commit"] -> ["lo"]; a tag without a colon is its own proto. *)
-
-val unknown_count : t -> int
-(** Deliveries whose proto had no registered handler at any node. Such
-    messages (a peer speaking a newer protocol version, a stray tag)
-    are counted and emitted to the trace as {!Lo_obs.Event.Unknown_tag}
-    rather than dropped silently. *)
-
-val unknown_tags : t -> (string * int) list
-(** Unhandled deliveries broken down by full tag, sorted by tag. *)

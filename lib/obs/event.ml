@@ -1,4 +1,4 @@
-type drop_reason = Blocked | Loss | Down | In_flight
+type drop_reason = Blocked | Loss | Down | In_flight | Overflow
 
 type t =
   | Send of { src : int; dst : int; tag : string; bytes : int }
@@ -67,10 +67,12 @@ let drop_reason_label = function
   | Loss -> "loss"
   | Down -> "down"
   | In_flight -> "inflight"
+  | Overflow -> "overflow"
 
 let drop_reason_of_label = function
   | "blocked" -> Some Blocked
   | "loss" -> Some Loss
   | "down" -> Some Down
   | "inflight" -> Some In_flight
+  | "overflow" -> Some Overflow
   | _ -> None

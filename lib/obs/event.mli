@@ -18,6 +18,9 @@ type drop_reason =
   | Loss  (** random loss (global or per-link rate) *)
   | Down  (** destination was down when the message arrived *)
   | In_flight  (** still queued when the run's horizon cut delivery *)
+  | Overflow
+      (** refused by a full per-peer write queue (tail drop); only the
+          live host emits it *)
 
 type t =
   | Send of { src : int; dst : int; tag : string; bytes : int }

@@ -18,7 +18,8 @@
 type entry = { at : float; ev : Event.t }
 
 (** Per-message-tag byte/message flow, split by outcome. [dropped_*]
-    covers {!Event.Loss}, {!Event.Down} and {!Event.In_flight};
+    covers {!Event.Loss}, {!Event.Down}, {!Event.In_flight} and
+    {!Event.Overflow};
     [blocked_*] counts refusals that were never charged as sent. *)
 type flow = {
   sent_msgs : int;

@@ -227,9 +227,15 @@ let mux_tests =
         Lo_net.Network.send net ~src:0 ~dst:1 ~tag:"zz:ping" "stray2";
         Lo_net.Network.run_until net 5.0;
         check_int "handled" 1 !seen;
-        check_int "unknown" 2 (Lo_net.Mux.unknown_count mux);
+        check_int "unknown" 2 (Lo_obs.Trace.count trace "unknown_tag");
         check_bool "by tag" true
-          (Lo_net.Mux.unknown_tags mux = [ ("zz:ping", 2) ]);
+          (List.for_all
+             (fun (e : Lo_obs.Trace.entry) ->
+               match e.ev with
+               | Lo_obs.Event.Unknown_tag { node; src; tag } ->
+                   node = 1 && src = 0 && tag = "zz:ping"
+               | _ -> true)
+             (Lo_obs.Trace.events trace));
         let dump = Lo_obs.Jsonl.to_string trace in
         check_int "traced" 2 (occurrences "\"ev\":\"unknown_tag\"" dump));
   ]
@@ -398,6 +404,352 @@ let faulty_link_tests =
           | () -> true
           | exception _ -> false));
   ]
+
+(* ---------------- Link: the per-peer state machine ---------------- *)
+
+module Link = Lo_live.Link
+
+(* One link over a model socket: integer fds, a synthetic clock (every
+   call passes [now]), a kernel that takes at most [budget] more bytes
+   (then would block), and the peer's decoder, which a released
+   connection resets — the peer discards a partial tail at EOF. *)
+type model = {
+  link : int Link.t;
+  events : Lo_obs.Event.t list ref;  (** newest first *)
+  budget : int ref;
+  fail : string option ref;  (** the next write fails so *)
+  writes : (bool * int) list ref;  (** (gathered in scratch?, len) *)
+  received : (string, int) Hashtbl.t;  (** complete frames, by tag *)
+  deferred : (unit -> unit) Queue.t;
+  released : int list ref;
+  next_fd : int ref;
+}
+
+let model ?(faults = Faulty_link.none) ?(seed = 1) ?(scratch = 65536) () =
+  let events = ref [] and writes = ref [] and released = ref [] in
+  let budget = ref max_int and fail = ref None in
+  let received = Hashtbl.create 4 and deferred = Queue.create () in
+  let dec = ref (Frame.Decoder.create ()) in
+  let scratch = Bytes.create scratch in
+  let write _fd buf off len =
+    writes := (buf == scratch, len) :: !writes;
+    match !fail with
+    | Some reason ->
+        fail := None;
+        Link.Failed reason
+    | None ->
+        let k = min len !budget in
+        if k = 0 then Link.Again
+        else begin
+          budget := !budget - k;
+          Frame.Decoder.feed_bytes !dec buf off k;
+          let rec decode () =
+            match Frame.Decoder.next !dec with
+            | Some f ->
+                Hashtbl.replace received f.Frame.tag
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt received f.tag));
+                decode ()
+            | None -> ()
+          in
+          decode ();
+          Link.Wrote k
+        end
+  in
+  let env =
+    {
+      Link.self = 0;
+      emit = (fun e -> events := e :: !events);
+      rng = Rng.create seed;
+      faults;
+      defer = (fun _ fn -> Queue.add fn deferred);
+      write;
+      release =
+        (fun fd ->
+          released := fd :: !released;
+          dec := Frame.Decoder.create ());
+      scratch;
+    }
+  in
+  {
+    link = Link.create env ~peer:1;
+    events;
+    budget;
+    fail;
+    writes;
+    received;
+    deferred;
+    released;
+    next_fd = ref 10;
+  }
+
+let connect m ~now =
+  incr m.next_fd;
+  Link.connecting m.link ~now !(m.next_fd);
+  Link.established m.link ~now
+
+let send m ?(tag = "lo:txs") size =
+  let payload = String.make size 'p' in
+  Link.send m.link ~tag ~payload (lazy (Frame.encode ~src:0 ~tag payload))
+
+(* Raw queue entries of an exact wire size (only their length matters
+   while the link is down). *)
+let send_raw m ~tag ~pbytes len =
+  Link.send m.link ~tag ~payload:(String.make pbytes 'p')
+    (lazy (String.make len 'w'))
+
+let drops ?tag m reason =
+  List.length
+    (List.filter
+       (function
+         | Lo_obs.Event.Drop d ->
+             d.reason = reason
+             && Option.fold ~none:true ~some:(String.equal d.tag) tag
+         | _ -> false)
+       !(m.events))
+
+let sends ?tag m =
+  List.length
+    (List.filter
+       (function
+         | Lo_obs.Event.Send d ->
+             Option.fold ~none:true ~some:(String.equal d.tag) tag
+         | _ -> false)
+       !(m.events))
+
+let conn_downs m =
+  List.filter_map
+    (function Lo_obs.Event.Conn_down d -> Some d.reason | _ -> None)
+    (List.rev !(m.events))
+
+let all_drops m =
+  List.length
+    (List.filter (function Lo_obs.Event.Drop _ -> true | _ -> false) !(m.events))
+
+let frames_received m =
+  Hashtbl.fold (fun _ c acc -> acc + c) m.received 0
+
+let is_down m = Link.state m.link = Link.Down
+
+let truncating = { Faulty_link.none with truncate = 1.0 }
+
+let link_tests =
+  let module Ev = Lo_obs.Event in
+  [
+    Alcotest.test_case "a tail drop at exactly 256 KiB charges one Overflow"
+      `Quick (fun () ->
+        let m = model () in
+        let quarter = Link.max_queue_bytes / 4 in
+        check_int "256 KiB" (1 lsl 18) Link.max_queue_bytes;
+        for _ = 1 to 4 do
+          send_raw m ~tag:"lo:txs" ~pbytes:100 quarter
+        done;
+        check_int "a full queue is not a drop" 0 (all_drops m);
+        send_raw m ~tag:"lo:digest" ~pbytes:7 1;
+        check_int "four sends, then the refused one" 5 (sends m);
+        check_int "one overflow" 1 (drops m Ev.Overflow);
+        check_bool "charged to the refused frame" true
+          (match !(m.events) with
+          | Ev.Drop { tag = "lo:digest"; bytes = 7; dst = 1; src = 0; _ } :: _ ->
+              true
+          | _ -> false);
+        check_int "not a dead link" 0 (drops m Ev.Down));
+    Alcotest.test_case
+      "a partial write then teardown charges the head frame once, as Down"
+      `Quick (fun () ->
+        let m = model () in
+        connect m ~now:0.;
+        send m 100;
+        send m 50;
+        m.budget := 10;
+        check_int "nothing complete" 0 (Link.flush m.link ~now:0.1);
+        Link.down m.link ~now:0.2 ~reason:"reset";
+        check_int "head charged as down" 1 (drops m Ev.Down);
+        check_bool "conn down" true (conn_downs m = [ "reset" ]);
+        check_bool "fd released" true (!(m.released) = [ 11 ]);
+        (* The second frame survives the teardown whole and goes out on
+           the next connection; nothing is charged again. *)
+        m.budget := max_int;
+        connect m ~now:1.;
+        check_int "second frame written" 1 (Link.flush m.link ~now:1.);
+        check_int "peer decoded it alone" 1 (frames_received m);
+        Link.shutdown m.link;
+        check_int "still one drop" 1 (all_drops m);
+        check_int "frames out" 1 (Link.frames_out m.link);
+        check_int "one reconnect" 1 (Link.reconnects m.link));
+    Alcotest.test_case
+      "Truncate: one Send, one Loss, down at its Cut, no second charge"
+      `Quick (fun () ->
+        let m = model ~faults:truncating () in
+        connect m ~now:0.;
+        send m 100;
+        check_int "one send" 1 (sends m);
+        check_int "one loss" 1 (drops m Ev.Loss);
+        ignore (Link.flush m.link ~now:0.1);
+        check_bool "down at the cut" true (conn_downs m = [ "cut" ] && is_down m);
+        check_int "peer got no frame" 0 (frames_received m);
+        (* A prefix cut short by a teardown charges nothing either, and
+           its Cut still closes the next connection. *)
+        send m 100;
+        connect m ~now:1.;
+        m.budget := 3;
+        ignore (Link.flush m.link ~now:1.);
+        Link.down m.link ~now:1.1 ~reason:"reset";
+        m.budget := max_int;
+        connect m ~now:2.;
+        ignore (Link.flush m.link ~now:2.);
+        check_bool "reset, then cut" true
+          (conn_downs m = [ "cut"; "reset"; "cut" ]);
+        Link.shutdown m.link;
+        check_int "two sends" 2 (sends m);
+        check_int "two losses" 2 (drops m Ev.Loss);
+        check_int "no other drop" 2 (all_drops m);
+        check_int "no frame out" 0 (Link.frames_out m.link));
+    Alcotest.test_case "shutdown charges partly written as Down, untouched as In_flight"
+      `Quick (fun () ->
+        let m = model () in
+        connect m ~now:0.;
+        send m ~tag:"lo:a" 100;
+        send m ~tag:"lo:b" 100;
+        send m ~tag:"lo:b" 100;
+        m.budget := 20;
+        ignore (Link.flush m.link ~now:0.1);
+        Link.shutdown m.link;
+        check_int "head down" 1 (drops ~tag:"lo:a" m Ev.Down);
+        check_int "rest in flight" 2 (drops ~tag:"lo:b" m Ev.In_flight);
+        check_int "nothing else" 3 (all_drops m);
+        check_bool "no conn down" true (conn_downs m = []);
+        check_bool "released" true (!(m.released) = [ 11 ] && is_down m));
+    Alcotest.test_case
+      "a lone frame is written in place; a gathered write stops at a Cut"
+      `Quick (fun () ->
+        let spec = { Faulty_link.none with truncate = 0.5 } in
+        let len = String.length (Frame.encode ~src:0 ~tag:"lo:txs" (String.make 60 'p')) in
+        (* A seed whose first four decisions are pass, pass, truncate,
+           pass: the queue becomes A B prefix Cut C. *)
+        let pattern seed =
+          let rng = Rng.create seed in
+          match List.init 4 (fun _ -> Faulty_link.decide spec rng ~frame_len:len) with
+          | [ Faulty_link.Pass; Faulty_link.Pass; Faulty_link.Truncate k; Faulty_link.Pass ] ->
+              Some k
+          | _ -> None
+        in
+        let seed = Option.get (Seq.find (fun s -> pattern s <> None) (Seq.ints 1)) in
+        let keep = Option.get (pattern seed) in
+        let m = model ~faults:spec ~seed () in
+        for _ = 1 to 4 do
+          send m 60
+        done;
+        connect m ~now:0.;
+        check_int "A, B and the prefix complete" 3 (Link.flush m.link ~now:0.);
+        check_int "A and B are frames out" 2 (Link.frames_out m.link);
+        check_bool "one gathered write, up to the cut" true
+          (!(m.writes) = [ (true, (2 * len) + keep) ]);
+        check_bool "then down at the cut" true (conn_downs m = [ "cut" ]);
+        check_int "peer decoded A and B" 2 (frames_received m);
+        connect m ~now:1.;
+        m.writes := [];
+        check_int "C complete" 1 (Link.flush m.link ~now:1.);
+        check_bool "C alone, in place" true (!(m.writes) = [ (false, len) ]);
+        (* A head frame that fills the scratch buffer goes in place even
+           with company. *)
+        let m = model ~scratch:64 () in
+        connect m ~now:0.;
+        send m 100;
+        send m 10;
+        m.budget := 0;
+        ignore (Link.flush m.link ~now:0.);
+        check_bool "big head in place" true
+          (match !(m.writes) with [ (false, _) ] -> true | _ -> false));
+    Alcotest.test_case "deadlines: connect timeout, stall, backoff" `Quick
+      (fun () ->
+        let m = model () in
+        check_bool "first connect is due" true (Link.upkeep m.link ~now:0.);
+        Link.connecting m.link ~now:0. 11;
+        check_bool "in flight" false (Link.upkeep m.link ~now:0.9);
+        check_bool "connect abandoned, backoff armed" false
+          (Link.upkeep m.link ~now:1.1);
+        check_bool "released" true (is_down m && !(m.released) = [ 11 ]);
+        check_bool "no conn down before up" true (conn_downs m = []);
+        check_bool "retry after the backoff" true (Link.upkeep m.link ~now:3.);
+        connect m ~now:3.;
+        send m 10;
+        m.budget := 0;
+        ignore (Link.flush m.link ~now:3.);
+        check_bool "queued but not yet stalled" false (Link.upkeep m.link ~now:6.9);
+        ignore (Link.upkeep m.link ~now:7.1);
+        check_bool "stalled" true (conn_downs m = [ "stalled" ]));
+  ]
+
+(* Conservation under any interleaving: per tag, the frames charged as
+   sent equal the frames the peer decoded plus the drops. *)
+type link_op =
+  | Op_send of int * int  (** tag index, payload bytes *)
+  | Op_connect
+  | Op_flush of int  (** kernel budget *)
+  | Op_teardown
+  | Op_fail_next
+  | Op_fire_delays
+
+let link_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 6,
+        map2
+          (fun t size -> Op_send (t, size))
+          (int_bound 1)
+          (frequency [ (3, int_bound 400); (1, int_range 30_000 70_000) ]) );
+      (2, return Op_connect);
+      (4, map (fun b -> Op_flush b) (int_bound 2_000));
+      (1, return Op_teardown);
+      (1, return Op_fail_next);
+      (1, return Op_fire_delays);
+    ]
+
+let link_qcheck =
+  let chaos =
+    {
+      Faulty_link.drop = 0.1;
+      dup = 0.1;
+      delay = 0.1;
+      delay_max = 0.05;
+      truncate = 0.1;
+      garble = 0.1;
+    }
+  in
+  qtest ~count:200 "sends = frames written in full + drops, per tag"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (list_size (int_bound 80) link_op_gen))
+    (fun (seed, ops) ->
+      let m = model ~faults:chaos ~seed () in
+      let now = ref 0. in
+      List.iter
+        (fun op ->
+          now := !now +. 0.01;
+          match op with
+          | Op_send (t, size) -> send m ~tag:(if t = 0 then "lo:a" else "lo:b") size
+          | Op_connect -> if is_down m then connect m ~now:!now
+          | Op_flush b ->
+              m.budget := b;
+              ignore (Link.flush m.link ~now:!now)
+          | Op_teardown -> Link.down m.link ~now:!now ~reason:"reset"
+          | Op_fail_next -> m.fail := Some "eof"
+          | Op_fire_delays ->
+              let fns = List.of_seq (Queue.to_seq m.deferred) in
+              Queue.clear m.deferred;
+              List.iter (fun fn -> fn ()) fns)
+        ops;
+      Link.shutdown m.link;
+      let dropped tag =
+        List.length
+          (List.filter
+             (function Lo_obs.Event.Drop d -> d.tag = tag | _ -> false)
+             !(m.events))
+      in
+      let got tag = Option.value ~default:0 (Hashtbl.find_opt m.received tag) in
+      List.for_all
+        (fun tag -> sends ~tag m = got tag + dropped tag)
+        [ "lo:a"; "lo:b"; Faulty_link.garble_tag ]
+      && Link.frames_out m.link = frames_received m)
 
 (* The decoder faces the open network (and the chaos wrapper's
    truncations), so its contract is: any byte stream either yields
@@ -887,6 +1239,7 @@ let () =
       ("mux", mux_tests);
       ("reconnect", reconnect_tests);
       ("faulty_link", faulty_link_tests);
+      ("link", link_tests @ [ link_qcheck ]);
       ("decoder_fuzz", decoder_fuzz_tests);
       ("resume", resume_tests);
       ("cluster_chaos", cluster_tests);

@@ -111,6 +111,7 @@ let all_constructors =
     e 1.75 (drop Event.Loss);
     e 2.0 (drop Event.Down);
     e 2.25 (drop Event.In_flight);
+    e 2.3 (drop Event.Overflow);
     e 2.5 (Event.Span_begin { node = 3; key = "recon:7" });
     e 2.75 (Event.Span_end { node = 3; key = "recon:7"; ok = false });
     e 3.0 (Event.Commit_append { node = 2; seq = 4; count = 9; ids = [ 1; 2 ] });

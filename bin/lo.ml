@@ -112,9 +112,9 @@ let run_trace scale kind out audit capacity =
   (match out with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Lo_obs.Jsonl.output oc result.Lo_sim.Experiments.trace;
-      close_out oc;
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun e -> output_string oc (Lo_obs.Jsonl.line e ^ "\n"))
+            (Lo_obs.Trace.events result.Lo_sim.Experiments.trace));
       Printf.printf "wrote %d events to %s\n"
         (Lo_obs.Trace.length result.Lo_sim.Experiments.trace)
         path);
@@ -300,13 +300,12 @@ let run_serve id n base_port seed tps duration epoch out =
   let cfg =
     Lo_live.Host.config ~id ~n ~base_port ~seed ~tps ~duration ~epoch ()
   in
-  let stats = Lo_live.Host.run ?trace_path:out cfg in
-  Printf.printf
-    "node %d: %d txs submitted, %d frames out, %d frames in, %d unknown-tag, \
-     %d trace events\n"
-    id stats.Lo_live.Host.submitted stats.Lo_live.Host.frames_out
-    stats.Lo_live.Host.frames_in stats.Lo_live.Host.unknown
-    stats.Lo_live.Host.trace_events
+  let counts =
+    Lo_obs.Trace.kind_counts (Lo_live.Host.run ?trace_path:out cfg)
+  in
+  Printf.printf "node %d: %s\n" id
+    (String.concat ", "
+       (List.map (fun (k, c) -> Printf.sprintf "%d %s" c k) counts))
 
 let run_cluster n tps duration seed base_port out_dir chaos signer =
   let chaos =

@@ -133,9 +133,6 @@ type report = {
 let trace_path dir i inc =
   Filename.concat dir (Printf.sprintf "node-%d.%d.jsonl" i inc)
 
-let stats_path dir i inc =
-  Filename.concat dir (Printf.sprintf "node-%d.%d.stats" i inc)
-
 let mkdir_p dir =
   if not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755
@@ -146,18 +143,13 @@ let default_out_dir () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "lo-cluster-%d" (Unix.getpid ()))
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* A child must never return into the caller's world (under the test
    runner, [Stdlib.exit] would run the parent's at_exit hooks); flush
    what is ours and leave through [Unix._exit]. *)
-let child ~cfg ~tp ~sp i =
+let child ~cfg ~tp i =
   let code =
     try
-      let stats = Host.run ~trace_path:tp cfg in
-      Out_channel.with_open_text sp (fun oc ->
-          Printf.fprintf oc "%d %d %d\n" stats.Host.submitted
-            stats.Host.frames_in stats.Host.reconnects);
+      ignore (Host.run ~trace_path:tp cfg);
       0
     with e ->
       Printf.eprintf "lo cluster: node %d failed: %s\n%!" i
@@ -174,6 +166,20 @@ let child ~cfg ~tp ~sp i =
 let watchdog_grace = 5.0
 
 let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* Connections one incarnation re-established: each [Conn_up] after the
+   first towards the same peer. *)
+let reconnects_in entries =
+  let seen = Hashtbl.create 8 in
+  List.fold_left
+    (fun acc (e : Lo_obs.Trace.entry) ->
+      match e.ev with
+      | Lo_obs.Event.Conn_up { peer; _ } when Hashtbl.mem seen peer -> acc + 1
+      | Lo_obs.Event.Conn_up { peer; _ } ->
+          Hashtbl.add seen peer ();
+          acc
+      | _ -> acc)
+    0 entries
 
 let close_deficits trace =
   let at = Lo_obs.Trace.last_at trace in
@@ -245,7 +251,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
     flush stdout;
     flush stderr;
     match Unix.fork () with
-    | 0 -> child ~cfg ~tp ~sp:(stats_path dir node inc) node
+    | 0 -> child ~cfg ~tp node
     | pid ->
         Hashtbl.replace children pid node;
         live_pid.(node) <- Some pid;
@@ -331,7 +337,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
   reap ();
 
   (* --- merge --- *)
-  let truncated = ref 0 in
+  let truncated = ref 0 and reconnects = ref 0 in
   let entries =
     List.concat_map
       (fun node ->
@@ -340,6 +346,7 @@ let run ?out_dir ?(base_port = Host.default_base_port)
             match Resume.parse_lenient ~path with
             | Ok (es, cut) ->
                 truncated := !truncated + cut;
+                reconnects := !reconnects + reconnects_in es;
                 es
             | Error msg ->
                 Printf.eprintf "lo cluster: node %d trace unreadable: %s\n%!"
@@ -370,9 +377,10 @@ let run ?out_dir ?(base_port = Host.default_base_port)
      into. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
   let auditor = Lo_obs.Audit.attach trace in
-  let overflows = ref 0 in
+  let frames = ref 0 and overflows = ref 0 in
   Lo_obs.Trace.observe trace (fun e ->
       match e.Lo_obs.Trace.ev with
+      | Lo_obs.Event.Deliver { src; dst; _ } when src <> dst -> incr frames
       | Lo_obs.Event.Drop { reason = Lo_obs.Event.Overflow; _ } ->
           incr overflows
       | _ -> ());
@@ -394,30 +402,12 @@ let run ?out_dir ?(base_port = Host.default_base_port)
         if !induced <> [] then close_deficits trace else 0)
   in
   let audit = Lo_obs.Audit.finish auditor in
-  let submitted = ref 0
-  and frames = ref 0
-  and reconnects = ref 0 in
-  List.iter
-    (fun node ->
-      List.iteri
-        (fun rev_inc _ ->
-          let inc = List.length paths.(node) - 1 - rev_inc in
-          let sp = stats_path dir node inc in
-          if Sys.file_exists sp then
-            try
-              Scanf.sscanf (read_file sp) " %d %d %d" (fun s f_in rc ->
-                  submitted := !submitted + s;
-                  frames := !frames + f_in;
-                  reconnects := !reconnects + rc)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
-        paths.(node))
-    (List.init n Fun.id);
   {
     n;
     seed;
     duration;
     out_dir = dir;
-    submitted = !submitted;
+    submitted = Lo_obs.Trace.count trace "submit";
     frames = !frames;
     unknown = Lo_obs.Trace.count trace "unknown_tag";
     overflows = !overflows;

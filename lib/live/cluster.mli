@@ -6,10 +6,22 @@
     The parent never exchanges protocol traffic with the children; it
     only picks a shared epoch, delivers SIGKILLs on schedule, collects
     exit statuses with a non-blocking reap loop, and reads the JSONL
-    trace plus a tiny stats file each incarnation leaves in [out_dir]
-    ([node-<i>.<incarnation>.jsonl] / [.stats]). The merged stream is
-    replayed once into a one-entry trace that an {!Lo_obs.Audit} and
+    trace each incarnation leaves in [out_dir]
+    ([node-<i>.<incarnation>.jsonl]; no other file). The merged stream
+    is replayed once into a one-entry trace that an {!Lo_obs.Audit} and
     the [merged.jsonl] writer observe.
+
+    {b One ledger.} Every count in the {!report} is folded from those
+    traces, so a SIGKILLed incarnation's work counts up to its last
+    flushed event:
+    - [submitted]: [Submit] events;
+    - [frames]: [Deliver] events with [src <> dst] (frames read off a
+      socket);
+    - [reconnects]: per incarnation file, each [Conn_up] after the first
+      towards the same peer;
+    - [unknown], [overflows], [exposures], [restarts], [events]: the
+      merged trace's [Unknown_tag], [Drop {reason = Overflow}],
+      [Expose] and [Restart] events, and its length.
 
     {b Chaos.} With [chaos] set, the supervisor compiles the schedule
     to process-level {!Lo_net.Fault_plan.Crash} events: at each kill
@@ -58,8 +70,8 @@ type report = {
   seed : int;
   duration : float;
   out_dir : string;
-  submitted : int;  (** transactions injected across the cluster *)
-  frames : int;  (** TCP frames received across the cluster *)
+  submitted : int;  (** [Submit] events: transactions injected *)
+  frames : int;  (** remote [Deliver] events: frames received *)
   unknown : int;  (** [Unknown_tag] events in the merged trace *)
   overflows : int;
       (** [Drop {reason = Overflow}] in the merged trace: tail drops *)
@@ -71,7 +83,8 @@ type report = {
   induced_kills : (float * int) list;
       (** (seconds after epoch, node) for each SIGKILL delivered *)
   restarts : int;  (** [Restart] events in the merged trace *)
-  reconnects : int;  (** links re-established after having been up *)
+  reconnects : int;
+      (** [Conn_up] events after an incarnation's first to that peer *)
   watchdog_killed : int list;  (** children killed past the deadline *)
   synthesized_drops : int;
       (** crash drops added to close kill-induced bandwidth deficits *)

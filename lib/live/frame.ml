@@ -4,16 +4,13 @@ module Reader = Lo_codec.Reader
 let version = 1
 let max_body = 16 * 1024 * 1024
 
-type frame = { version : int; src : int; tag : string; payload : string }
-
 let varint_len v =
   let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
   go v 1
 
-let encode_into w ~src ~tag payload =
-  (* The body length is computable up front, so one frame is a single
-     straight-line append — callers gather many frames into one writer
-     and hand the transport a single contiguous write. *)
+let encode ~src ~tag payload =
+  (* The body length is computable up front, so a frame is one
+     straight-line append. *)
   let body =
     1 + varint_len src
     + varint_len (String.length tag)
@@ -21,25 +18,13 @@ let encode_into w ~src ~tag payload =
     + varint_len (String.length payload)
     + String.length payload
   in
+  let w = Writer.create ~initial_size:(4 + body) () in
   Writer.u32 w body;
   Writer.u8 w version;
   Writer.varint w src;
   Writer.bytes w tag;
-  Writer.bytes w payload
-
-let encode ~src ~tag payload =
-  let w = Writer.create ~initial_size:(String.length payload + 64) () in
-  encode_into w ~src ~tag payload;
+  Writer.bytes w payload;
   Writer.contents w
-
-let decode_body body =
-  let r = Reader.of_string body in
-  let version = Reader.u8 r in
-  let src = Reader.varint r in
-  let tag = Reader.bytes r in
-  let payload = Reader.bytes r in
-  Reader.expect_end r;
-  { version; src; tag; payload }
 
 module Decoder = struct
   (* A flat byte accumulator with a consumed prefix. Flat storage (vs a
@@ -82,18 +67,6 @@ module Decoder = struct
     Bytes.blit chunk off t.data t.len len;
     t.len <- t.len + len
 
-  let feed t ?(off = 0) ?len chunk =
-    let len = match len with Some l -> l | None -> String.length chunk - off in
-    if off < 0 || len < 0 || off + len > String.length chunk then
-      invalid_arg "Frame.Decoder.feed";
-    ensure t len;
-    Bytes.blit_string chunk off t.data t.len len;
-    t.len <- t.len + len
-
-  let reset t =
-    t.len <- 0;
-    t.pos <- 0
-
   (* Body length of the frame at [pos]; [None] while incomplete. *)
   let header t =
     if buffered t < 4 then None
@@ -105,21 +78,6 @@ module Decoder = struct
           (Reader.Malformed (Printf.sprintf "frame body length %d > max" len));
       if buffered t < 4 + len then None else Some len
     end
-
-  let next t =
-    match header t with
-    | None -> None
-    | Some len -> (
-        let body = Bytes.sub_string t.data (t.pos + 4) len in
-        t.pos <- t.pos + 4 + len;
-        (* Contain decode failures: whatever a hostile body makes the
-           codec raise, the caller sees the one documented exception and
-           the decoder has already consumed the bad frame, so a [reset]
-           (or even plain continued feeding) can resynchronise. *)
-        match decode_body body with
-        | f -> Some f
-        | exception (Reader.Malformed _ as e) -> raise e
-        | exception _ -> raise (Reader.Malformed "frame body failed to decode"))
 
   type view = {
     v_version : int;
@@ -136,7 +94,7 @@ module Decoder = struct
         t.pos <- t.pos + 4 + len;
         (* [unsafe_to_string] is sound here: readers never mutate, and
            the view's documented lifetime ends before the decoder next
-           touches [data] (feed/next/next_view/reset all invalidate). *)
+           touches [data] (feed_bytes and next_view both invalidate). *)
         match
           let r =
             Reader.of_substring (Bytes.unsafe_to_string t.data) ~pos:start ~len

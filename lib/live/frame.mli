@@ -24,20 +24,8 @@ val max_body : int
 (** Upper bound on the body length (16 MiB); a larger prefix marks a
     corrupt or hostile stream. *)
 
-type frame = { version : int; src : int; tag : string; payload : string }
-
 val encode : src:int -> tag:string -> string -> string
 (** Whole frame, ready to write. *)
-
-val encode_into : Lo_codec.Writer.t -> src:int -> tag:string -> string -> unit
-(** Append one complete frame (length prefix included) to a
-    caller-owned writer {e without} resetting it — the pipelined send
-    path gathers a burst of frames into one writer and hands the socket
-    a single contiguous write. *)
-
-val decode_body : string -> frame
-(** Parse one frame body (everything after the length prefix).
-    @raise Lo_codec.Reader.Malformed on structural garbage. *)
 
 (** Incremental decoder over a byte stream. *)
 module Decoder : sig
@@ -45,22 +33,9 @@ module Decoder : sig
 
   val create : unit -> t
 
-  val feed : t -> ?off:int -> ?len:int -> string -> unit
-  (** Append a received chunk (or a slice of it). *)
-
   val feed_bytes : t -> Bytes.t -> int -> int -> unit
-  (** [feed_bytes t chunk off len]: append straight from the read
-      scratch buffer, skipping the [Bytes.sub_string] a string-typed
-      feed would force on every [read]. *)
-
-  val next : t -> frame option
-  (** The next complete frame, if buffered.
-      @raise Lo_codec.Reader.Malformed on a corrupt stream (oversized
-      length prefix or unparseable body) — and only that exception,
-      whatever bytes arrive. After an unparseable body the bad frame
-      has been consumed, so feeding may continue; after an oversized
-      prefix the stream position itself is lost and the caller should
-      {!reset} (or drop the connection). *)
+  (** [feed_bytes t chunk off len]: append a received slice straight
+      from the read buffer. *)
 
   type view = {
     v_version : int;
@@ -71,21 +46,16 @@ module Decoder : sig
   (** A decoded frame whose payload is a reader view {e into the
       decoder's receive buffer} — no body copy. The view (and any
       sub-views derived from it) is only valid until the decoder is
-      next touched: any [feed]/[feed_bytes]/[next]/[next_view]/[reset]
-      may move the underlying storage. Consume it fully before
-      advancing. *)
+      next touched: any [feed_bytes]/[next_view] may move the underlying
+      storage. Consume it fully before advancing. *)
 
   val next_view : t -> view option
-  (** Zero-copy variant of {!next}: same resync semantics (a malformed
-      body is consumed before the exception escapes), but the payload
-      stays in place. The tag and header fields are still materialised
-      (they are tiny); only the payload — the dominant bytes — is
-      borrowed. *)
-
-  val buffered : t -> int
-  (** Bytes held waiting for a complete frame. *)
-
-  val reset : t -> unit
-  (** Discard all buffered bytes, returning the decoder to its freshly
-      created state — the resync point after {!next} raised. *)
+  (** The next complete frame, if buffered. The tag and header fields
+      are materialised (they are tiny); only the payload — the dominant
+      bytes — is borrowed.
+      @raise Lo_codec.Reader.Malformed on a corrupt stream (oversized
+      length prefix or unparseable body) — and only that exception,
+      whatever bytes arrive. An unparseable body is consumed before the
+      exception escapes; after an oversized prefix the stream position
+      itself is lost, and the caller drops the connection. *)
 end

@@ -28,6 +28,8 @@ let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
     ~epoch () =
   if n <= 0 then invalid_arg "Host.config: n";
   if id < 0 || id >= n then invalid_arg "Host.config: id";
+  if base_port < 1 || base_port + n - 1 > 65535 then
+    invalid_arg "Host.config: ports base_port .. base_port + n - 1";
   if incarnation < 0 then invalid_arg "Host.config: incarnation";
   if incarnation > 0 && resume_from = [] then
     invalid_arg "Host.config: incarnation > 0 needs resume_from";
@@ -45,15 +47,6 @@ let config ~id ~n ?(base_port = default_base_port) ?(seed = 1) ?(tps = 20.)
     faults;
     signer;
   }
-
-type stats = {
-  submitted : int;
-  frames_out : int;
-  frames_in : int;
-  unknown : int;
-  trace_events : int;
-  reconnects : int;
-}
 
 (* How long the post-quiesce loop must stay silent (no frame in or out)
    before the node may exit early; bounded above by [drain]. *)
@@ -95,7 +88,7 @@ let run ?trace_path cfg =
     Deployment.derive ~scheme ~n ~seed ()
   in
   (* Only the trace's counters and its write-ahead observer are read, so
-     the ring keeps a single entry. *)
+     the ring keeps a single entry; it is what [run] returns. *)
   let trace = Lo_obs.Trace.create ~capacity:1 () in
   let now_rel () = Clock.now_s () -. cfg.epoch in
   let emit ev = Lo_obs.Trace.emit trace ~at:(now_rel ()) ev in
@@ -180,8 +173,6 @@ let run ?trace_path cfg =
   let subs : (string, Lo_transport.handler) Hashtbl.t = Hashtbl.create 4 in
   let restart_handler = ref (fun () -> ()) in
   let local : (string * string) Queue.t = Queue.create () in
-  let submitted = ref 0 in
-  let frames_in = ref 0 in
   let last_activity = ref 0. in
 
   (* A fan-out shares one lazy encoding across its remote destinations:
@@ -291,7 +282,6 @@ let run ?trace_path cfg =
     | (Local _ | Wire _), None -> unknown tag
   in
   let handle_view { Frame.Decoder.v_version; v_src; v_tag; v_payload } =
-    incr frames_in;
     last_activity := now_rel ();
     deliver ~from:v_src ~tag:v_tag ~bytes:(Lo_codec.Reader.remaining v_payload)
       (if v_version = Frame.version then Wire v_payload else Skewed v_version)
@@ -315,7 +305,7 @@ let run ?trace_path cfg =
         in
         Timer_wheel.schedule timers ~at:spec.Lo_workload.Tx_gen.created_at
           (fun () ->
-            incr submitted;
+            emit (Lo_obs.Event.Submit { node = id; id = Tx.short_id tx });
             Node.submit_tx node tx)
       end)
     (Deployment.workload ~rate:cfg.tps ~duration ~seed ~n);
@@ -439,7 +429,13 @@ let run ?trace_path cfg =
                 | k -> (
                     Frame.Decoder.feed_bytes dec read_buf 0 k;
                     try decode_all dec
-                    with Lo_codec.Reader.Malformed _ -> drop_incoming fd)
+                    with Lo_codec.Reader.Malformed _ ->
+                      (* The stream position is lost: count the discard,
+                         then close the connection. *)
+                      emit
+                        (Lo_obs.Event.Malformed
+                           { node = id; src = -1; tag = "frame" });
+                      drop_incoming fd)
                 | exception
                     Unix.Unix_error
                       ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
@@ -470,12 +466,4 @@ let run ?trace_path cfg =
   close_quietly listener;
   wal_flush ();
   (match wal_oc with Some oc -> close_out oc | None -> ());
-  let sum f = Array.fold_left (fun acc l -> acc + f l) 0 links in
-  {
-    submitted = !submitted;
-    frames_out = sum Link.frames_out;
-    frames_in = !frames_in;
-    unknown = Lo_obs.Trace.count trace "unknown_tag";
-    trace_events = Lo_obs.Trace.total trace;
-    reconnects = sum Link.reconnects;
-  }
+  trace

@@ -81,21 +81,20 @@ val config :
   epoch:float ->
   unit ->
   config
+(** @raise Invalid_argument unless [0 <= id < n], the ports
+    [base_port .. base_port + n - 1] lie in [1 .. 65535], and the
+    incarnation, resume files and faults are consistent. *)
 
 val default_base_port : int
 
-type stats = {
-  submitted : int;  (** transactions injected at this node *)
-  frames_out : int;  (** frames fully written to peers *)
-  frames_in : int;  (** frames read and dispatched *)
-  unknown : int;  (** [Unknown_tag] events in this node's trace *)
-  trace_events : int;
-  reconnects : int;
-      (** connections re-established after having been up once *)
-}
-
-val run : ?trace_path:string -> config -> stats
-(** Run one node to completion. Writes the node's event trace as
-    streaming JSONL to [trace_path] when given (flushed ahead of socket
-    writes — see the crash-safety contract above). Raises [Failure] if
-    resuming from an unreadable or gapped prior trace. *)
+val run : ?trace_path:string -> config -> Lo_obs.Trace.t
+(** Run one node to completion and return its trace: a one-entry ring
+    whose counters ({!Lo_obs.Trace.count}, {!Lo_obs.Trace.tag_flows})
+    cover every event the node emitted — one [Submit] per workload
+    transaction, one [Deliver] per local or wire delivery, one
+    [Malformed {tag = "frame"}] per incoming connection closed for a
+    corrupt frame stream, the links' [Send]/[Drop]/[Conn_up]/
+    [Conn_down]. Writes the events as streaming JSONL to [trace_path]
+    when given (flushed ahead of socket writes — see the crash-safety
+    contract above). Raises [Failure] if resuming from an unreadable or
+    gapped prior trace. *)

@@ -35,9 +35,7 @@ type 'fd t = {
   queue : item Queue.t;
   mutable queued_bytes : int;  (** unwritten bytes across the queue *)
   backoff : Reconnect.t;
-  mutable opened : int;  (** connections established *)
   mutable last_progress : float;  (** last write progress or connect start *)
-  mutable frames_out : int;
 }
 
 let max_queue_bytes = 1 lsl 18
@@ -52,15 +50,11 @@ let create env ~peer =
     queue = Queue.create ();
     queued_bytes = 0;
     backoff = Reconnect.create ~rng:env.rng ();
-    opened = 0;
     last_progress = 0.;
-    frames_out = 0;
   }
 
 let state l = l.state
 let idle l = Queue.is_empty l.queue
-let frames_out l = l.frames_out
-let reconnects l = max 0 (l.opened - 1)
 
 let charge_send l ~tag ~pbytes =
   l.env.emit
@@ -132,7 +126,6 @@ let established l ~now =
       l.last_progress <- now;
       let attempts = Reconnect.attempts l.backoff + 1 in
       l.env.emit (Event.Conn_up { node = l.env.self; peer = l.peer; attempts });
-      l.opened <- l.opened + 1;
       Reconnect.opened l.backoff
   | Down | Up _ -> ()
 
@@ -193,8 +186,7 @@ let advance l ~now k =
         if !rem >= len then begin
           ignore (Queue.pop l.queue);
           rem := !rem - len;
-          incr popped;
-          if not d.accounted then l.frames_out <- l.frames_out + 1
+          incr popped
         end
         else begin
           d.off <- d.off + !rem;

@@ -90,9 +90,3 @@ val idle : 'fd t -> bool
 val shutdown : 'fd t -> unit
 (** Charge what is left ([Down] if partly written, else [In_flight]) and
     release the handle without a [Conn_down]. *)
-
-val frames_out : 'fd t -> int
-(** Charged frames written in full. *)
-
-val reconnects : 'fd t -> int
-(** Connections established after the first. *)

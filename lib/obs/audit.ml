@@ -127,7 +127,7 @@ let step t { Trace.at; ev } =
           (Printf.sprintf "span %s ended without begin" key)
   | Event.Send _ | Event.Deliver _ | Event.Drop _ | Event.Violation _
   | Event.Unknown_tag _ | Event.Malformed _ | Event.Conn_down _
-  | Event.Conn_up _ ->
+  | Event.Conn_up _ | Event.Submit _ ->
       ()
 
 let attach trace =

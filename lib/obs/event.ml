@@ -31,12 +31,13 @@ type t =
   | Conn_up of { node : int; peer : int; attempts : int }
   | Unknown_tag of { node : int; src : int; tag : string }
   | Malformed of { node : int; src : int; tag : string }
+  | Submit of { node : int; id : int }
 
 let labels =
   [|
     "send"; "deliver"; "drop"; "span_begin"; "span_end"; "commit"; "suspect";
     "clear"; "expose"; "violation"; "block"; "crash"; "restart"; "conn_down";
-    "conn_up"; "unknown_tag"; "malformed";
+    "conn_up"; "unknown_tag"; "malformed"; "submit";
   |]
 
 let kind_index = function
@@ -57,6 +58,7 @@ let kind_index = function
   | Conn_up _ -> 14
   | Unknown_tag _ -> 15
   | Malformed _ -> 16
+  | Submit _ -> 17
 
 let kind_count = Array.length labels
 let kind_label i = labels.(i)

@@ -70,6 +70,10 @@ type t =
   | Malformed of { node : int; src : int; tag : string }
       (** [node] received a payload under [tag] that failed to decode
           (truncated or garbled bytes); it was counted and discarded *)
+  | Submit of { node : int; id : int }
+      (** [node]'s workload submitted the transaction with short id
+          [id]. Only the live host emits it; ROADMAP item 1 moves it
+          into [Node] with a declared re-pin of the simulator's traces *)
 
 val kind : t -> string
 (** Stable lowercase label per constructor (the JSONL ["ev"] field). *)

@@ -91,7 +91,10 @@ let line { Trace.at; ev } =
   | Event.Unknown_tag { node; src; tag } | Event.Malformed { node; src; tag } ->
       int "node" node;
       int "src" src;
-      str "tag" tag);
+      str "tag" tag
+  | Event.Submit { node; id } ->
+      int "node" node;
+      int "id" id);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -103,13 +106,6 @@ let to_string trace =
   let b = Buffer.create 4096 in
   List.iter (add_line b) (Trace.events trace);
   Buffer.contents b
-
-let output oc trace =
-  List.iter
-    (fun e ->
-      output_string oc (line e);
-      output_char oc '\n')
-    (Trace.events trace)
 
 (* --- parsing --- *)
 
@@ -278,6 +274,7 @@ let parse_line s =
             { node = int "node"; src = int "src"; tag = str "tag" }
       | "malformed" ->
           Event.Malformed { node = int "node"; src = int "src"; tag = str "tag" }
+      | "submit" -> Event.Submit { node = int "node"; id = int "id" }
       | k -> fail "unknown event kind %s" k
     in
     Ok { Trace.at; ev }

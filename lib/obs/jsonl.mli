@@ -20,8 +20,6 @@ val add_line : Buffer.t -> Trace.entry -> unit
 val to_string : Trace.t -> string
 (** Every retained entry, one per line, each newline-terminated. *)
 
-val output : out_channel -> Trace.t -> unit
-
 val parse_line : string -> (Trace.entry, string) result
 
 val parse : string -> (Trace.entry list, string) result

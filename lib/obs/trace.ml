@@ -147,7 +147,7 @@ let account t (ev : Event.t) =
   | Event.Suspect _ | Event.Clear _ | Event.Expose _ | Event.Violation _
   | Event.Block_accept _ | Event.Crash _ | Event.Restart _
   | Event.Conn_down _ | Event.Conn_up _ | Event.Unknown_tag _
-  | Event.Malformed _ ->
+  | Event.Malformed _ | Event.Submit _ ->
       ()
 
 let rec notify entry = function

@@ -82,28 +82,40 @@ let write_chunked fd s chunk =
     off := !off + w
   done
 
+let feed dec s =
+  Frame.Decoder.feed_bytes dec (Bytes.of_string s) 0 (String.length s)
+
+(* A view copied out into the reference parser's frame record. *)
+let materialize (v : Frame.Decoder.view) =
+  {
+    Frame_ref.version = v.v_version;
+    src = v.v_src;
+    tag = v.v_tag;
+    payload =
+      Lo_codec.Reader.fixed v.v_payload (Lo_codec.Reader.remaining v.v_payload);
+  }
+
+let next dec = Option.map materialize (Frame.Decoder.next_view dec)
+
 let drain_frames dec acc =
-  let rec go acc =
-    match Frame.Decoder.next dec with
-    | Some f -> go (f :: acc)
-    | None -> acc
-  in
+  let rec go acc = match next dec with Some f -> go (f :: acc) | None -> acc in
   go acc
 
+(* Read until [expected] frames decoded; also returns the bytes read. *)
 let read_frames fd ~expected =
   let dec = Frame.Decoder.create () in
   (* A 7-byte read buffer guarantees partial reads of both the length
      prefix and the body. *)
   let buf = Bytes.create 7 in
-  let frames = ref [] in
+  let frames = ref [] and total = ref 0 in
   while List.length !frames < expected do
     let k = Unix.read fd buf 0 (Bytes.length buf) in
     if k = 0 then failwith "peer closed early";
-    Frame.Decoder.feed dec (Bytes.sub_string buf 0 k);
+    total := !total + k;
+    Frame.Decoder.feed_bytes dec buf 0 k;
     frames := drain_frames dec !frames
   done;
-  check_int "no trailing garbage" 0 (Frame.Decoder.buffered dec);
-  List.rev !frames
+  (List.rev !frames, !total)
 
 let frame_tests =
   [
@@ -117,16 +129,19 @@ let frame_tests =
         let frames =
           List.concat_map
             (fun m ->
-              write_chunked a
-                (Frame.encode ~src:3 ~tag:(Messages.tag m) (Messages.encode m))
-                64;
-              read_frames b ~expected:1)
+              let whole =
+                Frame.encode ~src:3 ~tag:(Messages.tag m) (Messages.encode m)
+              in
+              write_chunked a whole 64;
+              let frames, read = read_frames b ~expected:1 in
+              check_int "no trailing garbage" (String.length whole) read;
+              frames)
             msgs
         in
         Unix.close a;
         Unix.close b;
         List.iter2
-          (fun m (f : Frame.frame) ->
+          (fun m (f : Frame_ref.frame) ->
             check_int "version" Frame.version f.version;
             check_int "src" 3 f.src;
             check_string "tag" (Messages.tag m) f.tag;
@@ -148,22 +163,22 @@ let frame_tests =
         let got = ref 0 in
         String.iter
           (fun c ->
-            Frame.Decoder.feed dec (String.make 1 c);
+            feed dec (String.make 1 c);
             got := !got + List.length (drain_frames dec []))
           stream;
         check_int "frames" (List.length msgs) !got;
         (* And the other extreme: the whole stream in one feed. *)
         let dec = Frame.Decoder.create () in
-        Frame.Decoder.feed dec stream;
+        feed dec stream;
         check_int "batched" (List.length msgs)
           (List.length (drain_frames dec [])));
     Alcotest.test_case "incomplete frame stays pending" `Quick (fun () ->
         let full = Frame.encode ~src:1 ~tag:"lo:txs" "payload" in
         let dec = Frame.Decoder.create () in
-        Frame.Decoder.feed dec (String.sub full 0 (String.length full - 1));
-        check_bool "not ready" true (Frame.Decoder.next dec = None);
-        Frame.Decoder.feed dec (String.sub full (String.length full - 1) 1);
-        match Frame.Decoder.next dec with
+        feed dec (String.sub full 0 (String.length full - 1));
+        check_bool "not ready" true (next dec = None);
+        feed dec (String.sub full (String.length full - 1) 1);
+        match next dec with
         | Some f -> check_string "tag" "lo:txs" f.tag
         | None -> Alcotest.fail "frame should complete");
     Alcotest.test_case "oversized frame is malformed, not allocated" `Quick
@@ -171,18 +186,24 @@ let frame_tests =
         let w = Lo_codec.Writer.create ~initial_size:4 () in
         Lo_codec.Writer.u32 w (Frame.max_body + 1);
         let dec = Frame.Decoder.create () in
-        Frame.Decoder.feed dec (Lo_codec.Writer.contents w);
+        feed dec (Lo_codec.Writer.contents w);
         check_bool "raises" true
-          (match Frame.Decoder.next dec with
+          (match Frame.Decoder.next_view dec with
           | exception Lo_codec.Reader.Malformed _ -> true
           | _ -> false));
     Alcotest.test_case "frame carries the version byte" `Quick (fun () ->
         let whole = Frame.encode ~src:5 ~tag:"lo:block" "body" in
-        let f = Frame.decode_body (String.sub whole 4 (String.length whole - 4)) in
-        check_int "version" Frame.version f.version;
-        check_int "src" 5 f.src;
-        check_string "tag" "lo:block" f.tag;
-        check_string "payload" "body" f.payload);
+        check_int "first body byte" Frame.version (Char.code whole.[4]);
+        let dec = Frame.Decoder.create () in
+        feed dec whole;
+        match next dec with
+        | Some f ->
+            check_int "version" Frame.version f.version;
+            check_int "src" 5 f.src;
+            check_string "tag" "lo:block" f.tag;
+            check_string "payload" "body" f.payload;
+            check_bool "reference agrees" true (Frame_ref.parse whole = [ f ])
+        | None -> Alcotest.fail "frame should decode");
   ]
 
 let timer_tests =
@@ -444,10 +465,10 @@ let model ?(faults = Faulty_link.none) ?(seed = 1) ?(scratch = 65536) () =
           budget := !budget - k;
           Frame.Decoder.feed_bytes !dec buf off k;
           let rec decode () =
-            match Frame.Decoder.next !dec with
-            | Some f ->
-                Hashtbl.replace received f.Frame.tag
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt received f.tag));
+            match Frame.Decoder.next_view !dec with
+            | Some { v_tag = tag; _ } ->
+                Hashtbl.replace received tag
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt received tag));
                 decode ()
             | None -> ()
           in
@@ -516,6 +537,10 @@ let sends ?tag m =
          | _ -> false)
        !(m.events))
 
+let conn_ups m =
+  List.length
+    (List.filter (function Lo_obs.Event.Conn_up _ -> true | _ -> false) !(m.events))
+
 let conn_downs m =
   List.filter_map
     (function Lo_obs.Event.Conn_down d -> Some d.reason | _ -> None)
@@ -574,8 +599,8 @@ let link_tests =
         check_int "peer decoded it alone" 1 (frames_received m);
         Link.shutdown m.link;
         check_int "still one drop" 1 (all_drops m);
-        check_int "frames out" 1 (Link.frames_out m.link);
-        check_int "one reconnect" 1 (Link.reconnects m.link));
+        check_int "frames out" 1 (frames_received m);
+        check_int "two connections" 2 (conn_ups m));
     Alcotest.test_case
       "Truncate: one Send, one Loss, down at its Cut, no second charge"
       `Quick (fun () ->
@@ -603,7 +628,7 @@ let link_tests =
         check_int "two sends" 2 (sends m);
         check_int "two losses" 2 (drops m Ev.Loss);
         check_int "no other drop" 2 (all_drops m);
-        check_int "no frame out" 0 (Link.frames_out m.link));
+        check_int "no frame out" 0 (frames_received m));
     Alcotest.test_case "shutdown charges partly written as Down, untouched as In_flight"
       `Quick (fun () ->
         let m = model () in
@@ -641,7 +666,6 @@ let link_tests =
         done;
         connect m ~now:0.;
         check_int "A, B and the prefix complete" 3 (Link.flush m.link ~now:0.);
-        check_int "A and B are frames out" 2 (Link.frames_out m.link);
         check_bool "one gathered write, up to the cut" true
           (!(m.writes) = [ (true, (2 * len) + keep) ]);
         check_bool "then down at the cut" true (conn_downs m = [ "cut" ]);
@@ -748,13 +772,12 @@ let link_qcheck =
       let got tag = Option.value ~default:0 (Hashtbl.find_opt m.received tag) in
       List.for_all
         (fun tag -> sends ~tag m = got tag + dropped tag)
-        [ "lo:a"; "lo:b"; Faulty_link.garble_tag ]
-      && Link.frames_out m.link = frames_received m)
+        [ "lo:a"; "lo:b"; Faulty_link.garble_tag ])
 
 (* The decoder faces the open network (and the chaos wrapper's
    truncations), so its contract is: any byte stream either yields
    frames, stays pending, or raises [Reader.Malformed] — never any
-   other exception — and [reset] restores it to a working state. *)
+   other exception. *)
 let decoder_fuzz_tests =
   let feed_chunked dec s chunk_sizes =
     let n = String.length s in
@@ -770,11 +793,11 @@ let decoder_fuzz_tests =
             sizes := rest;
             min (max 1 s) (n - !off)
       in
-      Frame.Decoder.feed dec (String.sub s !off k);
+      feed dec (String.sub s !off k);
       off := !off + k;
       match
         let rec drain () =
-          match Frame.Decoder.next dec with
+          match next dec with
           | Some _ ->
               incr frames;
               drain ()
@@ -803,7 +826,7 @@ let decoder_fuzz_tests =
             QCheck2.Test.fail_reportf "escaped exception: %s"
               (Printexc.to_string e)
         | (`Clean | `Malformed), _ -> true);
-    qtest ~count:300 "truncated valid streams stay pending, then reset resyncs"
+    qtest ~count:300 "truncated valid streams stay pending, then complete"
       QCheck2.Gen.(pair (int_range 0 11) (int_bound 1000))
       (fun (msg_idx, cut_salt) ->
         let msgs = all_messages () in
@@ -813,9 +836,9 @@ let decoder_fuzz_tests =
         in
         let cut = 1 + (cut_salt mod (String.length whole - 1)) in
         let dec = Frame.Decoder.create () in
-        Frame.Decoder.feed dec (String.sub whole 0 cut);
+        feed dec (String.sub whole 0 cut);
         let pending =
-          match Frame.Decoder.next dec with
+          match next dec with
           | None -> true
           | Some _ -> false
           | exception Lo_codec.Reader.Malformed _ -> false
@@ -824,34 +847,13 @@ let decoder_fuzz_tests =
                 (Printexc.to_string e)
         in
         (* A prefix of a valid frame is never an error: the decoder
-           must wait for the rest (chaos truncation closes the
-           connection; the stream never resumes mid-frame). *)
+           must wait for the rest. *)
         if not pending then
           QCheck2.Test.fail_report "prefix rejected instead of pending";
-        (* After abandoning the half-frame, reset must yield a decoder
-           that handles a fresh stream. *)
-        Frame.Decoder.reset dec;
-        Frame.Decoder.feed dec whole;
-        (match Frame.Decoder.next dec with
-        | Some f -> f.Frame.tag = Messages.tag m
-        | None -> false));
-    Alcotest.test_case "reset recovers after a malformed stream" `Quick
-      (fun () ->
-        let dec = Frame.Decoder.create () in
-        let w = Lo_codec.Writer.create ~initial_size:4 () in
-        Lo_codec.Writer.u32 w (Frame.max_body + 1);
-        Frame.Decoder.feed dec (Lo_codec.Writer.contents w);
-        check_bool "malformed" true
-          (match Frame.Decoder.next dec with
-          | exception Lo_codec.Reader.Malformed _ -> true
-          | _ -> false);
-        Frame.Decoder.reset dec;
-        check_int "buffer cleared" 0 (Frame.Decoder.buffered dec);
-        let whole = Frame.encode ~src:2 ~tag:"lo:txs" "after-reset" in
-        Frame.Decoder.feed dec whole;
-        match Frame.Decoder.next dec with
-        | Some f -> check_string "decodes again" "lo:txs" f.Frame.tag
-        | None -> Alcotest.fail "decoder did not recover");
+        feed dec (String.sub whole cut (String.length whole - cut));
+        match next dec with
+        | Some f -> f.tag = Messages.tag m && next dec = None
+        | None -> false);
   ]
 
 let write_lines path lines =
@@ -932,6 +934,37 @@ let resume_tests =
           | Error _ -> true
           | Ok _ -> false));
   ]
+
+let host_tests =
+  let config ~n base_port =
+    Lo_live.Host.config ~id:0 ~n ~base_port ~epoch:0. ()
+  in
+  let rejects ~n base_port =
+    match config ~n base_port with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  [
+    Alcotest.test_case "config rejects ports outside 1..65535" `Quick
+      (fun () ->
+        check_bool "port 0" true (rejects ~n:1 0);
+        check_bool "negative" true (rejects ~n:4 (-3));
+        check_bool "last port past 65535" true (rejects ~n:2 65535);
+        check_bool "60000 nodes from the default port" true
+          (rejects ~n:60_000 Lo_live.Host.default_base_port);
+        check_bool "port 1" false (rejects ~n:1 1);
+        check_bool "port 65535" false (rejects ~n:1 65535);
+        check_bool "every port" false (rejects ~n:65_535 1));
+  ]
+
+let merged_entries dir =
+  match
+    Lo_obs.Jsonl.parse
+      (In_channel.with_open_bin (Filename.concat dir "merged.jsonl")
+         In_channel.input_all)
+  with
+  | Ok es -> es
+  | Error m -> Alcotest.fail ("merged.jsonl: " ^ m)
 
 (* End-to-end chaos: real forks, real SIGKILLs, real sockets. Small
    clusters and short runs keep the suite fast; the audit over the
@@ -1030,6 +1063,115 @@ let cluster_tests =
               (r.Lo_live.Cluster.reconnects > 0);
             check_int "no honest exposure" 0 r.Lo_live.Cluster.exposures)
           [ 3; 11 ]);
+    Alcotest.test_case
+      "the report's counts are the merged trace's, killed incarnations \
+       included"
+      `Slow (fun () ->
+        let chaos =
+          {
+            Lo_live.Cluster.default_chaos with
+            kills = 2;
+            mean_down = 0.8;
+            link = Lo_live.Faulty_link.none;
+          }
+        in
+        let out_dir = tmp_dir "ledger" in
+        let r =
+          Lo_live.Cluster.run ~out_dir ~base_port:7761 ~chaos ~n:4 ~tps:30.
+            ~duration:4.0 ~seed:7 ()
+        in
+        if not (Lo_live.Cluster.ok r) then
+          Alcotest.fail (Lo_live.Cluster.summary r);
+        let entries = merged_entries out_dir in
+        let count p = List.length (List.filter p entries) in
+        let module Ev = Lo_obs.Event in
+        check_int "two induced kills" 2
+          (List.length r.Lo_live.Cluster.induced_kills);
+        (* The case the old per-process counters missed: a victim that
+           received frames before it was killed. *)
+        check_bool "a killed incarnation delivered frames" true
+          (List.exists
+             (fun (kill_at, victim) ->
+               List.exists
+                 (fun (e : Lo_obs.Trace.entry) ->
+                   match e.ev with
+                   | Ev.Deliver { src; dst; _ } ->
+                       dst = victim && src <> dst && e.at < kill_at
+                   | _ -> false)
+                 entries)
+             r.Lo_live.Cluster.induced_kills);
+        check_int "submitted" r.Lo_live.Cluster.submitted
+          (count (fun e -> match e.ev with Ev.Submit _ -> true | _ -> false));
+        check_int "frames" r.Lo_live.Cluster.frames
+          (count (fun e ->
+               match e.ev with Ev.Deliver { src; dst; _ } -> src <> dst | _ -> false));
+        (* An incarnation ends at its node's next Restart; a Conn_up to
+           a peer already connected in this incarnation is a reconnect. *)
+        let seen = Hashtbl.create 16 in
+        let reconnects =
+          count (fun e ->
+              match e.ev with
+              | Ev.Restart { node } ->
+                  Hashtbl.filter_map_inplace
+                    (fun (n, _) () -> if n = node then None else Some ())
+                    seen;
+                  false
+              | Ev.Conn_up { node; peer; _ } ->
+                  Hashtbl.mem seen (node, peer)
+                  || (Hashtbl.add seen (node, peer) ();
+                      false)
+              | _ -> false)
+        in
+        check_int "reconnects" r.Lo_live.Cluster.reconnects reconnects;
+        check_bool "peers reconnected" true (reconnects > 0));
+    Alcotest.test_case "a corrupt frame stream is one counted discard" `Slow
+      (fun () ->
+        let base_port = 7771 in
+        flush stdout;
+        flush stderr;
+        (* A stranger that writes an oversized length prefix to the
+           node's port as soon as it listens. *)
+        (match Unix.fork () with
+        | 0 ->
+            let rec attempt k =
+              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              match
+                Unix.connect fd
+                  (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port))
+              with
+              | () ->
+                  ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
+                  Unix.close fd;
+                  0
+              | exception Unix.Unix_error _ ->
+                  Unix.close fd;
+                  if k = 0 then 1
+                  else begin
+                    Unix.sleepf 0.05;
+                    attempt (k - 1)
+                  end
+            in
+            Unix._exit (attempt 100)
+        | _ -> ());
+        let out_dir = tmp_dir "malformed" in
+        let r =
+          Lo_live.Cluster.run ~out_dir ~base_port ~n:1 ~tps:10. ~duration:2.0
+            ~seed:3 ()
+        in
+        if not (Lo_live.Cluster.ok r) then
+          Alcotest.fail (Lo_live.Cluster.summary r);
+        let malformed =
+          List.filter
+            (fun (e : Lo_obs.Trace.entry) ->
+              match e.ev with Lo_obs.Event.Malformed _ -> true | _ -> false)
+            (merged_entries out_dir)
+        in
+        check_bool "exactly one frame discard" true
+          (match malformed with
+          | [ { ev = Lo_obs.Event.Malformed { node = 0; src = -1; tag = "frame" }; _ } ]
+            ->
+              true
+          | _ -> false));
     (* The fork rule: in a child (this process must keep forking), fan
        out one 32-signature Schnorr batch, then ask for a cluster. It
        must be refused before anything is forked or written. *)
@@ -1079,104 +1221,56 @@ let cluster_tests =
 
 (* ---------------- Batched wire path ---------------- *)
 
-(* [encode_into]/[next_view] are the pipelined fast paths of the same
-   wire format: byte-identical frames out, field-identical frames in,
-   under any chunking. *)
+(* [next_view] is the zero-copy decoder of the wire format: under any
+   chunking, its frames are field for field those of the whole-stream
+   reference parser in [frame_ref.ml]. *)
 let batch_wire_tests =
-  let materialize (v : Frame.Decoder.view) =
-    let payload =
-      Lo_codec.Reader.fixed v.Frame.Decoder.v_payload
-        (Lo_codec.Reader.remaining v.Frame.Decoder.v_payload)
-    in
-    {
-      Frame.version = v.Frame.Decoder.v_version;
-      src = v.Frame.Decoder.v_src;
-      tag = v.Frame.Decoder.v_tag;
-      payload;
-    }
-  in
   let frame_gen =
     QCheck2.Gen.(
       triple (int_bound 100_000)
         (string_size (int_bound 12))
         (string_size ~gen:(char_range '\000' '\255') (int_bound 200)))
   in
+  let stream_of frames =
+    String.concat ""
+      (List.map (fun (src, tag, payload) -> Frame.encode ~src ~tag payload) frames)
+  in
+  let rec drain dec acc =
+    match next dec with Some f -> drain dec (f :: acc) | None -> List.rev acc
+  in
   [
-    qtest "encode_into = encode, concatenated"
-      QCheck2.Gen.(list_size (int_bound 8) frame_gen)
-      (fun frames ->
-        let w = Lo_codec.Writer.create () in
-        List.iter
-          (fun (src, tag, payload) -> Frame.encode_into w ~src ~tag payload)
-          frames;
-        Lo_codec.Writer.contents w
-        = String.concat ""
-            (List.map
-               (fun (src, tag, payload) -> Frame.encode ~src ~tag payload)
-               frames));
     qtest "next_view = next under random chunking"
       QCheck2.Gen.(
         pair
           (list_size (int_bound 6) frame_gen)
           (list_size (int_bound 20) (int_range 1 37)))
       (fun (frames, chunks) ->
-        let stream =
-          String.concat ""
-            (List.map
-               (fun (src, tag, payload) -> Frame.encode ~src ~tag payload)
-               frames)
-        in
-        let collect next dec =
-          let out = ref [] in
-          let off = ref 0 and sizes = ref chunks in
-          let n = String.length stream in
-          while !off < n do
-            let k =
-              match !sizes with
-              | [] -> n - !off
-              | s :: rest ->
-                  sizes := rest;
-                  min s (n - !off)
-            in
-            Frame.Decoder.feed dec (String.sub stream !off k);
-            off := !off + k;
-            let rec drain () =
-              match next dec with
-              | Some f ->
-                  out := f :: !out;
-                  drain ()
-              | None -> ()
-            in
-            drain ()
-          done;
-          List.rev !out
-        in
-        let via_next = collect Frame.Decoder.next (Frame.Decoder.create ()) in
-        let via_view =
-          collect
-            (fun dec -> Option.map materialize (Frame.Decoder.next_view dec))
-            (Frame.Decoder.create ())
-        in
-        via_next = via_view);
-    qtest "feed_bytes = feed"
+        let stream = stream_of frames in
+        let dec = Frame.Decoder.create () in
+        let out = ref [] in
+        let off = ref 0 and sizes = ref chunks in
+        let n = String.length stream in
+        while !off < n do
+          let k =
+            match !sizes with
+            | [] -> n - !off
+            | s :: rest ->
+                sizes := rest;
+                min s (n - !off)
+          in
+          feed dec (String.sub stream !off k);
+          off := !off + k;
+          out := List.rev_append (drain dec []) !out
+        done;
+        List.rev !out = Frame_ref.parse stream);
+    qtest "feed_bytes from an offset = reference parse"
       QCheck2.Gen.(list_size (int_bound 4) frame_gen)
       (fun frames ->
-        let stream =
-          String.concat ""
-            (List.map
-               (fun (src, tag, payload) -> Frame.encode ~src ~tag payload)
-               frames)
-        in
-        let d1 = Frame.Decoder.create () and d2 = Frame.Decoder.create () in
-        Frame.Decoder.feed d1 stream;
-        let b = Bytes.of_string ("??" ^ stream) in
-        Frame.Decoder.feed_bytes d2 b 2 (String.length stream);
-        let rec drain dec acc =
-          match Frame.Decoder.next dec with
-          | Some f -> drain dec (f :: acc)
-          | None -> List.rev acc
-        in
-        drain d1 [] = drain d2 []);
+        let stream = stream_of frames in
+        let dec = Frame.Decoder.create () in
+        let b = Bytes.of_string ("??" ^ stream ^ "!!") in
+        Frame.Decoder.feed_bytes dec b 2 (String.length stream);
+        drain dec [] = Frame_ref.parse stream);
     Alcotest.test_case "view survives handling before the next feed" `Quick
       (fun () ->
         (* Two frames in one buffered chunk: the first view must stay
@@ -1185,7 +1279,7 @@ let batch_wire_tests =
         let f1 = Frame.encode ~src:1 ~tag:"lo:a" "first-payload" in
         let f2 = Frame.encode ~src:2 ~tag:"lo:b" "second" in
         let dec = Frame.Decoder.create () in
-        Frame.Decoder.feed dec (f1 ^ f2);
+        feed dec (f1 ^ f2);
         (match Frame.Decoder.next_view dec with
         | Some v ->
             check_string "payload" "first-payload"
@@ -1215,7 +1309,7 @@ let batch_wire_tests =
                    sizes := rest;
                    min s (n - !off)
              in
-             Frame.Decoder.feed dec (String.sub garbage !off k);
+             feed dec (String.sub garbage !off k);
              off := !off + k;
              let rec drain () =
                match Frame.Decoder.next_view dec with
@@ -1242,5 +1336,6 @@ let () =
       ("link", link_tests @ [ link_qcheck ]);
       ("decoder_fuzz", decoder_fuzz_tests);
       ("resume", resume_tests);
+      ("host", host_tests);
       ("cluster_chaos", cluster_tests);
     ]

@@ -136,6 +136,7 @@ let all_constructors =
     e 4.9 (Event.Conn_up { node = 2; peer = 6; attempts = 3 });
     e 5.0 (Event.Unknown_tag { node = 2; src = 6; tag = "zz:ping" });
     e 5.25 (Event.Malformed { node = 2; src = 6; tag = "lo:commit-req" });
+    e 5.5 (Event.Submit { node = 3; id = 0x7fffffff });
   ]
 
 let jsonl_tests =

@@ -64,13 +64,13 @@ live-schnorr-smoke:
 	dune exec bin/lo.exe -- cluster -n 4 --tps 40 --duration 5 --seed 1 --base-port 7971 --signer schnorr --chaos kills=1
 
 # A short live ingest burst: a small cluster driven at an elevated
-# offered load, so content-sync Tx_batch frames carry real
-# multi-transaction bundles through Content_sync.ingest_batch, the one
-# admission path the simulator shares (one batched signature
-# verification per frame); live hosts commit each frame's fresh ids as
-# one signed digest. Same audit discipline as live-smoke — the merged
-# trace must pass every replay invariant and no node may crash or end
-# up exposed.
+# offered load, so content-sync Tx_batch frames carry many transactions
+# each through Content_sync.ingest_batch, the one admission path the
+# simulator shares: one verify_many per frame. The frames carry content
+# for ids a reconciliation delta already committed, so in an honest run
+# they commit nothing new. Same audit discipline as live-smoke — the
+# merged trace must pass every replay invariant and no node may crash
+# or end up exposed.
 ingest-smoke:
 	dune exec bin/lo.exe -- cluster -n 4 --tps 250 --duration 4 --seed 2 --base-port 7851
 

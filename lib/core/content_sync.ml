@@ -49,7 +49,7 @@ let store_content t (env : Node_env.t) tx ~from_peer =
   | `Duplicate -> ()
   | `Added e -> stored t env e
 
-let ingest_batch t (env : Node_env.t) ~bundles ~from txs =
+let ingest_batch t (env : Node_env.t) ~from txs =
   let source = Some (env.id_of from) in
   let keep tx =
     if Adversary.censors_tx t.adversary tx then begin
@@ -58,14 +58,10 @@ let ingest_batch t (env : Node_env.t) ~bundles ~from txs =
     end
     else true
   in
-  let commit ids =
-    match bundles with
-    | `Per_frame -> env.commit ~source ~ids
-    | `Per_id -> List.iter (fun id -> env.commit ~source ~ids:[ id ]) ids
-  in
   let result =
     Mempool.ingest_batch ~keep ~scheme:env.config.scheme
       ~known:(Commitment.Log.contains env.primary_log)
-      ~commit ~received_at:(env.now ()) ~from_peer:source t.mempool txs
+      ~commit:(fun ids -> env.commit ~source ~ids)
+      ~received_at:(env.now ()) ~from_peer:source t.mempool txs
   in
   List.iter (stored t env) result.Mempool.accepted

@@ -39,24 +39,12 @@ val store_content : t -> Node_env.t -> Tx.t -> from_peer:string option -> unit
 (** Admit content to the mempool, clear it from the missing set and
     fire [on_tx_content] (first arrival only). *)
 
-val ingest_batch :
-  t ->
-  Node_env.t ->
-  bundles:[ `Per_id | `Per_frame ] ->
-  from:int ->
-  Tx.t list ->
-  unit
+val ingest_batch : t -> Node_env.t -> from:int -> Tx.t list -> unit
 (** Handle a {!Messages.Tx_batch} from peer [from] through
     {!Mempool.ingest_batch}: bounds checks, one
     {!Lo_crypto.Signer.verify_many} over the frame, the Stage-II
     censorship filter, and an in-batch dedup. The ids neither committed
-    nor repeated are committed in batch order, then the new content is
-    stored.
-
-    [bundles] is the only thing the two entry points set differently:
-    [`Per_id] commits each fresh id as its own bundle (the simulator's
-    {!Node.handle_message}; the golden traces pin one digest per id),
-    [`Per_frame] commits them as one bundle with a single digest update
-    (live hosts' {!Node.handle_message_view}). Mempool contents, arrival
-    order and the committed id set are the same either way; only the
-    log's bundles and [seq] differ. *)
+    nor repeated are committed in batch order as one bundle (a single
+    digest update), then the new content is stored. In honest runs
+    there are none: a peer sends content only for ids the receiver
+    asked for, which a reconciliation delta has already committed. *)

@@ -58,7 +58,7 @@ val ingest_batch :
     [known] is not verified again: the full id hashes the signed bytes,
     so it is a copy of what {!add}'s caller checked. Held content that
     is not yet committed is still verified.
-    {!Content_sync.ingest_batch} (both node entry points) and the
+    {!Content_sync.ingest_batch} (under {!Node.handle_message}) and the
     benchmarks call it. Which transactions are stored, rejected or
     duplicate, and which ids reach [commit], match the iterated
     single-transaction path ({!Tx.prevalidate}, then {!add}); qcheck

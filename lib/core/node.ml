@@ -324,7 +324,7 @@ let note_dropped_message t ~tag =
   if String.equal tag "lo:commit-req" then
     record_deviation t ~kind:"silent-drop" ~height:None
 
-let dispatch_message t ~bundles ~from msg =
+let dispatch_message t ~from msg =
   begin
     match msg with
     | Messages.Submit tx ->
@@ -343,7 +343,7 @@ let dispatch_message t ~bundles ~from msg =
         Reconciler.handle_commit_response t.reconciler (env t) ~from
           ~digest:(canon_digest t digest) ~want ~delta ~appended
     | Messages.Tx_batch txs ->
-        Content_sync.ingest_batch t.content (env t) ~bundles ~from txs
+        Content_sync.ingest_batch t.content (env t) ~from txs
     | Messages.Digest_share digest ->
         Peer_tracker.note_digest t.tracker (env t) (canon_digest t digest)
     | Messages.Digest_request { owner; seq } ->
@@ -368,25 +368,13 @@ let dispatch_message t ~bundles ~from msg =
 let note_malformed t ~from ~tag =
   Node_env.emit (env t) (Lo_obs.Event.Malformed { node = t.index; src = from; tag })
 
-let handle_message t ~from ~tag payload =
+let handle_message t ~from ~tag r =
   if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
   else
-    match Messages.decode ?tx_pool:t.tx_pool payload with
+    match Messages.decode_reader ?tx_pool:t.tx_pool r with
     | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
     | msg when not (message_fits msg) -> note_malformed t ~from ~tag
-    | msg -> dispatch_message t ~bundles:`Per_id ~from msg
-
-(* The zero-copy wire path: decode straight out of a frame view over
-   the receive buffer. Same containment and dispatch as
-   [handle_message]; a [Tx_batch] commits its fresh ids as one bundle
-   per frame instead of one per id. *)
-let handle_message_view t ~from ~tag r =
-  if Adversary.drops_all_messages t.behavior then note_dropped_message t ~tag
-  else
-    match Messages.decode_reader r with
-    | exception Lo_codec.Reader.Malformed _ -> note_malformed t ~from ~tag
-    | msg when not (message_fits msg) -> note_malformed t ~from ~tag
-    | msg -> dispatch_message t ~bundles:`Per_frame ~from msg
+    | msg -> dispatch_message t ~from msg
 
 (* --- periodic timers --- *)
 
@@ -442,8 +430,8 @@ let handle_restart t =
 let start t =
   (* Subscribe by protocol prefix so other protocols can share the
      node's transport endpoint. *)
-  t.transport.Transport.subscribe ~proto:"lo" (fun ~from ~tag payload ->
-      handle_message t ~from ~tag payload);
+  t.transport.Transport.subscribe ~proto:"lo" (fun ~from ~tag r ->
+      handle_message t ~from ~tag r);
   if not (Adversary.drops_all_messages t.behavior) then begin
     t.transport.Transport.set_restart_handler (fun () -> handle_restart t);
     t.transport.Transport.schedule

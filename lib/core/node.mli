@@ -90,25 +90,21 @@ val create :
     (every mempool retains that one instance), and the commitment logs
     take each id's syndrome powers from it. Signatures are still
     checked on every delivery. Omit it (live nodes do) to keep
-    instances private; {!handle_message_view} never uses it. *)
+    instances private. *)
 
 val start : t -> unit
 (** Register handlers (including the network restart handler driving
     the crash-recovery path) and schedule the periodic reconciliation
     and digest-share timers (staggered by a random offset). *)
 
-val handle_message : t -> from:int -> tag:string -> string -> unit
-(** The subscription handler {!start} registers: decode one wire
-    message and dispatch it. A [Tx_batch] goes through
-    {!Content_sync.ingest_batch} with one commitment bundle per fresh
-    id. Malformed input is contained: the message is dropped and
-    counted as a {!Lo_obs.Event.Malformed} trace event. *)
-
-val handle_message_view : t -> from:int -> tag:string -> Lo_codec.Reader.t -> unit
-(** {!handle_message} on a reader view over the transport's receive
-    buffer (no intermediate payload string), except that a [Tx_batch]
-    commits its fresh ids as one bundle per frame. Used by the live TCP
-    backend; the view must not be retained past the call. *)
+val handle_message : t -> from:int -> tag:string -> Lo_codec.Reader.t -> unit
+(** The subscription handler {!start} registers, and a node's only way
+    in for both backends: decode one wire message from the reader and
+    dispatch it. A [Tx_batch] goes through {!Content_sync.ingest_batch},
+    which commits the frame's fresh ids as one bundle. Malformed input
+    is contained: the message is dropped and counted as a
+    {!Lo_obs.Event.Malformed} trace event. The reader may be a view
+    into a receive buffer; it is not kept past the call. *)
 
 val handle_restart : t -> unit
 (** The recovery path, run via the transport's restart handler (the DES

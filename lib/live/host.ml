@@ -65,12 +65,6 @@ let write_io fd buf off len : Link.io =
       Link.Again
   | exception Unix.Unix_error _ -> Link.Failed "reset"
 
-(* How a delivery's payload reached the host. *)
-type inbound =
-  | Local of string  (** sent by this node to itself *)
-  | Wire of Lo_codec.Reader.t  (** a view into a connection's decoder *)
-  | Skewed of int  (** a frame of another wire version: not handled *)
-
 let run ?trace_path cfg =
   let { id; n; base_port; seed; duration; incarnation; _ } = cfg in
   (* The simulator's world derivation: every process reconstructs all n
@@ -179,6 +173,7 @@ let run ?trace_path cfg =
      the first pays the encode, the rest reuse the string. *)
   let send_many ~dsts ~tag payload =
     let frame = lazy (Frame.encode ~src:id ~tag payload) in
+    let now = now_rel () in
     List.iter
       (fun dst ->
         if dst = id then begin
@@ -187,7 +182,7 @@ let run ?trace_path cfg =
                { src = id; dst = id; tag; bytes = String.length payload });
           Queue.add (tag, payload) local
         end
-        else Link.send links.(dst) ~tag ~payload frame)
+        else Link.send links.(dst) ~now ~tag ~payload frame)
       dsts
   in
   let transport =
@@ -252,39 +247,31 @@ let run ?trace_path cfg =
           r.Resume.suspects
   end;
 
-  (* Set once the loop first observes relative time >= 0 and the node's
-     protocol has been started (handlers registered). Until then "lo"
-     frames take the generic subscriber path and surface as unknown. *)
-  let started = ref false in
   (* Every delivery, local or from the wire, lands here: one [Deliver]
-     charge, then the node's zero-copy path for a started node's
-     protocol frame from the wire ([Node.handle_message_view]; for
-     [Tx_batch] that is the batched admission pipeline), else the
-     subscriber of the tag's proto (a wire payload is copied out of the
-     view for it), else an [Unknown_tag]. A wire view dies with this
-     call, well before its decoder is touched again. *)
-  let deliver ~from ~tag ~bytes inbound =
-    emit (Lo_obs.Event.Deliver { src = from; dst = id; tag; bytes });
+     charge, then the subscriber of the tag's proto, else an
+     [Unknown_tag]. The node subscribes "lo" when the loop starts it,
+     so a protocol frame that arrives before then surfaces as unknown.
+     A frame of another wire version is charged and surfaced, never
+     handled. The reader is a view into a connection's decoder (or over
+     a local payload) and dies with this call, well before the decoder
+     is touched again. *)
+  let deliver ~from ~tag ?(version = Frame.version) r =
+    emit
+      (Lo_obs.Event.Deliver
+         { src = from; dst = id; tag; bytes = Lo_codec.Reader.remaining r });
     let unknown tag =
       emit (Lo_obs.Event.Unknown_tag { node = id; src = from; tag })
     in
-    let proto = Lo_net.Mux.proto_of_tag tag in
-    match (inbound, Hashtbl.find_opt subs proto) with
-    | Skewed version, _ ->
-        (* A peer speaking another framing: accounted, then surfaced
-           instead of lost silently. *)
-        unknown (Printf.sprintf "v%d:%s" version tag)
-    | Wire v, _ when !started && String.equal proto "lo" ->
-        Node.handle_message_view node ~from ~tag v
-    | Local payload, Some handler -> handler ~from ~tag payload
-    | Wire v, Some handler ->
-        handler ~from ~tag (Lo_codec.Reader.fixed v bytes)
-    | (Local _ | Wire _), None -> unknown tag
+    if version <> Frame.version then
+      unknown (Printf.sprintf "v%d:%s" version tag)
+    else
+      match Hashtbl.find_opt subs (Lo_net.Mux.proto_of_tag tag) with
+      | Some handler -> handler ~from ~tag r
+      | None -> unknown tag
   in
   let handle_view { Frame.Decoder.v_version; v_src; v_tag; v_payload } =
     last_activity := now_rel ();
-    deliver ~from:v_src ~tag:v_tag ~bytes:(Lo_codec.Reader.remaining v_payload)
-      (if v_version = Frame.version then Wire v_payload else Skewed v_version)
+    deliver ~from:v_src ~tag:v_tag ~version:v_version v_payload
   in
 
   (* --- workload: the simulator's generator, filtered to this node ---
@@ -349,6 +336,9 @@ let run ?trace_path cfg =
         decode_all dec
     | None -> ()
   in
+  (* Set once the loop first observes relative time >= 0 and starts the
+     node's protocol. *)
+  let started = ref false in
   let running = ref true in
   while !running do
     let now = now_rel () in
@@ -375,7 +365,7 @@ let run ?trace_path cfg =
       while not (Queue.is_empty local) do
         let tag, payload = Queue.pop local in
         last_activity := now_rel ();
-        deliver ~from:id ~tag ~bytes:(String.length payload) (Local payload)
+        deliver ~from:id ~tag (Lo_codec.Reader.of_string payload)
       done;
       (* Link upkeep: abandon stuck connects, tear down half-open
          connections, start reconnects whose backoff clock expired. *)

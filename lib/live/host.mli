@@ -91,7 +91,11 @@ val run : ?trace_path:string -> config -> Lo_obs.Trace.t
 (** Run one node to completion and return its trace: a one-entry ring
     whose counters ({!Lo_obs.Trace.count}, {!Lo_obs.Trace.tag_flows})
     cover every event the node emitted — one [Submit] per workload
-    transaction, one [Deliver] per local or wire delivery, one
+    transaction, one [Deliver] per local or wire delivery (then a
+    reader over the payload goes to the subscriber of the tag's proto,
+    {!Lo_core.Node.handle_message} for ["lo"], or one [Unknown_tag]
+    names a tag no one subscribed or, as ["v<k>:<tag>"], a frame of
+    another wire version [k]), one
     [Malformed {tag = "frame"}] per incoming connection closed for a
     corrupt frame stream, the links' [Send]/[Drop]/[Conn_up]/
     [Conn_down]. Writes the events as streaming JSONL to [trace_path]

@@ -35,7 +35,9 @@ type 'fd t = {
   queue : item Queue.t;
   mutable queued_bytes : int;  (** unwritten bytes across the queue *)
   backoff : Reconnect.t;
-  mutable last_progress : float;  (** last write progress or connect start *)
+  mutable last_progress : float;
+      (** connect start, then the last write progress or the time a
+          frame was queued on the idle link *)
 }
 
 let max_queue_bytes = 1 lsl 18
@@ -66,51 +68,57 @@ let charge_drop l ~tag ~pbytes reason =
 
 (* Tail drop: a frame that would push the unwritten bytes past the cap
    is refused. The queue only backs up this far when the peer is down
-   or stalled; the trace says it was the queue. *)
-let enqueue l ~tag ~pbytes ~accounted frame =
+   or stalled; the trace says it was the queue. The first frame queued
+   on an idle up link starts its stall clock: idle time is not a stall. *)
+let enqueue l ~now ~tag ~pbytes ~accounted frame =
   let blen = String.length frame in
   if l.queued_bytes + blen > max_queue_bytes then begin
     if not accounted then charge_drop l ~tag ~pbytes Event.Overflow
   end
   else begin
+    (match l.state with
+    | Up _ when idle l -> l.last_progress <- now
+    | Down | Connecting _ | Up _ -> ());
     Queue.add (Data { bytes = frame; tag; pbytes; accounted; off = 0 }) l.queue;
     l.queued_bytes <- l.queued_bytes + blen
   end
 
-let charge_and_enqueue l ~tag ~pbytes frame =
+let charge_and_enqueue l ~now ~tag ~pbytes frame =
   charge_send l ~tag ~pbytes;
-  enqueue l ~tag ~pbytes ~accounted:false frame
+  enqueue l ~now ~tag ~pbytes ~accounted:false frame
 
-let send l ~tag ~payload frame =
+let send l ~now ~tag ~payload frame =
   let pbytes = String.length payload in
   let frame = Lazy.force frame in
   match
     Faulty_link.decide l.env.faults l.env.rng ~frame_len:(String.length frame)
   with
-  | Faulty_link.Pass -> charge_and_enqueue l ~tag ~pbytes frame
+  | Faulty_link.Pass -> charge_and_enqueue l ~now ~tag ~pbytes frame
   | Faulty_link.Drop ->
       (* The wire ate it whole: charged and immediately lost. *)
       charge_send l ~tag ~pbytes;
       charge_drop l ~tag ~pbytes Event.Loss
   | Faulty_link.Duplicate ->
-      charge_and_enqueue l ~tag ~pbytes frame;
-      charge_and_enqueue l ~tag ~pbytes frame
+      charge_and_enqueue l ~now ~tag ~pbytes frame;
+      charge_and_enqueue l ~now ~tag ~pbytes frame
   | Faulty_link.Delay d ->
-      (* Charged when it enters the queue: the host's timers freeze at
-         quiesce, so a delay past the horizon is never charged. *)
-      l.env.defer d (fun () -> charge_and_enqueue l ~tag ~pbytes frame)
+      (* Charged when it enters the queue, [d] from now: the host's
+         timers freeze at quiesce, so a delay past the horizon is never
+         charged. *)
+      l.env.defer d (fun () ->
+          charge_and_enqueue l ~now:(now +. d) ~tag ~pbytes frame)
   | Faulty_link.Truncate keep ->
       (* The peer sees a prefix then EOF: its decoder discards the
          partial tail. Charged as a loss up front. *)
       charge_send l ~tag ~pbytes;
       charge_drop l ~tag ~pbytes Event.Loss;
-      enqueue l ~tag ~pbytes ~accounted:true (String.sub frame 0 keep);
+      enqueue l ~now ~tag ~pbytes ~accounted:true (String.sub frame 0 keep);
       Queue.add Cut l.queue
   | Faulty_link.Garble ->
       (* Same payload under an alien tag, which the receiver surfaces
          as unknown; charged under that tag, so conservation holds. *)
       let tag = Faulty_link.garble_tag in
-      charge_and_enqueue l ~tag ~pbytes
+      charge_and_enqueue l ~now ~tag ~pbytes
         (Frame.encode ~src:l.env.self ~tag payload)
 
 (* --- connection life --- *)

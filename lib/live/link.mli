@@ -54,15 +54,17 @@ val create : 'fd env -> peer:int -> 'fd t
 
 val state : 'fd t -> 'fd state
 
-val send : 'fd t -> tag:string -> payload:string -> string Lazy.t -> unit
+val send :
+  'fd t -> now:float -> tag:string -> payload:string -> string Lazy.t -> unit
 (** Charge and queue one encoded frame of [payload] (the charged bytes)
     after its fault action. A fan-out shares one lazy encoding. *)
 
 val upkeep : 'fd t -> now:float -> bool
 (** Apply the deadlines (a connect in flight for over 1 s goes down as
     ["connect-timeout"], an up link with queued bytes and no write
-    progress for over 4 s as ["stalled"]), then say whether the driver
-    should start a connect now. *)
+    progress for over 4 s as ["stalled"]; the stall clock starts when
+    the first frame is queued on an idle up link), then say whether the
+    driver should start a connect now. *)
 
 val connecting : 'fd t -> now:float -> 'fd -> unit
 val established : 'fd t -> now:float -> unit

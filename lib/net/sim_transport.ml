@@ -11,7 +11,7 @@ let make ~net ~mux ~node : Lo_transport.t =
     subscribe =
       (fun ~proto handler ->
         Mux.register mux node ~proto (fun _net ~from ~tag payload ->
-            handler ~from ~tag payload));
+            handler ~from ~tag (Lo_codec.Reader.of_string payload)));
     set_restart_handler =
       (fun fn -> Network.set_restart_handler net node (fun _ -> fn ()));
     trace = Network.trace net;

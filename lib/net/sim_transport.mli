@@ -1,7 +1,9 @@
 (** The discrete-event simulator as a {!Lo_transport} backend.
 
     A thin adapter: every closure forwards to the corresponding
-    {!Network}/{!Mux} entry point with [node] as the source, adding no
+    {!Network}/{!Mux} entry point with [node] as the source (a
+    delivered payload reaches the handler as
+    [Lo_codec.Reader.of_string payload]), adding no
     scheduling, no randomness and no state of its own — which is what
     makes the refactor behaviour-preserving: a node driven through this
     transport produces the event stream the pre-inversion node produced

@@ -122,25 +122,3 @@ module Histogram = struct
     else
       Array.map (fun c -> float_of_int c /. float_of_int t.total) t.counts
 end
-
-module Timing = struct
-  type t = {
-    starts : (string, float) Hashtbl.t;
-    finished : (string, unit) Hashtbl.t;
-  }
-
-  let create () = { starts = Hashtbl.create 256; finished = Hashtbl.create 256 }
-  let started t ~key ~at = Hashtbl.replace t.starts key at
-
-  let finish t ~key ~at =
-    if Hashtbl.mem t.finished key then None
-    else
-      match Hashtbl.find_opt t.starts key with
-      | None -> None
-      | Some start ->
-          Hashtbl.add t.finished key ();
-          Some (at -. start)
-
-  let start_time t ~key = Hashtbl.find_opt t.starts key
-  let pending t = Hashtbl.length t.starts - Hashtbl.length t.finished
-end

@@ -42,26 +42,3 @@ module Histogram : sig
   val density : t -> float array
   (** Normalised so the bins sum to 1 (zeros when empty). *)
 end
-
-(** Latency bookkeeping: start times by key, durations out. *)
-module Timing : sig
-  type t
-
-  val create : unit -> t
-
-  val started : t -> key:string -> at:float -> unit
-  (** Arm (or re-arm) the start time for [key]. A later [started]
-      replaces a pending start; it does NOT reset a key that already
-      finished — each key measures its first completed interval only. *)
-
-  val finish : t -> key:string -> at:float -> float option
-  (** Duration since [started], recorded once per key {e ever}: the
-      first finish of an armed key returns [Some]; every later finish
-      of that key returns [None] even if [started] was called again in
-      between (re-starting after a finish does not re-arm). Finishing a
-      key that was never started returns [None]. This is what makes the
-      first-arrival latency probes idempotent under duplicate delivery. *)
-
-  val start_time : t -> key:string -> float option
-  val pending : t -> int
-end

@@ -1,4 +1,4 @@
-type handler = from:int -> tag:string -> string -> unit
+type handler = from:int -> tag:string -> Lo_codec.Reader.t -> unit
 
 type t = {
   self : int;

@@ -13,13 +13,20 @@
     [send]/[send_many]/[schedule] effects depend only on their
     arguments and the backend's own state, and (c) callbacks (message
     handlers, timers, the restart handler) are never re-entered — they
-    run one at a time from the backend's event loop. Under the DES
+    run one at a time from the backend's event loop, and (d) every
+    delivery reaches its subscriber the same way: one reader spanning
+    exactly the payload's bytes, so what a node does with a message
+    depends on those bytes alone, not on which backend carried them
+    (the simulator wraps its payload string, a live host passes a view
+    into the frame). Under the DES
     backend this makes a run a pure function of the seed; under the
     live backend the same code runs against wall clocks and sockets,
     and only the trace (not the schedule) is reproducible. *)
 
-type handler = from:int -> tag:string -> string -> unit
-(** A message delivery: sender's dense index, wire tag, payload. *)
+type handler = from:int -> tag:string -> Lo_codec.Reader.t -> unit
+(** A message delivery: sender's dense index, wire tag, and a reader
+    over the payload. The reader may be a view into the backend's
+    receive buffer, so a handler must not keep it after it returns. *)
 
 type t = {
   self : int;  (** this node's dense index in the deployment *)

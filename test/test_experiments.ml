@@ -51,31 +51,6 @@ let metrics_tests =
         let counts = Metrics.Histogram.counts h in
         Alcotest.(check int) "first bin" 2 counts.(0);
         Alcotest.(check int) "last bin" 1 counts.(4));
-    Alcotest.test_case "timing records once" `Quick (fun () ->
-        let t = Metrics.Timing.create () in
-        Metrics.Timing.started t ~key:"k" ~at:1.0;
-        check_bool "first" true (Metrics.Timing.finish t ~key:"k" ~at:3.0 = Some 2.0);
-        check_bool "repeat" true (Metrics.Timing.finish t ~key:"k" ~at:9.0 = None);
-        check_bool "unknown" true (Metrics.Timing.finish t ~key:"zz" ~at:1.0 = None));
-    Alcotest.test_case "timing re-start after finish does not re-arm" `Quick
-      (fun () ->
-        (* The documented contract: each key measures its first completed
-           interval only. A started after a finish must not open a second
-           measurable interval, but re-starting a pending key replaces
-           the start. *)
-        let t = Metrics.Timing.create () in
-        Metrics.Timing.started t ~key:"k" ~at:1.0;
-        Metrics.Timing.started t ~key:"k" ~at:2.0;
-        check_bool "pending re-start replaces" true
-          (Metrics.Timing.finish t ~key:"k" ~at:5.0 = Some 3.0);
-        Metrics.Timing.started t ~key:"k" ~at:10.0;
-        check_bool "finished key stays finished" true
-          (Metrics.Timing.finish t ~key:"k" ~at:20.0 = None);
-        check_bool "start time still readable" true
-          (Metrics.Timing.start_time t ~key:"k" = Some 10.0);
-        check_bool "other keys unaffected" true
-          (Metrics.Timing.started t ~key:"j" ~at:11.0;
-           Metrics.Timing.finish t ~key:"j" ~at:12.0 = Some 1.0));
   ]
 
 let scenario_tests =

@@ -444,6 +444,7 @@ type model = {
   deferred : (unit -> unit) Queue.t;
   released : int list ref;
   next_fd : int ref;
+  at : float ref;  (** synthetic time of the last connect or timed send *)
 }
 
 let model ?(faults = Faulty_link.none) ?(seed = 1) ?(scratch = 65536) () =
@@ -501,21 +502,26 @@ let model ?(faults = Faulty_link.none) ?(seed = 1) ?(scratch = 65536) () =
     deferred;
     released;
     next_fd = ref 10;
+    at = ref 0.;
   }
 
 let connect m ~now =
   incr m.next_fd;
+  m.at := now;
   Link.connecting m.link ~now !(m.next_fd);
   Link.established m.link ~now
 
-let send m ?(tag = "lo:txs") size =
+(* A send happens at [now] if given, else at the model's last time. *)
+let send m ?(tag = "lo:txs") ?now size =
+  Option.iter (fun t -> m.at := t) now;
   let payload = String.make size 'p' in
-  Link.send m.link ~tag ~payload (lazy (Frame.encode ~src:0 ~tag payload))
+  Link.send m.link ~now:!(m.at) ~tag ~payload
+    (lazy (Frame.encode ~src:0 ~tag payload))
 
 (* Raw queue entries of an exact wire size (only their length matters
    while the link is down). *)
 let send_raw m ~tag ~pbytes len =
-  Link.send m.link ~tag ~payload:(String.make pbytes 'p')
+  Link.send m.link ~now:!(m.at) ~tag ~payload:(String.make pbytes 'p')
     (lazy (String.make len 'w'))
 
 let drops ?tag m reason =
@@ -702,6 +708,18 @@ let link_tests =
         check_bool "queued but not yet stalled" false (Link.upkeep m.link ~now:6.9);
         ignore (Link.upkeep m.link ~now:7.1);
         check_bool "stalled" true (conn_downs m = [ "stalled" ]));
+    Alcotest.test_case "idle time before a send is not a stall" `Quick
+      (fun () ->
+        let m = model () in
+        connect m ~now:0.;
+        m.budget := 0;
+        send m ~now:10. 10;
+        ignore (Link.flush m.link ~now:10.);
+        check_bool "not torn down at once" false (Link.upkeep m.link ~now:10.1);
+        check_bool "no conn down" true (conn_downs m = []);
+        ignore (Link.upkeep m.link ~now:14.2);
+        check_bool "stalled 4 s after the send" true
+          (conn_downs m = [ "stalled" ]));
   ]
 
 (* Conservation under any interleaving: per tag, the frames charged as
@@ -750,7 +768,8 @@ let link_qcheck =
         (fun op ->
           now := !now +. 0.01;
           match op with
-          | Op_send (t, size) -> send m ~tag:(if t = 0 then "lo:a" else "lo:b") size
+          | Op_send (t, size) ->
+              send m ~tag:(if t = 0 then "lo:a" else "lo:b") ~now:!now size
           | Op_connect -> if is_down m then connect m ~now:!now
           | Op_flush b ->
               m.budget := b;
@@ -979,6 +998,33 @@ let cluster_tests =
     if not (Sys.file_exists d) then Unix.mkdir d 0o755;
     d
   in
+  (* A stranger process that writes [bytes] to the port as soon as it
+     listens, then hangs up. *)
+  let stranger ~port bytes =
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+        let rec attempt k =
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          match
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+          with
+          | () ->
+              ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+              Unix.close fd;
+              0
+          | exception Unix.Unix_error _ ->
+              Unix.close fd;
+              if k = 0 then 1
+              else begin
+                Unix.sleepf 0.05;
+                attempt (k - 1)
+              end
+        in
+        Unix._exit (attempt 100)
+    | _ -> ()
+  in
   [
     Alcotest.test_case "synthesized drops close a replayed kill deficit"
       `Quick (fun () ->
@@ -1127,32 +1173,8 @@ let cluster_tests =
     Alcotest.test_case "a corrupt frame stream is one counted discard" `Slow
       (fun () ->
         let base_port = 7771 in
-        flush stdout;
-        flush stderr;
-        (* A stranger that writes an oversized length prefix to the
-           node's port as soon as it listens. *)
-        (match Unix.fork () with
-        | 0 ->
-            let rec attempt k =
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              match
-                Unix.connect fd
-                  (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port))
-              with
-              | () ->
-                  ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
-                  Unix.close fd;
-                  0
-              | exception Unix.Unix_error _ ->
-                  Unix.close fd;
-                  if k = 0 then 1
-                  else begin
-                    Unix.sleepf 0.05;
-                    attempt (k - 1)
-                  end
-            in
-            Unix._exit (attempt 100)
-        | _ -> ());
+        (* An oversized length prefix. *)
+        stranger ~port:base_port "\xff\xff\xff\xff";
         let out_dir = tmp_dir "malformed" in
         let r =
           Lo_live.Cluster.run ~out_dir ~base_port ~n:1 ~tps:10. ~duration:2.0
@@ -1171,6 +1193,49 @@ let cluster_tests =
           | [ { ev = Lo_obs.Event.Malformed { node = 0; src = -1; tag = "frame" }; _ } ]
             ->
               true
+          | _ -> false));
+    (* The host's two delivery branches that no peer of this
+       implementation takes: a proto nobody subscribed, and a frame of
+       another wire version. Each is charged as a [Deliver], then
+       surfaced as an [Unknown_tag]. No [Send] was charged for the
+       stranger's frames, so the audit's bandwidth check on their tag is
+       the run's only fault. *)
+    Alcotest.test_case "an unsubscribed proto and a foreign version surface"
+      `Slow (fun () ->
+        let base_port = 7791 in
+        let frame = Lo_live.Frame.encode ~src:1 ~tag:"zz:ping" "hello" in
+        (* The version byte follows the u32 body length. *)
+        let skewed = Bytes.of_string frame in
+        Bytes.set_uint8 skewed 4 (Lo_live.Frame.version + 1);
+        stranger ~port:base_port (frame ^ Bytes.to_string skewed);
+        let out_dir = tmp_dir "unknown" in
+        let r =
+          Lo_live.Cluster.run ~out_dir ~base_port ~n:1 ~tps:10. ~duration:2.0
+            ~seed:3 ()
+        in
+        let module Ev = Lo_obs.Event in
+        let foreign =
+          Printf.sprintf "v%d:zz:ping" (Lo_live.Frame.version + 1)
+        in
+        let stranger_events =
+          List.filter_map
+            (fun (e : Lo_obs.Trace.entry) ->
+              match e.ev with
+              | Ev.Deliver { src = 1; dst = 0; tag = "zz:ping"; bytes = 5 } ->
+                  Some "deliver"
+              | Ev.Unknown_tag { node = 0; src = 1; tag } -> Some tag
+              | _ -> None)
+            (merged_entries out_dir)
+        in
+        check_bool "each Unknown_tag follows its Deliver" true
+          (stranger_events = [ "deliver"; "zz:ping"; "deliver"; foreign ]);
+        check_int "two remote frames" 2 r.Lo_live.Cluster.frames;
+        check_int "two unknown" 2 r.Lo_live.Cluster.unknown;
+        check_bool "no failed node" true (r.Lo_live.Cluster.failed_nodes = []);
+        check_bool "the audit names only the uncharged tag" true
+          (match r.Lo_live.Cluster.audit.Lo_obs.Audit.violations with
+          | [ { invariant = "bandwidth-conservation"; detail; _ } ] ->
+              String.starts_with ~prefix:"tag zz:ping:" detail
           | _ -> false));
     (* The fork rule: in a child (this process must keep forking), fan
        out one 32-signature Schnorr batch, then ask for a cluster. It

@@ -312,10 +312,10 @@ let malformed_tests =
         Net.send d.net ~src:1 ~dst:0 ~tag:"lo:digest" truncated;
         Net.run_until d.net 0.5;
         check_bool "network path" true (!seen = [ (0, 1, "lo:digest") ]);
-        (* The view path of the live backend. *)
-        Node.handle_message_view d.nodes.(2) ~from:1 ~tag:"lo:digest"
+        (* A direct call, as a live host makes with a frame view. *)
+        Node.handle_message d.nodes.(2) ~from:1 ~tag:"lo:digest"
           (Lo_codec.Reader.of_string truncated);
-        check_bool "view path" true
+        check_bool "direct call" true
           (!seen = [ (2, 1, "lo:digest"); (0, 1, "lo:digest") ]);
         check_int "counted" 2 (Lo_obs.Trace.count d.trace "malformed"));
   ]
@@ -326,9 +326,9 @@ let malformed_tests =
    decodes reaches the handlers behind the shape check (the intact
    encodings pass it). Each input either returns normally or is counted
    as one [Malformed] event (an undecodable one always is); no
-   exception escapes either entry, nor the network run that follows.
-   [handle_message] inputs also go to a twin deployment built with a
-   world pool, so the pooled decode path sees every input too. *)
+   exception escapes the handler, nor the network run that follows.
+   Every input also goes to a twin deployment built with a world pool,
+   so the pooled decode path sees it too. *)
 let node_fuzz_tests =
   let build ?tx_pool () =
     let d = mk_network ~n:4 ?tx_pool ~seed:781 () in
@@ -382,15 +382,13 @@ let node_fuzz_tests =
   in
   let world = lazy (build ()) in
   let pooled = lazy (fst (build ~tx_pool:(Interner.Tx_pool.create ()) ())) in
-  let deliver_to ~intact ~view d input =
+  let deliver_to ~intact d input =
     let node = d.nodes.(0) in
     let before = Lo_obs.Trace.count d.trace "malformed" in
     let outcome =
       match
-        if view then
-          Node.handle_message_view node ~from:1 ~tag:"lo:fuzz"
-            (Lo_codec.Reader.of_string input)
-        else Node.handle_message node ~from:1 ~tag:"lo:fuzz" input
+        Node.handle_message node ~from:1 ~tag:"lo:fuzz"
+          (Lo_codec.Reader.of_string input)
       with
       | () -> Ok ()
       | exception e -> Error (Printexc.to_string e)
@@ -410,9 +408,9 @@ let node_fuzz_tests =
         || QCheck2.Test.fail_reportf "%d malformed events (decodes: %b)"
              counted decodes
   in
-  let deliver ?(intact = false) ~view input =
-    deliver_to ~intact ~view (fst (Lazy.force world)) input
-    && (view || deliver_to ~intact ~view (Lazy.force pooled) input)
+  let deliver ?(intact = false) input =
+    deliver_to ~intact (fst (Lazy.force world)) input
+    && deliver_to ~intact (Lazy.force pooled) input
   in
   let settle () =
     List.iter
@@ -447,102 +445,86 @@ let node_fuzz_tests =
               (int_bound (String.length t)) );
         ])
   in
-  List.concat_map
-    (fun (name, view) ->
-      [
-        Alcotest.test_case
-          (name ^ ": every truncation and 0xff byte returns or is counted")
-          `Quick (fun () ->
-            let _, valid = Lazy.force world in
-            Array.iteri
-              (fun m s ->
-                check_bool (Printf.sprintf "message %d intact" m) true
-                  (deliver ~intact:true ~view s);
-                for i = 0 to String.length s - 1 do
-                  check_bool
-                    (Printf.sprintf "message %d cut at %d" m i)
-                    true
-                    (deliver ~view (String.sub s 0 i));
-                  check_bool
-                    (Printf.sprintf "message %d, 0xff at %d" m i)
-                    true
-                    (deliver ~view (overwrite s i '\xff'))
-                done)
-              valid;
-            settle ());
-        QCheck_alcotest.to_alcotest
-          (QCheck2.Test.make ~count:1000 ~print:Lo_crypto.Hex.encode
-             ~name:(name ^ ": truncations, byte flips and splices")
-             mutation (deliver ~view));
-        Alcotest.test_case (name ^ ": the network runs on") `Quick settle;
-      ])
-    [ ("handle_message", false); ("handle_message_view", true) ]
+  [
+    Alcotest.test_case
+      "handle_message: every truncation and 0xff byte returns or is counted"
+      `Quick (fun () ->
+        let _, valid = Lazy.force world in
+        Array.iteri
+          (fun m s ->
+            check_bool (Printf.sprintf "message %d intact" m) true
+              (deliver ~intact:true s);
+            for i = 0 to String.length s - 1 do
+              check_bool
+                (Printf.sprintf "message %d cut at %d" m i)
+                true
+                (deliver (String.sub s 0 i));
+              check_bool
+                (Printf.sprintf "message %d, 0xff at %d" m i)
+                true
+                (deliver (overwrite s i '\xff'))
+            done)
+          valid;
+        settle ());
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000 ~print:Lo_crypto.Hex.encode
+         ~name:"handle_message: truncations, byte flips and splices" mutation
+         deliver);
+    Alcotest.test_case "handle_message: the network runs on" `Quick settle;
+  ]
 
-(* The simulator ([handle_message]) and live hosts
-   ([handle_message_view]) admit a [Tx_batch] through one path that
-   differs only in bundle granularity: twin deployments fed the same
-   frame end with the same mempool, committed ids and deviations, and
-   only the commitment log's seq tells them apart. *)
+(* A [Tx_batch] sent over the simulated network takes the node's one
+   entry point ([Sim_transport] hands [handle_message] a reader over the
+   payload) and the one admission path: the frame's valid, uncensored
+   transactions are stored once each, and the ids not yet committed are
+   committed as one bundle. *)
 let admission_tests =
   let censored (tx : Tx.t) = String.starts_with ~prefix:"censor" tx.Tx.payload in
-  let twin () =
-    let d =
-      mk_network ~n:4 ~seed:907
-        ~behaviors:(fun i -> if i = 0 then Node.Tx_censor censored else Node.Honest)
-        ()
-    in
-    let tx ~fee payload =
-      Tx.create ~signer:d.client ~fee ~created_at:0.5 ~payload
-    in
-    let v1 = tx ~fee:3 "adm-1" and v2 = tx ~fee:4 "adm-2" in
-    let v3 = tx ~fee:5 "adm-3" and known = tx ~fee:6 "adm-known" in
-    let bad =
-      let raw = Bytes.of_string (Tx.to_string (tx ~fee:7 "adm-bad")) in
-      let last = Bytes.length raw - 1 in
-      Bytes.set raw last (Char.chr (Char.code (Bytes.get raw last) lxor 1));
-      Tx.of_string (Bytes.to_string raw)
-    in
-    let log = Node.commitment_log d.nodes.(0) in
-    ignore (Commitment.Log.append log ~source:None ~ids:[ Tx.short_id known ]);
-    let frame =
-      Messages.encode
-        (Messages.Tx_batch
-           [ v1; v2; bad; v1; known; tx ~fee:8 "censor-me"; v3 ])
-    in
-    (d, frame, Commitment.Log.seq log)
-  in
-  let outcome d =
-    let node = d.nodes.(0) in
-    let log = Node.commitment_log node in
-    ( List.map
-        (fun e -> e.Mempool.tx.Tx.id)
-        (Mempool.entries_in_arrival_order (Node.mempool node)),
-      Commitment.Log.oldest log (Commitment.Log.counter log),
-      Node.deviations node,
-      Commitment.Log.seq log )
-  in
   [
-    Alcotest.test_case "both entry points admit a Tx_batch alike" `Quick
-      (fun () ->
-        let des, frame, seq0 = twin () in
-        let live, frame', _ = twin () in
-        Alcotest.(check string) "same frame" frame frame';
-        Node.handle_message des.nodes.(0) ~from:1 ~tag:"lo:txs" frame;
-        Node.handle_message_view live.nodes.(0) ~from:1 ~tag:"lo:txs"
-          (Lo_codec.Reader.of_string frame);
-        let arrivals, committed, deviations, seq = outcome des in
-        let arrivals', committed', deviations', seq' = outcome live in
-        check_int "stored: valid, repeat once, committed; not bad or censored"
-          4 (List.length arrivals);
-        check_bool "same arrival order" true (arrivals = arrivals');
-        check_int "committed: the prior id and three fresh ones" 4
-          (List.length committed);
-        check_bool "same committed ids" true (committed = committed');
+    Alcotest.test_case "a Tx_batch frame commits its fresh ids as one bundle"
+      `Quick (fun () ->
+        let d =
+          mk_network ~n:4 ~seed:907
+            ~behaviors:(fun i ->
+              if i = 0 then Node.Tx_censor censored else Node.Honest)
+            ()
+        in
+        let tx ~fee payload =
+          Tx.create ~signer:d.client ~fee ~created_at:0.5 ~payload
+        in
+        let v1 = tx ~fee:3 "adm-1" and v2 = tx ~fee:4 "adm-2" in
+        let v3 = tx ~fee:5 "adm-3" and known = tx ~fee:6 "adm-known" in
+        let bad =
+          let raw = Bytes.of_string (Tx.to_string (tx ~fee:7 "adm-bad")) in
+          let last = Bytes.length raw - 1 in
+          Bytes.set raw last (Char.chr (Char.code (Bytes.get raw last) lxor 1));
+          Tx.of_string (Bytes.to_string raw)
+        in
+        let node = d.nodes.(0) in
+        let log = Node.commitment_log node in
+        ignore
+          (Commitment.Log.append log ~source:None ~ids:[ Tx.short_id known ]);
+        let seq0 = Commitment.Log.seq log in
+        Net.send d.net ~src:1 ~dst:0 ~tag:"lo:txs"
+          (Messages.encode
+             (Messages.Tx_batch
+                [ v1; v2; bad; v1; known; tx ~fee:8 "censor-me"; v3 ]));
+        Net.run_until d.net 0.5;
+        check_bool "stored: valid, repeat once, committed; not bad or censored"
+          true
+          (List.map
+             (fun e -> e.Mempool.tx.Tx.id)
+             (Mempool.entries_in_arrival_order (Node.mempool node))
+          = List.map (fun (tx : Tx.t) -> tx.Tx.id) [ v1; v2; known; v3 ]);
+        check_bool "committed: the prior id and three fresh ones" true
+          (List.sort compare
+             (Commitment.Log.oldest log (Commitment.Log.counter log))
+          = List.sort compare (List.map Tx.short_id [ known; v1; v2; v3 ]));
         check_bool "censorship recorded" true
-          (List.exists (fun (_, kind, _) -> kind = "censor-content") deviations);
-        check_bool "same deviations" true (deviations = deviations');
-        check_int "one bundle per fresh id" (seq0 + 3) seq;
-        check_int "one bundle per frame" (seq0 + 1) seq');
+          (List.exists
+             (fun (_, kind, _) -> kind = "censor-content")
+             (Node.deviations node));
+        check_int "one bundle per frame" (seq0 + 1) (Commitment.Log.seq log));
   ]
 
 (* A validly signed digest whose sketch capacity or Bloom-clock size is

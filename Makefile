@@ -111,9 +111,15 @@ bench:
 	dune exec bench/main.exe
 
 # Lines of .ml + .mli in the shipped code (lib/, bin/, examples/): the
-# size ROADMAP item 9 tracks. It prints the total and gates nothing.
+# size ROADMAP item 9 tracks. One line per library directory, bin/ and
+# examples/, then the total (the last line); it gates nothing.
 loc:
-	@find lib bin examples -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
+	@for d in lib/* bin examples; do \
+		printf '%-16s %6d\n' "$$d" \
+			"$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
+	@printf '%-16s %6d\n' total \
+		"$$(find lib bin examples -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
 
 # Micro-benchmarks only, at a tiny measurement budget: seconds, not
 # minutes. Writes BENCH_smoke.json and schema-validates it (the bench

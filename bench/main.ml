@@ -130,7 +130,7 @@ let crypto_group =
           fun () -> Signer.verify_many Signer.schnorr sigs));
     Test.make ~name:"secp256k1-comb-build"
       (staged
-         (let pt = Lo_crypto.Secp256k1.mul_g (Lo_crypto.Uint256.of_int 0xC0FFEE) in
+         (let pt = Lo_crypto.Secp256k1.mul_g (Lo_crypto.Scalar.of_int 0xC0FFEE) in
           fun () -> Lo_crypto.Secp256k1.comb pt));
     Test.make ~name:"schnorr-batch-verify-64"
       (staged

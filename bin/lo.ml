@@ -143,7 +143,7 @@ let run_selfcheck _scale =
     = "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
   check "secp256k1 generator order"
     (Lo_crypto.Secp256k1.is_infinity
-       (Lo_crypto.Secp256k1.mul Lo_crypto.Secp256k1.n Lo_crypto.Secp256k1.g));
+       (Lo_crypto.Secp256k1.mul Lo_crypto.Scalar.n Lo_crypto.Secp256k1.g));
   let sk, pk = Lo_crypto.Schnorr.keypair_of_seed "selfcheck" in
   let signature = Lo_crypto.Schnorr.sign sk "selfcheck-message" in
   check "schnorr sign/verify"
@@ -327,14 +327,7 @@ let run_cluster n tps duration seed base_port out_dir chaos signer =
 
 (* --- paper-scale sharded sweep (Lo_sim.Scale) --- *)
 
-let run_scale scale shards fraction drain digest_history out jobs =
-  let oc = Option.map open_out out in
-  let report =
-    Lo_sim.Scale.sweep ?shards ~malicious_fraction:fraction
-      ~rate:scale.Lo_sim.Experiments.rate ~duration:scale.Lo_sim.Experiments.duration
-      ~drain ~digest_history ?out:oc ?jobs ~n:scale.Lo_sim.Experiments.nodes
-      ~seed:scale.Lo_sim.Experiments.seed ()
-  in
+let print_scale oc out report =
   (match (oc, out) with
   | Some oc, Some path ->
       close_out oc;
@@ -368,6 +361,23 @@ let run_scale scale shards fraction drain digest_history out jobs =
     print_endline "scale: FAILED";
     exit 1
   end
+
+(* A parameter the sweep rejects (a fraction outside [0, 1], too many
+   shards) is a usage error. *)
+let run_scale scale shards fraction drain digest_history out jobs =
+  let oc = Option.map open_out out in
+  match
+    Lo_sim.Scale.sweep ?shards ~malicious_fraction:fraction
+      ~rate:scale.Lo_sim.Experiments.rate ~duration:scale.Lo_sim.Experiments.duration
+      ~drain ~digest_history ?out:oc ?jobs ~n:scale.Lo_sim.Experiments.nodes
+      ~seed:scale.Lo_sim.Experiments.seed ()
+  with
+  | exception Invalid_argument msg ->
+      Option.iter close_out oc;
+      `Error (true, msg)
+  | report ->
+      print_scale oc out report;
+      `Ok ()
 
 let scale_cmd =
   let shards_arg =
@@ -421,8 +431,9 @@ let scale_cmd =
           worlds across domains, audit every shard, fail on any honest \
           blame")
     Term.(
-      const run_scale $ scale_term $ shards_arg $ fraction_arg $ drain_arg
-      $ history_arg $ out_arg $ jobs_arg)
+      ret
+        (const run_scale $ scale_term $ shards_arg $ fraction_arg $ drain_arg
+       $ history_arg $ out_arg $ jobs_arg))
 
 let cmd name doc run =
   Cmd.v (Cmd.info name ~doc) Term.(const run $ scale_term)

@@ -33,6 +33,9 @@ let workload ~rate ~duration ~seed ~n =
   Lo_workload.Tx_gen.generate (Rng.create ((seed * 97) + 13)) config ~num_nodes:n
 
 let pick_malicious ~seed ~n ~fraction =
+  if not (fraction >= 0. && fraction <= 1.) then
+    invalid_arg
+      (Printf.sprintf "pick_malicious: fraction %g is not in [0, 1]" fraction);
   let rng = Rng.create (seed + 5) in
   let malicious = Array.make n false in
   let num_bad =

@@ -37,4 +37,5 @@ val workload :
 
 val pick_malicious : seed:int -> n:int -> fraction:float -> bool array * int
 (** [fraction * n] distinct nodes (at least one when [fraction > 0]),
-    and their count. *)
+    and their count. @raise Invalid_argument unless [fraction] is in
+    [\[0, 1\]] (NaN included). *)

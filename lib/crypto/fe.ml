@@ -432,6 +432,10 @@ let of_bytes_be s =
   r.(9) <- !acc;
   r
 
+let of_canonical_bytes s =
+  let r = of_bytes_be s in
+  if ge_p r then None else Some r
+
 let to_bytes_be a =
   let a = copy a in
   normalize a;

@@ -1,4 +1,5 @@
-(** Elements of the secp256k1 base field F_p, p = 2^256 - 2^32 - 977.
+(** Elements of the secp256k1 base field F_p, p = 2^256 - 2^32 - 977:
+    the only type of a curve coordinate. Multipliers are {!Scalar.t}.
 
     Ten little-endian 26-bit limbs in an [int array] (libsecp256k1's
     [field_10x26] layout), updated in place: every operation writes its
@@ -33,6 +34,12 @@ val of_bytes_be : string -> t
 (** From 32 big-endian bytes. Values in [\[p, 2^256)] are accepted
     unreduced, at magnitude 1. @raise Invalid_argument on other
     lengths. *)
+
+val of_canonical_bytes : string -> t option
+(** The decoder for coordinates that arrive on the wire (a compressed
+    point's x, a signature's R.x): as {!of_bytes_be}, but [None] for a
+    value in [\[p, 2^256)], so each field element has one encoding.
+    @raise Invalid_argument on lengths other than 32. *)
 
 val to_bytes_be : t -> string
 (** The canonical 32-byte big-endian encoding of the value mod p. *)

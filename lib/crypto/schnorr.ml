@@ -3,15 +3,13 @@
    a secret key keeps its public key, so signing does no fixed-base
    multiplication for it. *)
 type public_key = { point : Secp256k1.point; bytes : string }
-type secret_key = { scalar : Uint256.t; public : public_key }
-
-let n = Secp256k1.n
+type secret_key = { scalar : Scalar.t; public : public_key }
 
 (* Hash arbitrary bytes onto the scalar field, rejecting 0. *)
 let hash_to_scalar parts =
   let rec go parts =
-    let s = Scalar.reduce (Uint256.of_bytes_be (Sha256.digest_list parts)) in
-    if Uint256.is_zero s then go (parts @ [ "retry" ]) else s
+    let s = Scalar.reduce (Scalar.of_bytes_be (Sha256.digest_list parts)) in
+    if Scalar.is_zero s then go (parts @ [ "retry" ]) else s
   in
   go parts
 
@@ -30,38 +28,47 @@ let public_key_of_bytes s =
       Some { point; bytes = s }
   | Some _ | None -> None
 
+(* [rx] is R.x's 32 bytes as signed. *)
 let challenge ~rx ~pk_bytes msg =
-  hash_to_scalar [ "lo-schnorr"; Uint256.to_bytes_be rx; pk_bytes; msg ]
+  hash_to_scalar [ "lo-schnorr"; rx; pk_bytes; msg ]
 
 let sign sk msg =
-  let k = hash_to_scalar [ "lo-nonce"; Uint256.to_bytes_be sk.scalar; msg ] in
+  let k = hash_to_scalar [ "lo-nonce"; Scalar.to_bytes_be sk.scalar; msg ] in
   let rx =
     match Secp256k1.to_affine (Secp256k1.mul_g k) with
-    | Some (x, _) -> x
+    | Some (x, _) -> Fe.to_bytes_be x
     | None -> invalid_arg "Schnorr: unexpected point at infinity"
   in
   let e = challenge ~rx ~pk_bytes:sk.public.bytes msg in
   let s = Scalar.add k (Scalar.mul e sk.scalar) in
-  Uint256.to_bytes_be rx ^ Uint256.to_bytes_be s
+  rx ^ Scalar.to_bytes_be s
+
+(* A signature's R.x bytes, R.x and s; [None] unless it is 64 bytes
+   with s < n and R.x < p. *)
+let parse signature =
+  if String.length signature <> 64 then None
+  else
+    let s = Scalar.of_bytes_be (String.sub signature 32 32) in
+    if Scalar.compare s Scalar.n >= 0 then None
+    else
+      let rx = String.sub signature 0 32 in
+      Option.map (fun x -> (rx, x, s)) (Fe.of_canonical_bytes rx)
 
 (* The reference verifier: the generic double-and-add ladder, one
    signature at a time. [batch_verify] must agree with this on every
    index (qcheck-pinned), and its bisection path re-checks every blamed
    index here before naming a signer. *)
 let verify pk ~msg ~signature =
-  String.length signature = 64
-  &&
-  let rx = Uint256.of_bytes_be (String.sub signature 0 32) in
-  let s = Uint256.of_bytes_be (String.sub signature 32 32) in
-  Uint256.compare s n < 0
-  &&
-  let e = challenge ~rx ~pk_bytes:pk.bytes msg in
-  (* R' = s*G - e*P should equal the R whose x-coordinate was signed. *)
-  let r' =
-    Secp256k1.add (Secp256k1.mul s Secp256k1.g)
-      (Secp256k1.neg (Secp256k1.mul e pk.point))
-  in
-  Secp256k1.has_x r' rx
+  match parse signature with
+  | None -> false
+  | Some (rx, x, s) ->
+      let e = challenge ~rx ~pk_bytes:pk.bytes msg in
+      (* R' = s*G - e*P should equal the R whose x-coordinate was signed. *)
+      let r' =
+        Secp256k1.add (Secp256k1.mul s Secp256k1.g)
+          (Secp256k1.neg (Secp256k1.mul e pk.point))
+      in
+      Secp256k1.has_x r' x
 
 (* --- Batch verification.
 
@@ -119,17 +126,14 @@ let cache_comb cache pk =
   tbl
 
 let kernel_one table pk msg signature =
-  String.length signature = 64
-  &&
-  let s = Uint256.of_bytes_be (String.sub signature 32 32) in
-  Uint256.compare s n < 0
-  &&
-  let rx = Uint256.of_bytes_be (String.sub signature 0 32) in
-  let e = challenge ~rx ~pk_bytes:pk.bytes msg in
-  (* s*G - e*P = s*G + (n - e)*P on the prime-order group. *)
-  Secp256k1.has_x
-    (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) table)
-    rx
+  match parse signature with
+  | None -> false
+  | Some (rx, x, s) ->
+      let e = challenge ~rx ~pk_bytes:pk.bytes msg in
+      (* s*G - e*P = s*G + (n - e)*P on the prime-order group. *)
+      Secp256k1.has_x
+        (Secp256k1.mul_add_precomp ~g_scalar:s (Scalar.neg e) table)
+        x
 
 (* A range's checks are split into parts of at least [part_min]
    signatures, one per domain [Fanout] can run at once; below two

@@ -1,24 +1,13 @@
-let p =
-  Uint256.of_hex
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
-
-let n = Scalar.n
+let fe_of_hex h = Fe.of_bytes_be (Hex.decode h)
 
 let gx =
-  Uint256.of_hex
-    "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+  fe_of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
 
 let gy =
-  Uint256.of_hex
-    "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"
+  fe_of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"
 
 let beta =
-  Uint256.of_hex
-    "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"
-
-let fe_of_u256 a = Fe.of_bytes_be (Uint256.to_bytes_be a)
-let u256_of_fe a = Uint256.of_bytes_be (Fe.to_bytes_be a)
-let beta_fe = fe_of_u256 beta
+  fe_of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"
 
 (* x^3 + 7, magnitude 2. *)
 let curve_rhs x =
@@ -29,12 +18,9 @@ let curve_rhs x =
   r
 
 let is_on_curve ~x ~y =
-  Uint256.compare x p < 0
-  && Uint256.compare y p < 0
-  &&
   let y2 = Fe.create () in
-  Fe.sqr y2 (fe_of_u256 y);
-  Fe.equal y2 (curve_rhs (fe_of_u256 x))
+  Fe.sqr y2 y;
+  Fe.equal y2 (curve_rhs x)
 
 (* --- Jacobian points: (X, Y, Z) represents (X/Z^2, Y/Z^3).
 
@@ -65,7 +51,7 @@ let of_affine_fe a =
 let of_affine ~x ~y =
   if not (is_on_curve ~x ~y) then
     invalid_arg "Secp256k1.of_affine: point not on curve";
-  of_affine_fe { ax = fe_of_u256 x; ay = fe_of_u256 y }
+  of_affine_fe { ax = x; ay = y }
 
 (* Montgomery's trick: normalise a whole array of points with a single
    field inversion. [prefix.(i)] holds the product of the non-infinity
@@ -103,8 +89,7 @@ let affine_batch pts =
   out
 
 let affine_fe pt = (affine_batch [| pt |]).(0)
-let u256_pair a = (u256_of_fe a.ax, u256_of_fe a.ay)
-let to_affine pt = Option.map u256_pair (affine_fe pt)
+let to_affine pt = Option.map (fun a -> (a.ax, a.ay)) (affine_fe pt)
 
 (* Odd multiples, fixed-base windows and comb entries of a point of
    prime order ~2^256 are never infinity. *)
@@ -215,9 +200,9 @@ let add a b = let r = fresh () in add_to r a b; r
 (* The reference ladder: plain double-and-add over the scalar's bits. *)
 let mul scalar pt =
   let acc = fresh () in
-  for i = Uint256.num_bits scalar - 1 downto 0 do
+  for i = Scalar.num_bits scalar - 1 downto 0 do
     double_to acc acc;
-    if Uint256.bit scalar i then add_to acc acc pt
+    if Scalar.bit scalar i then add_to acc acc pt
   done;
   acc
 
@@ -311,7 +296,7 @@ let precompute pt =
   let odd = odd_multiples pt (1 lsl (wnaf_w - 2)) in
   let times_lambda a =
     let x = Fe.create () in
-    Fe.mul x a.ax beta_fe;
+    Fe.mul x a.ax beta;
     Fe.normalize x;
     { ax = x; ay = a.ay }
   in
@@ -399,16 +384,15 @@ let mul_add_precomp ~g_scalar scalar tbl =
         [ g_comb ]
 
 let mul_add ~g_scalar scalar pt =
-  if is_infinity pt || Uint256.is_zero scalar then mul_g g_scalar
+  if is_infinity pt || Scalar.is_zero scalar then mul_g g_scalar
   else mul_add_precomp ~g_scalar scalar (precompute pt)
 
 let has_x pt x =
   (not pt.inf)
-  && Uint256.compare x p < 0
   &&
   let z2 = Fe.create () in
   Fe.sqr z2 pt.z;
-  Fe.mul z2 z2 (fe_of_u256 x);
+  Fe.mul z2 z2 x;
   Fe.equal z2 pt.x
 
 let equal pt1 pt2 =
@@ -425,16 +409,16 @@ let encode_compressed pt =
 
 let decode_compressed s =
   if s = String.make 33 '\000' then Some infinity
-  else if
-    String.length s <> 33
-    || (s.[0] <> '\x02' && s.[0] <> '\x03')
-    || Uint256.compare (Uint256.of_bytes_be (String.sub s 1 32)) p >= 0
-  then None
+  else if String.length s <> 33 || (s.[0] <> '\x02' && s.[0] <> '\x03') then
+    None
   else
-    let x = Fe.of_bytes_be (String.sub s 1 32) and y = Fe.create () in
-    if not (Fe.sqrt y (curve_rhs x)) then None
-    else begin
-      Fe.normalize y;
-      if Fe.is_odd y <> (s.[0] = '\x03') then Fe.sub y (Fe.create ()) y;
-      Some (of_affine_fe { ax = x; ay = y })
-    end
+    match Fe.of_canonical_bytes (String.sub s 1 32) with
+    | None -> None
+    | Some x ->
+        let y = Fe.create () in
+        if not (Fe.sqrt y (curve_rhs x)) then None
+        else begin
+          Fe.normalize y;
+          if Fe.is_odd y <> (s.[0] = '\x03') then Fe.sub y (Fe.create ()) y;
+          Some (of_affine_fe { ax = x; ay = y })
+        end

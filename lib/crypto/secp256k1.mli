@@ -1,19 +1,13 @@
 (** The secp256k1 elliptic curve, y^2 = x^3 + 7 over F_p, implemented
-    from scratch on the ten-limb field element {!Fe}, with scalars mod
-    [n] in {!Scalar}.
+    from scratch: coordinates are {!Fe.t} (or 32-byte strings on the
+    wire), multipliers are {!Scalar.t}, and the group order is
+    {!Scalar.n}.
 
     Points are carried in Jacobian coordinates internally; the affine
-    view ({!Uint256} coordinates) is exposed for encoding and equality
-    checks. [a*G + b*P] runs on Lim-Lee combs, or on the GLV
-    endomorphism with wNAF ladders for [P]; {!mul} stays the plain
-    double-and-add reference. This implementation is deliberately not
+    view is exposed for encoding and equality checks. [a*G + b*P] runs
+    on Lim-Lee combs, or on the GLV endomorphism with wNAF ladders for
+    [P]; {!mul} stays the plain double-and-add reference. This implementation is deliberately not
     constant-time and must not be used to protect real funds. *)
-
-val p : Uint256.t
-(** Base field prime, 2^256 - 2^32 - 977. *)
-
-val n : Uint256.t
-(** Order of the generator (prime). *)
 
 type point
 
@@ -23,22 +17,25 @@ val is_infinity : point -> bool
 val g : point
 (** The standard generator. *)
 
-val of_affine : x:Uint256.t -> y:Uint256.t -> point
-(** @raise Invalid_argument if (x, y) is not on the curve. *)
+val of_affine : x:Fe.t -> y:Fe.t -> point
+(** Copies the coordinates (magnitude [<= 4]).
+    @raise Invalid_argument if (x, y) is not on the curve. *)
 
-val to_affine : point -> (Uint256.t * Uint256.t) option
-(** [None] for the point at infinity. *)
+val to_affine : point -> (Fe.t * Fe.t) option
+(** Fresh, normalised coordinates; [None] for the point at infinity. *)
 
-val is_on_curve : x:Uint256.t -> y:Uint256.t -> bool
+val is_on_curve : x:Fe.t -> y:Fe.t -> bool
+(** Whether y^2 = x^3 + 7 (coordinates of magnitude [<= 4]). *)
+
 val neg : point -> point
 val add : point -> point -> point
 val double : point -> point
 
-val mul : Uint256.t -> point -> point
+val mul : Scalar.t -> point -> point
 (** Scalar multiplication (double-and-add). The reference ladder: every
     fast path below is qcheck-pinned against it. *)
 
-val mul_g : Uint256.t -> point
+val mul_g : Scalar.t -> point
 (** [mul_g k] is [mul k g] through a per-domain fixed-base window table
     (~43 mixed additions, no doublings). The table is built lazily on
     first use in each domain and normalised to affine with one batched
@@ -63,7 +60,7 @@ val comb : point -> precomp
     across calls.
     @raise Invalid_argument on the point at infinity. *)
 
-val mul_add_precomp : g_scalar:Uint256.t -> Uint256.t -> precomp -> point
+val mul_add_precomp : g_scalar:Scalar.t -> Scalar.t -> precomp -> point
 (** [mul_add_precomp ~g_scalar:a b tbl] is [a*G + b*P] for the point
     [P] of [tbl] — the Schnorr verification shape [s*G + (n-e)*P] — in
     one chain of doublings that reads [a] off a lazily built per-domain
@@ -74,27 +71,28 @@ val mul_add_precomp : g_scalar:Uint256.t -> Uint256.t -> precomp -> point
     over ~128 doublings, and [G]'s columns join the chain's last 32
     positions (about 1,680). *)
 
-val mul_add : g_scalar:Uint256.t -> Uint256.t -> point -> point
+val mul_add : g_scalar:Scalar.t -> Scalar.t -> point -> point
 (** [mul_add ~g_scalar:a b p] is [a*G + b*p] through {!precompute}'s
     table, built for this one call. *)
 
 val equal : point -> point -> bool
 
-val has_x : point -> Uint256.t -> bool
-(** [has_x pt x]: [pt] is not infinity, [x < p], and [x] is [pt]'s
-    affine x-coordinate. Checked projectively (X = x Z^2), without an
-    inversion. *)
+val has_x : point -> Fe.t -> bool
+(** [has_x pt x]: [pt] is not infinity and [x] is [pt]'s affine
+    x-coordinate. Checked projectively (X = x Z^2), without an
+    inversion. A wire x must come through {!Fe.of_canonical_bytes},
+    which rejects encodings of [x + p]. *)
 
 val encode_compressed : point -> string
 (** 33-byte SEC1 compressed encoding (02/03 prefix). Infinity encodes as
     a single zero byte followed by 32 zero bytes. *)
 
 val decode_compressed : string -> point option
-(** Inverse of {!encode_compressed}; [None] on malformed input or points
-    off the curve. *)
+(** Inverse of {!encode_compressed}; [None] on malformed input, an
+    x of [p] or more, or points off the curve. *)
 
 (**/**)
 
-val beta : Uint256.t
+val beta : Fe.t
 (** The cube root of unity mod p with [Scalar.lambda * (x, y) =
     (beta x, y)]. Exposed for tests. *)

@@ -11,13 +11,6 @@ type flow = {
   blocked_bytes : int;
 }
 
-type node_io = {
-  out_msgs : int;
-  out_bytes : int;
-  in_msgs : int;
-  in_bytes : int;
-}
-
 type mutable_flow = {
   mutable f_sent_msgs : int;
   mutable f_sent_bytes : int;
@@ -29,23 +22,9 @@ type mutable_flow = {
   mutable f_blocked_bytes : int;
 }
 
-type mutable_io = {
-  mutable n_out_msgs : int;
-  mutable n_out_bytes : int;
-  mutable n_in_msgs : int;
-  mutable n_in_bytes : int;
-}
-
-(* Specialised tables: the per-message accounting path would otherwise
+(* A specialised table: the per-message accounting path would otherwise
    pay for polymorphic hashing and comparison on every event. *)
 module Str_tbl = Hashtbl.Make (String)
-
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash n = n land max_int
-end)
 
 type t = {
   cap : int;
@@ -56,7 +35,6 @@ type t = {
   mutable last_at : float;
   kinds : int array;  (* per Event.kind_index *)
   tags : mutable_flow Str_tbl.t;
-  nodes : mutable_io Int_tbl.t;
   mutable phases_rev : (string * float) list;
   mutable observers : (entry -> unit) list;  (* in attach order *)
 }
@@ -74,7 +52,6 @@ let create ?(capacity = 1_048_576) () =
     last_at = 0.;
     kinds = Array.make Event.kind_count 0;
     tags = Str_tbl.create 16;
-    nodes = Int_tbl.create 64;
     phases_rev = [];
     observers = [];
   }
@@ -105,34 +82,18 @@ let flow_for t tag =
       Str_tbl.add t.tags tag f;
       f
 
-let io_for t node =
-  match Int_tbl.find_opt t.nodes node with
-  | Some io -> io
-  | None ->
-      let io =
-        { n_out_msgs = 0; n_out_bytes = 0; n_in_msgs = 0; n_in_bytes = 0 }
-      in
-      Int_tbl.add t.nodes node io;
-      io
-
 let account t (ev : Event.t) =
   let k = Event.kind_index ev in
   t.kinds.(k) <- t.kinds.(k) + 1;
   match ev with
-  | Event.Send { src; tag; bytes; _ } ->
+  | Event.Send { tag; bytes; _ } ->
       let f = flow_for t tag in
       f.f_sent_msgs <- f.f_sent_msgs + 1;
-      f.f_sent_bytes <- f.f_sent_bytes + bytes;
-      let io = io_for t src in
-      io.n_out_msgs <- io.n_out_msgs + 1;
-      io.n_out_bytes <- io.n_out_bytes + bytes
-  | Event.Deliver { dst; tag; bytes; _ } ->
+      f.f_sent_bytes <- f.f_sent_bytes + bytes
+  | Event.Deliver { tag; bytes; _ } ->
       let f = flow_for t tag in
       f.f_delivered_msgs <- f.f_delivered_msgs + 1;
-      f.f_delivered_bytes <- f.f_delivered_bytes + bytes;
-      let io = io_for t dst in
-      io.n_in_msgs <- io.n_in_msgs + 1;
-      io.n_in_bytes <- io.n_in_bytes + bytes
+      f.f_delivered_bytes <- f.f_delivered_bytes + bytes
   | Event.Drop { tag; bytes; reason; _ } ->
       let f = flow_for t tag in
       if reason = Event.Blocked then begin
@@ -197,20 +158,6 @@ let tag_flows t =
       :: acc)
     t.tags []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let node_flows t =
-  Int_tbl.fold
-    (fun node io acc ->
-      ( node,
-        {
-          out_msgs = io.n_out_msgs;
-          out_bytes = io.n_out_bytes;
-          in_msgs = io.n_in_msgs;
-          in_bytes = io.n_in_bytes;
-        } )
-      :: acc)
-    t.nodes []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let note_phase t name seconds =
   match List.assoc_opt name t.phases_rev with

@@ -32,13 +32,6 @@ type flow = {
   blocked_bytes : int;
 }
 
-type node_io = {
-  out_msgs : int;
-  out_bytes : int;
-  in_msgs : int;
-  in_bytes : int;
-}
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -81,10 +74,6 @@ val kind_counts : t -> (string * int) list
 
 val tag_flows : t -> (string * flow) list
 (** Per-tag wire flow, sorted by tag. *)
-
-val node_flows : t -> (int * node_io) list
-(** Per-node sent/received traffic (charged sends and deliveries),
-    sorted by node. *)
 
 (** {1 Wall-clock self-profiling (not part of the event stream)} *)
 

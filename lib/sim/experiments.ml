@@ -757,13 +757,22 @@ let time_ms f =
   let r = f () in
   (r, 1000. *. (Lo_live.Clock.now_s () -. t0))
 
-(* The fastest of three runs. A decode here takes tens of milliseconds,
-   the same order as a major GC slice or a stall of the host, so one run
-   can land on either and misorder the two algorithms. *)
-let best_of_3_ms f =
-  let r, t = time_ms f in
-  let t2 = snd (time_ms f) and t3 = snd (time_ms f) in
-  (r, Float.min t (Float.min t2 t3))
+(* The fastest of [decode_rounds] runs of each of [f] and [g], the two
+   alternating. A decode here takes tens of milliseconds, the same order
+   as a major GC slice or a spell of load on the host. Alternating puts
+   both algorithms under the same spells, so a slow one cannot misorder
+   them, and the minimum drops the runs it slowed. *)
+let decode_rounds = 7
+
+let alternating_best_ms f g =
+  let rf, tf = time_ms f in
+  let rg, tg = time_ms g in
+  let tf = ref tf and tg = ref tg in
+  for _ = 2 to decode_rounds do
+    tf := Float.min !tf (snd (time_ms f));
+    tg := Float.min !tg (snd (time_ms g))
+  done;
+  ((rf, !tf), (rg, !tg))
 
 let decode_cost_for diff ~seed =
   let rng = Rng.create seed in
@@ -771,16 +780,14 @@ let decode_cost_for diff ~seed =
   let shared = List.init 500 (fun _ -> fresh ()) in
   let local = shared @ List.init (diff / 2) (fun _ -> fresh ()) in
   let remote = shared @ List.init (diff - (diff / 2)) (fun _ -> fresh ()) in
-  let (_, mono), mono_ms =
-    best_of_3_ms (fun () ->
+  let ((_, mono), mono_ms), ((stats, recovered), part_ms) =
+    alternating_best_ms
+      (fun () ->
         Lo_sketch.Partitioned.reconcile_monolithic ~capacity:diff ~local
           ~remote ())
+      (fun () -> Lo_sketch.Partitioned.reconcile ~capacity:64 ~local ~remote ())
   in
   assert (mono <> None);
-  let (stats, recovered), part_ms =
-    best_of_3_ms (fun () ->
-        Lo_sketch.Partitioned.reconcile ~capacity:64 ~local ~remote ())
-  in
   assert (List.length recovered = diff);
   {
     diff;

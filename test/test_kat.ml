@@ -53,12 +53,13 @@ let hmac_tests =
 let affine_hex p =
   match Secp256k1.to_affine p with
   | None -> ("infinity", "infinity")
-  | Some (x, y) -> (Uint256.to_hex x, Uint256.to_hex y)
+  | Some (x, y) ->
+      (Hex.encode (Fe.to_bytes_be x), Hex.encode (Fe.to_bytes_be y))
 
 let point_vector name scalar ex ey =
   Alcotest.test_case name `Quick (fun () ->
       let x, y =
-        affine_hex (Secp256k1.mul (Uint256.of_int scalar) Secp256k1.g)
+        affine_hex (Secp256k1.mul (Scalar.of_int scalar) Secp256k1.g)
       in
       check "x" ex x;
       check "y" ey y)

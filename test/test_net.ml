@@ -11,21 +11,38 @@ let check_float = Alcotest.(check (float 1e-9))
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-(* The engine's byte ledger is its trace: attach one to read it. *)
+(* The engine's byte ledger is its trace: attach one to read it. An
+   observer folds each node's traffic from it, as (messages out, bytes
+   out, messages in, bytes in) over charged sends and deliveries. *)
+type ledger = {
+  trace : Lo_obs.Trace.t;
+  nodes : (int, int * int * int * int) Hashtbl.t;
+}
+
 let traced net =
-  let tr = Lo_obs.Trace.create () in
-  Network.set_trace net (Some tr);
-  tr
+  let trace = Lo_obs.Trace.create () and nodes = Hashtbl.create 8 in
+  let charge node (m, b, m', b') =
+    let om, ob, im, ib =
+      Option.value ~default:(0, 0, 0, 0) (Hashtbl.find_opt nodes node)
+    in
+    Hashtbl.replace nodes node (om + m, ob + b, im + m', ib + b')
+  in
+  Lo_obs.Trace.observe trace (fun { Lo_obs.Trace.ev; _ } ->
+      match ev with
+      | Lo_obs.Event.Send { src; bytes; _ } -> charge src (1, bytes, 0, 0)
+      | Lo_obs.Event.Deliver { dst; bytes; _ } -> charge dst (0, 0, 1, bytes)
+      | _ -> ());
+  Network.set_trace net (Some trace);
+  { trace; nodes }
 
-let sent_by tr node =
-  match List.assoc_opt node (Lo_obs.Trace.node_flows tr) with
-  | Some io -> io.Lo_obs.Trace.out_bytes
-  | None -> 0
+let node_flows l =
+  List.sort compare (Hashtbl.fold (fun n io acc -> (n, io) :: acc) l.nodes [])
 
-let received_by tr node =
-  match List.assoc_opt node (Lo_obs.Trace.node_flows tr) with
-  | Some io -> io.Lo_obs.Trace.in_bytes
-  | None -> 0
+let sent_by l node =
+  match Hashtbl.find_opt l.nodes node with Some (_, b, _, _) -> b | None -> 0
+
+let received_by l node =
+  match Hashtbl.find_opt l.nodes node with Some (_, _, _, b) -> b | None -> 0
 
 (* ---------------- Rng ---------------- *)
 
@@ -306,11 +323,11 @@ let network_tests =
         Network.run_until net 1.0;
         check_int "sent" 8 (sent_by tr 0);
         check_int "received" 8 (received_by tr 1);
-        check_int "messages" 2 (Lo_obs.Trace.count tr "send");
+        check_int "messages" 2 (Lo_obs.Trace.count tr.trace "send");
         check_bool "tags" true
           (List.map
              (fun (tag, f) -> (tag, f.Lo_obs.Trace.sent_bytes))
-             (Lo_obs.Trace.tag_flows tr)
+             (Lo_obs.Trace.tag_flows tr.trace)
           = [ ("a", 5); ("b", 3) ]));
     Alcotest.test_case "send_many = iterated send" `Quick (fun () ->
         (* The broadcast path encodes once and fans out; deliveries,
@@ -340,11 +357,11 @@ let network_tests =
         check_bool "identical deliveries" true (!log_a = !log_b);
         check_int "bytes" (sent_by tr_b 0) (sent_by tr_a 0);
         check_int "messages"
-          (Lo_obs.Trace.count tr_b "send")
-          (Lo_obs.Trace.count tr_a "send");
+          (Lo_obs.Trace.count tr_b.trace "send")
+          (Lo_obs.Trace.count tr_a.trace "send");
         check_bool "same flows" true
-          (Lo_obs.Trace.tag_flows tr_b = Lo_obs.Trace.tag_flows tr_a
-          && Lo_obs.Trace.node_flows tr_b = Lo_obs.Trace.node_flows tr_a));
+          (Lo_obs.Trace.tag_flows tr_b.trace = Lo_obs.Trace.tag_flows tr_a.trace
+          && node_flows tr_b = node_flows tr_a));
     Alcotest.test_case "down node loses messages" `Quick (fun () ->
         let net = Network.create ~num_nodes:2 ~seed:1 () in
         let got = ref 0 in
@@ -407,7 +424,7 @@ let network_tests =
         Network.run_until net 1.0;
         let fresh = traced net in
         check_int "zero" 0 (sent_by fresh 0);
-        check_bool "no flows" true (Lo_obs.Trace.tag_flows fresh = []);
+        check_bool "no flows" true (Lo_obs.Trace.tag_flows fresh.trace = []);
         check_int "kept" 3 (sent_by old 0));
   ]
 
@@ -444,7 +461,7 @@ let fault_tests =
         Network.send net ~src:0 ~dst:1 ~tag:"t" "x";
         Network.run_until net 1.0;
         check_int "nothing" 0 !got;
-        check_int "not even counted" 0 (Lo_obs.Trace.count tr "send"));
+        check_int "not even counted" 0 (Lo_obs.Trace.count tr.trace "send"));
     Alcotest.test_case "partition splits and heals" `Quick (fun () ->
         let net = Network.create ~num_nodes:4 ~seed:2 () in
         let got = Array.make 4 0 in

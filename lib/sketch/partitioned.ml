@@ -15,9 +15,31 @@ let empty_stats =
     max_depth = 0;
   }
 
+(* Beyond its capacity a sketch can decode to a wrong set with the same
+   syndromes, which the re-encode check in [Sketch.decode] cannot tell
+   apart. The two sides can: each knows its own ids, so a decoded id
+   outside the partition, held by neither side or held by both, shows
+   the decode was wrong. [sides] maps each id to 1 (local), 2 (remote)
+   or 3 (both). *)
+let sides ~local ~remote =
+  let t = Hashtbl.create (List.length local + List.length remote) in
+  let mark bit e =
+    let seen = Option.value ~default:0 (Hashtbl.find_opt t e) in
+    Hashtbl.replace t e (bit lor seen)
+  in
+  List.iter (mark 1) local;
+  List.iter (mark 2) remote;
+  t
+
+let genuine sides ~depth ~value e =
+  e land ((1 lsl depth) - 1) = value
+  &&
+  match Hashtbl.find_opt sides e with Some (1 | 2) -> true | _ -> false
+
 let reconcile ~capacity ~local ~remote () =
   let stats = ref empty_stats in
   let diff = ref [] in
+  let sides = sides ~local ~remote in
   (* Partition (depth, value): ids whose low [depth] bits equal [value]. *)
   let queue = Queue.create () in
   let sketch = Sketch.of_list ~capacity in
@@ -35,8 +57,9 @@ let reconcile ~capacity ~local ~remote () =
         max_depth = max !stats.max_depth depth;
       };
     match Sketch.decode merged with
-    | Ok elements -> diff := List.rev_append elements !diff
-    | Error `Decode_failure ->
+    | Ok elements when List.for_all (genuine sides ~depth ~value) elements ->
+        diff := List.rev_append elements !diff
+    | Ok _ | Error `Decode_failure ->
         stats := { !stats with decode_failures = !stats.decode_failures + 1 };
         if depth >= 32 then
           (* All 32 id bits are spent; give up on this partition (ids

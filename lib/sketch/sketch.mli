@@ -61,8 +61,11 @@ val is_empty : t -> bool
 
 val decode : t -> (int list, [ `Decode_failure ]) result
 (** Recover the elements of the (symmetric-difference) set, unordered.
-    Fails when the difference exceeds the capacity. A successful decode
-    is verified by re-encoding, so a wrong set is never returned. *)
+    Fails when the difference exceeds the capacity, except that, rarely,
+    a larger difference decodes to a wrong set of at most [c] elements
+    with the same syndromes: re-encoding rules out every set whose
+    syndromes differ, but not that one. Only the caller, who knows the
+    sets, can tell it apart. *)
 
 val serialized_size : t -> int
 (** Bytes on the wire: a 3-byte header (the field byte 32 and a 16-bit

@@ -537,6 +537,28 @@ let bch_bound_tests =
 
 (* ---------------- Partitioned reconciliation ---------------- *)
 
+(* Three disjoint random sets (shared, only-local, only-remote) of the
+   given sizes, drawn from the nonzero GF(2^32) elements by a seeded
+   generator. *)
+let split_sets (seed, n_shared, n_local, n_remote) =
+  let rng = Lo_net.Rng.create seed in
+  let seen = Hashtbl.create 64 in
+  let draw () =
+    let rec go () =
+      let v = 1 + Lo_net.Rng.int rng (Gf2m.mask - 1) in
+      if Hashtbl.mem seen v then go ()
+      else begin
+        Hashtbl.add seen v ();
+        v
+      end
+    in
+    go ()
+  in
+  let take n = List.init n (fun _ -> draw ()) in
+  let shared = take n_shared in
+  let only_local = take n_local in
+  (shared, only_local, take n_remote)
+
 let partitioned_tests =
   [
     Alcotest.test_case "identical sets need one round" `Quick (fun () ->
@@ -588,6 +610,31 @@ let partitioned_tests =
           Partitioned.reconcile ~capacity:8 ~local:[ 1; 2; 3 ] ~remote:[ 2; 3; 4 ] ()
         in
         check_bool "bytes" true (stats.Partitioned.bytes_exchanged > 0));
+    (* Beyond its capacity a sketch can decode to a wrong set with the
+       right syndromes. These inputs (seed and set sizes, capacity 8)
+       each hit one; the reconciler must see it and split again. *)
+    Alcotest.test_case "wrong decodes split again" `Quick
+      (fun () ->
+        let cases =
+          [
+            (743334, 13, 7, 16);
+            (590775, 37, 13, 18);
+            (645685, 28, 11, 0);
+            (798039, 22, 22, 14);
+            (186707, 60, 23, 8);
+          ]
+        in
+        List.iter
+          (fun case ->
+            let shared, only_local, only_remote = split_sets case in
+            let _, diff =
+              Partitioned.reconcile ~capacity:8 ~local:(shared @ only_local)
+                ~remote:(shared @ only_remote) ()
+            in
+            check_bool "recovered" true
+              (List.sort compare diff
+              = List.sort compare (only_local @ only_remote)))
+          cases);
   ]
 
 
@@ -671,27 +718,10 @@ let strata_tests =
    must decode-or-fail honestly at its capacity bound, and the strata
    estimator must survive the wire byte-for-byte. *)
 
-(* Three disjoint random sets (shared, only-local, only-remote) of
-   bounded size, drawn from the nonzero GF(2^32) elements. *)
+(* [split_sets] of bounded size. *)
 let split_sets_gen =
   QCheck2.Gen.(
-    map
-      (fun (seed, n_shared, n_local, n_remote) ->
-        let rng = Lo_net.Rng.create seed in
-        let seen = Hashtbl.create 64 in
-        let draw () =
-          let rec go () =
-            let v = 1 + Lo_net.Rng.int rng (Gf2m.mask - 1) in
-            if Hashtbl.mem seen v then go ()
-            else begin
-              Hashtbl.add seen v ();
-              v
-            end
-          in
-          go ()
-        in
-        let take n = List.init n (fun _ -> draw ()) in
-        (take n_shared, take n_local, take n_remote))
+    map split_sets
       (quad (int_range 0 1_000_000) (int_bound 60) (int_bound 25)
          (int_bound 25)))
 

@@ -11,16 +11,6 @@ let create ?(cells = 32) () =
 let cells t = Array.length t.counters
 let copy t = { counters = Array.copy t.counters; count = t.count }
 
-let cell_of_item ~cells item =
-  let material =
-    if String.length item >= 8 then item else Lo_crypto.Sha256.digest item
-  in
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code material.[i]
-  done;
-  !v mod cells
-
 let cell_of_int ~cells id =
   let z = Int64.mul (Int64.of_int id) 0x9E3779B97F4A7C15L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -31,7 +21,6 @@ let bump t cell =
   t.counters.(cell) <- t.counters.(cell) + 1;
   t.count <- t.count + 1
 
-let add t item = bump t (cell_of_item ~cells:(cells t) item)
 let add_int t id = bump t (cell_of_int ~cells:(cells t) id)
 
 let get t i = t.counters.(i)
@@ -80,12 +69,13 @@ let merge a b =
 
 (* Wire format: u16 cell count, u32 total, then one u16 per cell, as in
    the paper's 68-byte layout for 32 cells. *)
+let max_counter = 0xFFFF
 let encoded_size t = 2 + 4 + (2 * cells t)
 
 let encode w t =
   Writer.u16 w (cells t);
   Writer.u32 w t.count;
-  Array.iter (fun v -> Writer.u16 w (min v 0xFFFF)) t.counters
+  Array.iter (fun v -> Writer.u16 w (min v max_counter)) t.counters
 
 let decode r =
   let n = Reader.u16 r in

@@ -20,16 +20,10 @@ val create : ?cells:int -> unit -> t
 val cells : t -> int
 val copy : t -> t
 
-val cell_of_item : cells:int -> string -> int
-(** The cell an item maps to; items are assumed uniformly distributed
-    (transaction ids are digests). *)
-
 val cell_of_int : cells:int -> int -> int
 (** Cell for an integer item (a short transaction id); the id is mixed
     first so the cell is independent of the id's low bits, which the
     partitioned reconciler uses for splitting. *)
-
-val add : t -> string -> unit
 
 (** [add_int t id] adds an integer item (LØ commits to 32-bit short
     ids). *)
@@ -49,11 +43,17 @@ val diff_cells : t -> t -> int list
     reconciliation. *)
 
 val estimate_difference : t -> t -> int
-(** Sum of absolute cell differences — an upper-bound estimate on the
-    symmetric-difference size used for sketch-capacity selection. *)
+(** Sum of absolute cell differences: the symmetric-difference size
+    when one set contains the other (an honest extension), and
+    otherwise only a lower bound, because ids from both sides cancel
+    within a cell. It guides sketch-capacity selection; a decode at a
+    capacity it chose can be wrong when the sets are not nested. *)
 
 val merge : t -> t -> t
 (** Cell-wise maximum. *)
+
+val max_counter : int
+(** 0xFFFF: the wire carries each counter as a u16, capped here. *)
 
 val encoded_size : t -> int
 val encode : Lo_codec.Writer.t -> t -> unit

@@ -29,7 +29,9 @@ val clear_suspicion : t -> peer:string -> unit
 (** No effect unless currently suspected. *)
 
 val expose : t -> peer:string -> Evidence.t -> bool
-(** [true] if this is a new exposure (first evidence wins). *)
+(** [true] if this is a new exposure (first evidence wins). The only
+    writer of exposures; nothing clears one, so {!is_exposed} is the
+    node's one record of whom it has exposed. *)
 
 val suspected_peers : t -> (string * suspicion) list
 val exposed_peers : t -> (string * Evidence.t) list

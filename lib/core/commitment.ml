@@ -96,6 +96,18 @@ let sketch_difference ~estimate a b =
       Sketch.decode (merged_at capacity)
   | Error `Decode_failure -> Error `Decode_failure
 
+let accounts_for ~mine ~peer ~held diff =
+  let cells = Bloom_clock.cells mine in
+  let expected = Array.init cells (Bloom_clock.get mine) in
+  List.iter
+    (fun id ->
+      let c = Bloom_clock.cell_of_int ~cells id in
+      expected.(c) <- (expected.(c) + if held id then -1 else 1))
+    diff;
+  let wire v = min v Bloom_clock.max_counter in
+  Array.for_all Fun.id
+    (Array.mapi (fun c v -> wire v = wire (Bloom_clock.get peer c)) expected)
+
 let check_extension ?(max_decode = max_int) ~older ~newer () =
   if not (String.equal older.owner newer.owner) then
     invalid_arg "Commitment.check_extension: different owners";
@@ -123,11 +135,10 @@ let check_extension ?(max_decode = max_int) ~older ~newer () =
   end
 
 module Log = struct
-  type bundle = { seq : int; source : string option; ids : int list }
+  type bundle = { seq : int; ids : int list }
 
   type t = {
     signer : Signer.t;
-    sketch_capacity : int;
     clock_cells : int;
     digest_history : int;
         (* digests older than [seq - digest_history] keep only their
@@ -136,8 +147,6 @@ module Log = struct
            it. [max_int] = retain every sketch (the default; historical
            full digests are served on the wire, so bounding them is an
            explicit opt-in of scale harnesses). *)
-    mutable bundles_rev : bundle list;
-    mutable current : digest; (* snapshot after the latest bundle *)
     mutable counter : int;
     mutable seq : int;
     clock : Bloom_clock.t;
@@ -147,11 +156,16 @@ module Log = struct
     mutable ids : int array;
         (* every committed id in commitment order; the first [counter]
            slots are live *)
+    mutable ends : int array;
+        (* bundle [s] is [ids.(ends.(s - 2)) .. ids.(ends.(s - 1) - 1)]
+           (from 0 for [s = 1]); the first [seq] slots are live *)
+    mutable digests : digest array;
+        (* the snapshot after bundle [s] at index [s]; the first
+           [seq + 1] slots are live *)
     sketch_buf : Bytes.t;
         (* the sketch's wire encoding, refreshed in place on every
            snapshot — hashing feeds these bytes directly instead of
            re-serializing through a fresh Writer each time *)
-    digest_index : (int, digest) Hashtbl.t; (* digests keyed by seq *)
     tx_pool : Interner.Tx_pool.t option;
   }
 
@@ -159,6 +173,15 @@ module Log = struct
   let contains t id = Dedup_set.mem t.known id
   let counter t = t.counter
   let seq t = t.seq
+
+  (* [a] with room for [len] slots, doubling; new slots hold [fill]. *)
+  let ensure a len fill =
+    if len <= Array.length a then a
+    else begin
+      let grown = Array.make (max len (2 * Array.length a)) fill in
+      Array.blit a 0 grown 0 (Array.length a);
+      grown
+    end
 
   let sign_snapshot t =
     Sketch.encode_into t.sketch t.sketch_buf ~pos:0;
@@ -178,18 +201,14 @@ module Log = struct
     let signature = Signer.sign t.signer (signing_bytes unsigned) in
     { unsigned with signature }
 
+  (* Record the snapshot of [t.seq]. One strip per append keeps the
+     full-sketch window complete. *)
   let record_digest t d =
-    t.current <- d;
-    Hashtbl.replace t.digest_index d.seq d;
-    (* One strip per append keeps the full-sketch window complete. *)
-    if t.digest_history < max_int then begin
-      let old_seq = d.seq - t.digest_history in
-      if old_seq >= 0 then
-        match Hashtbl.find_opt t.digest_index old_seq with
-        | Some od when is_full od ->
-            Hashtbl.replace t.digest_index old_seq (strip_sketch od)
-        | _ -> ()
-    end
+    t.digests <- ensure t.digests (t.seq + 1) d;
+    t.digests.(t.seq) <- d;
+    let old_seq = t.seq - t.digest_history in
+    if old_seq >= 0 && is_full t.digests.(old_seq) then
+      t.digests.(old_seq) <- strip_sketch t.digests.(old_seq)
 
   let create ?(sketch_capacity = default_sketch_capacity)
       ?(clock_cells = default_clock_cells) ?(digest_history = max_int) ?tx_pool
@@ -200,21 +219,8 @@ module Log = struct
     let t =
       {
         signer;
-        sketch_capacity;
         clock_cells;
         digest_history;
-        bundles_rev = [];
-        current =
-          (* placeholder, replaced by the seq-0 snapshot below *)
-          {
-            owner = Signer.id signer;
-            seq = 0;
-            counter = 0;
-            clock = Bloom_clock.create ~cells:clock_cells ();
-            sketch_hash = "";
-            sketch = None;
-            signature = "";
-          };
         counter = 0;
         seq = 0;
         clock = Bloom_clock.create ~cells:clock_cells ();
@@ -222,8 +228,9 @@ module Log = struct
         known = Dedup_set.create ~initial_capacity:256 ();
         cells = Array.make clock_cells [];
         ids = Array.make 64 0;
+        ends = Array.make 16 0;
+        digests = [||];
         sketch_buf = Bytes.create (Sketch.serialized_size sketch);
-        digest_index = Hashtbl.create 256;
         tx_pool;
       }
     in
@@ -232,10 +239,10 @@ module Log = struct
     record_digest t (sign_snapshot t);
     t
 
-  let current_digest t = t.current
+  let current_digest t = t.digests.(t.seq)
   let current_digest_light t = strip_sketch (current_digest t)
 
-  let append t ~source ~ids =
+  let append t ~source:_ ~ids =
     let fresh =
       List.filter
         (fun id ->
@@ -259,23 +266,25 @@ module Log = struct
         | None -> Sketch.add_all t.sketch fresh
         | Some pool -> Interner.Tx_pool.sketch_add_all pool t.sketch fresh);
         let n = List.length fresh in
-        if t.counter + n > Array.length t.ids then begin
-          let grown = Array.make (max (t.counter + n) (2 * Array.length t.ids)) 0 in
-          Array.blit t.ids 0 grown 0 t.counter;
-          t.ids <- grown
-        end;
+        t.ids <- ensure t.ids (t.counter + n) 0;
         List.iteri (fun i id -> t.ids.(t.counter + i) <- id) fresh;
         t.counter <- t.counter + n;
+        t.ends <- ensure t.ends (t.seq + 1) 0;
+        t.ends.(t.seq) <- t.counter;
         t.seq <- t.seq + 1;
-        t.bundles_rev <- { seq = t.seq; source; ids = fresh } :: t.bundles_rev;
         let d = sign_snapshot t in
         record_digest t d;
         Some d
 
-  let digest_at t ~seq = Hashtbl.find_opt t.digest_index seq
+  let digest_at t ~seq =
+    if seq < 0 || seq > t.seq then None else Some t.digests.(seq)
 
-  let bundles t = List.rev t.bundles_rev
-  let newest_bundle t = match t.bundles_rev with b :: _ -> Some b | [] -> None
+  let bundle t seq =
+    let first = if seq = 1 then 0 else t.ends.(seq - 2) in
+    { seq; ids = List.init (t.ends.(seq - 1) - first) (fun i -> t.ids.(first + i)) }
+
+  let bundles t = List.init t.seq (fun i -> bundle t (i + 1))
+  let newest_bundle t = if t.seq = 0 then None else Some (bundle t t.seq)
 
   let oldest t n =
     let acc = ref [] in

@@ -10,7 +10,10 @@
     withholding.
 
     The {!Log} sub-module is the owner side: it appends bundles, keeps
-    the committed-id index, and signs fresh digests. *)
+    the committed-id index, and signs fresh digests. It stores each
+    committed id once, in one commitment-order array (a bundle is a
+    range of it), and each signed digest once, in one array indexed by
+    seq. *)
 
 type digest = {
   owner : string;  (** 33-byte signer identity *)
@@ -77,7 +80,23 @@ val sketch_difference :
     are truncated to [min capacity (estimate + 8)] and merged, and that
     cheap prefix is decoded first; on failure the full sketches are
     merged and decoded. [estimate] is the Bloom clocks' difference
-    estimate, exact for an honest extension. *)
+    estimate, exact for an honest extension. Otherwise it can fall
+    short of the true difference, and a decode beyond the truncated
+    capacity can then return a wrong set with the same syndromes, which
+    {!accounts_for} rejects. *)
+
+val accounts_for :
+  mine:Lo_bloom.Bloom_clock.t ->
+  peer:Lo_bloom.Bloom_clock.t ->
+  held:(int -> bool) ->
+  int list ->
+  bool
+(** [accounts_for ~mine ~peer ~held diff]: whether [peer] is [mine]
+    with the ids of [diff] that [held] accepts taken out and the others
+    put in, cell by cell, counters compared as the wire carries them
+    (capped at {!Lo_bloom.Bloom_clock.max_counter}). The true
+    difference always passes; a wrong decode almost never does. Both
+    clocks have the same number of cells. *)
 
 val check_extension :
   ?max_decode:int -> older:digest -> newer:digest -> unit -> consistency
@@ -97,7 +116,6 @@ module Log : sig
 
   type bundle = {
     seq : int;  (** 1-based bundle number *)
-    source : string option;  (** peer the bundle was learned from *)
     ids : int list;  (** short ids in arrival order *)
   }
 
@@ -130,7 +148,8 @@ module Log : sig
   val append : t -> source:string option -> ids:int list -> digest option
   (** Commit a bundle of previously unknown short ids, in the given
       order (duplicates and already-known ids are dropped). Returns the
-      fresh signed digest, or [None] if nothing new remained. *)
+      fresh signed digest, or [None] if nothing new remained. [source]
+      (the peer the bundle was learned from) is not kept. *)
 
   val current_digest : t -> digest
   (** Full form (sketch included). *)

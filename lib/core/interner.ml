@@ -34,16 +34,6 @@ let to_string t id =
   if id < 0 || id >= t.count then invalid_arg "Interner.to_string";
   t.table.(id)
 
-let canonical t s =
-  match Hashtbl.find_opt t.index s with
-  | Some id -> t.table.(id)
-  | None -> t.table.(intern t s)
-
-let iter t f =
-  for id = 0 to t.count - 1 do
-    f id t.table.(id)
-  done
-
 module Tx_pool = struct
   module Reader = Lo_codec.Reader
   module Sketch = Lo_sketch.Sketch

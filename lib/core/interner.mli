@@ -25,14 +25,7 @@ val find : t -> string -> int option
 val to_string : t -> int -> string
 (** @raise Invalid_argument on an id never handed out. *)
 
-val canonical : t -> string -> string
-(** The retained copy equal to [s] (interning it first if new) —
-    subsequent [String.equal] against other canonical copies hits the
-    pointer-equality fast path. *)
-
 val size : t -> int
-val iter : t -> (int -> string -> unit) -> unit
-(** In insertion order. *)
 
 (** A world's transactions, decoded once: the pure values every node
     would otherwise derive again for the same transaction.

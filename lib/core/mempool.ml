@@ -5,34 +5,30 @@ type entry = {
   from_peer : string option;
 }
 
-type t = {
-  by_short : (int, entry) Hashtbl.t;
-  by_id : (string, entry) Hashtbl.t;
-  mutable arrival_rev : entry list;
-  mutable payload_bytes : int;
-}
+(* One table, keyed by short id. A transaction whose short id collides
+   with a stored one is refused by [add], so a full-id lookup is the
+   short-id lookup plus an id comparison. *)
+type t = (int, entry) Hashtbl.t
 
-let create ?(initial_capacity = 512) () =
-  {
-    by_short = Hashtbl.create initial_capacity;
-    by_id = Hashtbl.create initial_capacity;
-    arrival_rev = [];
-    payload_bytes = 0;
-  }
-
-let size t = Hashtbl.length t.by_short
+let create ?(initial_capacity = 512) () = Hashtbl.create initial_capacity
+let size = Hashtbl.length
 
 let add t ~tx ~received_at ~from_peer =
   let short_id = Tx.short_id tx in
-  if Hashtbl.mem t.by_short short_id then `Duplicate
+  if Hashtbl.mem t short_id then `Duplicate
   else begin
     let entry = { tx; short_id; received_at; from_peer } in
-    Hashtbl.add t.by_short short_id entry;
-    Hashtbl.add t.by_id tx.Tx.id entry;
-    t.arrival_rev <- entry :: t.arrival_rev;
-    t.payload_bytes <- t.payload_bytes + Tx.encoded_size tx;
+    Hashtbl.add t short_id entry;
     `Added entry
   end
+
+let mem_short = Hashtbl.mem
+let find_short = Hashtbl.find_opt
+
+let find_id t id =
+  match Hashtbl.find_opt t (Short_id.of_txid id) with
+  | Some e when String.equal e.tx.Tx.id id -> Some e
+  | _ -> None
 
 type batch_result = {
   accepted : entry list;
@@ -59,7 +55,7 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
       match Tx.check_bounds tx with
       | Error r -> reasons.(i) <- Some r
       | Ok () ->
-          if not (Hashtbl.mem t.by_id tx.Tx.id && known (Tx.short_id tx)) then
+          if not (find_id t tx.Tx.id <> None && known (Tx.short_id tx)) then
             pending_rev := i :: !pending_rev)
     txs;
   let pending = Array.of_list (List.rev !pending_rev) in
@@ -107,9 +103,3 @@ let ingest_batch ?(keep = fun _ -> true) ~scheme ~known ~commit ~received_at
     duplicates = !duplicates;
     committed;
   }
-
-let mem_short t short_id = Hashtbl.mem t.by_short short_id
-let find_short t short_id = Hashtbl.find_opt t.by_short short_id
-let find_id t id = Hashtbl.find_opt t.by_id id
-let entries_in_arrival_order t = List.rev t.arrival_rev
-let total_payload_bytes t = t.payload_bytes

@@ -2,8 +2,10 @@
 
     Holds the content of every valid transaction a node has ever seen
     (LØ's "Inclusion of All Transactions" policy makes the store
-    append-only), indexed by short id, together with reception
-    metadata. *)
+    append-only), with reception metadata, in one table keyed by short
+    id. A full-id lookup is the short-id lookup plus an id comparison:
+    {!add} refuses a transaction whose short id is already taken, so
+    such a transaction reads as absent by either key. *)
 
 type entry = {
   tx : Tx.t;
@@ -15,7 +17,7 @@ type entry = {
 type t
 
 val create : ?initial_capacity:int -> unit -> t
-(** [initial_capacity] pre-sizes the internal tables (default 512).
+(** [initial_capacity] pre-sizes the table (default 512).
     Pass the expected transaction count when it is known up front —
     sustained ingest at six-figure tx/s otherwise spends a measurable
     slice of its budget rehashing through the doubling ladder. *)
@@ -67,6 +69,4 @@ val ingest_batch :
 val mem_short : t -> int -> bool
 val find_short : t -> int -> entry option
 val find_id : t -> string -> entry option
-val entries_in_arrival_order : t -> entry list
-val total_payload_bytes : t -> int
-(** Cumulative stored transaction bytes (storage-overhead metric). *)
+(** By 32-byte transaction id. *)

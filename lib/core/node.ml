@@ -62,7 +62,6 @@ type t = {
   tracker : Peer_tracker.t;
   reconciler : Reconciler.t;
   pipeline : Block_pipeline.t;
-  seen_exposures : (string, unit) Hashtbl.t;
   deviations : (string * int option, float) Hashtbl.t;
       (* ground truth for the conformance oracles: (kind, block height)
          -> first simulated time this node deviated that way *)
@@ -154,7 +153,6 @@ let expose t ~accused evidence =
              peer =
                Option.value (Directory.index_of t.directory accused) ~default:(-1);
            });
-      Hashtbl.replace t.seen_exposures accused ();
       broadcast t (Messages.Exposure_note evidence)
     end
   end
@@ -218,7 +216,6 @@ let create ?tx_pool config ~transport ~rng ~directory ~signer ~neighbors
       reconciler = Reconciler.create ~content ~tracker;
       pipeline =
         Block_pipeline.create ~adversary:behavior ~tracker ~content ~mempool;
-      seen_exposures = Hashtbl.create 16;
       deviations = Hashtbl.create 4;
       encode_buf = Lo_codec.Writer.create ~initial_size:256 ();
       tx_pool;
@@ -273,7 +270,7 @@ let handle_exposure t evidence =
   let accused = Evidence.accused evidence in
   if
     (not (String.equal accused t.my_id))
-    && (not (Hashtbl.mem t.seen_exposures accused))
+    && (not (Accountability.is_exposed t.acc accused))
     && Evidence.verify t.config.scheme evidence
   then expose t ~accused evidence
 

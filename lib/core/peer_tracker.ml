@@ -1,9 +1,10 @@
 module Rng = Lo_net.Rng
+module Seq_map = Map.Make (Int)
 
 type peer_state = {
-  digests : (int, Commitment.digest) Hashtbl.t;
+  mutable digests : Commitment.digest Seq_map.t;
+  mutable count : int; (* bindings in [digests] *)
   bundles : (int, int list) Hashtbl.t;
-  mutable latest : Commitment.digest option;
 }
 
 type t = {
@@ -15,49 +16,50 @@ type t = {
 let create () =
   { peers = Hashtbl.create 32; recent = Array.make 32 None; recent_pos = 0 }
 
+(* Only directory members get a record: a stranger's identity, signed
+   or not, allocates nothing. *)
+let known (env : Node_env.t) owner = Option.is_some (env.index_of owner)
+
 let peer_state t owner =
   match Hashtbl.find_opt t.peers owner with
   | Some st -> st
   | None ->
       let st =
-        { digests = Hashtbl.create 8; bundles = Hashtbl.create 8; latest = None }
+        { digests = Seq_map.empty; count = 0; bundles = Hashtbl.create 8 }
       in
       Hashtbl.add t.peers owner st;
       st
 
+let stored t owner seq =
+  match Hashtbl.find_opt t.peers owner with
+  | None -> None
+  | Some st -> Seq_map.find_opt seq st.digests
+
 let latest t ~peer =
   match Hashtbl.find_opt t.peers peer with
   | None -> None
-  | Some st -> st.latest
+  | Some st -> Option.map snd (Seq_map.max_binding_opt st.digests)
 
 let digest_pair t ~owner ~seq =
-  match Hashtbl.find_opt t.peers owner with
-  | None -> None
-  | Some st -> begin
-      match
-        (Hashtbl.find_opt st.digests (seq - 1), Hashtbl.find_opt st.digests seq)
-      with
-      | Some older, Some newer
-        when Commitment.is_full older && Commitment.is_full newer ->
-          Some (older, newer)
-      | _ -> None
-    end
+  match (stored t owner (seq - 1), stored t owner seq) with
+  | Some older, Some newer
+    when Commitment.is_full older && Commitment.is_full newer ->
+      Some (older, newer)
+  | _ -> None
 
 let snapshots t =
-  Hashtbl.fold
-    (fun owner st acc ->
-      Hashtbl.fold (fun seq d acc -> (owner, seq, d) :: acc) st.digests acc)
-    t.peers []
-  |> List.sort (fun (o1, s1, _) (o2, s2, _) ->
-         match String.compare o1 o2 with 0 -> Int.compare s1 s2 | c -> c)
+  Hashtbl.fold (fun owner st acc -> (owner, st) :: acc) t.peers []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.concat_map (fun (owner, st) ->
+         List.map (fun (seq, d) -> (owner, seq, d)) (Seq_map.bindings st.digests))
 
 let bundle_of_seq t ~owner ~seq =
   match Hashtbl.find_opt t.peers owner with
   | None -> None
   | Some st -> Hashtbl.find_opt st.bundles seq
 
-let note_appended t ~owner ~seq appended =
-  if appended <> [] && seq >= 1 then begin
+let note_appended t env ~owner ~seq appended =
+  if appended <> [] && seq >= 1 && known env owner then begin
     let st = peer_state t owner in
     if not (Hashtbl.mem st.bundles seq) then
       Hashtbl.replace st.bundles seq appended
@@ -66,35 +68,30 @@ let note_appended t ~owner ~seq appended =
 (* Recompute bundles adjacent to a freshly upgraded full digest. *)
 let derive_bundles (env : Node_env.t) st digest =
   let open Commitment in
-  (match Hashtbl.find_opt st.digests (digest.seq - 1) with
-  | Some b when Commitment.is_full b && Commitment.is_full digest -> begin
-      match check_extension ~older:b ~newer:digest () with
-      | Consistent ids -> Hashtbl.replace st.bundles digest.seq ids
+  let pair ~older ~newer =
+    if is_full older && is_full newer then
+      match check_extension ~older ~newer () with
+      | Consistent ids -> Hashtbl.replace st.bundles newer.seq ids
       | Inconsistent ->
           env.expose ~accused:digest.owner
-            (Evidence.Conflicting_digests { older = b; newer = digest })
+            (Evidence.Conflicting_digests { older; newer })
       | Plausible | Inconclusive -> ()
-    end
-  | _ -> ());
-  match Hashtbl.find_opt st.digests (digest.seq + 1) with
-  | Some a when Commitment.is_full a && Commitment.is_full digest -> begin
-      match check_extension ~older:digest ~newer:a () with
-      | Consistent ids -> Hashtbl.replace st.bundles a.seq ids
-      | Inconsistent ->
-          env.expose ~accused:digest.owner
-            (Evidence.Conflicting_digests { older = digest; newer = a })
-      | Plausible | Inconclusive -> ()
-    end
-  | _ -> ()
+  in
+  Option.iter
+    (fun older -> pair ~older ~newer:digest)
+    (Seq_map.find_opt (digest.seq - 1) st.digests);
+  Option.iter
+    (fun newer -> pair ~older:digest ~newer)
+    (Seq_map.find_opt (digest.seq + 1) st.digests)
 
 (* Digest bookkeeping & equivocation detection (Fig. 4). *)
 let note_digest t (env : Node_env.t) digest =
   let open Commitment in
-  if String.equal digest.owner env.my_id then ()
+  if String.equal digest.owner env.my_id || not (known env digest.owner) then ()
   else if not (Commitment.verify env.config.scheme digest) then ()
   else begin
     let st = peer_state t digest.owner in
-    match Hashtbl.find_opt st.digests digest.seq with
+    match Seq_map.find_opt digest.seq st.digests with
     | Some existing ->
         if not (Commitment.equal_content existing digest) then
           env.expose ~accused:digest.owner
@@ -102,26 +99,13 @@ let note_digest t (env : Node_env.t) digest =
         else if Commitment.is_full digest && not (Commitment.is_full existing)
         then begin
           (* Upgrade a light snapshot to the full form. *)
-          Hashtbl.replace st.digests digest.seq digest;
-          (match st.latest with
-          | Some l when l.seq = digest.seq -> st.latest <- Some digest
-          | _ -> ());
+          st.digests <- Seq_map.add digest.seq digest st.digests;
           derive_bundles env st digest;
           env.retry_inspections ~owner:digest.owner
         end
     | None ->
-        let below = ref None and above = ref None in
-        Hashtbl.iter
-          (fun seq d ->
-            if seq < digest.seq then
-              match !below with
-              | Some (s, _) when s >= seq -> ()
-              | _ -> below := Some (seq, d)
-            else
-              match !above with
-              | Some (s, _) when s <= seq -> ()
-              | _ -> above := Some (seq, d))
-          st.digests;
+        let below = Seq_map.find_last_opt (fun s -> s < digest.seq) st.digests in
+        let above = Seq_map.find_first_opt (fun s -> s > digest.seq) st.digests in
         let consistent = ref true in
         let check ~older ~newer ~bundle_seq_if_adjacent ~adjacent =
           (* Adjacent pairs are always set-audited (they also yield the
@@ -143,34 +127,30 @@ let note_digest t (env : Node_env.t) digest =
               if adjacent then Hashtbl.replace st.bundles bundle_seq_if_adjacent ids
           | Plausible | Inconclusive -> ()
         in
-        (match !below with
+        (match below with
         | None -> ()
         | Some (seq_b, b) ->
             check ~older:b ~newer:digest ~bundle_seq_if_adjacent:digest.seq
               ~adjacent:(seq_b = digest.seq - 1));
-        (match !above with
+        (match above with
         | None -> ()
         | Some (seq_a, a) ->
             check ~older:digest ~newer:a ~bundle_seq_if_adjacent:seq_a
               ~adjacent:(seq_a = digest.seq + 1));
         if !consistent then begin
-          Hashtbl.replace st.digests digest.seq digest;
+          st.digests <- Seq_map.add digest.seq digest st.digests;
+          st.count <- st.count + 1;
           (* Retention bound: evict the oldest snapshot (seq 0 is kept —
              it anchors first-bundle evidence). *)
-          if Hashtbl.length st.digests > Node_env.max_digests_per_peer
-          then begin
-            let oldest =
-              Hashtbl.fold
-                (fun seq _ acc -> if seq > 0 && seq < acc then seq else acc)
-                st.digests max_int
-            in
-            if oldest < max_int then Hashtbl.remove st.digests oldest
+          if st.count > Node_env.max_digests_per_peer then begin
+            match Seq_map.find_first_opt (fun s -> s > 0) st.digests with
+            | Some (oldest, _) ->
+                st.digests <- Seq_map.remove oldest st.digests;
+                st.count <- st.count - 1
+            | None -> ()
           end;
           t.recent.(t.recent_pos) <- Some digest;
           t.recent_pos <- (t.recent_pos + 1) mod Array.length t.recent;
-          (match st.latest with
-          | Some l when l.seq >= digest.seq -> ()
-          | _ -> st.latest <- Some digest);
           env.retry_inspections ~owner:digest.owner
         end
   end
@@ -184,13 +164,7 @@ let handle_digest_request t (env : Node_env.t) ~from ~owner ~seq =
       (List.filter_map
          (fun s -> Commitment.Log.digest_at env.primary_log ~seq:s)
          [ seq; seq - 1 ])
-  else begin
-    let st = peer_state t owner in
-    reply
-      (List.filter_map
-         (fun s -> Hashtbl.find_opt st.digests s)
-         [ seq; seq - 1 ])
-  end
+  else reply (List.filter_map (stored t owner) [ seq; seq - 1 ])
 
 let recent_digests t ~exclude_owner =
   Array.to_list t.recent
@@ -203,5 +177,5 @@ let recent_digests t ~exclude_owner =
 let storage_bytes t =
   Hashtbl.fold
     (fun _ st acc ->
-      Hashtbl.fold (fun _ d a -> a + Commitment.encoded_size d) st.digests acc)
+      Seq_map.fold (fun _ d a -> a + Commitment.encoded_size d) st.digests acc)
     t.peers 0

@@ -107,15 +107,19 @@ let delta_for ~log peer_latest =
           in
           if estimate > 128 then clock_delta ~log my_digest peer_digest
           else
+            let held = Commitment.Log.contains log in
             match Commitment.sketch_difference ~estimate mine_sketch peer_sketch with
-            | Ok diff ->
-                let mine, theirs =
-                  List.partition (Commitment.Log.contains log) diff
-                in
+            | Ok diff
+              when Commitment.accounts_for ~mine:my_digest.Commitment.clock
+                     ~peer:peer_digest.Commitment.clock ~held diff ->
+                let mine, theirs = List.partition held diff in
                 (List.filteri (fun i _ -> i < Node_env.max_delta) mine, theirs)
-            | Error `Decode_failure ->
-                (* Degrade to offering the most recent ids; later rounds
-                   converge (the paper splits the sketch instead). *)
+            | Ok _ | Error `Decode_failure ->
+                (* A decode that does not account for both clocks is
+                   wrong: the estimate can fall short of a difference
+                   that is not an extension. Degrade to offering the
+                   most recent ids; later rounds converge (the paper
+                   splits the sketch instead). *)
                 (Commitment.Log.newest log Node_env.max_delta, [])
         end
       | _ -> clock_delta ~log my_digest peer_digest
@@ -187,16 +191,19 @@ and request_timeout t (env : Node_env.t) ~peer_index ~peer:peer_id ~gen =
   end
 
 let resolve_pending t (env : Node_env.t) ~peer:peer_id =
-  let p = pending_for t peer_id in
-  let was_waiting = p.waiting in
-  p.waiting <- false;
-  p.retries <- 0;
-  p.unresponsive <- 0;
-  if was_waiting then begin
-    match env.index_of peer_id with
-    | Some peer_index -> emit_span_end env ~peer_index ~ok:true
-    | None -> ()
-  end;
+  (* A missing record reads as a fresh one: nothing to reset. *)
+  (match Hashtbl.find_opt t.pending peer_id with
+  | None -> ()
+  | Some p ->
+      let was_waiting = p.waiting in
+      p.waiting <- false;
+      p.retries <- 0;
+      p.unresponsive <- 0;
+      if was_waiting then begin
+        match env.index_of peer_id with
+        | Some peer_index -> emit_span_end env ~peer_index ~ok:true
+        | None -> ()
+      end);
   if Accountability.is_suspected env.acc peer_id then begin
     Accountability.clear_suspicion env.acc ~peer:peer_id;
     emit_clear env peer_id;
@@ -209,8 +216,9 @@ let resolve_pending t (env : Node_env.t) ~peer:peer_id =
 
 let handle_withdrawal t (env : Node_env.t) ~suspect ~reporter:_ =
   if not (String.equal suspect env.my_id) then begin
-    let p = pending_for t suspect in
-    p.unresponsive <- 0;
+    (match Hashtbl.find_opt t.pending suspect with
+    | Some p -> p.unresponsive <- 0
+    | None -> ());
     if Accountability.is_suspected env.acc suspect then begin
       Accountability.clear_suspicion env.acc ~peer:suspect;
       emit_clear env suspect;
@@ -229,7 +237,7 @@ let handle_withdrawal t (env : Node_env.t) ~suspect ~reporter:_ =
 let handle_commit_request t (env : Node_env.t) ~from ~digest ~delta ~want
     ~appended =
   Peer_tracker.note_digest t.tracker env digest;
-  Peer_tracker.note_appended t.tracker ~owner:digest.Commitment.owner
+  Peer_tracker.note_appended t.tracker env ~owner:digest.Commitment.owner
     ~seq:digest.Commitment.seq appended;
   let from_id = digest.Commitment.owner in
   (* Requests are judged against the log we show this peer (equivocators
@@ -261,7 +269,7 @@ let handle_commit_response t (env : Node_env.t) ~from ~digest ~want ~delta
     ~appended =
   resolve_pending t env ~peer:digest.Commitment.owner;
   Peer_tracker.note_digest t.tracker env digest;
-  Peer_tracker.note_appended t.tracker ~owner:digest.Commitment.owner
+  Peer_tracker.note_appended t.tracker env ~owner:digest.Commitment.owner
     ~seq:digest.Commitment.seq appended;
   let have = Content_sync.serve t.content want in
   if have <> [] then env.send ~dst:from (Messages.Tx_batch have);
@@ -281,7 +289,10 @@ let handle_commit_response t (env : Node_env.t) ~from ~digest ~want ~delta
 
 let handle_suspicion t (env : Node_env.t) ~from note =
   let { Messages.suspect; reporter; last_digest; reason = _ } = note in
-  if String.equal suspect env.my_id then begin
+  if env.index_of suspect = None || env.index_of reporter = None then
+    (* A note naming a stranger is not relayed and stores nothing. *)
+    ()
+  else if String.equal suspect env.my_id then begin
     (* Publicly answer: share our current (full) commitment with both
        parties. *)
     let d = Commitment.Log.current_digest env.primary_log in

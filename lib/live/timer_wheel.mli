@@ -1,6 +1,6 @@
 (** Wall-clock timer wheel for the live event loop.
 
-    A thin wrapper over the deterministic binary-heap queue
+    A thin wrapper over the deterministic calendar queue
     ({!Lo_net.Event_queue}): insertion order breaks ties, so two timers
     due at the same instant fire in the order they were scheduled —
     the same guarantee the DES gives protocol code. *)

@@ -41,17 +41,6 @@ let bar width v vmax =
 let finite_max =
   List.fold_left (fun m v -> if Float.is_finite v then Float.max m v else m) 0.
 
-let bar_chart ~title entries =
-  pr "\n== %s ==\n" title;
-  let vmax = finite_max (List.map snd entries) in
-  let label_w =
-    List.fold_left (fun m (l, _) -> max m (String.length l)) 0 entries
-  in
-  List.iter
-    (fun (label, v) ->
-      pr "%-*s  %12.3f  %s\n" label_w label v (bar 40. v vmax))
-    entries
-
 let series ~title ~x_label ~y_label points =
   pr "\n== %s ==\n" title;
   pr "%14s  %14s\n" x_label y_label;

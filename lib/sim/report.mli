@@ -4,9 +4,6 @@
 val table : title:string -> header:string list -> string list list -> unit
 (** Print an aligned table to stdout. *)
 
-val bar_chart : title:string -> (string * float) list -> unit
-(** Horizontal ASCII bars scaled to the maximum value. *)
-
 val series : title:string -> x_label:string -> y_label:string ->
   (float * float) list -> unit
 (** Print an (x, y) series as a two-column table plus a bar per row. *)

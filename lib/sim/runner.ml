@@ -14,7 +14,7 @@ type scale = {
 let default_scale = { nodes = 120; reps = 3; rate = 20.; duration = 20.; seed = 42 }
 
 type workload =
-  [ `Poisson | `Trace of Lo_workload.Trace.record list | `None ]
+  [ `Poisson | `Trace of Lo_workload.Trace.record list ]
 
 type run = {
   deployment : Scenario.lo_deployment;
@@ -69,7 +69,6 @@ let run_lo ?(config = fun c -> c) ?behaviors ?malicious ?loss_rate ?faults ?n
           | None -> 0.
         in
         (Lo_workload.Trace.to_specs rng trace ~num_nodes:n, dur)
-    | `None -> ([], Option.value duration ~default:scale.duration)
   in
   let run =
     {

@@ -25,8 +25,7 @@ val default_scale : scale
 type workload =
   [ `Poisson  (** {!Lo_core.Deployment.workload} at [rate] for [duration] *)
   | `Trace of Lo_workload.Trace.record list
-      (** replay an external trace; duration comes from the trace *)
-  | `None ]
+      (** replay an external trace; duration comes from the trace *) ]
 
 type run = {
   deployment : Scenario.lo_deployment;

@@ -10,12 +10,3 @@ let poisson_times rng ~rate ~duration =
     in
     go 0. []
   end
-
-let uniform_times ~rate ~duration =
-  if rate <= 0. || duration <= 0. then []
-  else begin
-    let step = 1. /. rate in
-    let n = int_of_float (duration /. step) in
-    List.init n (fun i -> float_of_int i *. step)
-    |> List.filter (fun t -> t < duration)
-  end

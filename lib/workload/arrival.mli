@@ -3,7 +3,3 @@
 val poisson_times : Lo_net.Rng.t -> rate:float -> duration:float -> float list
 (** Event timestamps of a homogeneous Poisson process with [rate]
     events/second over [\[0, duration)], in increasing order. *)
-
-val uniform_times : rate:float -> duration:float -> float list
-(** Deterministic evenly spaced arrivals at the same average rate (used
-    when an experiment needs a perfectly steady workload). *)

@@ -29,19 +29,6 @@ let parse text =
   in
   go 1 [] neg_infinity lines
 
-let render records =
-  let buf = Buffer.create (32 * List.length records) in
-  Buffer.add_string buf "# timestamp_seconds,fee,size_bytes\n";
-  List.iter
-    (fun r -> Buffer.add_string buf (Printf.sprintf "%.6f,%d,%d\n" r.at r.fee r.size))
-    records;
-  Buffer.contents buf
-
-let synthesize rng ~rate ~duration ?(fee_model = Fee_model.default)
-    ?(tx_size = 250) () =
-  Arrival.poisson_times rng ~rate ~duration
-  |> List.map (fun at -> { at; fee = Fee_model.draw rng fee_model; size = tx_size })
-
 let to_specs rng records ~num_nodes =
   if num_nodes <= 0 then invalid_arg "Trace.to_specs";
   List.mapi

@@ -2,8 +2,7 @@
 
     The paper injects its workload "based on a realistic dataset of
     Ethereum transactions" [Pierro & Rocha 2019]. This module replays
-    such a trace when one is available and synthesises a statistically
-    matched one when it is not, in a simple CSV format:
+    such a trace, in a simple CSV format:
 
     {v timestamp_seconds,fee,size_bytes v}
 
@@ -18,16 +17,6 @@ type record = { at : float; fee : int; size : int }
 val parse : string -> (record list, string) result
 (** Parse CSV text. Malformed lines yield [Error] with a message naming
     the first offending line. *)
-
-val render : record list -> string
-(** Inverse of {!parse} (with a header comment). *)
-
-val synthesize :
-  Lo_net.Rng.t -> rate:float -> duration:float -> ?fee_model:Fee_model.t ->
-  ?tx_size:int -> unit -> record list
-(** An Ethereum-like trace from the synthetic model: Poisson arrivals,
-    log-normal fees, fixed sizes — the fallback the reproduction runs
-    on. *)
 
 val to_specs : Lo_net.Rng.t -> record list -> num_nodes:int -> Tx_gen.spec list
 (** Attach uniformly random origin nodes, preserving timestamps, fees

@@ -198,13 +198,15 @@ let commitment_tests =
         check_bool "seq2" true (Commitment.Log.digest_at log ~seq:2 <> None);
         check_bool "seq3" true (Commitment.Log.digest_at log ~seq:3 = None));
     Alcotest.test_case "bundles in order with sources" `Quick (fun () ->
+        (* The source is an argument of [append]; the log does not keep
+           it, so bundles come back by seq and ids alone. *)
         let log = mk_log () in
         ignore (Commitment.Log.append log ~source:None ~ids:[ 1 ]);
         ignore (Commitment.Log.append log ~source:(Some "peer") ~ids:[ 2; 3 ]);
         match Commitment.Log.bundles log with
         | [ b1; b2 ] ->
             check_int "seq1" 1 b1.Commitment.Log.seq;
-            check_bool "src" true (b2.Commitment.Log.source = Some "peer");
+            check_int "seq2" 2 b2.Commitment.Log.seq;
             check_bool "ids" true
               (List.concat_map
                  (fun b -> b.Commitment.Log.ids)
@@ -364,19 +366,6 @@ let mempool_tests =
         ignore (Mempool.add m ~tx ~received_at:1.0 ~from_peer:None);
         check_bool "dup" true
           (Mempool.add m ~tx ~received_at:2.0 ~from_peer:None = `Duplicate));
-    Alcotest.test_case "arrival order preserved" `Quick (fun () ->
-        let m = Mempool.create () in
-        let txs = List.init 5 (fun i -> mk_tx (string_of_int i)) in
-        List.iteri
-          (fun i tx ->
-            ignore (Mempool.add m ~tx ~received_at:(float_of_int i) ~from_peer:None))
-          txs;
-        let order = List.map (fun e -> e.Mempool.tx.Tx.id) (Mempool.entries_in_arrival_order m) in
-        check_bool "order" true (order = List.map (fun tx -> tx.Tx.id) txs));
-    Alcotest.test_case "payload bytes accumulate" `Quick (fun () ->
-        let m = Mempool.create () in
-        ignore (Mempool.add m ~tx:(mk_tx "aaa") ~received_at:0. ~from_peer:None);
-        check_bool "bytes" true (Mempool.total_payload_bytes m > 0));
   ]
 
 (* ---------------- Block ---------------- *)
@@ -1444,9 +1433,14 @@ let ingest_batch_tests =
     let m2, _, first2 = run_batch ?keep ~known first in
     let known2 = known_after first2 in
     let m2, r, committed = run_batch ?keep ~m:m2 ~known:known2 txs in
+    let held m tx =
+      Option.map
+        (fun (e : Mempool.entry) -> e.Mempool.tx.Tx.id)
+        (Mempool.find_short m (Tx.short_id tx))
+    in
     fresh1 = first2
-    && ids_of (Mempool.entries_in_arrival_order m1)
-       = ids_of (Mempool.entries_in_arrival_order m2)
+    && Mempool.size m1 = Mempool.size m2
+    && List.for_all (fun tx -> held m1 tx = held m2 tx) (first @ txs)
     && ids_of acc1 = ids_of r.Mempool.accepted
     && List.map fst inv1 = List.map fst r.Mempool.invalid
     && dup1 = r.Mempool.duplicates
@@ -1583,6 +1577,301 @@ let ingest_batch_tests =
           txs);
   ]
 
+(* ---------------- Stores against their references ---------------- *)
+
+(* Two transactions whose ids share their short id (found by search). *)
+let collide_a = mk_tx "collide-88515"
+let collide_b = mk_tx "collide-102032"
+
+let same_digest (a : Commitment.digest) (b : Commitment.digest) =
+  Commitment.equal_content a b
+  && Commitment.is_full a = Commitment.is_full b
+  && String.equal a.Commitment.signature b.Commitment.signature
+
+let same_opt eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> eq a b
+  | _ -> false
+
+(* A directory of [me] and one peer, with the calls a tracker makes
+   recorded: each exposure, in order. *)
+let tracker_env ~me ~peer ~rng_seed =
+  let ids = [| Signer.id me; Signer.id peer |] in
+  let exposed = ref [] in
+  let log = Commitment.Log.create ~signer:me () in
+  let env =
+    {
+      Node_env.config = Node_env.default_config scheme;
+      hooks = Node_env.no_hooks ();
+      trace = None;
+      my_id = ids.(0);
+      my_index = 0;
+      signer = me;
+      rng = Lo_net.Rng.create rng_seed;
+      acc = Accountability.create ();
+      primary_log = log;
+      now = (fun () -> 0.);
+      send = (fun ~dst:_ _ -> ());
+      broadcast = (fun _ -> ());
+      schedule = (fun ~delay:_ _ -> ());
+      id_of = (fun i -> ids.(i));
+      index_of =
+        (fun id ->
+          if String.equal id ids.(0) then Some 0
+          else if String.equal id ids.(1) then Some 1
+          else None);
+      population = (fun () -> 2);
+      neighbors = (fun () -> [ 1 ]);
+      log_for = (fun ~peer_index:_ -> log);
+      wire_digest = (fun ~peer_index:_ -> Commitment.Log.current_digest log);
+      commit =
+        (fun ~source ~ids -> ignore (Commitment.Log.append log ~source ~ids));
+      expose = (fun ~accused e -> exposed := (accused, e) :: !exposed);
+      retry_inspections = (fun ~owner:_ -> ());
+      record_deviation = (fun ~kind:_ ~height:_ -> ());
+    }
+  in
+  (env, exposed)
+
+let store_tests =
+  let open Store_ref in
+  [
+    qtest "mempool = two-index reference" ~count:300
+      QCheck2.Gen.(list_size (int_bound 30) (int_bound 9))
+      (fun picks ->
+        let pool =
+          Array.of_list
+            (collide_a :: collide_b
+            :: List.init 8 (fun i -> mk_tx (Printf.sprintf "m%d" i)))
+        in
+        let m = Mempool.create () and r = Mempool_ref.create () in
+        let id_of (e : Mempool.entry) = e.Mempool.tx.Tx.id in
+        Tx.short_id collide_a = Tx.short_id collide_b
+        && List.for_all
+          (fun i ->
+            let tx = pool.(i) in
+            match
+              ( Mempool.add m ~tx ~received_at:0. ~from_peer:None,
+                Mempool_ref.add r tx )
+            with
+            | `Added _, `Added | `Duplicate, `Duplicate -> true
+            | _ -> false)
+          picks
+        && Mempool.size m = Mempool_ref.size r
+        && Array.for_all
+             (fun (tx : Tx.t) ->
+               let short = Tx.short_id tx in
+               let ref_id = Option.map (fun (t : Tx.t) -> t.Tx.id) in
+               Option.map id_of (Mempool.find_short m short)
+               = ref_id (Mempool_ref.find_short r short)
+               && Option.map id_of (Mempool.find_id m tx.Tx.id)
+                  = ref_id (Mempool_ref.find_id r tx.Tx.id)
+               && Mempool.mem_short m short
+                  = (Mempool_ref.find_short r short <> None))
+             pool);
+    qtest "commitment log = bundle-list and digest-table reference" ~count:60
+      QCheck2.Gen.(
+        pair (oneofl [ 1; 3; max_int ])
+          (list_size (int_bound 16)
+             (list_size (int_bound 5) (int_range (-2) 40))))
+      (fun (digest_history, bundles) ->
+        let log = Commitment.Log.create ~digest_history ~signer:alice () in
+        let r = Log_ref.create ~digest_history ~signer:alice in
+        let bundle_pair (b : Commitment.Log.bundle) =
+          (b.Commitment.Log.seq, b.Commitment.Log.ids)
+        in
+        let agree () =
+          let seq = Commitment.Log.seq log in
+          seq = r.Log_ref.seq
+          && Commitment.Log.counter log = r.Log_ref.counter
+          && same_digest (Commitment.Log.current_digest log)
+               (Log_ref.current_digest r)
+          && List.for_all
+               (fun seq ->
+                 same_opt same_digest
+                   (Commitment.Log.digest_at log ~seq)
+                   (Log_ref.digest_at r ~seq))
+               (List.init (seq + 3) (fun i -> i - 1))
+          && List.map bundle_pair (Commitment.Log.bundles log)
+             = Log_ref.bundles r
+          && Option.map bundle_pair (Commitment.Log.newest_bundle log)
+             = Log_ref.newest_bundle r
+        in
+        agree ()
+        && List.for_all
+             (fun ids ->
+               ignore (Commitment.Log.append log ~source:None ~ids);
+               Log_ref.append r ids;
+               agree ())
+             bundles);
+    qtest "peer tracker = hash-table reference, out of order, past the cap"
+      ~count:10
+      QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 2 40))
+      (fun (seed, window) ->
+        let rs = Random.State.make [| seed |] in
+        let me = Signer.make scheme ~seed:"tracker-me" in
+        let peer = Signer.make scheme ~seed:"tracker-peer" in
+        let n = Node_env.max_digests_per_peer + 40 in
+        let fork_at = 1 + Random.State.int rs (n - 8) in
+        (* One id per bundle; the fork shares the first [fork_at - 1]
+           bundles, then commits ids of its own for five more. *)
+        let log = Commitment.Log.create ~signer:peer () in
+        let fork = Commitment.Log.create ~signer:peer () in
+        for seq = 1 to n do
+          let id = seq in
+          ignore (Commitment.Log.append log ~source:None ~ids:[ id ]);
+          if seq < fork_at then
+            ignore (Commitment.Log.append fork ~source:None ~ids:[ id ])
+          else if seq < fork_at + 5 then
+            ignore (Commitment.Log.append fork ~source:None ~ids:[ 1_000_000 + id ])
+        done;
+        let arrivals =
+          List.concat_map
+            (fun seq ->
+              let d = Option.get (Commitment.Log.digest_at log ~seq) in
+              let key () = seq + Random.State.int rs window in
+              match Random.State.int rs 4 with
+              | 0 -> [ (key (), Commitment.strip_sketch d) ]
+              | 1 -> [ (key (), Commitment.strip_sketch d); (key (), d) ]
+              | _ -> [ (key (), d) ])
+            (List.init (n + 1) Fun.id)
+          @ List.map
+              (fun seq ->
+                ( seq + Random.State.int rs window,
+                  Option.get (Commitment.Log.digest_at fork ~seq) ))
+              (List.init 5 (fun i -> fork_at + i))
+          |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.map snd
+        in
+        let env, exposed = tracker_env ~me ~peer ~rng_seed:seed in
+        let ref_env, ref_exposed = tracker_env ~me ~peer ~rng_seed:seed in
+        let t = Peer_tracker.create () and r = Tracker_ref.create () in
+        let owner = Signer.id peer in
+        let steps_agree =
+          List.for_all
+            (fun (d : Commitment.digest) ->
+              Peer_tracker.note_digest t env d;
+              Tracker_ref.note_digest r ref_env d;
+              if d.Commitment.seq mod 7 = 0 then begin
+                Peer_tracker.note_appended t env ~owner ~seq:d.Commitment.seq
+                  [ 7 ];
+                Tracker_ref.note_appended r ~owner ~seq:d.Commitment.seq [ 7 ]
+              end;
+              same_opt ( == )
+                (Peer_tracker.latest t ~peer:owner)
+                (Tracker_ref.latest r ~peer:owner))
+            arrivals
+        in
+        let evidence (accused, e) =
+          match e with
+          | Evidence.Conflicting_digests { older; newer } ->
+              (accused, older.Commitment.seq, newer.Commitment.seq,
+               older.Commitment.signature, newer.Commitment.signature)
+          | _ -> (accused, -1, -1, "", "")
+        in
+        let snapshot_agree (o1, s1, d1) (o2, s2, d2) =
+          String.equal o1 o2 && s1 = s2 && d1 == d2
+        in
+        let snaps = Peer_tracker.snapshots t in
+        steps_agree
+        && List.length snaps <= Node_env.max_digests_per_peer
+        && List.length snaps = List.length (Tracker_ref.snapshots r)
+        && List.for_all2 snapshot_agree snaps (Tracker_ref.snapshots r)
+        && List.for_all
+             (fun seq ->
+               Peer_tracker.bundle_of_seq t ~owner ~seq
+               = Tracker_ref.bundle_of_seq r ~owner ~seq)
+             (List.init (n + 2) Fun.id)
+        && !exposed <> []
+        && List.map evidence !exposed = List.map evidence !ref_exposed
+        && List.init 4 (fun _ -> Lo_net.Rng.int env.Node_env.rng 1_000_000)
+           = List.init 4 (fun _ -> Lo_net.Rng.int ref_env.Node_env.rng 1_000_000));
+  ]
+
+(* ---------------- Wrong sketch decodes ---------------- *)
+
+(* Found by search: each pair's Bloom clocks are equal (the estimate is
+   0), so the delta decode is tried at capacity 8, where the merged
+   sketches of a larger difference decode to a wrong set of 8 ids. *)
+let wrong_decode_inputs =
+  [
+    ( [ 940259230; 828554411; 526559166; 966048465; 251543213; 788173206;
+        662390076; 252770433 ],
+      [ 940259230; 828554411; 526559166; 815670028; 865889385; 404476809;
+        380988813; 160289745 ] );
+    ( [ 289341788; 825836353; 876354959; 1007587506; 431589578; 523292388;
+        1038038587; 889285753 ],
+      [ 644156306; 508653755; 507602667; 381768850; 801400391; 688222501;
+        722999840; 130584847 ] );
+    ( [ 635071101; 750283466; 298640088; 336729314; 1043554076; 756730111;
+        947404449 ],
+      [ 589785897; 563088557; 1002733060; 892873987; 1001163039; 667867002;
+        820204838 ] );
+    ( [ 1071020573; 998869967; 376965790; 1001544551; 248342705; 1052855033;
+        729212148 ],
+      [ 1071020573; 256849710; 943649400; 957480471; 626197229; 982887838;
+        904098113 ] );
+  ]
+
+let sketch_guard_tests =
+  let me = Signer.make scheme ~seed:"guard-me" in
+  let peer = Signer.make scheme ~seed:"guard-peer" in
+  let digest_of signer ids =
+    let log = Commitment.Log.create ~signer () in
+    ignore (Commitment.Log.append log ~source:None ~ids);
+    Commitment.Log.current_digest log
+  in
+  [
+    Alcotest.test_case "a wrong delta decode commits no phantom ids" `Quick
+      (fun () ->
+        List.iter
+          (fun (mine, theirs) ->
+            let env, _ = tracker_env ~me ~peer ~rng_seed:1 in
+            ignore
+              (Commitment.Log.append env.Node_env.primary_log ~source:None
+                 ~ids:mine);
+            let tracker = Peer_tracker.create () in
+            Peer_tracker.note_digest tracker env (digest_of peer theirs);
+            let content =
+              Content_sync.create ~mempool:(Mempool.create ())
+                ~adversary:Adversary.Honest ()
+            in
+            let reconciler = Reconciler.create ~content ~tracker in
+            Reconciler.reconcile_with reconciler env ~peer_index:1;
+            let log = env.Node_env.primary_log in
+            check_bool "only ids of either side" true
+              (List.for_all
+                 (fun id -> List.mem id mine || List.mem id theirs)
+                 (Commitment.Log.oldest log (Commitment.Log.counter log))))
+          wrong_decode_inputs);
+    Alcotest.test_case "accounts_for: true differences pass, wrong ones fail"
+      `Quick (fun () ->
+        List.iter
+          (fun (mine, theirs) ->
+            let dm = digest_of me mine and dp = digest_of peer theirs in
+            let clock (d : Commitment.digest) = d.Commitment.clock in
+            let only a b = List.filter (fun id -> not (List.mem id b)) a in
+            let held id = List.mem id mine in
+            check_bool "truth" true
+              (Commitment.accounts_for ~mine:(clock dm) ~peer:(clock dp) ~held
+                 (only mine theirs @ only theirs mine));
+            match
+              Commitment.sketch_difference ~estimate:0
+                (Option.get dm.Commitment.sketch)
+                (Option.get dp.Commitment.sketch)
+            with
+            | Error `Decode_failure -> Alcotest.fail "expected a wrong decode"
+            | Ok diff ->
+                check_bool "wrong set" false
+                  (List.sort compare diff
+                  = List.sort compare (only mine theirs @ only theirs mine));
+                check_bool "rejected" false
+                  (Commitment.accounts_for ~mine:(clock dm) ~peer:(clock dp)
+                     ~held diff))
+          wrong_decode_inputs);
+  ]
+
 let () =
   Alcotest.run "lo_core_types"
     [
@@ -1604,4 +1893,6 @@ let () =
       ("messages", messages_tests);
       ("decode-fuzz", decode_fuzz_tests);
       ("tx-pool", tx_pool_tests);
+      ("stores", store_tests);
+      ("sketch-guard", sketch_guard_tests);
     ]

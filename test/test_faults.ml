@@ -213,6 +213,8 @@ let parked_inspection_tests =
         let inspections = ref 0 in
         let hooks = Node_env.no_hooks () in
         hooks.on_violation <- (fun _ ~block:_ -> incr inspections);
+        (* A third directory member, whose digests are tracked too. *)
+        let third = Signer.make scheme ~seed:"fault-test-third" in
         let env = ref h.env in
         env :=
           {
@@ -220,6 +222,10 @@ let parked_inspection_tests =
             hooks;
             retry_inspections =
               (fun ~owner -> Block_pipeline.retry_inspections pipeline !env ~owner);
+            index_of =
+              (fun id ->
+                if String.equal id (Signer.id third) then Some 2
+                else h.env.Node_env.index_of id);
           };
         let txs =
           List.init 3 (fun i ->
@@ -227,7 +233,7 @@ let parked_inspection_tests =
                 ~payload:(Printf.sprintf "parked-%d" i))
         in
         let ids = List.map Tx.short_id txs in
-        Peer_tracker.note_appended tracker ~owner:h.peer_id ~seq:1 ids;
+        Peer_tracker.note_appended tracker !env ~owner:h.peer_id ~seq:1 ids;
         let canonical =
           Order.sort_bundle ~seed:Block.genesis_hash ~bundle_seq:1 ids
         in
@@ -253,7 +259,6 @@ let parked_inspection_tests =
         Block_pipeline.accept_block pipeline !env block ~from:1;
         check_int "a repeat announcement is not re-inspected" 1 !inspections;
         (* Another owner's digest leaves the parked block alone. *)
-        let third = Signer.make scheme ~seed:"fault-test-third" in
         let third_log = Commitment.Log.create ~signer:third () in
         ignore (Commitment.Log.append third_log ~source:None ~ids:[ 7 ]);
         Peer_tracker.note_digest tracker !env

@@ -510,12 +510,13 @@ let admission_tests =
              (Messages.Tx_batch
                 [ v1; v2; bad; v1; known; tx ~fee:8 "censor-me"; v3 ]));
         Net.run_until d.net 0.5;
+        let mempool = Node.mempool node in
+        let held (tx : Tx.t) = Mempool.find_id mempool tx.Tx.id <> None in
         check_bool "stored: valid, repeat once, committed; not bad or censored"
           true
-          (List.map
-             (fun e -> e.Mempool.tx.Tx.id)
-             (Mempool.entries_in_arrival_order (Node.mempool node))
-          = List.map (fun (tx : Tx.t) -> tx.Tx.id) [ v1; v2; known; v3 ]);
+          (Mempool.size mempool = 4
+          && List.for_all held [ v1; v2; known; v3 ]
+          && not (List.exists held [ bad; tx ~fee:8 "censor-me" ]));
         check_bool "committed: the prior id and three fresh ones" true
           (List.sort compare
              (Commitment.Log.oldest log (Commitment.Log.counter log))
@@ -589,6 +590,67 @@ let storage_tests =
         | None -> Alcotest.fail "no digest tracked");
   ]
 
+
+(* Unsigned frames can name any identity. A node must not grow state
+   for identities outside its directory, nor act on them: junk
+   suspicions, withdrawals, digest requests and commit requests (the
+   last with a validly signed digest of a stranger's log) leave it
+   suspecting no one, relaying no suspicion and storing no snapshot. *)
+let stranger_tests =
+  [
+    Alcotest.test_case "frames naming strangers store and relay nothing"
+      `Quick (fun () ->
+        let d = mk_network ~n:4 ~seed:121 () in
+        let relayed = ref 0 in
+        Lo_obs.Trace.observe d.trace (function
+          | {
+              Lo_obs.Trace.ev =
+                Lo_obs.Event.Send { src = 0; tag = "lo:suspicion"; _ };
+              _;
+            } ->
+              incr relayed
+          | _ -> ());
+        let rng = Random.State.make [| 121 |] in
+        let stranger () =
+          Signer.make d.scheme
+            ~seed:(Printf.sprintf "stranger-%d" (Random.State.bits rng))
+        in
+        let member = Node.node_id d.nodes.(2) in
+        for i = 1 to 10 do
+          let s = stranger () in
+          let owner = Signer.id s and other = Signer.id (stranger ()) in
+          let log = Commitment.Log.create ~signer:s () in
+          ignore (Commitment.Log.append log ~source:None ~ids:[ 5000 + i ]);
+          let digest = Commitment.Log.current_digest log in
+          let note suspect reporter =
+            Messages.Suspicion_note
+              { suspect; reporter; last_digest = Some digest; reason = "junk" }
+          in
+          List.iter
+            (fun msg ->
+              Net.send d.net ~src:1 ~dst:0 ~tag:(Messages.tag msg)
+                (Messages.encode msg))
+            [
+              Messages.Digest_request { owner; seq = 1 };
+              Messages.Suspicion_withdraw { suspect = owner; reporter = other };
+              note owner other;
+              note owner member;
+              note member owner;
+              Messages.Commit_request
+                { digest; delta = []; want = []; appended = [ 5000 + i ] };
+            ]
+        done;
+        Net.run_until d.net 0.5;
+        let node = d.nodes.(0) in
+        let suspected, _ = Accountability.counts (Node.accountability node) in
+        check_int "suspects no one" 0 suspected;
+        check_int "relays no suspicion" 0 !relayed;
+        let members = Array.map Node.node_id d.nodes in
+        check_bool "stores no stranger's snapshot" true
+          (List.for_all
+             (fun (owner, _, _) -> Array.mem owner members)
+             (Node.digest_snapshots node)));
+  ]
 
 (* Appended after the main suites: overlay churn and wire-format fuzzing. *)
 
@@ -1086,6 +1148,7 @@ let () =
       ("malformed", malformed_tests @ mis_shaped_tests);
       ("handler-fuzz", node_fuzz_tests);
       ("admission", admission_tests);
+      ("strangers", stranger_tests);
       ("storage", storage_tests);
       ("rotation", rotation_tests);
       ("fuzz", fuzz_tests);

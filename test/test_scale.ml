@@ -47,21 +47,6 @@ let interner_tests =
             | None -> false
             | Some id -> String.equal (Interner.to_string t id) k)
           keys);
-    qtest "iter is insertion order" (QCheck2.Gen.list key_gen) (fun keys ->
-        let t = Interner.create () in
-        List.iter (fun k -> ignore (Interner.intern t k)) keys;
-        let seen = ref [] in
-        Interner.iter t (fun id k -> seen := (id, k) :: !seen);
-        List.rev !seen = List.map (fun (k, id) -> (id, k)) (naive_ids keys));
-    qtest "canonical is equal and retained" (QCheck2.Gen.list key_gen)
-      (fun keys ->
-        let t = Interner.create () in
-        List.for_all
-          (fun k ->
-            let c = Interner.canonical t k in
-            (* Equal bytes, and the same retained copy every time. *)
-            String.equal c k && Interner.canonical t (String.sub k 0 (String.length k)) == c)
-          keys);
     Alcotest.test_case "unknown ids raise" `Quick (fun () ->
         let t = Interner.create () in
         ignore (Interner.intern t "a");

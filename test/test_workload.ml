@@ -73,9 +73,6 @@ let arrival_tests =
     Alcotest.test_case "zero rate yields nothing" `Quick (fun () ->
         let rng = Rng.create 7 in
         check_bool "empty" true (Arrival.poisson_times rng ~rate:0. ~duration:10. = []));
-    Alcotest.test_case "uniform times exact" `Quick (fun () ->
-        let times = Arrival.uniform_times ~rate:2. ~duration:5. in
-        check_int "count" 10 (List.length times));
   ]
 
 let txgen_tests =
@@ -120,19 +117,6 @@ let txgen_tests =
 
 let trace_tests =
   [
-    Alcotest.test_case "render/parse roundtrip" `Quick (fun () ->
-        let rng = Rng.create 13 in
-        let trace = Trace.synthesize rng ~rate:20. ~duration:5. () in
-        match Trace.parse (Trace.render trace) with
-        | Ok parsed ->
-            check_int "count" (List.length trace) (List.length parsed);
-            List.iter2
-              (fun a b ->
-                check_bool "time" true (abs_float (a.Trace.at -. b.Trace.at) < 1e-5);
-                check_int "fee" a.Trace.fee b.Trace.fee;
-                check_int "size" a.Trace.size b.Trace.size)
-              trace parsed
-        | Error e -> Alcotest.fail e);
     Alcotest.test_case "comments and blanks skipped" `Quick (fun () ->
         match Trace.parse "# header
 
@@ -159,7 +143,12 @@ not,a,line
         | Ok _ -> Alcotest.fail "accepted time travel");
     Alcotest.test_case "to_specs preserves trace fields" `Quick (fun () ->
         let rng = Rng.create 14 in
-        let trace = Trace.synthesize rng ~rate:10. ~duration:3. () in
+        let trace =
+          List.map
+            (fun at ->
+              { Trace.at; fee = Fee_model.(draw rng default); size = 250 })
+            (Arrival.poisson_times rng ~rate:10. ~duration:3.)
+        in
         let specs = Trace.to_specs (Rng.create 15) trace ~num_nodes:7 in
         check_int "count" (List.length trace) (List.length specs);
         List.iter2
